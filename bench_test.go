@@ -117,11 +117,12 @@ func BenchmarkTable2RecordThreeSketchBatch(b *testing.B) {
 	reportPacketsPerSec(b)
 }
 
-// ---- Table II (sharded ingest): parallel record throughput ----
+// ---- Table II (shared point): parallel per-packet record throughput ----
 //
-// These feed the "sharded ingest" line of the regenerated Table II. Each
-// goroutine draws from its own de-correlated xorshift stream (identical
-// streams would collide on one flow-hashed shard and serialize).
+// Several goroutines calling Record on one point, so they contend on its
+// shared lanes. Each goroutine draws from its own de-correlated xorshift
+// stream (identical streams would collide on one flow-hashed lane and
+// serialize).
 
 // benchRNG is a per-goroutine xorshift64 stream.
 type benchRNG uint64
@@ -157,30 +158,6 @@ func BenchmarkThroughputParallelTwoSketch(b *testing.B) {
 	reportPacketsPerSec(b)
 }
 
-func BenchmarkThroughputParallelTwoSketchBatch(b *testing.B) {
-	pt, err := core.NewSizePoint(0, countmin.Params{D: 4, W: 16384, Seed: 1}, core.SizeModeCumulative)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var gid atomic.Uint64
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		rng := newBenchRNG(gid.Add(1))
-		buf := make([]uint64, 0, benchBatch)
-		for pb.Next() {
-			buf = append(buf, rng.next()%10000)
-			if len(buf) == benchBatch {
-				pt.RecordBatch(buf)
-				buf = buf[:0]
-			}
-		}
-		if len(buf) > 0 {
-			pt.RecordBatch(buf)
-		}
-	})
-	reportPacketsPerSec(b)
-}
-
 func BenchmarkThroughputParallelThreeSketch(b *testing.B) {
 	pt, err := core.NewSpreadPoint(0, rskt.Params{W: 1638, M: hll.DefaultM, Seed: 1})
 	if err != nil {
@@ -198,40 +175,15 @@ func BenchmarkThroughputParallelThreeSketch(b *testing.B) {
 	reportPacketsPerSec(b)
 }
 
-func BenchmarkThroughputParallelThreeSketchBatch(b *testing.B) {
-	pt, err := core.NewSpreadPoint(0, rskt.Params{W: 1638, M: hll.DefaultM, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var gid atomic.Uint64
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		rng := newBenchRNG(gid.Add(1))
-		buf := make([]core.SpreadPacket, 0, benchBatch)
-		for pb.Next() {
-			v := rng.next()
-			buf = append(buf, core.SpreadPacket{Flow: v % 10000, Elem: v >> 32})
-			if len(buf) == benchBatch {
-				pt.RecordBatch(buf)
-				buf = buf[:0]
-			}
-		}
-		if len(buf) > 0 {
-			pt.RecordBatch(buf)
-		}
-	})
-	reportPacketsPerSec(b)
-}
-
-// ---- Table II (pipeline ingest): per-core run-to-completion scaling ----
+// ---- Table II (private recorders): per-worker scaling ----
 //
 // BenchmarkThroughputParallelPipeline*/workers=N is the scaling curve the
 // bench-scaling gate checks. Each worker is a locked OS thread recording
-// its share of b.N packets through a private core.Recorder — no shared
-// mutable word on the record path. Three metrics per row:
+// its share of b.N packets through a private core.Recorder in
+// benchBatch-packet batches. Three metrics per row:
 //
 //   - cpu-ns/pkt: the slowest worker's thread-CPU time per packet. Flat
-//     across worker counts = run-to-completion scaling.
+//     across worker counts = no shared word on the record path.
 //   - agg-packets/s: the CPU-projected aggregate rate, workers x 1e9 /
 //     cpu-ns/pkt — what a box with `workers` free cores would sustain.
 //     This is the gated metric: wall clock cannot show parallel speedup
@@ -240,7 +192,7 @@ func BenchmarkThroughputParallelThreeSketchBatch(b *testing.B) {
 //   - packets/s: the wall-clock aggregate, meaningful on idle multi-core
 //     hosts and reported for comparison.
 
-func benchPipeline[S core.Sketch[S]](b *testing.B, workers int, pt *core.Point[S], spread bool) {
+func benchPipeline[S core.Sketch[S]](b *testing.B, workers int, pt *core.Point[S]) {
 	var wg sync.WaitGroup
 	cpu := make([]time.Duration, workers)
 	cpuOK := make([]bool, workers)
@@ -260,16 +212,16 @@ func benchPipeline[S core.Sketch[S]](b *testing.B, workers int, pt *core.Point[S
 			rec := pt.NewRecorder()
 			defer rec.Close()
 			rng := newBenchRNG(uint64(w) + 1)
+			buf := make([]core.SpreadPacket, 0, benchBatch)
 			c0, ok0 := cputime.Thread()
 			for i := 0; i < n; i++ {
 				v := rng.next()
-				if spread {
-					rec.Record(v%10000, v>>32)
-				} else {
-					rec.Record(v%10000, 0)
+				buf = append(buf, core.SpreadPacket{Flow: v % 10000, Elem: v >> 32})
+				if len(buf) == benchBatch || i == n-1 {
+					rec.RecordBatch(buf)
+					buf = buf[:0]
 				}
 			}
-			rec.Flush()
 			c1, ok1 := cputime.Thread()
 			cpu[w], cpuOK[w], counts[w] = c1-c0, ok0 && ok1, n
 		}(w, n)
@@ -297,11 +249,11 @@ func benchPipeline[S core.Sketch[S]](b *testing.B, workers int, pt *core.Point[S
 func BenchmarkThroughputParallelPipelineTwoSketch(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			pt, err := core.NewSizePointShards(0, countmin.Params{D: 4, W: 16384, Seed: 1}, core.SizeModeCumulative, 1)
+			pt, err := core.NewSizePoint(0, countmin.Params{D: 4, W: 16384, Seed: 1}, core.SizeModeCumulative)
 			if err != nil {
 				b.Fatal(err)
 			}
-			benchPipeline(b, workers, pt.Point, false)
+			benchPipeline(b, workers, pt.Point)
 		})
 	}
 }
@@ -309,12 +261,11 @@ func BenchmarkThroughputParallelPipelineTwoSketch(b *testing.B) {
 func BenchmarkThroughputParallelPipelineThreeSketch(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			params := rskt.Params{W: 1638, M: hll.DefaultM, Seed: 1}
-			pt, err := core.NewSpreadPointShardsOf(0, func() *rskt.Sketch { return rskt.New(params) }, 1)
+			pt, err := core.NewSpreadPoint(0, rskt.Params{W: 1638, M: hll.DefaultM, Seed: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
-			benchPipeline(b, workers, pt.Point, true)
+			benchPipeline(b, workers, pt.Point)
 		})
 	}
 }

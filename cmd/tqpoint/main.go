@@ -37,8 +37,8 @@ import (
 )
 
 // recordBatchSize is how many packets accumulate locally before one
-// RecordBatch call pushes them through the point's sharded ingest path
-// (one shard acquisition per batch instead of one per packet).
+// RecordBatch call records them (one lock acquisition per batch instead of
+// one per packet).
 const recordBatchSize = 1024
 
 func main() {
@@ -63,7 +63,7 @@ func run(args []string) error {
 		delta      = fs.Bool("delta", false, "upload per-epoch deltas instead of cumulative sketches (mandatory behind a tqrelay for the size design; must match the center's -delta)")
 		epoch      = fs.Duration("epoch", 6*time.Second, "epoch length (synthetic traffic mode)")
 		pps        = fs.Int("pps", 20_000, "synthetic traffic rate, packets/s")
-		ingestW    = fs.Int("ingest-workers", 1, "parallel ingest pipelines (synthetic traffic mode): one run-to-completion generator goroutine each, sharing -pps")
+		ingestW    = fs.Int("ingest-workers", 1, "parallel ingest workers (synthetic traffic mode): one generator goroutine each with its own ingest pipe, sharing -pps")
 		flows      = fs.Int("flows", 5_000, "synthetic traffic distinct flows")
 		traceFile  = fs.String("trace", "", "replay this trace file instead of synthetic traffic")
 		queries    = fs.Int("queries", 3, "sample networkwide queries printed per epoch")
@@ -245,11 +245,9 @@ func run(args []string) error {
 	defer ticker.Stop()
 
 	if *ingestW > 1 {
-		// Parallel data plane: each worker owns a private run-to-completion
-		// ingest pipe (no shared mutable state on the record path) and its
-		// own traffic source; the main goroutine keeps the epoch clock and
-		// reporting. Packets a pipe still buffers at a boundary land in the
-		// next epoch, like packets queued in the NIC.
+		// Parallel data plane: each worker owns a private ingest pipe and
+		// its own traffic source; the main goroutine keeps the epoch clock
+		// and reporting.
 		done := make(chan struct{})
 		var wg sync.WaitGroup
 		for i := 0; i < *ingestW; i++ {
@@ -275,7 +273,7 @@ func run(args []string) error {
 				}
 			}(i)
 		}
-		fmt.Printf("tqpoint %d: %d ingest pipelines\n", *point, *ingestW)
+		fmt.Printf("tqpoint %d: %d ingest workers\n", *point, *ingestW)
 		for {
 			select {
 			case <-ticker.C:

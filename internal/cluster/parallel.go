@@ -18,32 +18,27 @@ func errUnknownPoint(x int) error {
 }
 
 // DefaultReplayBatch is the pending-packet threshold at which RunParallel
-// flushes accumulated batches into the points' ingest pipelines.
+// flushes accumulated batches into the points' recorders.
 const DefaultReplayBatch = 4096
 
 // RunParallel replays a packet stream like Run, but records each point's
-// packets through per-core run-to-completion pipelines (core.Recorder):
-// each worker owns a private delta sketch and touches no shared mutable
-// word on the record path, so concurrent ingest scales with cores instead
-// of collapsing on shared shard locks and round-robin cursors. Epoch
-// choreography, truth tracking and the baselines stay sequential (they
-// model the center and the ground truth, not the data plane), so the
-// simulation's answers are identical to Run's: batches always flush
-// before an epoch boundary is crossed, and the recorder fold is exact
-// under the merge algebra (DESIGN.md §12).
+// packets in batches through a core.Recorder on a goroutine of its own,
+// so the points ingest concurrently. Epoch choreography, truth tracking
+// and the baselines stay sequential (they model the center and the ground
+// truth, not the data plane), and batches always flush before an epoch
+// boundary is crossed, so the simulation's answers are identical to Run's.
 //
 // batch is the pending-packet flush threshold (<= 0 selects
-// DefaultReplayBatch). One pipeline per point; use RunParallelWorkers for
-// a multi-pipeline data plane.
+// DefaultReplayBatch). One recorder per point; use RunParallelWorkers for
+// several.
 func (s *simCore[S]) RunParallel(stream trace.Iterator, batch int) error {
 	return s.RunParallelWorkers(stream, batch, 1)
 }
 
-// RunParallelWorkers is RunParallel with an explicit pipeline count per
+// RunParallelWorkers is RunParallel with an explicit recorder count per
 // point (<= 0 selects 1), modeling a device whose NIC spreads one point's
-// traffic across that many run-to-completion cores. Pipelines persist
-// across flushes (their delta sketches stay warm) and are closed — with
-// any remainder folded — before the replay returns.
+// traffic across that many cores. Recorders persist across flushes and
+// are closed before the replay returns.
 func (s *simCore[S]) RunParallelWorkers(stream trace.Iterator, batch, workers int) error {
 	if batch <= 0 {
 		batch = DefaultReplayBatch
@@ -76,9 +71,7 @@ func (s *simCore[S]) RunParallelWorkers(stream trace.Iterator, batch, workers in
 			if len(ps) == 0 {
 				continue
 			}
-			// Stripe the point's batch across its pipelines; RecordBatch
-			// drains fully (tail included) before returning, so after
-			// wg.Wait() every packet is visible to the next epoch fold.
+			// Stripe the point's batch across its recorders.
 			stripe := (len(ps) + workers - 1) / workers
 			for w := 0; w < workers && w*stripe < len(ps); w++ {
 				lo, hi := w*stripe, (w+1)*stripe

@@ -3,58 +3,30 @@ package cluster
 import (
 	"testing"
 
-	"repro/internal/rskt"
 	"repro/internal/trace"
 )
 
-// The multi-pipeline replay (RunParallelWorkers) must answer every
-// boundary and final query exactly like the sequential Run for both
-// designs: each point's traffic is striped across per-core
-// run-to-completion recorders whose deltas reach B/C/C' through the same
-// fold algebra.
+// The concurrent replay (RunParallel / RunParallelWorkers) must answer
+// every boundary and final query exactly like the sequential Run for both
+// designs: each point's traffic is striped across recorders whose deltas
+// reach B/C/C' through the same fold algebra, and the replay flushes its
+// pending batches before it crosses an epoch boundary.
 
 type boundaryKey struct {
 	k int64
 	f uint64
 }
 
-func collectSizeAnswers(t *testing.T, sim *SizeSim, run func() error) map[boundaryKey]int64 {
-	t.Helper()
-	ans := map[boundaryKey]int64{}
-	sim.OnBoundary = func(kNext int64) error {
-		for f := uint64(0); f < 200; f++ {
-			ans[boundaryKey{kNext, f}] = sim.QueryProtocol(1, f)
-		}
-		return nil
-	}
-	if err := run(); err != nil {
-		t.Fatal(err)
-	}
-	for f := uint64(0); f < 200; f++ {
-		ans[boundaryKey{-1, f}] = sim.QueryProtocol(0, f)
-	}
-	return ans
+// answerSim is the slice of SizeSim / SpreadSim the equality table drives.
+type answerSim struct {
+	run         func(stream trace.Iterator) error
+	runParallel func(stream trace.Iterator, batch int) error
+	runWorkers  func(stream trace.Iterator, batch, workers int) error
+	onBoundary  func(func(kNext int64) error)
+	query       func(x int, f uint64) float64
 }
 
-func collectSpreadAnswers(t *testing.T, sim *SpreadSim[*rskt.Sketch], run func() error) map[boundaryKey]float64 {
-	t.Helper()
-	ans := map[boundaryKey]float64{}
-	sim.OnBoundary = func(kNext int64) error {
-		for f := uint64(0); f < 200; f++ {
-			ans[boundaryKey{kNext, f}] = sim.QueryProtocol(1, f)
-		}
-		return nil
-	}
-	if err := run(); err != nil {
-		t.Fatal(err)
-	}
-	for f := uint64(0); f < 200; f++ {
-		ans[boundaryKey{-1, f}] = sim.QueryProtocol(0, f)
-	}
-	return ans
-}
-
-func newTestSizeSim(t *testing.T) *SizeSim {
+func newTestSizeSim(t *testing.T) answerSim {
 	t.Helper()
 	sim, err := NewSizeSim(SizeSimConfig{
 		Window:     testWindow(),
@@ -64,10 +36,16 @@ func newTestSizeSim(t *testing.T) *SizeSim {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sim
+	return answerSim{
+		run:         sim.Run,
+		runParallel: sim.RunParallel,
+		runWorkers:  sim.RunParallelWorkers,
+		onBoundary:  func(fn func(int64) error) { sim.OnBoundary = fn },
+		query:       func(x int, f uint64) float64 { return float64(sim.QueryProtocol(x, f)) },
+	}
 }
 
-func newTestSpreadSim(t *testing.T) *SpreadSim[*rskt.Sketch] {
+func newTestSpreadSim(t *testing.T) answerSim {
 	t.Helper()
 	sim, err := NewSpreadSim(SpreadSimConfig{
 		Window:     testWindow(),
@@ -78,90 +56,75 @@ func newTestSpreadSim(t *testing.T) *SpreadSim[*rskt.Sketch] {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sim
+	return answerSim{
+		run:         sim.Run,
+		runParallel: sim.RunParallel,
+		runWorkers:  sim.RunParallelWorkers,
+		onBoundary:  func(fn func(int64) error) { sim.OnBoundary = fn },
+		query:       sim.QueryProtocol,
+	}
 }
 
-func testGen(t *testing.T, packets int) *trace.Generator {
+// collectAnswers replays packets through run and samples point 1 at every
+// boundary and point 0 (mid-epoch, unfolded lanes) at the end.
+func collectAnswers(t *testing.T, sim answerSim, packets int, run func(trace.Iterator) error) map[boundaryKey]float64 {
 	t.Helper()
+	ans := map[boundaryKey]float64{}
+	sim.onBoundary(func(kNext int64) error {
+		for f := uint64(0); f < 200; f++ {
+			ans[boundaryKey{kNext, f}] = sim.query(1, f)
+		}
+		return nil
+	})
 	gen, err := trace.NewGenerator(testTrace(packets))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return gen
+	if err := run(gen); err != nil {
+		t.Fatal(err)
+	}
+	for f := uint64(0); f < 200; f++ {
+		ans[boundaryKey{-1, f}] = sim.query(0, f)
+	}
+	return ans
 }
 
-// TestSizeSimPipelinesMatchRun drives four pipelines per point with a
-// flush threshold that is not a multiple of the recorder batch, so epoch
-// boundaries routinely land while recorders hold partially filled
-// buffers; the boundary flush must still fold every packet into the
-// closing epoch.
-func TestSizeSimPipelinesMatchRun(t *testing.T) {
-	seq, par := newTestSizeSim(t), newTestSizeSim(t)
-	seqAns := collectSizeAnswers(t, seq, func() error { return seq.Run(testGen(t, 120_000)) })
-	parAns := collectSizeAnswers(t, par, func() error {
-		return par.RunParallelWorkers(testGen(t, 120_000), 257, 4)
-	})
-	if len(seqAns) == 0 || len(seqAns) != len(parAns) {
-		t.Fatalf("boundary sample counts differ: %d vs %d", len(seqAns), len(parAns))
-	}
-	for k, want := range seqAns {
-		if got := parAns[k]; got != want {
-			t.Fatalf("epoch %d flow %d: pipelines %d, sequential %d", k.k, k.f, got, want)
-		}
-	}
-}
-
-func TestSpreadSimPipelinesMatchRun(t *testing.T) {
-	seq, par := newTestSpreadSim(t), newTestSpreadSim(t)
-	seqAns := collectSpreadAnswers(t, seq, func() error { return seq.Run(testGen(t, 100_000)) })
-	parAns := collectSpreadAnswers(t, par, func() error {
-		return par.RunParallelWorkers(testGen(t, 100_000), 257, 4)
-	})
-	if len(seqAns) == 0 || len(seqAns) != len(parAns) {
-		t.Fatalf("boundary sample counts differ: %d vs %d", len(seqAns), len(parAns))
-	}
-	for k, want := range seqAns {
-		if got := parAns[k]; got != want {
-			t.Fatalf("epoch %d flow %d: pipelines %v, sequential %v", k.k, k.f, got, want)
-		}
-	}
-}
-
-// TestSpreadSimPipelinesEpochMidBatch uses a flush threshold far larger
-// than an epoch's packet count, so the only flushes are the forced ones
-// at epoch boundaries — the boundary always lands mid-batch and the
-// choreography must still be exact.
-func TestSpreadSimPipelinesEpochMidBatch(t *testing.T) {
-	seq, par := newTestSpreadSim(t), newTestSpreadSim(t)
-	seqAns := collectSpreadAnswers(t, seq, func() error { return seq.Run(testGen(t, 60_000)) })
-	parAns := collectSpreadAnswers(t, par, func() error {
-		return par.RunParallelWorkers(testGen(t, 60_000), 1<<30, 4)
-	})
-	if len(seqAns) == 0 || len(seqAns) != len(parAns) {
-		t.Fatalf("boundary sample counts differ: %d vs %d", len(seqAns), len(parAns))
-	}
-	for k, want := range seqAns {
-		if got := parAns[k]; got != want {
-			t.Fatalf("epoch %d flow %d: pipelines %v, sequential %v", k.k, k.f, got, want)
-		}
-	}
-}
-
-// TestRunParallelBatchZeroMatchesDefault pins the batch-size defaulting:
-// RunParallel(gen, 0) must behave exactly like an explicit
-// DefaultReplayBatch, not like "flush on every packet" or "never flush".
-func TestRunParallelBatchZeroMatchesDefault(t *testing.T) {
-	zero, def := newTestSizeSim(t), newTestSizeSim(t)
-	zeroAns := collectSizeAnswers(t, zero, func() error { return zero.RunParallel(testGen(t, 90_000), 0) })
-	defAns := collectSizeAnswers(t, def, func() error {
-		return def.RunParallel(testGen(t, 90_000), DefaultReplayBatch)
-	})
-	if len(zeroAns) == 0 || len(zeroAns) != len(defAns) {
-		t.Fatalf("boundary sample counts differ: %d vs %d", len(zeroAns), len(defAns))
-	}
-	for k, want := range defAns {
-		if got := zeroAns[k]; got != want {
-			t.Fatalf("epoch %d flow %d: batch=0 %d, batch=default %d", k.k, k.f, got, want)
+func TestRunParallelMatchesRun(t *testing.T) {
+	designs := map[string]func(*testing.T) answerSim{"size": newTestSizeSim, "spread": newTestSpreadSim}
+	for _, tc := range []struct {
+		name                    string
+		packets, batch, workers int
+	}{
+		// batch 0 must select DefaultReplayBatch, not "flush on every
+		// packet" or "never flush".
+		{"default-batch", 120_000, 0, 1},
+		{"one-recorder", 100_000, 1000, 1},
+		// A flush threshold that is no multiple of anything, four
+		// recorders per point.
+		{"four-recorders", 120_000, 257, 4},
+		// A threshold far above an epoch's packet count: the only flushes
+		// are the forced ones at epoch boundaries.
+		{"boundary-flush-only", 60_000, 1 << 30, 4},
+	} {
+		for design, mk := range designs {
+			t.Run(tc.name+"/"+design, func(t *testing.T) {
+				seq, par := mk(t), mk(t)
+				want := collectAnswers(t, seq, tc.packets, seq.run)
+				got := collectAnswers(t, par, tc.packets, func(s trace.Iterator) error {
+					if tc.workers == 1 {
+						return par.runParallel(s, tc.batch)
+					}
+					return par.runWorkers(s, tc.batch, tc.workers)
+				})
+				if len(want) == 0 || len(want) != len(got) {
+					t.Fatalf("boundary sample counts differ: %d vs %d", len(want), len(got))
+				}
+				for k, w := range want {
+					if g := got[k]; g != w {
+						t.Fatalf("epoch %d flow %d: parallel %v, sequential %v", k.k, k.f, g, w)
+					}
+				}
+			})
 		}
 	}
 }

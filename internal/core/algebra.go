@@ -20,8 +20,8 @@ type Sketch[S any] interface {
 	// EstimateUnion answers the flow-f estimate over the merge of the
 	// sketch and others (as if every other sketch had been Merge-d in
 	// first) without mutating anything. others share the sketch's shape;
-	// an empty slice answers from the sketch alone. The sharded ingest
-	// path uses it to fold not-yet-merged shard deltas into query answers.
+	// an empty slice answers from the sketch alone. Query uses it to
+	// fold not-yet-merged ingest lanes into its answers.
 	EstimateUnion(f uint64, others []S) float64
 	// Merge folds another sketch in under the design's merge algebra:
 	// register-wise max for spread sketches, counter-wise addition for
@@ -86,8 +86,8 @@ type EngineConfig[S any] struct {
 	// Sub undoes a Merge (dst -= src), required in ModeCumulative for the
 	// center's Section V-B recovery; unused otherwise.
 	Sub func(dst, src S) error
-	// Shards is the ingest-shard count (0 = the GOMAXPROCS-bounded
-	// default, 1 = the serial layout).
+	// Shards is the number of shared ingest lanes Record and RecordBatch
+	// stripe over (0 = GOMAXPROCS, capped at 8).
 	Shards int
 }
 
@@ -107,10 +107,10 @@ func IsNil[S any](s S) bool {
 	return any(s) == any(zero)
 }
 
-// mustMerge folds src into dst; shards share the point's sketch shape by
+// mustMerge folds src into dst; lanes share the point's sketch shape by
 // construction, so a mismatch is a programmer error.
 func mustMerge[S Sketch[S]](dst, src S) {
 	if err := dst.Merge(src); err != nil {
-		panic("core: shard fold: " + err.Error())
+		panic("core: lane fold: " + err.Error())
 	}
 }

@@ -1,293 +1,288 @@
 package core
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
 	"repro/internal/countmin"
 	"repro/internal/rskt"
+	"repro/internal/vhll"
 )
 
 // The live deployment records packets, answers queries, rolls epochs and
 // applies center pushes from different goroutines. These tests exist to
 // fail under `go test -race` if the point types ever lose their locking.
 
-func TestSpreadPointConcurrentAccess(t *testing.T) {
-	pt, err := NewSpreadPoint(0, rskt.Params{W: 64, M: 32, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg := rskt.New(rskt.Params{W: 64, M: 32, Seed: 1})
-	for e := 0; e < 100; e++ {
-		agg.Record(5, uint64(e))
-	}
+// hammerPoint runs every writer and every fold point of one point at once:
+// shared-lane singles and batches, a private recorder that closes, queries,
+// epoch rolls, center pushes and a snapshot/restore loop.
+func hammerPoint[S Sketch[S]](t *testing.T, pt *Point[S], agg S) {
 	var wg sync.WaitGroup
-	wg.Add(5)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 2000; i++ {
-			pt.Record(uint64(i%50), uint64(i))
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		batch := make([]SpreadPacket, 64)
-		for i := 0; i < 30; i++ {
-			for j := range batch {
-				batch[j] = SpreadPacket{Flow: uint64(j % 50), Elem: uint64(i*64 + j)}
-			}
-			pt.RecordBatch(batch)
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 2000; i++ {
-			_ = pt.Query(uint64(i % 50))
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 50; i++ {
-			_ = pt.EndEpoch()
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 200; i++ {
-			// Target a bogus epoch about half the time; stale pushes must
-			// be rejected, not merged.
-			err := pt.ApplyAggregateAt(int64(i%100), agg)
-			if err != nil && !errors.Is(err, ErrStaleEpoch) && !errors.Is(err, ErrDuplicatePush) {
-				t.Errorf("unexpected apply error: %v", err)
-				return
-			}
-		}
-	}()
-	wg.Wait()
-}
-
-func TestSizePointConcurrentAccess(t *testing.T) {
-	pt, err := NewSizePoint(0, countmin.Params{D: 4, W: 128, Seed: 1}, SizeModeCumulative)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg := countmin.New(countmin.Params{D: 4, W: 128, Seed: 1})
-	agg.Add(3, 10)
-	var wg sync.WaitGroup
-	wg.Add(5)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 5000; i++ {
-			pt.Record(uint64(i % 100))
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		batch := make([]uint64, 64)
-		for i := 0; i < 30; i++ {
-			for j := range batch {
-				batch[j] = uint64((i*64 + j) % 100)
-			}
-			pt.RecordBatch(batch)
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 5000; i++ {
-			_ = pt.Query(uint64(i % 100))
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 50; i++ {
-			_ = pt.EndEpoch()
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 200; i++ {
-			err := pt.ApplyEnhancementAt(int64(i%100), agg)
-			if err != nil && !errors.Is(err, ErrStaleEpoch) && !errors.Is(err, ErrDuplicatePush) {
-				t.Errorf("unexpected apply error: %v", err)
-				return
-			}
-		}
-	}()
-	wg.Wait()
-}
-
-// The sharded ingest path must not change a single estimate: the shard
-// fold is counter-wise add (size) / register-wise max (spread), both exact
-// under the protocol's merge algebra. These tests hammer a sharded point
-// from several goroutines — singles, batches and concurrent queries — and
-// demand the upload and every post-boundary answer be identical to a
-// single-shard point fed the same multiset sequentially.
-
-func TestSizePointShardedEqualsSequential(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		mode SizeMode
-	}{
-		{"cumulative", SizeModeCumulative},
-		{"delta", SizeModeDelta},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			params := countmin.Params{D: 4, W: 256, Seed: 7}
-			pt, err := NewSizePointShards(0, params, tc.mode, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref, err := NewSizePointShards(0, params, tc.mode, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			const workers = 4
-			const perWorker = 4000
-			flow := func(w, i int) uint64 { return uint64(w*perWorker+i) % 300 }
-
-			stop := make(chan struct{})
-			var qwg sync.WaitGroup
-			qwg.Add(1)
-			go func() {
-				defer qwg.Done()
-				for i := 0; ; i++ {
-					select {
-					case <-stop:
-						return
-					default:
-						_ = pt.Query(uint64(i % 300))
-					}
-				}
-			}()
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				w := w
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					if w%2 == 0 {
-						for i := 0; i < perWorker; i++ {
-							pt.Record(flow(w, i))
-						}
-						return
-					}
-					var batch []uint64
-					for i := 0; i < perWorker; i++ {
-						batch = append(batch, flow(w, i))
-						if len(batch) == 64 {
-							pt.RecordBatch(batch)
-							batch = batch[:0]
-						}
-					}
-					pt.RecordBatch(batch)
-				}()
-			}
-			wg.Wait()
-			close(stop)
-			qwg.Wait()
-
-			for w := 0; w < workers; w++ {
-				for i := 0; i < perWorker; i++ {
-					ref.Record(flow(w, i))
-				}
-			}
-			// Mid-epoch answers must already agree (on-the-fly fold).
-			for f := uint64(0); f < 300; f++ {
-				if got, want := pt.Query(f), ref.Query(f); got != want {
-					t.Fatalf("mid-epoch query(%d): sharded %d, sequential %d", f, got, want)
-				}
-			}
-			up, refUp := pt.EndEpoch(), ref.EndEpoch()
-			if !up.Equal(refUp) {
-				t.Fatal("sharded upload differs from sequential upload")
-			}
-			for f := uint64(0); f < 300; f++ {
-				if got, want := pt.Query(f), ref.Query(f); got != want {
-					t.Fatalf("post-boundary query(%d): sharded %d, sequential %d", f, got, want)
-				}
-			}
-		})
-	}
-}
-
-func TestSpreadPointShardedEqualsSequential(t *testing.T) {
-	params := rskt.Params{W: 64, M: 32, Seed: 7}
-	pt, err := NewSpreadPointShardsOf(0, func() *rskt.Sketch { return rskt.New(params) }, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := NewSpreadPointShardsOf(0, func() *rskt.Sketch { return rskt.New(params) }, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const workers = 4
-	const perWorker = 4000
-	packet := func(w, i int) SpreadPacket {
-		n := uint64(w*perWorker + i)
-		return SpreadPacket{Flow: n % 100, Elem: n * 0x9E3779B97F4A7C15}
-	}
-
-	stop := make(chan struct{})
-	var qwg sync.WaitGroup
-	qwg.Add(1)
-	go func() {
-		defer qwg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-				_ = pt.Query(uint64(i % 100))
-			}
-		}
-	}()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		w := w
+	run := func(n int, step func(i int)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if w%2 == 0 {
-				for i := 0; i < perWorker; i++ {
-					p := packet(w, i)
-					pt.Record(p.Flow, p.Elem)
-				}
-				return
+			for i := 0; i < n; i++ {
+				step(i)
 			}
-			var batch []SpreadPacket
-			for i := 0; i < perWorker; i++ {
-				batch = append(batch, packet(w, i))
-				if len(batch) == 64 {
-					pt.RecordBatch(batch)
-					batch = batch[:0]
-				}
-			}
-			pt.RecordBatch(batch)
 		}()
 	}
+	batch := func(i int) []SpreadPacket {
+		ps := make([]SpreadPacket, 64)
+		for j := range ps {
+			ps[j] = SpreadPacket{Flow: uint64(j % 50), Elem: uint64(i*64 + j)}
+		}
+		return ps
+	}
+	rec := pt.NewRecorder()
+	run(2000, func(i int) { pt.Record(uint64(i%50), uint64(i)) })
+	run(30, func(i int) { pt.RecordBatch(batch(i)) })
+	run(30, func(i int) { pt.RecordBatchFlows([]uint64{uint64(i), uint64(i + 1)}) })
+	run(2000, func(i int) {
+		rec.Record(uint64(i%50), uint64(i))
+		if i%100 == 0 {
+			rec.RecordBatch(batch(i))
+		}
+		if i == 1999 {
+			rec.Close()
+		}
+	})
+	run(2000, func(i int) { _ = pt.Query(uint64(i % 50)) })
+	run(50, func(int) { _ = pt.EndEpoch() })
+	run(20, func(int) {
+		// PointClient.LoadState racing live ingest: the restore resets
+		// every lane a writer may be inside.
+		epoch, b, c, cp := pt.Snapshot()
+		if err := pt.RestoreSnapshot(epoch, b, c, cp); err != nil {
+			t.Errorf("restore: %v", err)
+		}
+	})
+	run(200, func(i int) {
+		// Target a bogus epoch about half the time; stale pushes must
+		// be rejected, not merged.
+		err := pt.ApplyAggregateAt(int64(i%100), agg)
+		if err == nil {
+			err = pt.ApplyEnhancementAt(int64(i%100), agg)
+		}
+		if err != nil && !errors.Is(err, ErrStaleEpoch) && !errors.Is(err, ErrDuplicatePush) {
+			t.Errorf("unexpected apply error: %v", err)
+		}
+	})
 	wg.Wait()
-	close(stop)
-	qwg.Wait()
+}
 
-	for w := 0; w < workers; w++ {
-		for i := 0; i < perWorker; i++ {
-			p := packet(w, i)
-			ref.Record(p.Flow, p.Elem)
+func TestPointConcurrentAccess(t *testing.T) {
+	t.Run("spread", func(t *testing.T) {
+		params := rskt.Params{W: 64, M: 32, Seed: 1}
+		pt, err := NewSpreadPoint(0, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		agg := rskt.New(params)
+		for e := uint64(0); e < 100; e++ {
+			agg.Record(5, e)
+		}
+		hammerPoint(t, pt.Point, agg)
+	})
+	t.Run("size", func(t *testing.T) {
+		params := countmin.Params{D: 4, W: 128, Seed: 1}
+		pt, err := NewSizePoint(0, params, SizeModeCumulative)
+		if err != nil {
+			t.Fatal(err)
+		}
+		agg := countmin.New(params)
+		agg.Add(3, 10)
+		hammerPoint(t, pt.Point, agg)
+	})
+}
+
+// Whichever entry point and lane a packet goes through, the point must
+// hold exactly what one sketch fed the same packets would: the lane fold
+// is counter-wise add (size) / register-wise max (spread), both exact
+// under the protocol's merge algebra.
+
+// ingestPaths are the record entry points, each feeding one worker's
+// packets.
+var ingestPaths = []struct {
+	name      string
+	zeroElems bool
+}{
+	{name: "Record"},
+	{name: "RecordBatch"},
+	{name: "RecordBatchFlows", zeroElems: true},
+	{name: "Recorder.Record"},
+	{name: "Recorder.RecordBatch"},
+}
+
+func feedPath[S Sketch[S]](pt *Point[S], path string, ps []SpreadPacket) {
+	const chunk = 64
+	switch path {
+	case "Record":
+		for _, q := range ps {
+			pt.Record(q.Flow, q.Elem)
+		}
+	case "RecordBatch":
+		for ; len(ps) > 0; ps = ps[min(chunk, len(ps)):] {
+			pt.RecordBatch(ps[:min(chunk, len(ps))])
+		}
+	case "RecordBatchFlows":
+		fs := make([]uint64, 0, chunk)
+		for ; len(ps) > 0; ps = ps[min(chunk, len(ps)):] {
+			fs = fs[:0]
+			for _, q := range ps[:min(chunk, len(ps))] {
+				fs = append(fs, q.Flow)
+			}
+			pt.RecordBatchFlows(fs)
+		}
+	case "Recorder.Record":
+		rec := pt.NewRecorder()
+		defer rec.Close()
+		for _, q := range ps {
+			rec.Record(q.Flow, q.Elem)
+		}
+	case "Recorder.RecordBatch":
+		rec := pt.NewRecorder() // left registered: idle lanes must stay harmless
+		for ; len(ps) > 0; ps = ps[min(chunk, len(ps)):] {
+			rec.RecordBatch(ps[:min(chunk, len(ps))])
 		}
 	}
-	for f := uint64(0); f < 100; f++ {
-		if got, want := pt.Query(f), ref.Query(f); got != want {
-			t.Fatalf("mid-epoch query(%d): sharded %v, sequential %v", f, got, want)
+}
+
+// checkIngestPath drives one point through one entry point from several
+// workers and compares it with bare reference sketches: mid-epoch answers
+// (the on-the-fly fold), the upload of a quiet boundary, and the uploads
+// of boundaries that land while batches are in flight, where every packet
+// must reach exactly one epoch.
+func checkIngestPath[S Sketch[S]](t *testing.T, fresh func() S, cfg EngineConfig[S], path string, zeroElems bool) {
+	const workers, perWorker, flows = 3, 2000, 150
+	pt, err := NewPoint(0, fresh, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segment := func(seg int) (stripes [workers][]SpreadPacket, ref S) {
+		ref = fresh()
+		for w := range stripes {
+			for i := 0; i < perWorker; i++ {
+				n := uint64((seg*workers+w)*perWorker + i)
+				q := SpreadPacket{Flow: n % flows, Elem: n * 0x9E3779B97F4A7C15}
+				if zeroElems {
+					q.Elem = 0
+				}
+				stripes[w] = append(stripes[w], q)
+				ref.Record(q.Flow, q.Elem)
+			}
+		}
+		return stripes, ref
+	}
+	feed := func(stripes [workers][]SpreadPacket) *sync.WaitGroup {
+		var wg sync.WaitGroup
+		for _, ps := range stripes {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				feedPath(pt, path, ps)
+			}()
+		}
+		return &wg
+	}
+	same := func(what string, got, want S) {
+		t.Helper()
+		g, err := got.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := want.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(g, w) {
+			t.Fatalf("%s differs from the reference sketch", what)
 		}
 	}
-	up, refUp := pt.EndEpoch(), ref.EndEpoch()
-	if !up.Equal(refUp) {
-		t.Fatal("sharded upload differs from sequential upload")
+	sameAnswers := func(when string, ref S) {
+		t.Helper()
+		for f := uint64(0); f < flows; f++ {
+			if got, want := pt.Query(f), ref.EstimateUnion(f, nil); got != want {
+				t.Fatalf("%s query(%d): point %v, reference %v", when, f, got, want)
+			}
+		}
 	}
-	for f := uint64(0); f < 100; f++ {
-		if got, want := pt.Query(f), ref.Query(f); got != want {
-			t.Fatalf("post-boundary query(%d): sharded %v, sequential %v", f, got, want)
+	// deltaOf recovers an epoch's own records from its upload: the upload
+	// itself in delta mode, the Section V-B subtraction in cumulative mode.
+	var prev S
+	deltaOf := func(upload S) S {
+		if cfg.Mode == ModeCumulative && !IsNil(prev) {
+			if err := cfg.Sub(upload, prev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		prev = upload
+		return upload
+	}
+
+	stripes, ref1 := segment(0)
+	feed(stripes).Wait()
+	sameAnswers("mid-epoch", ref1)
+	same("quiet-boundary upload", deltaOf(pt.EndEpoch()), ref1)
+	sameAnswers("post-boundary", ref1)
+
+	stripes, ref2 := segment(1)
+	wg := feed(stripes)
+	got2 := fresh()
+	for k := 0; k < 4; k++ {
+		mustMerge(got2, deltaOf(pt.EndEpoch()))
+	}
+	wg.Wait()
+	mustMerge(got2, deltaOf(pt.EndEpoch()))
+	same("union of mid-batch boundary uploads", got2, ref2)
+
+	// ResetWindow must drop unfolded records from every lane, private ones
+	// included.
+	rec := pt.NewRecorder()
+	rec.Record(1, 1)
+	pt.Record(2, 2)
+	pt.ResetWindow()
+	sameAnswers("after ResetWindow", fresh())
+}
+
+// ingestDesign binds one design's sketch constructor and engine discipline
+// to checkIngestPath.
+func ingestDesign[S Sketch[S]](fresh func() S, cfg EngineConfig[S]) func(t *testing.T, lanes int, path string, zeroElems bool) {
+	return func(t *testing.T, lanes int, path string, zeroElems bool) {
+		cfg.Shards = lanes
+		checkIngestPath(t, fresh, cfg, path, zeroElems)
+	}
+}
+
+func TestIngestPathsMatchReference(t *testing.T) {
+	freshCM := func() *countmin.Sketch { return countmin.New(countmin.Params{D: 4, W: 256, Seed: 7}) }
+	freshRskt := func() *rskt.Sketch { return rskt.New(rskt.Params{W: 64, M: 32, Seed: 7}) }
+	freshVhll := func() *vhll.Sketch {
+		s, err := vhll.New(vhll.Params{PhysicalRegisters: 4096, VirtualRegisters: 32, Seed: 7})
+		if err != nil {
+			panic(err)
+		}
+		return s
+	}
+	designs := []struct {
+		name string
+		run  func(t *testing.T, lanes int, path string, zeroElems bool)
+	}{
+		{"size-cumulative", ingestDesign(freshCM, EngineConfig[*countmin.Sketch]{Design: "size", Mode: ModeCumulative, Additive: true, Sub: subCountMin})},
+		{"size-delta", ingestDesign(freshCM, EngineConfig[*countmin.Sketch]{Design: "size", Mode: ModeDelta, Additive: true})},
+		{"spread-rskt", ingestDesign(freshRskt, EngineConfig[*rskt.Sketch]{Design: "spread", Mode: ModeDelta})},
+		{"spread-vhll", ingestDesign(freshVhll, EngineConfig[*vhll.Sketch]{Design: "spread", Mode: ModeDelta})},
+	}
+	for _, path := range ingestPaths {
+		for _, d := range designs {
+			for _, lanes := range []int{1, 0} { // 0 = the GOMAXPROCS default
+				t.Run(fmt.Sprintf("%s/%s/lanes=%d", path.name, d.name, lanes), func(t *testing.T) {
+					d.run(t, lanes, path.name, path.zeroElems)
+				})
+			}
 		}
 	}
 }

@@ -111,7 +111,7 @@ func runSpreadFixture(t *testing.T, shards int) fixtureFile {
 	for x, w := range widths {
 		p := rskt.Params{W: w, M: 16, Seed: fixtureSeed}
 		params[x] = p
-		sp, err := NewSpreadPointShardsOf(x, func() *rskt.Sketch { return rskt.New(p) }, shards)
+		sp, err := newSpreadPointOf(x, func() *rskt.Sketch { return rskt.New(p) }, shards)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +188,7 @@ func runSizeFixture(t *testing.T, mode SizeMode, shards int) fixtureFile {
 	for x, w := range widths {
 		p := countmin.Params{D: 3, W: w, Seed: fixtureSeed + 2}
 		params[x] = p
-		sp, err := NewSizePointShards(x, p, mode, shards)
+		sp, err := newSizePoint(x, p, mode, shards)
 		if err != nil {
 			t.Fatal(err)
 		}

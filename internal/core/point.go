@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
-	"sync/atomic"
 )
 
 // The generic measurement point: the single implementation of the
@@ -14,51 +14,9 @@ import (
 // differs is captured by EngineConfig (upload mode, merge additivity) and
 // the Sketch algebra; SpreadPoint and SizePoint are thin instantiations.
 
-// atomicSketch is the optional lock-free ingest capability of a sketch
-// backend. A backend that implements it (the spread design's rskt, whose
-// merge algebra is an idempotent max) records into shard deltas without
-// any lock: RecordAtomic's fast path is a fence-free load that skips
-// saturated registers, and DrainAtomicInto folds a delta by atomically
-// swapping each word out, so no concurrent observe is ever lost. Backends
-// without it (countmin — counter addition has no no-op fast path) keep
-// the per-shard mutex.
-type atomicSketch[S any] interface {
-	// RecordAtomic inserts <f, e>, reporting whether sketch state changed.
-	// Must be safe against concurrent RecordAtomic/DrainAtomicInto and the
-	// backend's union estimator.
-	RecordAtomic(f, e uint64) bool
-	// DrainAtomicInto atomically moves all recorded state into the
-	// destinations (any of which may be the zero S), leaving the receiver
-	// empty. Equivalent to merge-into-each plus reset.
-	DrainAtomicInto(b, c, cp S)
-}
-
-// pointShard is one ingest shard of a measurement point: a delta sketch
-// receiving a slice of the record stream, folded into B/C/C' with the
-// design's merge algebra at the fold points (see shard.go). ad is d's
-// lock-free capability (nil for locked backends); when set, mu guards
-// nothing — every access to d goes through ad or the backend's atomic
-// reads.
-//
-// The hot words (mu, dirty) sit in the struct's first cache line and the
-// tail pad makes the allocation span at least a full line, so two shards
-// allocated back to back never put their hot words on one line. Without
-// the pad the struct is ~40 bytes — Go's 48-byte size class — and
-// adjacent shards false-share: every Record's lock or dirty-check then
-// invalidates the neighboring shard's line and the striped path
-// serializes on coherence traffic instead of scaling (the BENCH_PR5
-// ThroughputParallel collapse; see DESIGN.md §12).
-type pointShard[S Sketch[S]] struct {
-	mu    sync.Mutex
-	dirty atomic.Bool // set on record, cleared on fold; lets readers skip clean shards
-	d     S
-	ad    atomicSketch[S]
-	_     [64]byte // keep the next allocation's hot head off our tail line
-}
-
 // Point is one measurement point of the generic epoch engine. It is safe
-// for concurrent use: the record path is lock-striped across shards, so the
-// live transport's recorders do not serialize behind the point mutex while
+// for concurrent use: the record path only ever locks an ingest lane
+// (lane.go), so recorders do not serialize behind the point mutex while
 // aggregates arrive from the center.
 type Point[S Sketch[S]] struct {
 	mu sync.Mutex // guards epoch and the authoritative sketch set
@@ -95,25 +53,16 @@ type Point[S Sketch[S]] struct {
 	covMerged  int
 	covCur     Coverage
 
-	shards []*pointShard[S]
-
-	// recs are the registered per-core ingest pipelines (recorder.go),
-	// folded at the same fold points as the shards. Guarded by mu; the
-	// record path never touches this slice (each worker holds its own
-	// *Recorder).
-	recs []*Recorder[S]
-
-	// rr is the round-robin cursor for batch shard selection — a shared
-	// mutable word on the legacy sharded batch path, padded so recorders
-	// hammering it don't false-share with the point's mutex or the shard
-	// slice header above.
-	_  [64]byte
-	rr atomic.Uint64
-	_  [56]byte
+	// shared are the lanes Record and RecordBatch stripe over; fixed at
+	// construction, so the record path reads the slice without p.mu.
+	shared []*lane[S]
+	// lanes is every ingest delta the fold points visit: the shared lanes
+	// plus one per live Recorder. Guarded by mu.
+	lanes []*lane[S]
 }
 
 // NewPoint creates a measurement point whose sketches are built by fresh
-// (called two or three times plus once per ingest shard up front, and once
+// (called two or three times plus once per ingest lane up front, and once
 // per epoch for the new upload sketch in delta mode), with the design
 // discipline fixed by cfg.
 func NewPoint[S Sketch[S]](id int, fresh func() S, cfg EngineConfig[S]) (*Point[S], error) {
@@ -132,18 +81,15 @@ func NewPoint[S Sketch[S]](id int, fresh func() S, cfg EngineConfig[S]) (*Point[
 		epoch:    1,
 		c:        fresh(),
 		cp:       fresh(),
-		shards:   make([]*pointShard[S], normShards(cfg.Shards)),
+		shared:   make([]*lane[S], normShards(cfg.Shards)),
 	}
 	if cfg.Mode == ModeDelta {
 		p.b = fresh()
 	}
-	for i := range p.shards {
-		sh := &pointShard[S]{d: fresh()}
-		if ad, ok := any(sh.d).(atomicSketch[S]); ok {
-			sh.ad = ad
-		}
-		p.shards[i] = sh
+	for i := range p.shared {
+		p.shared[i] = &lane[S]{d: fresh()}
 	}
+	p.lanes = slices.Clone(p.shared)
 	return p, nil
 }
 
@@ -193,56 +139,21 @@ func (p *Point[S]) Coverage() Coverage {
 	return p.covCur
 }
 
-// Record inserts packet <f, e> (stage 1, local online recording). Only the
-// flow's ingest shard is touched — one sketch update instead of two or
-// three; the delta reaches the authoritative set at the next fold point.
+// Record inserts packet <f, e> (stage 1, local online recording) into the
+// flow's shared lane.
 func (p *Point[S]) Record(f, e uint64) {
-	sh := p.shards[shardOf(f, len(p.shards))]
-	if sh.ad != nil {
-		// Lock-free path: the dirty flag is raised only after the write
-		// is published, so a query that runs after Record returns either
-		// folds this shard or already sees the value in C.
-		if sh.ad.RecordAtomic(f, e) && !sh.dirty.Load() {
-			sh.dirty.Store(true)
-		}
-		return
-	}
-	sh.mu.Lock()
-	sh.d.Record(f, e)
-	if !sh.dirty.Load() {
-		sh.dirty.Store(true)
-	}
-	sh.mu.Unlock()
+	p.shared[shardOf(f, len(p.shared))].record(f, e)
 }
 
-// RecordBatch inserts a batch of packets. The whole batch lands in a
-// single shard under a single lock acquisition (round-robin with try-lock
-// steering away from busy shards), amortizing synchronization to one
-// atomic and one lock per batch.
+// RecordBatch inserts a batch of packets: the whole batch lands in one
+// shared lane under one lock acquisition.
 func (p *Point[S]) RecordBatch(ps []SpreadPacket) {
 	if len(ps) == 0 {
 		return
 	}
-	if sh := p.batchShard(); sh.ad != nil {
-		wrote := false
-		for _, q := range ps {
-			if sh.ad.RecordAtomic(q.Flow, q.Elem) {
-				wrote = true
-			}
-		}
-		if wrote && !sh.dirty.Load() {
-			sh.dirty.Store(true)
-		}
-		return
-	}
-	sh := p.lockShard()
-	for _, q := range ps {
-		sh.d.Record(q.Flow, q.Elem)
-	}
-	if !sh.dirty.Load() {
-		sh.dirty.Store(true)
-	}
-	sh.mu.Unlock()
+	l := p.claimLane(ps[0].Flow)
+	l.apply(ps)
+	l.mu.Unlock()
 }
 
 // RecordBatchFlows is RecordBatch over bare flow keys (element zero), for
@@ -251,51 +162,29 @@ func (p *Point[S]) RecordBatchFlows(fs []uint64) {
 	if len(fs) == 0 {
 		return
 	}
-	if sh := p.batchShard(); sh.ad != nil {
-		wrote := false
-		for _, f := range fs {
-			if sh.ad.RecordAtomic(f, 0) {
-				wrote = true
-			}
-		}
-		if wrote && !sh.dirty.Load() {
-			sh.dirty.Store(true)
-		}
-		return
-	}
-	sh := p.lockShard()
-	for _, f := range fs {
-		sh.d.Record(f, 0)
-	}
-	if !sh.dirty.Load() {
-		sh.dirty.Store(true)
-	}
-	sh.mu.Unlock()
+	l := p.claimLane(fs[0])
+	l.applyFlows(fs)
+	l.mu.Unlock()
 }
 
-// batchShard picks a shard for a batch (round-robin) without locking it.
-func (p *Point[S]) batchShard() *pointShard[S] {
-	return p.shards[int(p.rr.Add(1)-1)%len(p.shards)]
-}
-
-// lockShard picks and locks an ingest shard for a batch: round-robin start,
-// try-lock probing past shards another recorder holds.
-func (p *Point[S]) lockShard() *pointShard[S] {
-	n := len(p.shards)
-	start := int(p.rr.Add(1)-1) % n
-	for i := 0; i < n; i++ {
-		sh := p.shards[(start+i)%n]
-		if sh.mu.TryLock() {
-			return sh
+// claimLane locks a shared lane for a batch: the first one free, probing
+// from lane 0, so a lone batching goroutine keeps one delta sketch hot and
+// leaves the others clean for the fold points to skip, while concurrent
+// batchers spill onto the next lanes. With every lane busy it waits on
+// the lane of flow f.
+func (p *Point[S]) claimLane(f uint64) *lane[S] {
+	for _, l := range p.shared {
+		if l.mu.TryLock() {
+			return l
 		}
 	}
-	sh := p.shards[start]
-	sh.mu.Lock()
-	return sh
+	l := p.shared[shardOf(f, len(p.shared))]
+	l.mu.Lock()
+	return l
 }
 
 // Query answers the approximate real-time networkwide T-query for flow f
-// from the local C sketch plus the not-yet-folded shard deltas. The
+// from the local C sketch plus the not-yet-folded ingest lanes. The
 // on-the-fly fold (the algebra's union along f's row positions only) makes
 // the answer bit-identical to the serial single-sketch path. Estimator
 // noise can make spread answers slightly negative; callers needing counts
@@ -320,29 +209,7 @@ func (p *Point[S]) queryLocked(f uint64) float64 {
 		stackExtras [maxShards + 4]S
 		stackMu     [maxShards + 4]*sync.Mutex
 	)
-	extras, locked := stackExtras[:0], stackMu[:0]
-	for _, sh := range p.shards {
-		if !sh.dirty.Load() {
-			continue
-		}
-		// Lock-free deltas are read live: the backend's union estimator
-		// loads their registers atomically, so no lock is needed.
-		if sh.ad == nil {
-			sh.mu.Lock()
-			locked = append(locked, &sh.mu)
-		}
-		extras = append(extras, sh.d)
-	}
-	// Recorder deltas are written with plain stores under the recorder's
-	// mutex, so the fold holds it for the read regardless of backend.
-	for _, r := range p.recs {
-		if !r.dirty.Load() {
-			continue
-		}
-		r.mu.Lock()
-		locked = append(locked, &r.mu)
-		extras = append(extras, r.d)
-	}
+	extras, locked := p.gatherLocked(stackExtras[:0], stackMu[:0])
 	est := p.c.EstimateUnion(f, extras)
 	for _, mu := range locked {
 		mu.Unlock()
@@ -350,48 +217,54 @@ func (p *Point[S]) queryLocked(f uint64) float64 {
 	return est
 }
 
-// foldDeltaLocked merges one ingest delta into the authoritative sketch
-// set (C, C' and, in delta mode, B) with the design's merge algebra.
-// Caller holds p.mu plus whatever guards the delta.
-func (p *Point[S]) foldDeltaLocked(d S) {
-	if !IsNil(p.b) {
-		mustMerge(p.b, d)
+// gatherLocked appends the point's dirty ingest deltas to extras, locking
+// each one. Caller holds p.mu and unlocks everything appended to locked.
+func (p *Point[S]) gatherLocked(extras []S, locked []*sync.Mutex) ([]S, []*sync.Mutex) {
+	for _, l := range p.lanes {
+		if !l.dirty.Load() {
+			continue
+		}
+		l.mu.Lock()
+		locked = append(locked, &l.mu)
+		extras = append(extras, l.d)
 	}
-	mustMerge(p.c, d)
-	mustMerge(p.cp, d)
+	return extras, locked
 }
 
-// flushIngestLocked folds every dirty ingest delta — the striped shards
-// and the per-core recorder pipelines — into the authoritative sketch set
-// and resets it. Caller holds p.mu.
-func (p *Point[S]) flushIngestLocked() {
-	for _, sh := range p.shards {
-		if !sh.dirty.Load() {
-			continue
-		}
-		if sh.ad != nil {
-			// Clear dirty before draining: an observe landing after a
-			// word is swapped out re-raises the flag, so the fresh delta
-			// is never left dirty=false with data in it.
-			sh.dirty.Store(false)
-			sh.ad.DrainAtomicInto(p.b, p.c, p.cp)
-			continue
-		}
-		sh.mu.Lock()
-		p.foldDeltaLocked(sh.d)
-		sh.d.Reset()
-		sh.dirty.Store(false)
-		sh.mu.Unlock()
+// foldLaneLocked merges one lane's delta into the authoritative sketch
+// set (C, C' and, in delta mode, B) with the design's merge algebra and
+// resets it. Caller holds p.mu.
+func (p *Point[S]) foldLaneLocked(l *lane[S]) {
+	if !l.dirty.Load() {
+		return
 	}
-	for _, r := range p.recs {
-		if !r.dirty.Load() {
-			continue
-		}
-		r.mu.Lock()
-		p.foldDeltaLocked(r.d)
-		r.d.Reset()
-		r.dirty.Store(false)
-		r.mu.Unlock()
+	l.mu.Lock()
+	if !IsNil(p.b) {
+		mustMerge(p.b, l.d)
+	}
+	mustMerge(p.c, l.d)
+	mustMerge(p.cp, l.d)
+	l.d.Reset()
+	l.dirty.Store(false)
+	l.mu.Unlock()
+}
+
+// flushIngestLocked folds every dirty lane into the authoritative sketch
+// set. Caller holds p.mu.
+func (p *Point[S]) flushIngestLocked() {
+	for _, l := range p.lanes {
+		p.foldLaneLocked(l)
+	}
+}
+
+// dropIngestLocked discards every lane's unfolded records. Caller holds
+// p.mu.
+func (p *Point[S]) dropIngestLocked() {
+	for _, l := range p.lanes {
+		l.mu.Lock()
+		l.d.Reset()
+		l.dirty.Store(false)
+		l.mu.Unlock()
 	}
 }
 
@@ -401,10 +274,10 @@ func (p *Point[S]) flushIngestLocked() {
 // mode. The returned sketch is owned by the caller.
 //
 // The upload is taken by pointer swap, not by cloning under the lock: the
-// epoch boundary costs the shard fold plus one allocation instead of a
+// epoch boundary costs the lane fold plus one allocation instead of a
 // full sketch copy ("copy C' to C, reset C'" becomes swap-then-reset in
-// delta mode). Recorders are never blocked by the boundary: they only
-// touch shard deltas, which are folded one shard at a time.
+// delta mode). The boundary never stops the record path as a whole: it
+// locks one lane at a time, for the length of that lane's fold.
 func (p *Point[S]) EndEpoch() S {
 	upload, _ := p.EndEpochMeta(false)
 	return upload

@@ -69,7 +69,7 @@ func (p *Point[S]) RestoreMeta(m PointMeta) {
 }
 
 // ResetWindow zeroes the point's whole sketch set (B, C, C' and the ingest
-// shards) and resets coverage to empty at the current epoch. A point whose
+// lanes) and resets coverage to empty at the current epoch. A point whose
 // restored checkpoint predates the cluster clock calls it after AdvanceTo:
 // the stale window must not pollute the backfilled one the center is about
 // to send (merging an old C under a new epoch would double-count epochs
@@ -82,12 +82,7 @@ func (p *Point[S]) ResetWindow() {
 	}
 	p.c.Reset()
 	p.cp.Reset()
-	for _, sh := range p.shards {
-		sh.mu.Lock()
-		sh.d.Reset()
-		sh.dirty.Store(false)
-		sh.mu.Unlock()
-	}
+	p.dropIngestLocked()
 	p.covCur = Coverage{EpochsExpected: expectedPointEpochs(p.topoPoints, p.topoN, p.epoch-1)}
 	p.covMerged = 0
 	p.aggApplied, p.aggAppliedPrev, p.enhApplied, p.backfilled = false, false, false, false

@@ -1,200 +1,53 @@
 package core
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "slices"
 
-// The per-core run-to-completion ingest pipeline.
+// Recorder is a privately owned ingest lane of a Point: the record path
+// for a worker that wants a lock nobody else competes for (one per
+// ingest goroutine, the run-to-completion layout). It runs the same body
+// as Point.Record/RecordBatch — see lane.go — and is folded at the same
+// fold points, so every record is visible to Query and EndEpoch when the
+// call returns.
 //
-// The sharded record path (shard.go) scales a point to a few concurrent
-// recorders, but every recorder still touches shared mutable words on
-// every batch: the round-robin cursor that picks a shard, the shard's
-// mutex or its atomic registers, and the shard's dirty flag. With one
-// recorder per core those words bounce between caches and the parallel
-// throughput curve collapses to single-core rates (the BENCH_PR5
-// ThroughputParallel* plateau).
-//
-// A Recorder removes the sharing instead of striping it: each worker owns
-// a private delta sketch and a private packet buffer, and the record path
-// writes only worker-owned memory — no cross-core word is read or written
-// per packet, so per-packet cost is independent of the worker count and
-// aggregate ingest scales linearly with cores (run-to-completion, the
-// NitroSketch/Flowyager per-core-sketch model). Synchronization happens
-// once per batch of recorderBatch packets: the recorder takes its own
-// (uncontended in steady state) mutex, applies the whole batch to the
-// delta through the backend's two-pass prefetch loop, and releases it.
-//
-// Exactness is inherited from the shard fold algebra: the delta reaches
-// the authoritative B/C/C' set through the same merge fold
-// (flushIngestLocked) at every fold point — EndEpoch, Snapshot, and
-// on-the-fly at Query — and both designs' joins are associative,
-// commutative and placement-oblivious, so the folded state is
-// bit-identical to the state a single serialized sketch set would hold
-// after the same multiset of records (Thm 6.1/6.3 exactness is
-// preserved; see DESIGN.md §12). Packets still sitting in the recorder's
-// private buffer are invisible until the owner's next batch boundary or
-// Flush — exactly like packets still queued in the NIC — so pipelines
-// must Flush before an epoch boundary they need reflected.
-
-// recorderBatch is the pipeline's batch size: packets buffered locally
-// between applies. 32 packets amortize the batch's one mutex acquisition
-// to well under a nanosecond per packet while keeping the two-pass
-// prefetch window inside the L1 and the ingest-to-visibility latency
-// bounded.
-const recorderBatch = 32
-
-// batchSketch is the optional batched-ingest capability of a sketch
-// backend: apply a whole batch with one call (typically a two-pass
-// hash+prefetch then write loop). Must be bit-identical to recording the
-// packets one by one.
-type batchSketch interface {
-	RecordAll(fs, es []uint64)
-}
-
-// Recorder is one worker's private ingest pipeline into a Point. Create
-// one per worker goroutine with NewRecorder. Record, RecordBatch and
-// Flush must only be called by the owning worker (they are not safe for
-// concurrent use with each other); the point's fold points (EndEpoch,
-// Query, Snapshot) synchronize with the owner through the recorder's
-// mutex and may run concurrently with them.
+// Record and RecordBatch must only be called by the owning worker; the
+// point's fold points may run concurrently with them.
 type Recorder[S Sketch[S]] struct {
-	// mu orders batch applies against the point's fold points. The owner
-	// takes it once per recorderBatch packets; folds take it for the
-	// duration of a merge+reset. It is uncontended unless a fold or query
-	// overlaps the owner's apply.
-	mu sync.Mutex
-	// dirty is set (under mu) when the delta holds unfolded records, so
-	// fold points skip clean recorders without taking mu.
-	dirty atomic.Bool
-	// d is the private delta sketch. All writes happen under mu; reads by
-	// fold points hold mu too, so the backend needs no atomic register
-	// access on this path.
-	d  S
-	bs batchSketch // d's batched-ingest capability, nil if unsupported
-	p  *Point[S]
-
-	// The owner-private packet buffer. Never touched by fold points: only
-	// the owning worker reads or writes it, so buffering is free of any
-	// synchronization.
-	n      int
-	flows  [recorderBatch]uint64
-	elems  [recorderBatch]uint64
-	closed bool
-
-	// Tail padding keeps a neighboring allocation's hot words off this
-	// recorder's last cache line (the buffer and mutex live in the head).
-	_ [64]byte
+	l *lane[S]
+	p *Point[S]
 }
 
-// NewRecorder registers and returns a new private ingest pipeline for one
-// worker. Recorders are folded (and their deltas reset) at every epoch
-// boundary; a worker that stops recording can keep its recorder idle at
-// no per-epoch cost once clean, or drop it with Close.
+// NewRecorder registers and returns a private ingest lane for one worker.
+// An idle recorder costs the fold points one atomic load; a worker that
+// stops for good drops it with Close.
 func (p *Point[S]) NewRecorder() *Recorder[S] {
-	r := &Recorder[S]{d: p.fresh(), p: p}
-	if bs, ok := any(r.d).(batchSketch); ok {
-		r.bs = bs
-	}
+	r := &Recorder[S]{l: &lane[S]{d: p.fresh()}, p: p}
 	p.mu.Lock()
-	p.recs = append(p.recs, r)
+	p.lanes = append(p.lanes, r.l)
 	p.mu.Unlock()
 	return r
 }
 
-// Record inserts packet <f, e> into the worker's pipeline. The packet is
-// buffered locally and becomes visible to queries and epoch folds at the
-// next batch boundary (every recorderBatch packets) or Flush.
-func (r *Recorder[S]) Record(f, e uint64) {
-	r.flows[r.n] = f
-	r.elems[r.n] = e
-	r.n++
-	if r.n == recorderBatch {
-		r.apply()
-	}
-}
+// Record inserts packet <f, e>.
+func (r *Recorder[S]) Record(f, e uint64) { r.l.record(f, e) }
 
-// RecordBatch inserts a batch of packets, applying it to the private
-// delta in recorderBatch-sized chunks (one mutex acquisition each). On
-// return the whole batch is visible to queries and epoch folds, along
-// with any previously buffered packets.
+// RecordBatch inserts a batch of packets under one lock acquisition.
 func (r *Recorder[S]) RecordBatch(ps []SpreadPacket) {
-	for _, q := range ps {
-		r.flows[r.n] = q.Flow
-		r.elems[r.n] = q.Elem
-		r.n++
-		if r.n == recorderBatch {
-			r.apply()
-		}
+	if len(ps) == 0 {
+		return
 	}
-	r.apply()
+	r.l.mu.Lock()
+	r.l.apply(ps)
+	r.l.mu.Unlock()
 }
 
-// RecordBatchFlows is RecordBatch over bare flow keys (element zero), for
-// designs that ignore which element arrived.
-func (r *Recorder[S]) RecordBatchFlows(fs []uint64) {
-	for _, f := range fs {
-		r.flows[r.n] = f
-		r.elems[r.n] = 0
-		r.n++
-		if r.n == recorderBatch {
-			r.apply()
-		}
-	}
-	r.apply()
-}
-
-// Flush applies any buffered packets to the private delta, making them
-// visible to queries and the next epoch fold. Call before an epoch
-// boundary the packets must land in, and after the last Record of a run.
-func (r *Recorder[S]) Flush() { r.apply() }
-
-// Close flushes the pipeline and unregisters it from the point after
-// folding its remaining delta into the authoritative set. The recorder
-// must not be used afterwards.
+// Close folds the recorder's remaining delta into the point and
+// unregisters its lane. The recorder must not be used afterwards.
 func (r *Recorder[S]) Close() {
-	r.apply()
 	p := r.p
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	r.mu.Lock()
-	if r.dirty.Load() {
-		p.foldDeltaLocked(r.d)
-		r.d.Reset()
-		r.dirty.Store(false)
+	p.foldLaneLocked(r.l)
+	if i := slices.Index(p.lanes, r.l); i >= 0 {
+		p.lanes = slices.Delete(p.lanes, i, i+1)
 	}
-	r.closed = true
-	r.mu.Unlock()
-	for i, rec := range p.recs {
-		if rec == r {
-			p.recs = append(p.recs[:i], p.recs[i+1:]...)
-			break
-		}
-	}
-}
-
-// apply drains the owner-private buffer into the delta under the
-// recorder's mutex: one lock acquisition per batch, plain (non-atomic)
-// sketch writes inside, via the backend's two-pass prefetch loop when it
-// has one.
-func (r *Recorder[S]) apply() {
-	if r.n == 0 {
-		return
-	}
-	r.mu.Lock()
-	// Publish dirtiness before the writes; mu orders this against folds,
-	// and fold points clear it only after draining under the same mutex,
-	// so data is never stranded in a clean-flagged delta.
-	if !r.dirty.Load() {
-		r.dirty.Store(true)
-	}
-	if r.bs != nil {
-		r.bs.RecordAll(r.flows[:r.n], r.elems[:r.n])
-	} else {
-		for i := 0; i < r.n; i++ {
-			r.d.Record(r.flows[i], r.elems[i])
-		}
-	}
-	r.mu.Unlock()
-	r.n = 0
 }

@@ -13,7 +13,7 @@ import (
 // (expand(a ⊕ b) = expand(a) ⊕ expand(b), and expansions compose along a
 // divisibility chain of widths), so a center fed through relays computes
 // bit-identically the same join as a flat center fed the leaf uploads —
-// the Thm 6.1/6.3 equalities survive the tree (see DESIGN.md §13).
+// the Thm 6.1/6.3 equalities survive the tree (see DESIGN.md §12).
 //
 // A relay only ever sees per-epoch deltas: cumulative uploads cannot
 // pass through it, because the merge of c children's cumulative sketches

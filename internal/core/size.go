@@ -39,16 +39,14 @@ type SizePoint struct {
 	params countmin.Params
 }
 
-// NewSizePoint creates a measurement point with the GOMAXPROCS-bounded
-// default ingest-shard count. Points of one cluster must share D and Seed;
-// W may differ (device diversity).
+// NewSizePoint creates a measurement point. Points of one cluster must
+// share D and Seed; W may differ (device diversity).
 func NewSizePoint(id int, p countmin.Params, mode SizeMode) (*SizePoint, error) {
-	return NewSizePointShards(id, p, mode, 0)
+	return newSizePoint(id, p, mode, 0)
 }
 
-// NewSizePointShards is NewSizePoint with an explicit ingest-shard count
-// (0 = the GOMAXPROCS-bounded default, 1 = the serial layout).
-func NewSizePointShards(id int, p countmin.Params, mode SizeMode, shards int) (*SizePoint, error) {
+// newSizePoint is NewSizePoint with an explicit EngineConfig.Shards.
+func newSizePoint(id int, p countmin.Params, mode SizeMode, shards int) (*SizePoint, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -71,14 +69,11 @@ func NewSizePointShards(id int, p countmin.Params, mode SizeMode, shards int) (*
 // Params returns the point's sketch parameters.
 func (p *SizePoint) Params() countmin.Params { return p.params }
 
-// Record inserts one packet of flow f. Only the flow's ingest shard is
-// touched; concurrent recorders of distinct flows proceed in parallel.
+// Record inserts one packet of flow f.
 func (p *SizePoint) Record(f uint64) { p.Point.Record(f, 0) }
 
-// RecordBatch inserts one packet per flow in fs. The whole batch lands in
-// a single shard under a single lock acquisition (round-robin with
-// try-lock steering away from busy shards), amortizing synchronization to
-// one atomic and one lock per batch.
+// RecordBatch inserts one packet per flow in fs under one lock
+// acquisition.
 func (p *SizePoint) RecordBatch(fs []uint64) { p.Point.RecordBatchFlows(fs) }
 
 // RecordBatchPairs is RecordBatch over <flow, element> packets, recording
@@ -87,7 +82,7 @@ func (p *SizePoint) RecordBatch(fs []uint64) { p.Point.RecordBatchFlows(fs) }
 func (p *SizePoint) RecordBatchPairs(ps []SpreadPacket) { p.Point.RecordBatch(ps) }
 
 // Query answers the approximate real-time networkwide T-query for flow f
-// from the local C sketch plus the not-yet-folded shard deltas. CountMin
+// from the local C sketch plus the not-yet-folded ingest lanes. CountMin
 // counters are exact integers well below 2^53, so the generic engine's
 // float-valued fold converts back to int64 losslessly.
 func (p *SizePoint) Query(f uint64) int64 { return int64(p.Point.Query(f)) }

@@ -7,8 +7,8 @@ import (
 // Snapshot returns the point's epoch and deep copies of its sketches (B,
 // C, C'), taken atomically. Together with RestoreSnapshot it lets an agent
 // persist its state across restarts without losing the window. The ingest
-// shards are folded first, so persisted state is shard-free and portable
-// across shard-count configurations. In cumulative mode (no B sketch) the
+// lanes are folded first, so persisted state is lane-free and portable
+// across lane-count configurations. In cumulative mode (no B sketch) the
 // returned b is nil.
 func (p *Point[S]) Snapshot() (epoch int64, b, c, cp S) {
 	p.mu.Lock()
@@ -46,20 +46,9 @@ func (p *Point[S]) RestoreSnapshot(epoch int64, b, c, cp S) error {
 	if err := p.cp.CopyFrom(cp); err != nil {
 		return fmt.Errorf("core: restore C': %w", err)
 	}
-	// The restored snapshot replaces the whole state: drop any unfolded
-	// shard and recorder deltas.
-	for _, sh := range p.shards {
-		sh.mu.Lock()
-		sh.d.Reset()
-		sh.dirty.Store(false)
-		sh.mu.Unlock()
-	}
-	for _, r := range p.recs {
-		r.mu.Lock()
-		r.d.Reset()
-		r.dirty.Store(false)
-		r.mu.Unlock()
-	}
+	// The restored snapshot replaces the whole state, unfolded records
+	// included.
+	p.dropIngestLocked()
 	p.epoch = epoch
 	// Snapshots are taken from healthy state and carry whatever aggregates
 	// were merged (the pre-flag protocol's assumption); report the restored

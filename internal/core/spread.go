@@ -30,16 +30,15 @@ type SpreadPoint[S SpreadSketch[S]] struct {
 }
 
 // NewSpreadPointOf creates a measurement point whose sketches are built by
-// fresh (called three times plus once per ingest shard up front, and once
-// per epoch for the new B), with the GOMAXPROCS-bounded default shard
-// count.
+// fresh (called three times plus once per ingest lane up front, and once
+// per epoch for the new B).
 func NewSpreadPointOf[S SpreadSketch[S]](id int, fresh func() S) (*SpreadPoint[S], error) {
-	return NewSpreadPointShardsOf(id, fresh, 0)
+	return newSpreadPointOf(id, fresh, 0)
 }
 
-// NewSpreadPointShardsOf is NewSpreadPointOf with an explicit ingest-shard
-// count (0 = the GOMAXPROCS-bounded default, 1 = the serial layout).
-func NewSpreadPointShardsOf[S SpreadSketch[S]](id int, fresh func() S, shards int) (*SpreadPoint[S], error) {
+// newSpreadPointOf is NewSpreadPointOf with an explicit
+// EngineConfig.Shards.
+func newSpreadPointOf[S SpreadSketch[S]](id int, fresh func() S, shards int) (*SpreadPoint[S], error) {
 	pt, err := NewPoint[S](id, fresh, EngineConfig[S]{
 		Design: "spread",
 		Mode:   ModeDelta,

@@ -53,28 +53,3 @@ func (p *Point[S]) QueryUnionWithCoverage(f uint64, peers []*Point[S]) (float64,
 	p.mu.Unlock()
 	return est, cov
 }
-
-// gatherLocked appends the point's dirty ingest deltas (striped shards
-// and recorder pipelines) to extras, locking whatever guards each one.
-// Caller holds p.mu and unlocks everything appended to locked.
-func (p *Point[S]) gatherLocked(extras []S, locked []*sync.Mutex) ([]S, []*sync.Mutex) {
-	for _, sh := range p.shards {
-		if !sh.dirty.Load() {
-			continue
-		}
-		if sh.ad == nil {
-			sh.mu.Lock()
-			locked = append(locked, &sh.mu)
-		}
-		extras = append(extras, sh.d)
-	}
-	for _, r := range p.recs {
-		if !r.dirty.Load() {
-			continue
-		}
-		r.mu.Lock()
-		locked = append(locked, &r.mu)
-		extras = append(extras, r.d)
-	}
-	return extras, locked
-}

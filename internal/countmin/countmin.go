@@ -209,8 +209,8 @@ func (s *Sketch) Estimate(f uint64) int64 {
 // EstimateSummed returns the size estimate for flow f over the
 // counter-wise sum of s and extras, without mutating anything:
 // bit-identical to AddSketch-ing every extra into s first and calling
-// Estimate. All extras must share s's parameters (the sharded ingest path
-// guarantees this by construction; behaviour is undefined otherwise).
+// Estimate. All extras must share s's parameters (the point's ingest lanes
+// do by construction; behaviour is undefined otherwise).
 func (s *Sketch) EstimateSummed(f uint64, extras []*Sketch) int64 {
 	fs := f ^ s.params.Seed
 	est := int64(1<<62 - 1)

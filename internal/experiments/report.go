@@ -73,7 +73,7 @@ func FormatThroughput(res ThroughputResult) string {
 	fmt.Fprintf(&b, "%-14.2f %-16.2f %-14.2f %-14.2f\n",
 		res.TwoSketchPPS/1e6, res.SlidingSketchPPS/1e6, res.ThreeSketchPPS/1e6, res.VATEPPS/1e6)
 	if res.Workers > 0 {
-		fmt.Fprintf(&b, "sharded ingest (%d workers, batched): Two-Sketch %.2f, Three-Sketch %.2f\n",
+		fmt.Fprintf(&b, "shared-point ingest (%d workers, batched): Two-Sketch %.2f, Three-Sketch %.2f\n",
 			res.Workers, res.TwoSketchParallelPPS/1e6, res.ThreeSketchParallelPPS/1e6)
 	}
 	for _, row := range res.PipelineScaling {
@@ -81,7 +81,7 @@ func FormatThroughput(res ThroughputResult) string {
 		if !row.CPUProjected {
 			basis = "wall clock"
 		}
-		fmt.Fprintf(&b, "pipeline ingest x%d (%s): Two-Sketch %.2f, Three-Sketch %.2f\n",
+		fmt.Fprintf(&b, "recorder ingest x%d (%s): Two-Sketch %.2f, Three-Sketch %.2f\n",
 			row.Workers, basis, row.TwoSketchPPS/1e6, row.ThreeSketchPPS/1e6)
 	}
 	return b.String()

@@ -21,8 +21,8 @@ import (
 // own local structure. (All methods record locally — the difference the
 // table shows is the per-packet datapath cost.)
 //
-// The Parallel rates measure the sharded ingest path: Workers goroutines
-// (GOMAXPROCS, shard-bounded) feeding one point through RecordBatch.
+// The Parallel rates measure Workers goroutines (GOMAXPROCS) feeding one
+// point through Point.RecordBatch, i.e. sharing its lanes.
 type ThroughputResult struct {
 	TwoSketchPPS     float64
 	SlidingSketchPPS float64
@@ -32,22 +32,22 @@ type ThroughputResult struct {
 	// Workers is the goroutine count of the parallel measurements.
 	Workers int
 	// TwoSketchParallelPPS is the aggregate rate of Workers goroutines
-	// batch-recording into one sharded size point.
+	// batch-recording into one size point.
 	TwoSketchParallelPPS float64
-	// ThreeSketchParallelPPS is the same for one sharded spread point.
+	// ThreeSketchParallelPPS is the same for one spread point.
 	ThreeSketchParallelPPS float64
 
-	// PipelineScaling is the per-core run-to-completion pipeline scaling
-	// curve (DESIGN.md §12): one row per worker count, rates CPU-projected
-	// from per-worker thread CPU time so the curve is meaningful even on a
-	// core-limited box (see timePipelineWorkers).
+	// PipelineScaling is the private-recorder scaling curve (one
+	// core.Recorder per worker): one row per worker count, rates
+	// CPU-projected from per-worker thread CPU time so the curve is
+	// meaningful even on a core-limited box (see timePipelineWorkers).
 	PipelineScaling []PipelineScalingRow
 }
 
 // PipelineScalingRow is one worker count of the pipeline scaling curve.
 type PipelineScalingRow struct {
 	Workers int
-	// TwoSketchPPS / ThreeSketchPPS are the aggregate pipeline ingest
+	// TwoSketchPPS / ThreeSketchPPS are the aggregate recorder ingest
 	// rates for the two designs at this worker count.
 	TwoSketchPPS   float64
 	ThreeSketchPPS float64
@@ -58,6 +58,9 @@ type PipelineScalingRow struct {
 
 // throughputPackets is the number of packets each method is timed over.
 const throughputPackets = 1_000_000
+
+// pipelineBatch is the RecordBatch size of the pipeline rows.
+const pipelineBatch = 256
 
 // RunThroughput measures Table II.
 func RunThroughput(cfg Config) (ThroughputResult, error) {
@@ -125,38 +128,29 @@ func RunThroughput(cfg Config) (ThroughputResult, error) {
 		spreadParPt.RecordBatch(pkts[lo:hi])
 	})
 
-	// Per-core pipeline scaling curve: fresh points per row so each worker
-	// count starts from cold sketches, 1, 2, 4, ... workers each owning a
-	// private Recorder over a contiguous stripe of the workload.
+	// Recorder scaling curve: fresh points per row so each worker count
+	// starts from cold sketches, 1, 2, 4, ... workers each owning a private
+	// Recorder and feeding it a contiguous stripe of the workload in
+	// pipelineBatch-packet batches.
 	maxW := cfg.Workers
 	if maxW <= 0 {
 		maxW = 8
 	}
 	for w := 1; w <= maxW; w *= 2 {
 		row := PipelineScalingRow{Workers: w}
-		sizePipePt, err := core.NewSizePointShards(2, sizeParams, core.SizeModeCumulative, 1)
+		sizePipePt, err := core.NewSizePoint(2, sizeParams, core.SizeModeCumulative)
 		if err != nil {
 			return out, err
 		}
 		row.TwoSketchPPS, row.CPUProjected = timePipelineWorkers(w, func(worker, workers int) {
-			rec := sizePipePt.Point.NewRecorder()
-			defer rec.Close()
-			lo, hi := stripeOf(worker, workers, throughputPackets)
-			for i := lo; i < hi; i++ {
-				rec.Record(flows[i], 0)
-			}
+			feedRecorder(sizePipePt.Point, pkts, worker, workers) // the size design ignores Elem
 		})
-		spreadPipePt, err := core.NewSpreadPointShardsOf(2, func() *rskt.Sketch { return rskt.New(spreadParams) }, 1)
+		spreadPipePt, err := core.NewSpreadPoint(2, spreadParams)
 		if err != nil {
 			return out, err
 		}
 		row.ThreeSketchPPS, _ = timePipelineWorkers(w, func(worker, workers int) {
-			rec := spreadPipePt.NewRecorder()
-			defer rec.Close()
-			lo, hi := stripeOf(worker, workers, throughputPackets)
-			for i := lo; i < hi; i++ {
-				rec.Record(flows[i], elems[i])
-			}
+			feedRecorder(spreadPipePt.Point, pkts, worker, workers)
 		})
 		out.PipelineScaling = append(out.PipelineScaling, row)
 	}
@@ -193,6 +187,17 @@ func timeRecords(record func(i int)) float64 {
 	return float64(throughputPackets) / elapsed.Seconds()
 }
 
+// feedRecorder records worker's stripe of ps through a private Recorder
+// in pipelineBatch-packet batches.
+func feedRecorder[S core.Sketch[S]](pt *core.Point[S], ps []core.SpreadPacket, worker, workers int) {
+	rec := pt.NewRecorder()
+	defer rec.Close()
+	lo, hi := stripeOf(worker, workers, len(ps))
+	for ; lo < hi; lo += pipelineBatch {
+		rec.RecordBatch(ps[lo:min(lo+pipelineBatch, hi)])
+	}
+}
+
 // stripeOf splits [0, n) into `workers` near-equal contiguous ranges and
 // returns worker's.
 func stripeOf(worker, workers, n int) (lo, hi int) {
@@ -205,15 +210,15 @@ func stripeOf(worker, workers, n int) (lo, hi int) {
 	return lo, hi
 }
 
-// timePipelineWorkers measures the aggregate rate of `workers` pipeline
-// goroutines, each feeding its stripe of the workload run-to-completion.
+// timePipelineWorkers measures the aggregate rate of `workers`
+// goroutines, each feeding its stripe of the workload.
 // On a core-limited box wall clock cannot show parallel speedup (the OS
 // timeslices the workers over the same cores), so each worker is pinned
 // to an OS thread and timed with its thread CPU clock: the projected
 // aggregate rate is total packets over the slowest worker's CPU time —
 // exactly the wall-clock aggregate a box with `workers` free cores would
 // see, and a direct readout of whether per-packet cost is independent of
-// the worker count (the run-to-completion property). Falls back to wall
+// the worker count. Falls back to wall
 // clock (reported via the second return) where the thread clock is
 // unavailable.
 func timePipelineWorkers(workers int, feed func(worker, workers int)) (float64, bool) {

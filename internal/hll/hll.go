@@ -134,8 +134,8 @@ func Estimate(regs []uint8) float64 {
 
 // EstimateUnion returns the HLL estimate over the element-wise max of regs
 // and every slice in others (all equal length), without materializing the
-// union. The sharded spread path uses it to answer queries across
-// not-yet-folded shard deltas.
+// union. The spread point uses it to answer queries across
+// not-yet-folded ingest lanes.
 func EstimateUnion(regs []uint8, others [][]uint8) float64 {
 	m := len(regs)
 	if m == 0 {

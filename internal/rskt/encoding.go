@@ -90,10 +90,10 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("rskt: decode: implausible dimensions %dx%d", w, m)
 	}
 	n := w * m
-	rows, words := s.rows, s.words
+	rows := s.rows
 	for u := range rows {
 		if len(rows[u]) != n {
-			rows[u], words[u] = hll.AlignedRegs(n)
+			rows[u] = hll.NewRegs(n)
 		}
 	}
 	if magic == wireMagic {
@@ -132,7 +132,7 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("rskt: %d trailing bytes", len(data)-off)
 	}
 	s.params = p
-	s.rows, s.words = rows, words
+	s.rows = rows
 	s.initDerived()
 	return nil
 }

@@ -2,7 +2,6 @@ package rskt
 
 import (
 	"bytes"
-	"sync"
 	"testing"
 
 	"repro/internal/hll"
@@ -67,94 +66,6 @@ func TestRecordSlotSharedAcrossSketches(t *testing.T) {
 	}
 	if !a.Equal(ra) || !b.Equal(rb) || !c.Equal(rc) {
 		t.Fatal("shared slot recording diverged from direct Record")
-	}
-}
-
-// TestRecordAtomicMatchesRecord pins the hand-fused lock-free record path
-// to Record (whose slot computation it mirrors expression for expression),
-// and DrainAtomicInto to merge-then-reset.
-func TestRecordAtomicMatchesRecord(t *testing.T) {
-	p := Params{W: 1638, M: 128, Seed: 99}
-	atomicS, plain := New(p), New(p)
-	for k := uint64(0); k < 5000; k++ {
-		f := xhash.Mix64(k) % 50
-		e := xhash.Mix64(k + 1)
-		atomicS.RecordAtomic(f, e)
-		plain.Record(f, e)
-	}
-	if !atomicS.Equal(plain) {
-		t.Fatal("RecordAtomic diverged from Record")
-	}
-	b, c, cp := New(p), New(p), New(p)
-	c.Record(3, 4) // pre-existing state must survive the max-merge
-	rb, rc, rcp := b.Clone(), c.Clone(), cp.Clone()
-	atomicS.DrainAtomicInto(b, c, cp)
-	for _, d := range []*Sketch{rb, rc, rcp} {
-		if err := d.MergeMax(plain); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !b.Equal(rb) || !c.Equal(rc) || !cp.Equal(rcp) {
-		t.Fatal("DrainAtomicInto diverged from MergeMax")
-	}
-	if empty := New(p); !atomicS.Equal(empty) {
-		t.Fatal("DrainAtomicInto left registers behind")
-	}
-	// Drain with a nil destination (delta-less cumulative mode).
-	atomicS.RecordAtomic(1, 2)
-	atomicS.DrainAtomicInto(nil, c, cp)
-	if empty := New(p); !atomicS.Equal(empty) {
-		t.Fatal("nil-destination drain left registers behind")
-	}
-}
-
-// TestConcurrentRecordAtomicExact verifies the lock-free ingest invariant:
-// under concurrent recorders and drains, the union of everything drained
-// plus the residue equals the serial sketch of the same multiset — no
-// observe lost, none duplicated (max-idempotence makes duplication
-// invisible, loss is what the swap-based drain must prevent).
-func TestConcurrentRecordAtomicExact(t *testing.T) {
-	p := Params{W: 97, M: 32, Seed: 11}
-	shared := New(p)
-	serial := New(p)
-	const goroutines, per = 4, 20000
-	for g := 0; g < goroutines; g++ {
-		for k := 0; k < per; k++ {
-			v := xhash.Mix64(uint64(g*per + k))
-			serial.Record(v%701, v>>32)
-		}
-	}
-	drained := New(p)
-	stop := make(chan struct{})
-	drainerDone := make(chan struct{})
-	go func() {
-		defer close(drainerDone)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				shared.DrainAtomicInto(nil, drained, nil)
-			}
-		}
-	}()
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for k := 0; k < per; k++ {
-				v := xhash.Mix64(uint64(g*per + k))
-				shared.RecordAtomic(v%701, v>>32)
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(stop)
-	<-drainerDone
-	shared.DrainAtomicInto(nil, drained, nil)
-	if !drained.Equal(serial) {
-		t.Fatal("concurrent atomic ingest lost or corrupted observes")
 	}
 }
 

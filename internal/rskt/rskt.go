@@ -93,11 +93,7 @@ func WidthForMemory(memBits, m int) int {
 type Sketch struct {
 	params Params
 	// rows[u] holds W*M registers: column j occupies [j*M, (j+1)*M).
-	// words[u] is the same memory as aligned uint64 words, the unit of the
-	// lock-free ingest operations (RecordAtomic/DrainAtomicInto); rows and
-	// words must always be allocated together via hll.AlignedRegs.
-	rows  [2]hll.Regs
-	words [2][]uint64
+	rows [2]hll.Regs
 	// Derived per-packet constants, set by initDerived wherever params are
 	// assigned: the precomputed HashPair seed hash and the multiply-based
 	// column/register moduli.
@@ -125,7 +121,7 @@ func New(p Params) *Sketch {
 	}
 	s := &Sketch{params: p}
 	for u := range s.rows {
-		s.rows[u], s.words[u] = hll.AlignedRegs(p.W * p.M)
+		s.rows[u] = hll.NewRegs(p.W * p.M)
 	}
 	s.initDerived()
 	return s
@@ -203,48 +199,6 @@ func (s *Sketch) RecordAll(fs, es []uint64) {
 	}
 }
 
-// RecordAtomic inserts packet <f, e> with lock-free register access,
-// reporting whether a register actually rose. Safe for concurrent use with
-// other RecordAtomic, DrainAtomicInto and EstimateUnion calls on the same
-// sketch. Bit-identical to Record for any serialization of the concurrent
-// calls: the register max is commutative and idempotent, and the fast path
-// skips the write exactly when Record's Observe would have been a no-op.
-func (s *Sketch) RecordAtomic(f, e uint64) bool {
-	// The slot computation is spelled out instead of calling Slot: the
-	// packet path is the hottest code in the system and Slot is beyond the
-	// inliner's budget, so the extra frame would cost ~5% per packet. Must
-	// stay expression-for-expression identical to Slot (pinned by
-	// TestRecordAtomicMatchesRecord and TestSlotMatchesReference).
-	fs := f ^ s.params.Seed
-	j := s.wDiv.Mod(xhash.Mix64(fs ^ preColumn))
-	i := s.mDiv.Mod(xhash.Mix64((e ^ s.params.Seed) ^ preRegister))
-	u := xhash.Mix64(xhash.Mix64(fs^prePairBit)^i) & 1
-	v := geoValue(xhash.Mix64(xhash.Mix64(xhash.Mix64(f^s.preSeed)^e) ^ preGeo))
-	return hll.ObserveMaxAtomic(s.words[u], int(j)*s.params.M+int(i), v)
-}
-
-// DrainAtomicInto atomically moves every register of s into b, c and cp
-// (each may be nil) by register-wise max, leaving s zeroed. Equivalent to
-// MergeMax into each destination followed by Reset, but safe against
-// concurrent RecordAtomic calls: each word is swapped out exactly once, so
-// a racing observe lands either in this drain or in the freshly zeroed
-// delta — never lost, never duplicated. Destinations must share s's
-// parameters and be owned by the caller.
-func (s *Sketch) DrainAtomicInto(b, c, cp *Sketch) {
-	n := s.params.W * s.params.M
-	var dsts [3]hll.Regs
-	for u := 0; u < 2; u++ {
-		k := 0
-		for _, d := range [3]*Sketch{b, c, cp} {
-			if d != nil {
-				dsts[k] = d.rows[u]
-				k++
-			}
-		}
-		hll.DrainMaxWords(s.words[u], n, dsts[:k]...)
-	}
-}
-
 // geoValue finishes xhash.Geometric from the already-mixed hash: leading
 // zeros + 1, capped at the register maximum.
 func geoValue(h uint64) uint8 {
@@ -271,8 +225,8 @@ func (s *Sketch) Estimate(f uint64) float64 {
 // EstimateUnion returns the spread estimate for flow f over the
 // register-wise max of s and others, without mutating anything:
 // bit-identical to MergeMax-ing every other sketch into s first and
-// calling Estimate. All others must share s's parameters (the sharded
-// ingest path guarantees this by construction). Read-only and safe for
+// calling Estimate. All others must share s's parameters (the point's
+// ingest lanes do by construction). Read-only and safe for
 // concurrent callers.
 func (s *Sketch) EstimateUnion(f uint64, others []*Sketch) float64 {
 	p := &s.params
@@ -291,14 +245,11 @@ func (s *Sketch) EstimateUnion(f uint64, others []*Sketch) float64 {
 	for i := 0; i < p.M; i++ {
 		u := int(xhash.Mix64(hf^uint64(i)) & 1)
 		a, b := s.rows[u][base+i], s.rows[1-u][base+i]
-		// others are typically live ingest deltas with concurrent
-		// lock-free recorders; read their registers atomically (free on
-		// amd64 — an atomic load is a plain MOV).
 		for _, o := range others {
-			if v := hll.LoadRegAtomic(o.words[u], base+i); v > a {
+			if v := o.rows[u][base+i]; v > a {
 				a = v
 			}
-			if v := hll.LoadRegAtomic(o.words[1-u], base+i); v > b {
+			if v := o.rows[1-u][base+i]; v > b {
 				b = v
 			}
 		}

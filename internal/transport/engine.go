@@ -114,18 +114,15 @@ type pointEngine interface {
 	loadState(r io.Reader) error
 }
 
-// IngestPipe is one worker's private run-to-completion ingest pipeline
-// into the point (core.Recorder behind the design-erased boundary). Each
-// pipe buffers packets locally and touches no shared mutable state on the
-// record path, so one pipe per ingest goroutine scales with cores.
-// Record, RecordBatch and Flush must only be called by the owning worker;
-// the engine's queries and epoch rolls may run concurrently with them.
-// Packets are invisible to queries and epoch folds until the pipe's next
-// internal batch boundary or Flush; Close flushes and retires the pipe.
+// IngestPipe is one worker's private ingest lane into the point
+// (core.Recorder behind the design-erased boundary): the same record path
+// as PointClient.Record/RecordBatch behind a lock no other writer takes.
+// Record and RecordBatch must only be called by the owning worker; the
+// engine's queries and epoch rolls may run concurrently with them and see
+// every record whose call has returned. Close retires the pipe.
 type IngestPipe interface {
 	Record(f, e uint64)
 	RecordBatch(ps []core.SpreadPacket)
-	Flush()
 	Close()
 }
 

@@ -454,17 +454,13 @@ func (c *PointClient) getErr() error {
 // Record inserts a packet. For the size design the element is ignored.
 func (c *PointClient) Record(f, e uint64) { c.eng.record(f, e) }
 
-// RecordBatch inserts a batch of packets through the sharded ingest path:
-// one shard acquisition covers the whole batch. For the size design each
-// packet's element is ignored.
+// RecordBatch inserts a batch of packets under one lock acquisition. For
+// the size design each packet's element is ignored.
 func (c *PointClient) RecordBatch(ps []core.SpreadPacket) { c.eng.recordBatch(ps) }
 
-// NewIngestPipe returns a private run-to-completion ingest pipeline for
-// one worker goroutine — the scaling record path: workers never share
-// mutable state, and pipeline deltas fold into the epoch state at every
-// boundary. Create one pipe per ingest goroutine; Flush before an epoch
-// boundary the buffered packets must land in, Close when the worker
-// stops.
+// NewIngestPipe returns a private ingest lane for one worker goroutine, so
+// concurrent workers never contend on a record-path lock. Create one pipe
+// per ingest goroutine and Close it when the worker stops.
 func (c *PointClient) NewIngestPipe() IngestPipe { return c.eng.newPipe() }
 
 // QuerySpread answers a networkwide T-query (spread design only).

@@ -112,7 +112,7 @@ func (c *ShardedPointClient) Sub(i int) *PointClient { return c.subs[i] }
 func (c *ShardedPointClient) Record(f, e uint64) { c.subs[c.part.Shard(f)].Record(f, e) }
 
 // RecordBatch partitions a batch by owning shard and inserts each part
-// through that sub-point's sharded ingest path.
+// through that sub-point's RecordBatch.
 func (c *ShardedPointClient) RecordBatch(ps []core.SpreadPacket) {
 	if len(c.subs) == 1 {
 		c.subs[0].RecordBatch(ps)

@@ -161,6 +161,11 @@ func TestFaultRelayHealthy(t *testing.T) {
 		for k := 1; k <= 4; k++ {
 			c.healthyEpoch(k, pushWant)
 		}
+		// The relay counts a round after fanning it out, so the points'
+		// pushes can land before the counter moves.
+		if !c.relay.WaitRounds(4) {
+			t.Fatal("relay closed before round 4")
+		}
 		rs := c.relay.Stats()
 		if rs.UploadsReceived != 4*fmP || rs.UploadsDuplicate != 0 {
 			t.Fatalf("relay uploads/dups = %d/%d, want %d/0", rs.UploadsReceived, rs.UploadsDuplicate, 4*fmP)
