@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -159,20 +160,35 @@ func TestReplayTraceVhllBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := replayTrace(pc, path, 0, 6*time.Second, func(uint64) bool { return true }, pc.EndEpoch, func() {}); err != nil {
+	// Replay outruns the center: wait out each round's push, or whether it
+	// lands before the next virtual epoch (and so what the window holds)
+	// is a race.
+	endEpoch := func() error {
+		if err := pc.EndEpoch(); err != nil {
+			return err
+		}
+		if !pc.WaitPushEpoch(pc.Epoch(), 10*time.Second) {
+			return fmt.Errorf("no push for epoch %d", pc.Epoch())
+		}
+		return nil
+	}
+	if err := replayTrace(pc, path, 0, 6*time.Second, func(uint64) bool { return true }, endEpoch, func() {}); err != nil {
 		t.Fatal(err)
 	}
 	if pc.Epoch() != 4 {
 		t.Fatalf("point epoch = %d, want 4", pc.Epoch())
 	}
-	// Epoch 3's 200 distinct elements are in the local current epoch; the
-	// estimate must land near them.
-	got, err := pc.QuerySpread(7)
+	// Every push landed in time, so the answer covers all three epochs'
+	// 600 distinct elements.
+	got, cov, err := pc.QuerySpreadWithCoverage(7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got < 100 || got > 400 {
-		t.Fatalf("vhll networkwide spread(7) = %.0f, want ~200", got)
+	if cov.EpochsMerged != cov.EpochsExpected {
+		t.Fatalf("coverage %+v, want the whole window", cov)
+	}
+	if got < 400 || got > 1000 {
+		t.Fatalf("vhll networkwide spread(7) = %.0f, want ~600", got)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -18,6 +19,15 @@ import (
 //     on receive, records every sent push, and — in cumulative mode —
 //     inverts each upload into a per-epoch delta by subtraction
 //     (Section V-B).
+//
+// The join is built once per round, not once per destination point. Each
+// epoch's cells are spatially joined at the maximum width into a per-epoch
+// partial (computeEpochPartial, the function the historical replay uses);
+// the window pushed during k is the merge of its n-2 partials, compressed
+// once per distinct point width. Consecutive windows share n-3 partials,
+// so a round costs O(p) expand-and-merges for the newest epoch plus O(n)
+// partial merges. An accepted upload drops its epoch's partial and every
+// round memo whose span contains it; trimming drops both with the uploads.
 type Center[S Sketch[S]] struct {
 	mu sync.Mutex
 
@@ -34,9 +44,18 @@ type Center[S Sketch[S]] struct {
 	// B sketch for a delta-mode max design, the recovered delta for the
 	// size design. Old epochs are trimmed once outside every window.
 	uploads map[int]map[int64]S
+	// ids lists the point ids in ascending order.
+	ids []int
+	// part[e] is epoch e's spatial join at wMax over the stored uploads,
+	// built lazily.
+	part map[int64]epochPartial[S]
+	// rounds[k] memoizes the window aggregate pushed during k.
+	rounds map[int64]*roundMemo[S]
+
 	// sentAgg[point][epoch] is the aggregate pushed to point during that
 	// epoch, exactly as sent (customized width); additive designs need it
-	// to invert cumulative uploads and to re-push idempotently.
+	// to invert cumulative uploads and to re-push idempotently. Points of
+	// one width share the round memo's sketch, which is never mutated.
 	sentAgg map[int]map[int64]S
 	// sentEnh[point][epoch] is the enhancement pushed during that epoch.
 	sentEnh map[int]map[int64]S
@@ -53,7 +72,7 @@ type Center[S Sketch[S]] struct {
 	// from this child represents: 1 for a direct point, the subtree's leaf
 	// count for a relay (see Relay.Weight). Coverage accounting multiplies
 	// by it so a tree-fed center reports the same merged/expected counts a
-	// flat center would.
+	// flat center would. Every point has an entry (>= 1).
 	weights map[int]int
 
 	// topoGen counts topology mutations (SetWeight); replay-cache entries
@@ -117,7 +136,9 @@ func NewCenter[S Sketch[S]](windowN int, protos map[int]S, cfg EngineConfig[S]) 
 		wMax:      wMax,
 		uploads:   make(map[int]map[int64]S, len(protos)),
 		lastEpoch: make(map[int]int64, len(protos)),
+		weights:   make(map[int]int, len(protos)),
 	}
+	c.resetJoinLocked()
 	if cfg.Additive {
 		c.sentAgg = make(map[int]map[int64]S, len(protos))
 		c.sentEnh = make(map[int]map[int64]S, len(protos))
@@ -126,11 +147,14 @@ func NewCenter[S Sketch[S]](windowN int, protos map[int]S, cfg EngineConfig[S]) 
 	for id, p := range protos {
 		c.protos[id] = p.Clone()
 		c.uploads[id] = make(map[int64]S)
+		c.weights[id] = 1
+		c.ids = append(c.ids, id)
 		if cfg.Additive {
 			c.sentAgg[id] = make(map[int64]S)
 			c.sentEnh[id] = make(map[int64]S)
 		}
 	}
+	slices.Sort(c.ids)
 	return c, nil
 }
 
@@ -148,11 +172,10 @@ func (c *Center[S]) SetWeight(point, weight int) {
 	if weight < 1 {
 		weight = 1
 	}
-	if c.weights == nil {
-		c.weights = make(map[int]int, len(c.protos))
-	}
-	if c.weightLocked(point) != weight {
+	if c.weights[point] != weight {
 		c.topoGen++
+		// Memoized coverage (and partials' merged counts) are weighted.
+		c.resetJoinLocked()
 	}
 	c.weights[point] = weight
 }
@@ -220,14 +243,14 @@ func (c *Center[S]) TotalWeight() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	total := 0
-	for id := range c.protos {
-		total += c.weightLocked(id)
+	for _, w := range c.weights {
+		total += w
 	}
 	return total
 }
 
 func (c *Center[S]) weightLocked(point int) int {
-	if w, ok := c.weights[point]; ok && w > 1 {
+	if w, ok := c.weights[point]; ok {
 		return w
 	}
 	return 1
@@ -265,6 +288,7 @@ func (c *Center[S]) ReceiveMeta(point int, epoch int64, upload S, meta UploadMet
 		// Stored without cloning: re-merging a max sketch is idempotent, so
 		// the center may alias the caller's (ownership-transferred) upload.
 		per[epoch] = upload
+		c.invalidateLocked(epoch)
 		if epoch > c.lastEpoch[point] {
 			c.lastEpoch[point] = epoch
 		}
@@ -328,6 +352,7 @@ func (c *Center[S]) ReceiveMeta(point int, epoch int64, upload S, meta UploadMet
 		}
 	}
 	per[epoch] = delta
+	c.invalidateLocked(epoch)
 	c.lastEpoch[point] = epoch
 	c.trimLocked(epoch)
 	return nil
@@ -365,21 +390,32 @@ func (c *Center[S]) MaxEpoch() int64 {
 func (c *Center[S]) CoverageFor(k int64) (merged, expected int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if m, ok := c.rounds[k]; ok {
+		return m.cov.EpochsMerged, m.cov.EpochsExpected
+	}
+	cov := c.coverageLocked(k)
+	return cov.EpochsMerged, cov.EpochsExpected
+}
+
+// coverageLocked counts the weighted point-epochs the center holds in the
+// span of the aggregate pushed during k, against a healthy window's.
+func (c *Center[S]) coverageLocked(k int64) Coverage {
+	var cov Coverage
 	first, last, ok := aggregateSpan(k, c.windowN)
 	if !ok {
-		return 0, 0
+		return cov
 	}
 	span := int(last - first + 1)
 	for id, per := range c.uploads {
 		w := c.weightLocked(id)
 		for e := first; e <= last; e++ {
 			if _, ok := per[e]; ok {
-				merged += w
+				cov.EpochsMerged += w
 			}
 		}
-		expected += w * span
+		cov.EpochsExpected += w * span
 	}
-	return merged, expected
+	return cov
 }
 
 // HasUpload reports whether the center holds point's measurement for
@@ -411,53 +447,152 @@ func (c *Center[S]) trimLocked(latest int64) {
 		trim(c.sentAgg)
 		trim(c.sentEnh)
 	}
-}
-
-// temporalJoinLocked merges point's measurements over epochs [first,
-// last], or a nil sketch if the range is empty or nothing was uploaded.
-func (c *Center[S]) temporalJoinLocked(point int, first, last int64) (S, error) {
-	var acc S
-	have := false
-	for e := first; e <= last; e++ {
-		d, ok := c.uploads[point][e]
-		if !ok {
-			continue
-		}
-		if !have {
-			acc = d.Clone()
-			have = true
-			continue
-		}
-		if err := acc.Merge(d); err != nil {
-			return acc, fmt.Errorf("core: temporal join point %d epoch %d: %w", point, e, err)
+	for e := range c.part {
+		if e < floor {
+			delete(c.part, e)
 		}
 	}
-	return acc, nil
-}
-
-// spatialJoinLocked expands every per-point aggregate to the maximum width
-// and merges them (the uniform join degenerates to a plain merge).
-func (c *Center[S]) spatialJoinLocked(parts map[int]S) (S, error) {
-	var acc S
-	have := false
-	for point, s := range parts {
-		if IsNil(s) {
-			continue
-		}
-		e, err := s.ExpandTo(c.wMax)
-		if err != nil {
-			return acc, fmt.Errorf("core: expand point %d: %w", point, err)
-		}
-		if !have {
-			acc = e
-			have = true
-			continue
-		}
-		if err := acc.Merge(e); err != nil {
-			return acc, fmt.Errorf("core: spatial join point %d: %w", point, err)
+	for k := range c.rounds {
+		if first, _, _ := aggregateSpan(k, c.windowN); first < floor {
+			delete(c.rounds, k)
 		}
 	}
-	return acc, nil
+}
+
+// liveSource serves the center's window store to computeEpochPartial.
+// Cells are borrowed (the EpochSource contract): the partial clones what
+// it keeps, so no partial aliases a stored upload.
+type liveSource[S Sketch[S]] map[int]map[int64]S
+
+func (ls liveSource[S]) Cell(point int, epoch int64) (S, bool, error) {
+	sk, ok := ls[point][epoch]
+	if ok {
+		sk = sk.Clone()
+	}
+	return sk, ok, nil
+}
+
+func (ls liveSource[S]) EpochCells(epoch int64, points []int, visit func(int, S) error) error {
+	for _, id := range points {
+		if sk, ok := ls[id][epoch]; ok {
+			if err := visit(id, sk); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// roundMemo is the window aggregate pushed during one epoch: the join at
+// wMax, its compression to each point width (built on first request), and
+// its coverage. Its sketches are shared by every caller and never mutated.
+type roundMemo[S Sketch[S]] struct {
+	joined  S // nil when no epoch in the span holds data
+	byWidth map[int]S
+	cov     Coverage
+}
+
+// maxRoundMemos bounds the memoized rounds: the live push needs one, a
+// backfill the one before it.
+const maxRoundMemos = 4
+
+// resetJoinLocked drops every per-epoch partial and round memo.
+func (c *Center[S]) resetJoinLocked() {
+	c.part = make(map[int64]epochPartial[S])
+	c.rounds = make(map[int64]*roundMemo[S])
+}
+
+// invalidateLocked drops the state an accepted upload for epoch stales:
+// the epoch's partial and every round memo whose span contains it.
+func (c *Center[S]) invalidateLocked(epoch int64) {
+	delete(c.part, epoch)
+	for k := range c.rounds {
+		if first, last, ok := aggregateSpan(k, c.windowN); ok && first <= epoch && epoch <= last {
+			delete(c.rounds, k)
+		}
+	}
+}
+
+// partialLocked returns epoch e's merged partial, building it on first use.
+func (c *Center[S]) partialLocked(e int64) (epochPartial[S], error) {
+	if p, ok := c.part[e]; ok {
+		return p, nil
+	}
+	p, err := computeEpochPartial(e, c.ids, c.weights, c.wMax, liveSource[S](c.uploads))
+	if err != nil {
+		return p, err
+	}
+	c.part[e] = p
+	return p, nil
+}
+
+// roundLocked returns the memoized window aggregate pushed during k (eq.
+// (5): epochs k-n+2 .. k-1), joining it from per-epoch partials on first
+// use.
+func (c *Center[S]) roundLocked(k int64) (*roundMemo[S], error) {
+	if m, ok := c.rounds[k]; ok {
+		return m, nil
+	}
+	m := &roundMemo[S]{byWidth: make(map[int]S), cov: c.coverageLocked(k)}
+	if first, last, ok := aggregateSpan(k, c.windowN); ok {
+		for e := first; e <= last; e++ {
+			p, err := c.partialLocked(e)
+			if err != nil {
+				return nil, err
+			}
+			if !p.have {
+				continue
+			}
+			if IsNil(m.joined) {
+				m.joined = p.sk.Clone()
+				continue
+			}
+			if err := m.joined.Merge(p.sk); err != nil {
+				return nil, fmt.Errorf("core: window join epoch %d: %w", e, err)
+			}
+		}
+	}
+	if len(c.rounds) >= maxRoundMemos {
+		oldest := k
+		for r := range c.rounds {
+			oldest = min(oldest, r)
+		}
+		delete(c.rounds, oldest)
+	}
+	c.rounds[k] = m
+	return m, nil
+}
+
+// aggregateLocked returns the shared aggregate for (point, k): the
+// additive design's recorded push if one exists, else the round memo's
+// compression to the point's width, recorded as sent for additive designs.
+func (c *Center[S]) aggregateLocked(point int, k int64) (S, error) {
+	var zero S
+	proto, ok := c.protos[point]
+	if !ok {
+		return zero, fmt.Errorf("core: unknown %s point %d", c.design, point)
+	}
+	if c.additive {
+		if sent, ok := c.sentAgg[point][k]; ok {
+			return sent, nil
+		}
+	}
+	m, err := c.roundLocked(k)
+	if err != nil || IsNil(m.joined) {
+		return zero, err
+	}
+	w := proto.Width()
+	out, ok := m.byWidth[w]
+	if !ok {
+		if out, err = m.joined.CompressTo(w); err != nil {
+			return zero, err
+		}
+		m.byWidth[w] = out
+	}
+	if c.additive {
+		c.sentAgg[point][k] = out
+	}
+	return out, nil
 }
 
 // AggregateFor computes, during epoch k, the networkwide join of epochs
@@ -466,41 +601,26 @@ func (c *Center[S]) spatialJoinLocked(parts map[int]S) (S, error) {
 // the range has data (cluster start-up). For additive designs the result
 // is recorded as sent (required for recovery in cumulative mode) and the
 // call is idempotent per (point, k): repeated calls return the recorded
-// aggregate.
+// aggregate. The result is the caller's to mutate.
 func (c *Center[S]) AggregateFor(point int, k int64) (S, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var zero S
-	proto, ok := c.protos[point]
-	if !ok {
-		return zero, fmt.Errorf("core: unknown %s point %d", c.design, point)
+	out, err := c.aggregateLocked(point, k)
+	if err != nil || IsNil(out) {
+		return out, err
 	}
-	if c.additive {
-		if sent, ok := c.sentAgg[point][k]; ok {
-			return sent.Clone(), nil
-		}
-	}
-	first, last := k-int64(c.windowN)+2, k-1
-	parts := make(map[int]S, len(c.uploads))
-	for id := range c.uploads {
-		tj, err := c.temporalJoinLocked(id, first, last)
-		if err != nil {
-			return zero, err
-		}
-		parts[id] = tj
-	}
-	joined, err := c.spatialJoinLocked(parts)
-	if err != nil || IsNil(joined) {
-		return zero, err
-	}
-	out, err := joined.CompressTo(proto.Width())
-	if err != nil {
-		return zero, err
-	}
-	if c.additive {
-		c.sentAgg[point][k] = out.Clone()
-	}
-	return out, nil
+	return out.Clone(), nil
+}
+
+// AggregateShared is AggregateFor without the copy: the returned sketch is
+// shared with every point of the same width and with the center's
+// bookkeeping, so the caller must not mutate it. The same sketch value is
+// returned until an accepted upload or a topology change invalidates the
+// round, which lets a caller cache per-sketch work such as its encoding.
+func (c *Center[S]) AggregateShared(point int, k int64) (S, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.aggregateLocked(point, k)
 }
 
 // EnhancementFor computes, during epoch k, the join over peers (all points
@@ -521,18 +641,26 @@ func (c *Center[S]) EnhancementFor(point int, k int64) (S, error) {
 			return sent.Clone(), nil
 		}
 	}
-	parts := make(map[int]S, len(c.uploads))
+	var joined S
 	for id, per := range c.uploads {
-		if id == point {
+		d, ok := per[k-1]
+		if id == point || !ok {
 			continue
 		}
-		if d, ok := per[k-1]; ok {
-			parts[id] = d
+		e, err := d.ExpandTo(c.wMax)
+		if err != nil {
+			return zero, fmt.Errorf("core: expand point %d: %w", id, err)
+		}
+		if IsNil(joined) {
+			joined = e
+			continue
+		}
+		if err := joined.Merge(e); err != nil {
+			return zero, fmt.Errorf("core: spatial join point %d: %w", id, err)
 		}
 	}
-	joined, err := c.spatialJoinLocked(parts)
-	if err != nil || IsNil(joined) {
-		return zero, err
+	if IsNil(joined) {
+		return zero, nil
 	}
 	out, err := joined.CompressTo(proto.Width())
 	if err != nil {

@@ -141,6 +141,7 @@ func (c *SpreadCenter[S]) ImportState(st *SpreadCenterState, unmarshal func([]by
 	}
 	c.uploads = uploads
 	c.lastEpoch = lastEpoch
+	c.resetJoinLocked()
 	return nil
 }
 
@@ -236,5 +237,6 @@ func (c *SizeCenter) ImportState(st *SizeCenterState) error {
 	c.sentEnh = sentEnh
 	c.lastEpoch = lastEpoch
 	c.chainBroken = chainBroken
+	c.resetJoinLocked()
 	return nil
 }

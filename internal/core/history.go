@@ -301,35 +301,17 @@ func (c *Center[S]) queryEpochsFrom(f uint64, first, last int64, src HistorySour
 func (c *Center[S]) QueryWindowLive(f uint64, k int64) (float64, Coverage, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	first, last, ok := aggregateSpan(k, c.windowN)
-	if !ok {
+	if _, _, ok := aggregateSpan(k, c.windowN); !ok {
 		return 0, Coverage{}, fmt.Errorf("core: epoch %d has no completed window", k)
 	}
-	var cov Coverage
-	span := int(last - first + 1)
-	parts := make(map[int]S, len(c.uploads))
-	for id, per := range c.uploads {
-		w := c.weightLocked(id)
-		cov.EpochsExpected += w * span
-		for e := first; e <= last; e++ {
-			if _, ok := per[e]; ok {
-				cov.EpochsMerged += w
-			}
-		}
-		tj, err := c.temporalJoinLocked(id, first, last)
-		if err != nil {
-			return 0, cov, err
-		}
-		parts[id] = tj
-	}
-	joined, err := c.spatialJoinLocked(parts)
+	m, err := c.roundLocked(k)
 	if err != nil {
-		return 0, cov, err
+		return 0, Coverage{}, err
 	}
-	if IsNil(joined) {
-		return 0, cov, nil
+	if IsNil(m.joined) {
+		return 0, m.cov, nil
 	}
-	return joined.EstimateUnion(f, nil), cov, nil
+	return m.joined.EstimateUnion(f, nil), m.cov, nil
 }
 
 // MarshalUpload encodes the stored single-epoch measurement for (point,

@@ -186,6 +186,20 @@ func (pc *pointConn) send(v any) error {
 	return pc.enc.Encode(v)
 }
 
+// fanOut runs send for every connection concurrently and returns once all
+// have returned.
+func fanOut(conns []*pointConn, send func(pc *pointConn)) {
+	var wg sync.WaitGroup
+	wg.Add(len(conns))
+	for _, pc := range conns {
+		go func(pc *pointConn) {
+			defer wg.Done()
+			send(pc)
+		}(pc)
+	}
+	wg.Wait()
+}
+
 // isWedged reports whether a connection error means the peer is wedged
 // (deadline expired) rather than gone (reset, EOF, closed). Wedged peers
 // are evicted and counted; gone peers just disconnect.
@@ -861,7 +875,9 @@ func (s *CenterServer) pushTo(pc *pointConn, forEpoch int64) error {
 }
 
 // pushRound computes and sends each point's aggregate (and enhancement)
-// for the given epoch.
+// for the given epoch. The sends run concurrently, each under its own
+// write deadline, so a child that stopped reading delays only itself; the
+// round completes once every send has returned.
 func (s *CenterServer) pushRound(forEpoch int64) error {
 	s.mu.Lock()
 	conns := make([]*pointConn, 0, len(s.conns))
@@ -869,7 +885,7 @@ func (s *CenterServer) pushRound(forEpoch int64) error {
 		conns = append(conns, pc)
 	}
 	s.mu.Unlock()
-	for _, pc := range conns {
+	fanOut(conns, func(pc *pointConn) {
 		if err := s.pushTo(pc, forEpoch); err != nil {
 			s.cfg.Logf("transport: push to point %d: %v", pc.point, err)
 			if isWedged(err) {
@@ -881,7 +897,7 @@ func (s *CenterServer) pushRound(forEpoch int64) error {
 				s.bumpEvictions()
 			}
 		}
-	}
+	})
 	s.mu.Lock()
 	if forEpoch > s.lastPush {
 		s.lastPush = forEpoch

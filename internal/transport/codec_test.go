@@ -1,7 +1,12 @@
 package transport
 
 import (
+	"bytes"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/countmin"
+	"repro/internal/rskt"
 )
 
 // The payload codec is negotiated per connection, so a cluster may mix
@@ -180,4 +185,72 @@ func TestHostileWelcomeCodecClamped(t *testing.T) {
 	if got := negotiateCodec(CodecPacked, CodecLegacy); got != CodecLegacy {
 		t.Errorf("legacy side negotiated %d, want legacy", got)
 	}
+}
+
+// The relay re-encodes each upstream push once per (child width, codec)
+// and passes the payload through untouched when neither changes. The
+// pass-through must be byte-identical to decoding, compressing to the
+// same width and re-marshaling under the same codec — the per-child path
+// every other child still takes.
+func TestRelayPassThroughMatchesReencode(t *testing.T) {
+	const relayW = 64
+	for _, kind := range []Kind{KindSpread, KindSize} {
+		// A relay-width push as a center builds it: a wider join, compressed.
+		var payload func(compact bool) []byte
+		switch kind {
+		case KindSpread:
+			wide := rskt.New(rskt.Params{W: 4 * relayW, M: 8, Seed: 3})
+			for i := uint64(0); i < 2000; i++ {
+				wide.Record(i%37, i)
+			}
+			sk, err := wide.CompressTo(relayW)
+			if err != nil {
+				t.Fatal(err)
+			}
+			payload = func(compact bool) []byte { return mustMarshal(t, sk, compact) }
+		case KindSize:
+			wide := countmin.New(countmin.Params{D: 2, W: 4 * relayW, Seed: 3})
+			for i := uint64(0); i < 2000; i++ {
+				wide.Record(i%37, 0)
+			}
+			sk, err := wide.CompressTo(relayW)
+			if err != nil {
+				t.Fatal(err)
+			}
+			payload = func(compact bool) []byte { return mustMarshal(t, sk, compact) }
+		}
+		eng, err := newRelayEngine(RelayConfig{Kind: kind, WindowN: 5, M: 8, D: 2, Seed: 3,
+			Widths: map[int]int{0: relayW / 4, 1: relayW}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, src := range []int{CodecLegacy, CodecPacked} {
+			data := payload(src == CodecPacked)
+			known, unknown := eng.reencoder(data, src), eng.reencoder(data, -1)
+			for _, childW := range []int{relayW / 4, relayW} {
+				for _, codec := range []int{CodecLegacy, CodecPacked} {
+					got, err := known(childW, codec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := unknown(childW, codec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got, want) {
+						t.Fatalf("%s: source codec %d, child width %d codec %d: pass-through differs from re-encoding", kind, src, childW, codec)
+					}
+				}
+			}
+		}
+	}
+}
+
+func mustMarshal[S core.Sketch[S]](t *testing.T, sk S, compact bool) []byte {
+	t.Helper()
+	b, err := marshalSketch(sk, compact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

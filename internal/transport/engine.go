@@ -412,6 +412,50 @@ type engineCenter[S core.Sketch[S]] struct {
 	// batched history read path (logSource.EpochCells).
 	histOnce sync.Once
 	hist     *sketchPool[S]
+	// pushEnc caches the newest round's encoded aggregates.
+	pushEnc encodeMemo
+}
+
+// encodeMemo caches marshaled aggregates for the newest pushed epoch,
+// keyed by the shared sketch core.Center.AggregateShared returned and the
+// codec. Every point of one width receives the same sketch, so a round
+// encodes once per (width, codec); a round memo rebuilt after a late
+// upload hands out new sketches, which miss the cache instead of serving
+// stale bytes. The cached slices are shared by every Push built from
+// them and never written.
+type encodeMemo struct {
+	mu    sync.Mutex
+	epoch int64
+	bytes map[encodeKey][]byte
+}
+
+type encodeKey struct {
+	sk      any
+	compact bool
+}
+
+// encode returns sk's encoding for a push during forEpoch, from the cache
+// when forEpoch is the newest epoch seen. Older epochs (a backfill's
+// previous round) are encoded without caching.
+func (m *encodeMemo) encode(forEpoch int64, sk any, compact bool, marshal func() ([]byte, error)) ([]byte, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if forEpoch > m.epoch {
+		m.epoch = forEpoch
+		m.bytes = make(map[encodeKey][]byte)
+	}
+	if forEpoch < m.epoch {
+		return marshal()
+	}
+	key := encodeKey{sk, compact}
+	if b, ok := m.bytes[key]; ok {
+		return b, nil
+	}
+	b, err := marshal()
+	if err == nil {
+		m.bytes[key] = b
+	}
+	return b, err
 }
 
 func (e *engineCenter[S]) histPool() *sketchPool[S] {
@@ -451,12 +495,15 @@ func (e *engineCenter[S]) receive(up Upload) error {
 
 func (e *engineCenter[S]) buildPush(point int, forEpoch int64, enhance, compact bool) (Push, error) {
 	push := Push{ForEpoch: forEpoch}
-	agg, err := e.ctr.AggregateFor(point, forEpoch)
+	agg, err := e.ctr.AggregateShared(point, forEpoch)
 	if err != nil {
 		return push, err
 	}
 	if !core.IsNil(agg) {
-		if push.Aggregate, err = marshalSketch(agg, compact); err != nil {
+		push.Aggregate, err = e.pushEnc.encode(forEpoch, agg, compact, func() ([]byte, error) {
+			return marshalSketch(agg, compact)
+		})
+		if err != nil {
 			return push, err
 		}
 	}

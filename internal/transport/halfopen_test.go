@@ -572,3 +572,74 @@ func TestHalfOpenShardEvictedAndReadmitted(t *testing.T) {
 		}
 	})
 }
+
+// A child that stops reading must delay only its own push. With pushes
+// sent one child at a time, every child after the wedged one in the
+// round's order waited out the write deadline before the eviction freed
+// the round; the fan-out sends to each child concurrently. Several trials
+// put the wedged child at different places in that order.
+func TestWedgedChildDoesNotStallRound(t *testing.T) {
+	const (
+		p       = 8
+		wto     = 5 * time.Second
+		patient = wto / 5
+	)
+	for trial := int64(0); trial < 3; trial++ {
+		fnet := faultnet.New(fmSeed + trial)
+		widths := map[int]int{}
+		for x := 0; x < p; x++ {
+			widths[x] = fmW
+		}
+		srv, err := ServeCenter(CenterConfig{
+			Listener: fnet.Listen(), Kind: KindSpread, WindowN: fmN,
+			Widths: widths, M: fmM, D: fmD, Seed: fmSeed,
+			WriteTimeout: wto, Logf: quietLogf,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var links []*faultnet.Link
+		var pts []*PointClient
+		for x := 0; x < p; x++ {
+			link := fnet.Link()
+			pc, err := DialPoint(PointConfig{
+				Addr: "faultnet", Point: x, Kind: KindSpread,
+				W: fmW, M: fmM, D: fmD, Seed: fmSeed, Dial: link.Dial,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			links = append(links, link)
+			pts = append(pts, pc)
+		}
+		hoEpoch(t, srv, pts, 1)
+
+		// Child 0 uploads epoch 2, then stops draining its connection.
+		for x := range pts {
+			record(2, x, pts[x].Record)
+		}
+		if err := pts[0].EndEpoch(); err != nil {
+			t.Fatal(err)
+		}
+		if !srv.WaitUploads(p + 1) {
+			t.Fatal("center closed before child 0's epoch-2 upload")
+		}
+		links[0].HalfOpen()
+		for x := 1; x < p; x++ {
+			if err := pts[x].EndEpoch(); err != nil {
+				t.Fatalf("point %d EndEpoch(2): %v", x, err)
+			}
+		}
+		for x := 1; x < p; x++ {
+			if !pts[x].WaitPushEpoch(3, patient) {
+				t.Fatalf("trial %d: point %d waited more than %v for round 2 behind a wedged child", trial, x, patient)
+			}
+		}
+		// Closing the center drops the wedged write without waiting out
+		// its deadline.
+		srv.Close()
+		for _, pc := range pts {
+			pc.Close()
+		}
+	}
+}

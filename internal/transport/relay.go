@@ -660,9 +660,11 @@ func (s *RelayServer) handleUpstreamPush(push Push) error {
 		conns = append(conns, pc)
 	}
 	doCkpt := s.ckpt != nil && (s.rounds+1)%s.ckptEvery == 0
+	// The push arrived on the current upstream hop, under its codec.
+	rp := s.prepare(push, s.upCodec)
 	s.mu.Unlock()
-	for _, pc := range conns {
-		if err := s.forwardPush(pc, push, false); err != nil {
+	fanOut(conns, func(pc *pointConn) {
+		if err := s.forwardPush(pc, rp, false); err != nil {
 			s.cfg.Logf("transport: relay push to child %d: %v", pc.point, err)
 			if isWedged(err) {
 				// The child stopped draining pushes: evict it so the dead
@@ -675,7 +677,7 @@ func (s *RelayServer) handleUpstreamPush(push Push) error {
 				s.mu.Unlock()
 			}
 		}
-	}
+	})
 	if doCkpt {
 		s.writeCheckpoint()
 	}
@@ -687,27 +689,45 @@ func (s *RelayServer) handleUpstreamPush(push Push) error {
 	return nil
 }
 
-// forwardPush re-encodes a relay-width push for one child (its width, its
-// codec) and sends it. Compression composes exactly along the width
-// chain, so the child receives bit-identically what a flat center would
-// have sent it.
-func (s *RelayServer) forwardPush(pc *pointConn, push Push, intoCurrent bool) error {
+// relayPush is one relay-width push ready to fan out: its payloads'
+// per-child re-encodings are built once and shared by every child.
+type relayPush struct {
+	Push
+	agg, enh func(childW, codec int) ([]byte, error)
+}
+
+// prepare wraps a relay-width push for forwarding. srcCodec is the codec
+// its payloads were encoded under, or -1 when unknown (a cached push).
+func (s *RelayServer) prepare(push Push, srcCodec int) relayPush {
+	rp := relayPush{Push: push}
+	if len(push.Aggregate) > 0 {
+		rp.agg = s.eng.reencoder(push.Aggregate, srcCodec)
+	}
+	if len(push.Enhancement) > 0 {
+		rp.enh = s.eng.reencoder(push.Enhancement, srcCodec)
+	}
+	return rp
+}
+
+// forwardPush sends one child a relay-width push at its width and codec.
+// Compression composes exactly along the width chain, so the child
+// receives bit-identically what a flat center would have sent it.
+func (s *RelayServer) forwardPush(pc *pointConn, rp relayPush, intoCurrent bool) error {
 	childW := s.cfg.Widths[pc.point]
 	out := Push{
-		ForEpoch:    push.ForEpoch,
-		CovMerged:   push.CovMerged,
-		CovExpected: push.CovExpected,
+		ForEpoch:    rp.ForEpoch,
+		CovMerged:   rp.CovMerged,
+		CovExpected: rp.CovExpected,
 		IntoCurrent: intoCurrent,
 	}
-	compact := pc.codec >= CodecPacked
 	var err error
-	if len(push.Aggregate) > 0 {
-		if out.Aggregate, err = s.eng.compressFor(push.Aggregate, childW, compact); err != nil {
+	if rp.agg != nil {
+		if out.Aggregate, err = rp.agg(childW, pc.codec); err != nil {
 			return err
 		}
 	}
-	if !intoCurrent && len(push.Enhancement) > 0 {
-		if out.Enhancement, err = s.eng.compressFor(push.Enhancement, childW, compact); err != nil {
+	if !intoCurrent && rp.enh != nil {
+		if out.Enhancement, err = rp.enh(childW, pc.codec); err != nil {
 			return err
 		}
 	}
@@ -958,7 +978,7 @@ func (s *RelayServer) backfillChild(pc *pointConn, K int64) error {
 	s.mu.Unlock()
 	if haveFill && len(fill.Aggregate) > 0 {
 		fill.ForEpoch = K
-		if err := s.forwardPush(pc, fill, true); err != nil {
+		if err := s.forwardPush(pc, s.prepare(fill, -1), true); err != nil {
 			return err
 		}
 		s.mu.Lock()
@@ -967,7 +987,7 @@ func (s *RelayServer) backfillChild(pc *pointConn, K int64) error {
 		s.mu.Unlock()
 	}
 	if haveCur {
-		return s.forwardPush(pc, cur, false)
+		return s.forwardPush(pc, s.prepare(cur, -1), false)
 	}
 	return nil
 }
@@ -980,7 +1000,7 @@ func (s *RelayServer) repushTo(pc *pointConn, forEpoch int64) error {
 	if !ok {
 		return nil
 	}
-	return s.forwardPush(pc, push, false)
+	return s.forwardPush(pc, s.prepare(push, -1), false)
 }
 
 // ingestChild merges one child upload and forwards every round it

@@ -61,9 +61,8 @@ func benchRelayUploadBytes(b *testing.B, leaf []byte, children int) []byte {
 
 // benchCenterEpochs times the center-side ingest cost of one epoch: one
 // upload decoded and merged per direct child. Push fan-out is excluded —
-// AggregateFor is O(children) joins per push and per-point-customized, so
-// timing it here would swamp the ingest signal this benchmark isolates
-// (the tree shrinks that bill too, from p joins to 8 per aggregate).
+// the round's window join, compressions and encodings would swamp the
+// ingest signal this benchmark isolates.
 func benchCenterEpochs(b *testing.B, children, weight int, payload []byte) {
 	widths := make(map[int]int, children)
 	weights := make(map[int]int, children)

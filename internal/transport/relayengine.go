@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/countmin"
@@ -22,10 +23,15 @@ type relayEngine interface {
 	// marshaled under the negotiated codec; ok=false when the next epoch's
 	// round is still missing children. Call in a loop.
 	nextReady(compact bool) (epoch int64, payload []byte, ok bool, err error)
-	// compressFor re-encodes a relay-width push payload at a child's width
-	// and codec (the expand-and-compress chain's downward leg; compression
-	// composes exactly along divisibility chains of widths).
-	compressFor(data []byte, childW int, compact bool) ([]byte, error)
+	// reencoder returns the re-encoding of one relay-width push payload at
+	// a child's width and codec (the expand-and-compress chain's downward
+	// leg; compression composes exactly along divisibility chains of
+	// widths). The payload is decoded at most once and each distinct
+	// (width, codec) is built once; the function is safe for concurrent
+	// use. srcCodec is the codec data was encoded under, or -1 when
+	// unknown: a child at the relay width on that codec gets data itself,
+	// which canonical encodings make bit-identical to re-encoding it.
+	reencoder(data []byte, srcCodec int) func(childW, codec int) ([]byte, error)
 	relayWidth() int
 	weight() int
 	lastEpoch(child int) int64
@@ -60,16 +66,44 @@ func (e *engineRelay[S]) nextReady(compact bool) (int64, []byte, bool, error) {
 	return epoch, data, true, err
 }
 
-func (e *engineRelay[S]) compressFor(data []byte, childW int, compact bool) ([]byte, error) {
-	sk, err := e.dec(data)
-	if err != nil {
-		return nil, err
+func (e *engineRelay[S]) reencoder(data []byte, srcCodec int) func(childW, codec int) ([]byte, error) {
+	type key struct {
+		w       int
+		compact bool
 	}
-	out, err := sk.CompressTo(childW)
-	if err != nil {
-		return nil, err
+	var (
+		mu     sync.Mutex
+		sk     S
+		decErr error
+		built  = make(map[key][]byte)
+	)
+	return func(childW, codec int) ([]byte, error) {
+		compact := codec >= CodecPacked
+		if srcCodec >= 0 && childW == e.rel.Width() && compact == (srcCodec >= CodecPacked) {
+			return data, nil
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		k := key{childW, compact}
+		if b, ok := built[k]; ok {
+			return b, nil
+		}
+		if core.IsNil(sk) && decErr == nil {
+			sk, decErr = e.dec(data)
+		}
+		if decErr != nil {
+			return nil, decErr
+		}
+		out, err := sk.CompressTo(childW)
+		if err != nil {
+			return nil, err
+		}
+		b, err := marshalSketch(out, compact)
+		if err == nil {
+			built[k] = b
+		}
+		return b, err
 	}
-	return marshalSketch(out, compact)
 }
 
 func (e *engineRelay[S]) relayWidth() int             { return e.rel.Width() }
