@@ -33,24 +33,6 @@ const (
 	SketchVhll = "vhll"
 )
 
-// compactMarshaler is implemented by every sketch backend: the run-length
-// (CodecPacked) encoding next to the encoding.BinaryMarshaler fixed one.
-type compactMarshaler interface {
-	MarshalBinaryCompact() ([]byte, error)
-}
-
-// marshalSketch encodes one sketch blob under the negotiated codec. Every
-// backend implements compactMarshaler; the fallback keeps a hypothetical
-// future backend without a compact form on the wire rather than failing.
-func marshalSketch[S core.Sketch[S]](sk S, compact bool) ([]byte, error) {
-	if compact {
-		if cm, ok := any(sk).(compactMarshaler); ok {
-			return cm.MarshalBinaryCompact()
-		}
-	}
-	return sk.MarshalBinary()
-}
-
 // sketchPool recycles decoded sketch scratch on paths that never retain
 // the decoded value (merge-only applies at the point, the additive
 // receive at the size center). Decoding into a recycled sketch of the
@@ -93,9 +75,8 @@ type pointEngine interface {
 	query(f uint64) float64
 	queryCov(f uint64) (float64, core.Coverage)
 	// endEpoch rolls the epoch and returns the finished epoch's number,
-	// marshaled upload and protocol metadata. compact selects the
-	// CodecPacked payload encoding negotiated for the connection.
-	endEpoch(rebase, compact bool) (int64, []byte, core.UploadMeta, error)
+	// marshaled upload and protocol metadata.
+	endEpoch(rebase bool) (int64, []byte, core.UploadMeta, error)
 	applyAggregate(forEpoch int64, data []byte, merged int) error
 	applyEnhancement(forEpoch int64, data []byte) error
 	applyBackfill(forEpoch int64, data []byte, merged int) error
@@ -127,9 +108,12 @@ type IngestPipe interface {
 }
 
 // pointCodec is the design- and backend-specific part of a point engine:
-// how sketch blobs decode, and how the TQST1 state file is framed.
+// how sketch blobs encode and decode, and how the state file is framed.
 type pointCodec[S core.Sketch[S]] struct {
-	// dec decodes one sketch blob.
+	// enc is the compact encoding every payload and state blob travels in;
+	// dec decodes one sketch blob, compact or fixed (it dispatches on the
+	// sketch's magic byte).
+	enc func(S) ([]byte, error)
 	dec func([]byte) (S, error)
 	// stateKind is the TQST1 kind byte ('s' spread, 'z' size).
 	stateKind byte
@@ -186,10 +170,10 @@ func (e *enginePoint[S]) queryUnionCov(f uint64, peers []pointEngine) (float64, 
 	return est, cov, nil
 }
 
-func (e *enginePoint[S]) endEpoch(rebase, compact bool) (int64, []byte, core.UploadMeta, error) {
+func (e *enginePoint[S]) endEpoch(rebase bool) (int64, []byte, core.UploadMeta, error) {
 	epoch := e.pt.Epoch()
 	up, meta := e.pt.EndEpochMeta(rebase)
-	data, err := marshalSketch(up, compact)
+	data, err := e.codec.enc(up)
 	return epoch, data, meta, err
 }
 
@@ -260,7 +244,7 @@ func newPointEngine(cfg PointConfig) (pointEngine, error) {
 				return nil, err
 			}
 			return newEnginePoint(pt.Point, pointCodec[*rskt.Sketch]{
-				dec: decodeRskt, stateKind: 's',
+				enc: (*rskt.Sketch).MarshalBinaryCompact, dec: decodeRskt, stateKind: 's',
 			}), nil
 		case SketchVhll:
 			params := vhll.Params{PhysicalRegisters: cfg.W, VirtualRegisters: cfg.M, Seed: cfg.Seed}
@@ -278,7 +262,7 @@ func newPointEngine(cfg PointConfig) (pointEngine, error) {
 				return nil, err
 			}
 			return newEnginePoint(pt.Point, pointCodec[*vhll.Sketch]{
-				dec: decodeVhll, stateKind: 's',
+				enc: (*vhll.Sketch).MarshalBinaryCompact, dec: decodeVhll, stateKind: 's',
 			}), nil
 		default:
 			return nil, fmt.Errorf("transport: unknown spread sketch %q", cfg.Sketch)
@@ -299,7 +283,7 @@ func newPointEngine(cfg PointConfig) (pointEngine, error) {
 			return nil, err
 		}
 		return newEnginePoint(pt.Point, pointCodec[*countmin.Sketch]{
-			dec: decodeCountMin, stateKind: 'z', hasBByte: true,
+			enc: (*countmin.Sketch).MarshalBinaryCompact, dec: decodeCountMin, stateKind: 'z', hasBByte: true,
 		}), nil
 	default:
 		return nil, fmt.Errorf("transport: unknown kind %q", cfg.Kind)
@@ -316,9 +300,8 @@ type centerEngine interface {
 	setWeight(point, weight int)
 	totalWeight() int
 	receive(up Upload) error
-	// buildPush assembles one point's Push; compact selects the
-	// CodecPacked payload encoding negotiated for that point's connection.
-	buildPush(point int, forEpoch int64, enhance, compact bool) (Push, error)
+	// buildPush assembles one point's Push.
+	buildPush(point int, forEpoch int64, enhance bool) (Push, error)
 	// reported tells whether the point's upload for the epoch counted
 	// toward its round (stored, or — in cumulative mode — consumed by the
 	// sequence position even when gap-dropped).
@@ -390,8 +373,8 @@ func (ls logSource[S]) EpochCells(epoch int64, points []int, visit func(point in
 type engineCenter[S core.Sketch[S]] struct {
 	ctr *core.Center[S]
 	dec func([]byte) (S, error)
-	// enc is the canonical (compact) encoder the epoch log stores cells
-	// under — deterministic bytes regardless of connection codec.
+	// enc is the canonical (compact) encoding of every payload the center
+	// sends and every cell the epoch log stores.
 	enc func(S) ([]byte, error)
 	// recv ingests one decoded upload (the design wrapper's ReceiveMeta,
 	// which for size also checks the sketch parameters).
@@ -417,43 +400,36 @@ type engineCenter[S core.Sketch[S]] struct {
 }
 
 // encodeMemo caches marshaled aggregates for the newest pushed epoch,
-// keyed by the shared sketch core.Center.AggregateShared returned and the
-// codec. Every point of one width receives the same sketch, so a round
-// encodes once per (width, codec); a round memo rebuilt after a late
-// upload hands out new sketches, which miss the cache instead of serving
-// stale bytes. The cached slices are shared by every Push built from
-// them and never written.
+// keyed by the shared sketch core.Center.AggregateShared returned. Every
+// point of one width receives the same sketch, so a round encodes once per
+// width; a round memo rebuilt after a late upload hands out new sketches,
+// which miss the cache instead of serving stale bytes. The cached slices
+// are shared by every Push built from them and never written.
 type encodeMemo struct {
 	mu    sync.Mutex
 	epoch int64
-	bytes map[encodeKey][]byte
-}
-
-type encodeKey struct {
-	sk      any
-	compact bool
+	bytes map[any][]byte
 }
 
 // encode returns sk's encoding for a push during forEpoch, from the cache
 // when forEpoch is the newest epoch seen. Older epochs (a backfill's
 // previous round) are encoded without caching.
-func (m *encodeMemo) encode(forEpoch int64, sk any, compact bool, marshal func() ([]byte, error)) ([]byte, error) {
+func (m *encodeMemo) encode(forEpoch int64, sk any, marshal func() ([]byte, error)) ([]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if forEpoch > m.epoch {
 		m.epoch = forEpoch
-		m.bytes = make(map[encodeKey][]byte)
+		m.bytes = make(map[any][]byte)
 	}
 	if forEpoch < m.epoch {
 		return marshal()
 	}
-	key := encodeKey{sk, compact}
-	if b, ok := m.bytes[key]; ok {
+	if b, ok := m.bytes[sk]; ok {
 		return b, nil
 	}
 	b, err := marshal()
 	if err == nil {
-		m.bytes[key] = b
+		m.bytes[sk] = b
 	}
 	return b, err
 }
@@ -493,16 +469,14 @@ func (e *engineCenter[S]) receive(up Upload) error {
 	return err
 }
 
-func (e *engineCenter[S]) buildPush(point int, forEpoch int64, enhance, compact bool) (Push, error) {
+func (e *engineCenter[S]) buildPush(point int, forEpoch int64, enhance bool) (Push, error) {
 	push := Push{ForEpoch: forEpoch}
 	agg, err := e.ctr.AggregateShared(point, forEpoch)
 	if err != nil {
 		return push, err
 	}
 	if !core.IsNil(agg) {
-		push.Aggregate, err = e.pushEnc.encode(forEpoch, agg, compact, func() ([]byte, error) {
-			return marshalSketch(agg, compact)
-		})
+		push.Aggregate, err = e.pushEnc.encode(forEpoch, agg, func() ([]byte, error) { return e.enc(agg) })
 		if err != nil {
 			return push, err
 		}
@@ -513,7 +487,7 @@ func (e *engineCenter[S]) buildPush(point int, forEpoch int64, enhance, compact 
 			return push, err
 		}
 		if !core.IsNil(enh) {
-			if push.Enhancement, err = marshalSketch(enh, compact); err != nil {
+			if push.Enhancement, err = e.enc(enh); err != nil {
 				return push, err
 			}
 		}
@@ -579,7 +553,7 @@ func newCenterEngine(cfg CenterConfig) (centerEngine, error) {
 					// Compact blobs in the checkpoint: the import path
 					// dispatches on the sketch magic, so checkpoints written
 					// by older (fixed-encoding) binaries keep restoring.
-					st, err := ctr.ExportState(func(sk *rskt.Sketch) ([]byte, error) { return sk.MarshalBinaryCompact() })
+					st, err := ctr.ExportState((*rskt.Sketch).MarshalBinaryCompact)
 					if err != nil {
 						return err
 					}
@@ -607,7 +581,7 @@ func newCenterEngine(cfg CenterConfig) (centerEngine, error) {
 				enc:  (*vhll.Sketch).MarshalBinaryCompact,
 				recv: ctr.ReceiveMeta,
 				save: func(ck *centerCheckpoint) error {
-					st, err := ctr.ExportState(func(sk *vhll.Sketch) ([]byte, error) { return sk.MarshalBinaryCompact() })
+					st, err := ctr.ExportState((*vhll.Sketch).MarshalBinaryCompact)
 					if err != nil {
 						return err
 					}

@@ -62,8 +62,8 @@ func fuzzSizeSketchBytes(t interface{ Fatal(args ...any) }) []byte {
 	return b
 }
 
-// The *Compact variants encode the same sketches under CodecPacked; the
-// packed wire goldens pin them.
+// The *Compact variants encode the same sketches in the compact encoding
+// every current peer sends; the packed wire goldens pin them.
 func fuzzSpreadSketchBytesCompact(t interface{ Fatal(args ...any) }) []byte {
 	sk := rskt.New(rskt.Params{W: 16, M: 4, Seed: 5})
 	for e := 0; e < 30; e++ {

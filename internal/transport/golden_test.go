@@ -34,15 +34,15 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden wire-format fi
 
 // goldenMessages fixes one representative value per wire message. The
 // sketch payloads are real encodings so the goldens also pin the sketch
-// binary formats that ride inside Upload and Push — once per codec: the
-// *_packed variants carry CodecPacked payloads, the plain ones legacy.
+// binary formats that ride inside Upload and Push — once per encoding: the
+// *_packed variants carry the compact payloads every current peer sends,
+// the plain ones the fixed payloads of older peers, which must keep
+// decoding.
 func goldenMessages(t *testing.T) map[string]any {
 	t.Helper()
 	return map[string]any{
-		"hello": Hello{Point: 3, Kind: KindSpread, W: 32, StateEpoch: 15, Codec: CodecPacked},
-		"welcome": Welcome{
-			WindowN: 5, Points: 4, ResumeEpoch: 17, PointEpoch: 15, Codec: CodecPacked,
-		},
+		"hello":   Hello{Point: 3, Kind: KindSpread, W: 32, StateEpoch: 15},
+		"welcome": Welcome{WindowN: 5, Points: 4, ResumeEpoch: 17, PointEpoch: 15},
 		"upload": Upload{
 			Point: 3, Epoch: 16, Sketch: fuzzSizeSketchBytes(t),
 			AggApplied: true, EnhApplied: false, Rebase: true,
@@ -175,11 +175,10 @@ func TestGoldenDecodable(t *testing.T) {
 	}
 }
 
-// TestGoldenLegacyHandshakeDecodable proves a pre-codec peer's handshake
+// TestGoldenLegacyHandshakeDecodable proves an older peer's handshake
 // still reads correctly: the _v1 goldens were written by the message types
-// before the Codec field existed, and gob must leave the field zero —
-// CodecLegacy — when decoding them, which is exactly what keeps old peers
-// on the legacy payload encodings.
+// of an earlier release, and gob must decode every field they share with
+// the current types.
 func TestGoldenLegacyHandshakeDecodable(t *testing.T) {
 	read := func(name string) []byte {
 		b, err := os.ReadFile(filepath.Join("testdata", "golden", name+".bin"))
@@ -192,18 +191,12 @@ func TestGoldenLegacyHandshakeDecodable(t *testing.T) {
 	if err := gob.NewDecoder(bytes.NewReader(read("hello_v1"))).Decode(&h); err != nil {
 		t.Fatal(err)
 	}
-	if h.Codec != CodecLegacy {
-		t.Errorf("legacy hello decoded with codec %d", h.Codec)
-	}
 	if h.Point != 3 || h.Kind != KindSpread || h.W != 32 || h.StateEpoch != 15 {
 		t.Errorf("legacy hello decoded to %+v", h)
 	}
 	var w Welcome
 	if err := gob.NewDecoder(bytes.NewReader(read("welcome_v1"))).Decode(&w); err != nil {
 		t.Fatal(err)
-	}
-	if w.Codec != CodecLegacy {
-		t.Errorf("legacy welcome decoded with codec %d", w.Codec)
 	}
 	if w.WindowN != 5 || w.Points != 4 || w.ResumeEpoch != 17 || w.PointEpoch != 15 {
 		t.Errorf("legacy welcome decoded to %+v", w)

@@ -9,40 +9,11 @@
 // messages carrying the ST-join aggregate (and the optional enhancement)
 // for the epoch in progress, plus the aggregate's window coverage. Sketch
 // payloads travel as their compact binary encodings, not as gob
-// structures. Golden encodings of every message live in testdata/golden
+// structures; decoders dispatch on each sketch's magic byte, so the fixed
+// encodings older peers send still decode. Golden encodings of every message live in testdata/golden
 // (see golden_test.go): a change that breaks point↔center version
 // compatibility fails those tests loudly.
 package transport
-
-// Codec versions for the sketch payloads inside Upload and Push. The
-// version is negotiated per connection in the Hello/Welcome handshake:
-// each side advertises the highest codec it speaks and both adopt the
-// minimum. Gob leaves a missing field zero, so a peer built before the
-// field existed advertises CodecLegacy implicitly and the connection
-// stays on the fixed encodings it understands.
-const (
-	// CodecLegacy is the fixed binary sketch encoding (every register
-	// shipped, 5-bit packed for HLL rows).
-	CodecLegacy = 0
-	// CodecPacked is the compact encoding: run-length HLL register
-	// payloads and varint CountMin rows, typically several times smaller
-	// for the sparse per-epoch sketches the protocol actually ships.
-	CodecPacked = 1
-)
-
-// negotiateCodec picks the connection codec from a peer's advertisement
-// and our own ceiling: the minimum of the two, clamped at legacy for
-// peers advertising nonsense (negative values from a hostile stream).
-func negotiateCodec(peer, own int) int {
-	c := peer
-	if own < c {
-		c = own
-	}
-	if c < CodecLegacy {
-		c = CodecLegacy
-	}
-	return c
-}
 
 // Kind discriminates the two designs on the wire.
 type Kind string
@@ -69,9 +40,6 @@ type Hello struct {
 	// rebuilding the window it missed. Old centers ignore the field; old
 	// points leave it zero, which the center treats like a fresh point.
 	StateEpoch int64
-	// Codec is the highest sketch-payload codec the point speaks (see
-	// CodecLegacy/CodecPacked). Old points leave it zero = legacy.
-	Codec int
 	// Weight is the number of leaf measurement points one upload on this
 	// connection represents: 0 or 1 for a direct point, the subtree's leaf
 	// count for an aggregation relay (see RelayConfig). Gob omits zero
@@ -100,10 +68,6 @@ type Welcome struct {
 	// decide whether the center lost epochs and a rebase upload is needed
 	// (cumulative size design).
 	PointEpoch int64
-	// Codec is the sketch-payload codec the connection will use: the
-	// minimum of the point's Hello.Codec and the center's own ceiling.
-	// Old centers leave it zero, keeping the connection on legacy.
-	Codec int
 }
 
 // Upload carries one epoch's measurement from a point to the center. The

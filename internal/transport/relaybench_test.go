@@ -24,7 +24,7 @@ func benchLeafUploadBytes(b *testing.B) []byte {
 	for f := uint64(0); f < 512; f++ {
 		sk.Add(f, int64(1+f%7))
 	}
-	data, err := marshalSketch(sk, true)
+	data, err := sk.MarshalBinaryCompact()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func benchRelayUploadBytes(b *testing.B, leaf []byte, children int) []byte {
 			b.Fatal(err)
 		}
 	}
-	_, payload, ok, err := eng.nextReady(true)
+	_, payload, ok, err := eng.nextReady()
 	if err != nil || !ok {
 		b.Fatalf("combined upload not ready (ok=%v, err=%v)", ok, err)
 	}

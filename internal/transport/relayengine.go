@@ -20,18 +20,17 @@ type relayEngine interface {
 	// idempotent ErrDuplicateUpload drop).
 	receiveChild(up Upload) error
 	// nextReady pops the next combined upload ready to travel upstream,
-	// marshaled under the negotiated codec; ok=false when the next epoch's
-	// round is still missing children. Call in a loop.
-	nextReady(compact bool) (epoch int64, payload []byte, ok bool, err error)
+	// marshaled; ok=false when the next epoch's round is still missing
+	// children. Call in a loop.
+	nextReady() (epoch int64, payload []byte, ok bool, err error)
 	// reencoder returns the re-encoding of one relay-width push payload at
-	// a child's width and codec (the expand-and-compress chain's downward
-	// leg; compression composes exactly along divisibility chains of
-	// widths). The payload is decoded at most once and each distinct
-	// (width, codec) is built once; the function is safe for concurrent
-	// use. srcCodec is the codec data was encoded under, or -1 when
-	// unknown: a child at the relay width on that codec gets data itself,
-	// which canonical encodings make bit-identical to re-encoding it.
-	reencoder(data []byte, srcCodec int) func(childW, codec int) ([]byte, error)
+	// a child's width (the expand-and-compress chain's downward leg;
+	// compression composes exactly along divisibility chains of widths).
+	// The payload is decoded at most once and each distinct width is built
+	// once; the function is safe for concurrent use. A child at the relay
+	// width gets data itself, which canonical encodings make bit-identical
+	// to re-encoding it.
+	reencoder(data []byte) func(childW int) ([]byte, error)
 	relayWidth() int
 	weight() int
 	lastEpoch(child int) int64
@@ -46,6 +45,7 @@ type relayEngine interface {
 // epoch sketch.
 type engineRelay[S core.Sketch[S]] struct {
 	rel *core.Relay[S]
+	enc func(S) ([]byte, error)
 	dec func([]byte) (S, error)
 }
 
@@ -57,35 +57,29 @@ func (e *engineRelay[S]) receiveChild(up Upload) error {
 	return e.rel.Receive(up.Point, up.Epoch, sk)
 }
 
-func (e *engineRelay[S]) nextReady(compact bool) (int64, []byte, bool, error) {
+func (e *engineRelay[S]) nextReady() (int64, []byte, bool, error) {
 	epoch, combined, ok := e.rel.Next()
 	if !ok {
 		return 0, nil, false, nil
 	}
-	data, err := marshalSketch(combined, compact)
+	data, err := e.enc(combined)
 	return epoch, data, true, err
 }
 
-func (e *engineRelay[S]) reencoder(data []byte, srcCodec int) func(childW, codec int) ([]byte, error) {
-	type key struct {
-		w       int
-		compact bool
-	}
+func (e *engineRelay[S]) reencoder(data []byte) func(childW int) ([]byte, error) {
 	var (
 		mu     sync.Mutex
 		sk     S
 		decErr error
-		built  = make(map[key][]byte)
+		built  = make(map[int][]byte)
 	)
-	return func(childW, codec int) ([]byte, error) {
-		compact := codec >= CodecPacked
-		if srcCodec >= 0 && childW == e.rel.Width() && compact == (srcCodec >= CodecPacked) {
+	return func(childW int) ([]byte, error) {
+		if childW == e.rel.Width() {
 			return data, nil
 		}
 		mu.Lock()
 		defer mu.Unlock()
-		k := key{childW, compact}
-		if b, ok := built[k]; ok {
+		if b, ok := built[childW]; ok {
 			return b, nil
 		}
 		if core.IsNil(sk) && decErr == nil {
@@ -98,9 +92,9 @@ func (e *engineRelay[S]) reencoder(data []byte, srcCodec int) func(childW, codec
 		if err != nil {
 			return nil, err
 		}
-		b, err := marshalSketch(out, compact)
+		b, err := e.enc(out)
 		if err == nil {
-			built[k] = b
+			built[childW] = b
 		}
 		return b, err
 	}
@@ -114,7 +108,7 @@ func (e *engineRelay[S]) forwarded() int64            { return e.rel.Forwarded()
 func (e *engineRelay[S]) resyncForwarded(epoch int64) { e.rel.ResyncForwarded(epoch) }
 
 func (e *engineRelay[S]) exportState() (*core.RelayState, error) {
-	return e.rel.ExportState(func(sk S) ([]byte, error) { return marshalSketch(sk, true) })
+	return e.rel.ExportState(e.enc)
 }
 
 func (e *engineRelay[S]) importState(st *core.RelayState) error {
@@ -144,7 +138,7 @@ func newRelayEngine(cfg RelayConfig) (relayEngine, error) {
 			if err != nil {
 				return nil, err
 			}
-			return &engineRelay[*rskt.Sketch]{rel: rel, dec: decodeRskt}, nil
+			return &engineRelay[*rskt.Sketch]{rel: rel, enc: (*rskt.Sketch).MarshalBinaryCompact, dec: decodeRskt}, nil
 		case SketchVhll:
 			protos := make(map[int]*vhll.Sketch, len(cfg.Widths))
 			for id, w := range cfg.Widths {
@@ -160,7 +154,7 @@ func newRelayEngine(cfg RelayConfig) (relayEngine, error) {
 			if err != nil {
 				return nil, err
 			}
-			return &engineRelay[*vhll.Sketch]{rel: rel, dec: decodeVhll}, nil
+			return &engineRelay[*vhll.Sketch]{rel: rel, enc: (*vhll.Sketch).MarshalBinaryCompact, dec: decodeVhll}, nil
 		default:
 			return nil, fmt.Errorf("transport: unknown spread sketch %q", cfg.Sketch)
 		}
@@ -182,7 +176,7 @@ func newRelayEngine(cfg RelayConfig) (relayEngine, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &engineRelay[*countmin.Sketch]{rel: rel, dec: decodeCountMin}, nil
+		return &engineRelay[*countmin.Sketch]{rel: rel, enc: (*countmin.Sketch).MarshalBinaryCompact, dec: decodeCountMin}, nil
 	default:
 		return nil, fmt.Errorf("transport: unknown kind %q", cfg.Kind)
 	}

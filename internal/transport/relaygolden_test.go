@@ -13,12 +13,14 @@ import (
 // The relay's upstream frames are wire-compatibility surface exactly like
 // the point messages: a tree deployment mixes relay and point binaries
 // against one center, so the combined Upload a relay emits for a
-// completed round — the merged child sketches under the negotiated codec
-// — must stay byte-stable. These goldens drive the real merge engine
-// with fixed child uploads (one legacy-codec child, one packed, since a
-// relay decodes whatever each child negotiated) and pin the resulting
-// frames for every backend × upstream codec, plus the relay-shaped Hello
-// whose Weight and Shard fields older centers must keep tolerating.
+// completed round — the merged child sketches, compact-encoded — must
+// stay byte-stable. These goldens drive the real merge engine with fixed
+// child uploads (one fixed-encoded child as an older point sends, one
+// compact, since a relay decodes both) and pin the resulting frames for
+// every backend, plus the relay-shaped Hello whose Weight and Shard
+// fields older centers must keep tolerating. The plain relay_upload_*
+// frames pin the same merge under the fixed encoding an older relay
+// sent, which current centers must keep decoding.
 
 func fuzzVhllSketchBytes(t interface{ Fatal(args ...any) }, compact bool) []byte {
 	sk, err := vhll.New(vhll.Params{PhysicalRegisters: 16, VirtualRegisters: 4, Seed: 5})
@@ -48,7 +50,7 @@ func relayGoldenFrames(t *testing.T) map[string]any {
 	frames := map[string]any{
 		"relay_hello": Hello{
 			Point: 7, Kind: KindSpread, W: 16, StateEpoch: 4,
-			Codec: CodecPacked, Weight: 3, Shard: 1,
+			Weight: 3, Shard: 1,
 		},
 	}
 	for _, tc := range []struct {
@@ -85,13 +87,40 @@ func relayGoldenFrames(t *testing.T) map[string]any {
 				t.Fatalf("%s: child %d: %v", tc.name, child, err)
 			}
 		}
-		epoch, payload, ok, err := eng.nextReady(tc.compact)
+		epoch, payload, ok, err := eng.nextReady()
 		if err != nil || !ok {
 			t.Fatalf("%s: nextReady ok=%v err=%v", tc.name, ok, err)
+		}
+		if !tc.compact {
+			payload = fixedEncoding(t, tc.kind, tc.sketch, payload)
 		}
 		frames[tc.name] = Upload{Point: 7, Epoch: epoch, Sketch: payload}
 	}
 	return frames
+}
+
+// fixedEncoding re-marshals a compact sketch payload in the fixed
+// encoding.
+func fixedEncoding(t *testing.T, kind Kind, sketch string, payload []byte) []byte {
+	t.Helper()
+	var sk interface{ MarshalBinary() ([]byte, error) }
+	var err error
+	switch {
+	case sketch == SketchVhll:
+		sk, err = decodeVhll(payload)
+	case kind == KindSpread:
+		sk, err = decodeRskt(payload)
+	default:
+		sk, err = decodeCountMin(payload)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := sk.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 func TestGoldenRelayFrames(t *testing.T) {

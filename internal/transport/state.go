@@ -69,7 +69,7 @@ func (e *enginePoint[S]) saveState(w io.Writer) error {
 		}
 	}
 	for _, sk := range sketches {
-		data, err := marshalSketch(sk, true)
+		data, err := e.codec.enc(sk)
 		if err != nil {
 			return err
 		}
