@@ -49,10 +49,12 @@ crash-test:
 # The aggregation-tree and shard matrices: relay crash/restart/partition
 # scenarios, shard failover, live tree-vs-flat and sharded-vs-flat
 # equality, the cluster-sim topology property tests, and the relay wire
-# goldens — the correctness gate for hierarchical deployments.
+# goldens — the correctness gate for hierarchical deployments. The
+# handshake-rejection table and the mid-fan-out rejoin test run the
+# shared child-facing half under both of its users, center and relay.
 tree-test:
 	$(GO) test -race -count=1 \
-		-run '^(TestFaultRelay|TestRelayTreeEqualsFlatLive|TestShardedEqualsFlat|TestFaultShardFailover|TestGoldenRelay)' \
+		-run '^(TestFaultRelay|TestRelayTreeEqualsFlatLive|TestShardedEqualsFlat|TestFaultShardFailover|TestGoldenRelay|TestHelloMismatchDropsConnection|TestRedialDuringFanOutGetsCurrentRound)' \
 		./internal/transport
 	$(GO) test -race -count=1 -run 'Tree|Topology' ./internal/cluster ./internal/core
 

@@ -42,7 +42,7 @@ func redialRecorder(t *testing.T, cfg func(*PointConfig)) (*PointClient, *faultn
 	}
 	t.Cleanup(func() { pc.Close() })
 	delays := &[]time.Duration{}
-	pc.sleep = func(d time.Duration) { *delays = append(*delays, d) }
+	pc.up.sleep = func(d time.Duration) { *delays = append(*delays, d) }
 	return pc, link, delays
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/durable"
 )
 
 // Center-side durability: the center's whole recovery state — window
@@ -34,13 +33,9 @@ type centerCheckpoint struct {
 	Size   *core.SizeCenterState
 }
 
-// writeCheckpoint exports the center's state and saves it as a new durable
-// generation. Failures are logged, not fatal: the center keeps serving and
-// retries at the next boundary, degrading recovery freshness rather than
-// availability.
-func (s *CenterServer) writeCheckpoint() {
-	s.ckptMu.Lock()
-	defer s.ckptMu.Unlock()
+// snapshot captures the center's checkpoint state: the topology, the
+// newest round whose fan-out finished, and the window store.
+func (s *CenterServer) snapshot() (any, error) {
 	ck := centerCheckpoint{
 		Kind:    s.cfg.Kind,
 		WindowN: s.cfg.WindowN,
@@ -53,40 +48,18 @@ func (s *CenterServer) writeCheckpoint() {
 		Delta:   s.cfg.DeltaUploads,
 	}
 	s.mu.Lock()
-	ck.LastPush = s.lastPush
+	ck.LastPush = s.pushed
 	s.mu.Unlock()
 	if err := s.eng.exportState(&ck); err != nil {
-		s.cfg.Logf("transport: export center checkpoint: %v", err)
-		return
+		return nil, err
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(ck); err != nil {
-		s.cfg.Logf("transport: encode center checkpoint: %v", err)
-		return
-	}
-	if err := s.ckpt.Save([]durable.Section{{Name: "center", Data: buf.Bytes()}}); err != nil {
-		s.cfg.Logf("transport: write center checkpoint: %v", err)
-		return
-	}
-	s.mu.Lock()
-	s.checkpoints++
-	s.cond.Broadcast()
-	s.mu.Unlock()
+	return ck, nil
 }
 
-// restoreCheckpoint replaces the center's fresh state with a loaded
-// checkpoint, after verifying it was written under the same topology.
-// Called from ServeCenter before the listener exists.
-func (s *CenterServer) restoreCheckpoint(sections []durable.Section) error {
-	var data []byte
-	for _, sec := range sections {
-		if sec.Name == "center" {
-			data = sec.Data
-		}
-	}
-	if data == nil {
-		return fmt.Errorf("checkpoint has no center section")
-	}
+// restoreCheckpoint replaces the center's fresh state with a checkpoint
+// section, after verifying it was written under the same topology. Called
+// from ServeCenter before the listener exists.
+func (s *CenterServer) restoreCheckpoint(data []byte) error {
 	var ck centerCheckpoint
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&ck); err != nil {
 		return fmt.Errorf("decode: %w", err)
@@ -125,7 +98,7 @@ func (s *CenterServer) restoreCheckpoint(sections []durable.Section) error {
 		return err
 	}
 	s.mu.Lock()
-	s.lastPush = ck.LastPush
+	s.lastPush, s.pushed = ck.LastPush, ck.LastPush
 	s.mu.Unlock()
 	return nil
 }
@@ -160,39 +133,4 @@ func (s *CenterServer) recomputeReceived() []int64 {
 		}
 	}
 	return complete
-}
-
-// backfillTo runs the backfill exchange for a point that rejoined epoch K
-// without its window state (restart with no checkpoint, or from one the
-// cluster has moved past): first an IntoCurrent push carrying the
-// aggregate the center sent during K-1 — exactly the center part of epoch
-// K's window, which the point merges straight into its query target —
-// then the regular staged push for K, so the point's next epoch boundary
-// proceeds as if it had never been away.
-func (s *CenterServer) backfillTo(pc *pointConn, K int64) error {
-	fill, err := s.buildPush(pc, K-1)
-	if err != nil {
-		return err
-	}
-	if len(fill.Aggregate) > 0 {
-		fill.ForEpoch = K
-		fill.IntoCurrent = true
-		// The K-1 enhancement targets an epoch the point no longer holds;
-		// the aggregate already covers its span.
-		fill.Enhancement = nil
-		if err := pc.push(fill); err != nil {
-			return err
-		}
-		s.mu.Lock()
-		s.backfills++
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	}
-	return s.pushTo(pc, K)
-}
-
-// WaitCheckpoints blocks until at least n checkpoints have been written
-// this process lifetime, or the center closes.
-func (s *CenterServer) WaitCheckpoints(n int64) bool {
-	return s.waitCond(func() bool { return s.checkpoints >= n })
 }

@@ -58,8 +58,8 @@ func (c *PointClient) checkpointSectionsLocked() ([]durable.Section, error) {
 	meta := c.eng.meta()
 	mbuf := make([]byte, 0, 34)
 	mbuf = append(mbuf, pointMetaVersion)
-	mbuf = binary.LittleEndian.AppendUint32(mbuf, uint32(c.points))
-	mbuf = binary.LittleEndian.AppendUint32(mbuf, uint32(c.windowN))
+	mbuf = binary.LittleEndian.AppendUint32(mbuf, uint32(c.up.points))
+	mbuf = binary.LittleEndian.AppendUint32(mbuf, uint32(c.up.windowN))
 	var flags byte
 	if meta.AggApplied {
 		flags |= 1 << 0
@@ -83,8 +83,8 @@ func (c *PointClient) checkpointSectionsLocked() ([]durable.Section, error) {
 
 	ubuf := make([]byte, 0, 64)
 	ubuf = append(ubuf, pointUploadsVersion)
-	ubuf = binary.LittleEndian.AppendUint32(ubuf, uint32(len(c.pending)))
-	for _, p := range c.pending {
+	ubuf = binary.LittleEndian.AppendUint32(ubuf, uint32(len(c.up.pending)))
+	for _, p := range c.up.pending {
 		ubuf = binary.LittleEndian.AppendUint64(ubuf, uint64(p.up.Epoch))
 		var f byte
 		if p.attempted {
@@ -197,10 +197,10 @@ func (c *PointClient) restoreCheckpoint(sections []durable.Section) error {
 	}
 
 	c.mu.Lock()
-	c.points = points
-	c.windowN = windowN
+	c.up.points = points
+	c.up.windowN = windowN
 	c.needRebase = flags&(1<<4) != 0
-	c.pending = pending
+	c.up.pending = pending
 	c.mu.Unlock()
 	return nil
 }

@@ -292,6 +292,7 @@ func TestHalfOpenRelayChildEvictedAndReadmitted(t *testing.T) {
 // succeed mid-fault, and the buffered combined upload replays after
 // resync.
 func TestHalfOpenRelayUpstreamBoundedWrite(t *testing.T) {
+	noLeak(t)
 	forBothKinds(t, func(t *testing.T, kind Kind) {
 		fnet := faultnet.New(fmSeed)
 		delta := kind == KindSize
@@ -573,46 +574,101 @@ func TestHalfOpenShardEvictedAndReadmitted(t *testing.T) {
 	})
 }
 
-// A child that stops reading must delay only its own push. With pushes
-// sent one child at a time, every child after the wedged one in the
-// round's order waited out the write deadline before the eviction freed
-// the round; the fan-out sends to each child concurrently. Several trials
-// put the wedged child at different places in that order.
-func TestWedgedChildDoesNotStallRound(t *testing.T) {
-	const (
-		p       = 8
-		wto     = 5 * time.Second
-		patient = wto / 5
-	)
-	for trial := int64(0); trial < 3; trial++ {
-		fnet := faultnet.New(fmSeed + trial)
-		widths := map[int]int{}
-		for x := 0; x < p; x++ {
-			widths[x] = fmW
-		}
-		srv, err := ServeCenter(CenterConfig{
-			Listener: fnet.Listen(), Kind: KindSpread, WindowN: fmN,
+// wedgeCluster is the fan-out harness: p spread points on faultnet links,
+// straight under a center or under one relay, with write deadline wto on
+// the tier that fans pushes out to them.
+type wedgeCluster struct {
+	srv   *CenterServer
+	relay *RelayServer // nil when the points hang off the center
+	links []*faultnet.Link
+	pts   []*PointClient
+}
+
+func newWedgeCluster(t *testing.T, seed int64, p int, wto time.Duration, viaRelay bool) *wedgeCluster {
+	t.Helper()
+	fnet := faultnet.New(seed)
+	widths := map[int]int{}
+	for x := 0; x < p; x++ {
+		widths[x] = fmW
+	}
+	ccfg := CenterConfig{
+		Listener: fnet.Listen(), Kind: KindSpread, WindowN: fmN,
+		Widths: widths, M: fmM, D: fmD, Seed: fmSeed,
+		WriteTimeout: wto, Logf: quietLogf,
+	}
+	if viaRelay {
+		ccfg.Widths, ccfg.Weights, ccfg.WriteTimeout = map[int]int{trRelayID: fmW}, map[int]int{trRelayID: p}, 0
+	}
+	srv, err := ServeCenter(ccfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &wedgeCluster{srv: srv}
+	node := faultnet.DefaultNode
+	if viaRelay {
+		c.relay, err = ServeRelay(RelayConfig{
+			Listener: fnet.ListenAt("relay"), UpstreamAddr: "faultnet:center",
+			UpstreamDial: fnet.DialerTo(faultnet.DefaultNode),
+			Relay:        trRelayID, Kind: KindSpread, WindowN: fmN,
 			Widths: widths, M: fmM, D: fmD, Seed: fmSeed,
 			WriteTimeout: wto, Logf: quietLogf,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var links []*faultnet.Link
-		var pts []*PointClient
-		for x := 0; x < p; x++ {
-			link := fnet.Link()
-			pc, err := DialPoint(PointConfig{
-				Addr: "faultnet", Point: x, Kind: KindSpread,
-				W: fmW, M: fmM, D: fmD, Seed: fmSeed, Dial: link.Dial,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			links = append(links, link)
-			pts = append(pts, pc)
+		node = "relay"
+	}
+	for x := 0; x < p; x++ {
+		link := fnet.LinkTo(node)
+		pc, err := DialPoint(PointConfig{
+			Addr: "faultnet", Point: x, Kind: KindSpread,
+			W: fmW, M: fmM, D: fmD, Seed: fmSeed, Dial: link.Dial,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		hoEpoch(t, srv, pts, 1)
+		c.links = append(c.links, link)
+		c.pts = append(c.pts, pc)
+	}
+	return c
+}
+
+// uploads waits until the tier the points upload to has taken n uploads.
+func (c *wedgeCluster) uploads(n int64) bool {
+	if c.relay != nil {
+		return c.relay.WaitUploads(n)
+	}
+	return c.srv.WaitUploads(n)
+}
+
+// close shuts the servers first — which drops a wedged write without
+// waiting out its deadline — then the points.
+func (c *wedgeCluster) close() {
+	if c.relay != nil {
+		c.relay.Close()
+	}
+	c.srv.Close()
+	for _, pc := range c.pts {
+		pc.Close()
+	}
+}
+
+// A child that stops reading must delay only its own push. With pushes
+// sent one child at a time, every child after the wedged one in the
+// round's order waited out the write deadline before the eviction freed
+// the round; the fan-out sends to each child concurrently. Several trials
+// put the wedged child at different places in that order.
+func TestWedgedChildDoesNotStallRound(t *testing.T) {
+	noLeak(t)
+	const (
+		p       = 8
+		wto     = 5 * time.Second
+		patient = wto / 5
+	)
+	for trial := int64(0); trial < 3; trial++ {
+		c := newWedgeCluster(t, fmSeed+trial, p, wto, false)
+		pts := c.pts
+		hoEpoch(t, c.srv, pts, 1)
 
 		// Child 0 uploads epoch 2, then stops draining its connection.
 		for x := range pts {
@@ -621,10 +677,10 @@ func TestWedgedChildDoesNotStallRound(t *testing.T) {
 		if err := pts[0].EndEpoch(); err != nil {
 			t.Fatal(err)
 		}
-		if !srv.WaitUploads(p + 1) {
+		if !c.uploads(p + 1) {
 			t.Fatal("center closed before child 0's epoch-2 upload")
 		}
-		links[0].HalfOpen()
+		c.links[0].HalfOpen()
 		for x := 1; x < p; x++ {
 			if err := pts[x].EndEpoch(); err != nil {
 				t.Fatalf("point %d EndEpoch(2): %v", x, err)
@@ -637,9 +693,74 @@ func TestWedgedChildDoesNotStallRound(t *testing.T) {
 		}
 		// Closing the center drops the wedged write without waiting out
 		// its deadline.
-		srv.Close()
-		for _, pc := range pts {
-			pc.Close()
-		}
+		c.close()
+	}
+}
+
+// A child that registers while a round's fan-out is still running must get
+// that round. Child 0 is half-open, so the fan-out of round 2 (ForEpoch 3)
+// blocks on it for the write deadline; point 1's link is cut, so its
+// fan-out push fails, and it redials in the middle of the blocked fan-out.
+// Its resync must re-push round 2 — not round 1, which it would drop as
+// late, missing round 2's aggregate and running a window short. Both users
+// of the child-facing half are covered: the center and a relay.
+func TestRedialDuringFanOutGetsCurrentRound(t *testing.T) {
+	noLeak(t)
+	const (
+		p       = 4
+		wto     = 5 * time.Second
+		patient = wto / 5
+	)
+	for _, via := range []string{"center", "relay"} {
+		t.Run(via, func(t *testing.T) {
+			c := newWedgeCluster(t, fmSeed, p, wto, via == "relay")
+			defer c.close()
+			pts := c.pts
+			hoEpoch(t, c.srv, pts, 1)
+			for x := range pts {
+				record(2, x, pts[x].Record)
+			}
+
+			// Child 0 uploads epoch 2 and goes half-open: the round's
+			// fan-out will block on it.
+			if err := pts[0].EndEpoch(); err != nil {
+				t.Fatal(err)
+			}
+			if !c.uploads(p + 1) {
+				t.Fatal("closed before child 0's epoch-2 upload")
+			}
+			c.links[0].HalfOpen()
+			// Point 1 uploads epoch 2, then loses its link: the round's push
+			// to it fails.
+			if err := pts[1].EndEpoch(); err != nil {
+				t.Fatal(err)
+			}
+			if !c.uploads(p + 2) {
+				t.Fatal("closed before point 1's epoch-2 upload")
+			}
+			c.links[1].Cut()
+			for x := 2; x < p; x++ {
+				if err := pts[x].EndEpoch(); err != nil {
+					t.Fatalf("point %d EndEpoch(2): %v", x, err)
+				}
+			}
+			// The round is out — the healthy children have it — while its
+			// fan-out is stuck on child 0 for the write deadline.
+			for x := 2; x < p; x++ {
+				if !pts[x].WaitPushEpoch(3, patient) {
+					t.Fatalf("point %d never saw round 2", x)
+				}
+			}
+
+			if err := pts[1].Redial(); err != nil {
+				t.Fatalf("point 1 redial: %v", err)
+			}
+			if !pts[1].WaitPushEpoch(3, patient) {
+				t.Fatal("point 1 rejoined during round 2's fan-out but never got round 2")
+			}
+			if late := pts[1].Stats().PushesLate; late != 0 {
+				t.Fatalf("point 1 PushesLate = %d, want 0 (resync re-pushed the previous round)", late)
+			}
+		})
 	}
 }

@@ -102,10 +102,14 @@ func TestRedialRetransmitsBufferedUploads(t *testing.T) {
 
 	// Kill the connection under the client and wait until it notices.
 	pc.mu.Lock()
-	conn := pc.conn
+	conn := pc.up.conn
 	pc.mu.Unlock()
 	conn.Close()
-	waitFor(t, "failure detected", func() bool { return pc.getErr() != nil })
+	waitFor(t, "failure detected", func() bool {
+		pc.mu.Lock()
+		defer pc.mu.Unlock()
+		return pc.up.enc == nil
+	})
 
 	// Two epochs end during the outage: EndEpoch must report the outage
 	// but keep rolling the window and buffer both uploads.

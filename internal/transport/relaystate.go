@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/durable"
 )
 
 // Relay-side durability mirrors the center's: the relay's recovery state
@@ -43,11 +42,8 @@ type relayPendingUpload struct {
 	Sent      bool
 }
 
-// writeCheckpoint exports the relay's state and saves it as a new durable
-// generation. Failures are logged, not fatal, exactly like the center's.
-func (s *RelayServer) writeCheckpoint() {
-	s.ckptMu.Lock()
-	defer s.ckptMu.Unlock()
+// snapshot captures the relay's checkpoint state under the relay lock.
+func (s *RelayServer) snapshot() (any, error) {
 	ck := relayCheckpoint{
 		Kind:    s.cfg.Kind,
 		WindowN: s.cfg.WindowN,
@@ -60,51 +56,28 @@ func (s *RelayServer) writeCheckpoint() {
 		Relay:   s.cfg.Relay,
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	st, err := s.eng.exportState()
 	if err != nil {
-		s.mu.Unlock()
-		s.cfg.Logf("transport: export relay checkpoint: %v", err)
-		return
+		return nil, err
 	}
 	ck.State = st
 	ck.LastPush = s.lastPush
 	ck.Cache = make(map[int64]Push, len(s.cache))
-	for e, p := range s.cache {
-		ck.Cache[e] = p
+	for e, rp := range s.cache {
+		ck.Cache[e] = rp.Push
 	}
-	ck.Pending = make([]relayPendingUpload, len(s.pending))
-	for i, p := range s.pending {
+	ck.Pending = make([]relayPendingUpload, len(s.up.pending))
+	for i, p := range s.up.pending {
 		ck.Pending[i] = relayPendingUpload{Up: p.up, Attempted: p.attempted, Sent: p.sent}
 	}
-	s.mu.Unlock()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(ck); err != nil {
-		s.cfg.Logf("transport: encode relay checkpoint: %v", err)
-		return
-	}
-	if err := s.ckpt.Save([]durable.Section{{Name: "relay", Data: buf.Bytes()}}); err != nil {
-		s.cfg.Logf("transport: write relay checkpoint: %v", err)
-		return
-	}
-	s.mu.Lock()
-	s.checkpoints++
-	s.cond.Broadcast()
-	s.mu.Unlock()
+	return ck, nil
 }
 
-// restoreCheckpoint replaces the relay's fresh state with a loaded
-// checkpoint, after verifying it was written under the same topology.
-// Called from ServeRelay before the upstream hop or the listener exist.
-func (s *RelayServer) restoreCheckpoint(sections []durable.Section) error {
-	var data []byte
-	for _, sec := range sections {
-		if sec.Name == "relay" {
-			data = sec.Data
-		}
-	}
-	if data == nil {
-		return fmt.Errorf("checkpoint has no relay section")
-	}
+// restoreCheckpoint replaces the relay's fresh state with a checkpoint
+// section, after verifying it was written under the same topology. Called
+// from ServeRelay before the upstream hop or the listener exist.
+func (s *RelayServer) restoreCheckpoint(data []byte) error {
 	var ck relayCheckpoint
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&ck); err != nil {
 		return fmt.Errorf("decode: %w", err)
@@ -139,15 +112,14 @@ func (s *RelayServer) restoreCheckpoint(sections []durable.Section) error {
 		}
 	}
 	s.mu.Lock()
-	s.lastPush = ck.LastPush
-	s.cache = make(map[int64]Push, len(ck.Cache))
+	defer s.mu.Unlock()
+	s.lastPush, s.pushed = ck.LastPush, ck.LastPush
 	for e, p := range ck.Cache {
-		s.cache[e] = p
+		s.cache[e] = s.prepare(p)
 	}
-	s.pending = make([]pendingUpload, len(ck.Pending))
+	s.up.pending = make([]pendingUpload, len(ck.Pending))
 	for i, p := range ck.Pending {
-		s.pending[i] = pendingUpload{up: p.Up, attempted: p.Attempted, sent: p.Sent}
+		s.up.pending[i] = pendingUpload{up: p.Up, attempted: p.Attempted, sent: p.Sent}
 	}
-	s.mu.Unlock()
 	return nil
 }

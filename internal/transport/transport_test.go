@@ -2,12 +2,14 @@ package transport
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/countmin"
+	"repro/internal/faultnet"
 	"repro/internal/rskt"
 	"repro/internal/vate"
 	"repro/internal/xhash"
@@ -27,6 +29,28 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 func quietLogf(string, ...any) {}
+
+// noLeak fails t unless, once the test's Close calls have run, the
+// goroutine count returns to its value at the call within 2s: every
+// accept, handler, reader, heartbeat and redial goroutine must end with
+// the node that owns it. Call it first, so its cleanup runs last. The
+// transport tests do not run in parallel, so the count is the test's own.
+func noLeak(t *testing.T) {
+	t.Helper()
+	base := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<20)
+				t.Errorf("%d goroutines outlived their nodes:\n%s",
+					runtime.NumGoroutine()-base, buf[:runtime.Stack(buf, true)])
+				return
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	})
+}
 
 func TestLiveSpreadClusterMatchesIdeal(t *testing.T) {
 	const (
@@ -205,23 +229,80 @@ func TestServeCenterRejectsBadConfig(t *testing.T) {
 	}
 }
 
+// TestHelloMismatchDropsConnection runs every Hello rejection against both
+// users of the child-facing half, a center and a relay: a point that
+// mismatches the topology in one field must be dropped without a Welcome,
+// so its dial fails and nothing registers.
 func TestHelloMismatchDropsConnection(t *testing.T) {
-	srv, err := ServeCenter(CenterConfig{
-		Addr: "127.0.0.1:0", Kind: KindSize, WindowN: 5,
-		Widths: map[int]int{0: 64}, D: 4, Seed: 1, Logf: quietLogf,
-	})
-	if err != nil {
-		t.Fatal(err)
+	noLeak(t)
+	const w = 64
+	cases := []struct {
+		name    string
+		point   func(*PointConfig)
+		weights map[int]int // the server's topology weights
+	}{
+		{"unknown_id", func(c *PointConfig) { c.Point = 9 }, nil},
+		{"wrong_kind", func(c *PointConfig) { c.Kind = KindSize }, nil},
+		{"wrong_width", func(c *PointConfig) { c.W = 2 * w }, nil},
+		{"wrong_shard", func(c *PointConfig) { c.Shard = 1 }, nil},
+		{"wrong_weight", nil, map[int]int{0: 2}},
 	}
-	defer srv.Close()
-	// Wrong width: the center drops the connection without sending a
-	// Welcome, so the handshake fails at dial time.
-	pc, err := DialPoint(PointConfig{
-		Addr: srv.Addr().String(), Point: 0, Kind: KindSize, W: 128, D: 4, Seed: 1,
-	})
-	if err == nil {
-		pc.Close()
-		t.Fatal("expected dial to fail on hello mismatch")
+	for _, server := range []string{"center", "relay"} {
+		for _, tc := range cases {
+			t.Run(server+"/"+tc.name, func(t *testing.T) {
+				fnet := faultnet.New(1)
+				widths := map[int]int{0: w, 1: w}
+				ccfg := CenterConfig{
+					Listener: fnet.Listen(), Kind: KindSpread, WindowN: 5,
+					Widths: widths, Weights: tc.weights, M: 4, Seed: 1, Logf: quietLogf,
+				}
+				if server == "relay" {
+					leaves := 0
+					for id := range widths {
+						leaves += normWeight(tc.weights[id])
+					}
+					ccfg.Widths, ccfg.Weights = map[int]int{trRelayID: w}, map[int]int{trRelayID: leaves}
+				}
+				srv, err := ServeCenter(ccfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { srv.Close() })
+				dial := fnet.DialerTo(faultnet.DefaultNode)
+				connected := func() int { return srv.Stats().ConnectedPoints }
+				if server == "relay" {
+					rel, err := ServeRelay(RelayConfig{
+						Listener: fnet.ListenAt("relay"), UpstreamAddr: "faultnet:center", UpstreamDial: dial,
+						Relay: trRelayID, Kind: KindSpread, WindowN: 5,
+						Widths: widths, Weights: tc.weights, M: 4, Seed: 1, Logf: quietLogf,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					t.Cleanup(func() { rel.Close() })
+					dial = fnet.DialerTo("relay")
+					connected = func() int { return rel.Stats().ConnectedChildren }
+				}
+				cfg := PointConfig{Addr: "faultnet", Dial: dial, Point: 0, Kind: KindSpread, W: w, M: 4, D: 2, Seed: 1}
+				if tc.point != nil {
+					tc.point(&cfg)
+				}
+				if pc, err := DialPoint(cfg); err == nil {
+					pc.Close()
+					t.Fatal("dial succeeded despite the hello mismatch")
+				}
+				if n := connected(); n != 0 {
+					t.Fatalf("%s registered %d children after a rejected hello, want 0", server, n)
+				}
+				// Control: a point matching the topology is still admitted.
+				ok := PointConfig{Addr: "faultnet", Dial: dial, Point: 1, Kind: KindSpread, W: w, M: 4, Seed: 1}
+				pc, err := DialPoint(ok)
+				if err != nil {
+					t.Fatalf("matching point rejected: %v", err)
+				}
+				pc.Close()
+			})
+		}
 	}
 }
 

@@ -429,6 +429,7 @@ func TestFaultRelayChildPartition(t *testing.T) {
 // relay's autonomous redial drains the buffer the moment the center
 // heals. The subtree never observes the outage.
 func TestFaultRelayUpstreamOutage(t *testing.T) {
+	noLeak(t)
 	forBothKinds(t, func(t *testing.T, kind Kind) {
 		c := newTCluster(t, kind, "")
 		pushWant := make([]int64, fmP)
@@ -607,6 +608,7 @@ func TestFaultRelayOutageBeyondWindow(t *testing.T) {
 // trace the two recover identical window sums, so even across modes the
 // estimates match exactly.
 func TestRelayTreeEqualsFlatLive(t *testing.T) {
+	noLeak(t)
 	forBothKinds(t, func(t *testing.T, kind Kind) {
 		tree := newTCluster(t, kind, "")
 		flat := newFCluster(t, kind)
