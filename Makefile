@@ -89,9 +89,10 @@ store-test:
 
 # Short fuzz pass over every decode surface a peer can reach: the protocol
 # streams (center- and point-side), the Push apply path, the sketch and
-# trace binary decoders (both codecs — the fixed/compact round-trip
-# targets in hll and vhll cover the packed register layouts the wire and
-# checkpoints now carry), and the SWAR merge against its scalar model.
+# trace binary decoders (each sketch has one encoding; an accepted input
+# must re-encode to the same bytes, and the hll compact target covers the
+# register layouts the wire and checkpoints carry), and the SWAR merge
+# against its scalar model.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzCenterConn$$' -fuzztime $(FUZZTIME) ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzPointConn$$' -fuzztime $(FUZZTIME) ./internal/transport

@@ -297,12 +297,10 @@ func BenchmarkTable2RecordVATE(b *testing.B) {
 //
 // One iteration marshals the epoch upload a point would send at a
 // realistic density (10k packets over 1k flows, the paper's 2 Mb
-// configuration), for the legacy fixed-width codec and the packed codec
-// the handshake negotiates. The upload-B/epoch metric is the wire cost
-// BENCH_PR5.json tracks.
+// configuration) in the sketch's one encoding. The upload-B/epoch metric
+// is the wire cost BENCH_PR5.json tracks.
 
-func benchSpreadUpload(b *testing.B, marshal func(*rskt.Sketch) ([]byte, error)) {
-	b.Helper()
+func BenchmarkUploadSpreadPacked(b *testing.B) {
 	sk := rskt.New(rskt.Params{W: 1638, M: hll.DefaultM, Seed: 7})
 	for i := uint64(0); i < 10000; i++ {
 		sk.Record(i%1000, i)
@@ -310,7 +308,7 @@ func benchSpreadUpload(b *testing.B, marshal func(*rskt.Sketch) ([]byte, error))
 	b.ReportAllocs()
 	var n int
 	for i := 0; i < b.N; i++ {
-		data, err := marshal(sk)
+		data, err := sk.MarshalBinaryCompact()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -319,8 +317,7 @@ func benchSpreadUpload(b *testing.B, marshal func(*rskt.Sketch) ([]byte, error))
 	b.ReportMetric(float64(n), "upload-B/epoch")
 }
 
-func benchSizeUpload(b *testing.B, marshal func(*countmin.Sketch) ([]byte, error)) {
-	b.Helper()
+func BenchmarkUploadSizePacked(b *testing.B) {
 	sk := countmin.New(countmin.Params{D: 4, W: 16384, Seed: 7})
 	for i := uint64(0); i < 10000; i++ {
 		sk.Add(i%1000, 1)
@@ -328,29 +325,13 @@ func benchSizeUpload(b *testing.B, marshal func(*countmin.Sketch) ([]byte, error
 	b.ReportAllocs()
 	var n int
 	for i := 0; i < b.N; i++ {
-		data, err := marshal(sk)
+		data, err := sk.MarshalBinaryCompact()
 		if err != nil {
 			b.Fatal(err)
 		}
 		n = len(data)
 	}
 	b.ReportMetric(float64(n), "upload-B/epoch")
-}
-
-func BenchmarkUploadSpreadLegacy(b *testing.B) {
-	benchSpreadUpload(b, (*rskt.Sketch).MarshalBinary)
-}
-
-func BenchmarkUploadSpreadPacked(b *testing.B) {
-	benchSpreadUpload(b, (*rskt.Sketch).MarshalBinaryCompact)
-}
-
-func BenchmarkUploadSizeLegacy(b *testing.B) {
-	benchSizeUpload(b, (*countmin.Sketch).MarshalBinary)
-}
-
-func BenchmarkUploadSizePacked(b *testing.B) {
-	benchSizeUpload(b, (*countmin.Sketch).MarshalBinaryCompact)
 }
 
 // ---- Table I: online query overhead ----

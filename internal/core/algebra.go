@@ -43,10 +43,14 @@ type Sketch[S any] interface {
 	// Compatible reports whether two sketches may be joined after width
 	// alignment (same estimator shape and hash seed).
 	Compatible(S) bool
-	// MarshalBinary/UnmarshalBinary are the sketch's durable form, used
-	// by the wire protocol and the checkpoint export/import paths.
-	MarshalBinary() ([]byte, error)
+	// MarshalBinaryCompact/UnmarshalBinary are the sketch's one binary
+	// encoding, used by the wire protocol, the epoch log and the
+	// checkpoint export/import paths.
+	MarshalBinaryCompact() ([]byte, error)
 	UnmarshalBinary([]byte) error
+	// MemoryBits is the sketch's footprint under the paper's memory model
+	// (5-bit registers, 32-bit counters); the replay cache charges by it.
+	MemoryBits() int
 }
 
 // Mode selects how a measurement point uploads its per-epoch data.

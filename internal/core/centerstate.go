@@ -10,15 +10,14 @@ import (
 // restart to keep answering aggregate requests for epochs that predate the
 // new process. Export/Import move the whole store at once — they are
 // checkpoint primitives, not incremental replication. Sketches travel as
-// opaque byte blobs so the transport layer can frame them with whatever
-// codec it already uses for the wire (see internal/transport). The map
+// opaque byte blobs in their one binary encoding (MarshalBinaryCompact),
+// which the transport layer frames (see internal/transport). The map
 // marshaling/unmarshaling machinery is generic; the state structs keep
 // their design-specific (gob-frozen) shapes.
 
 // SpreadCenterState is the durable form of a SpreadCenter's window store:
 // every retained per-point per-epoch upload plus the upload sequence
-// positions. Sketch blobs are produced by the marshal function given to
-// ExportState.
+// positions.
 type SpreadCenterState struct {
 	// LastEpoch[point] is the most recent epoch the point uploaded.
 	LastEpoch map[int]int64
@@ -48,12 +47,12 @@ type SizeCenterState struct {
 
 // marshalSketchMaps marshals a per-point per-epoch sketch store into the
 // durable blob form.
-func marshalSketchMaps[S Sketch[S]](src map[int]map[int64]S, marshal func(S) ([]byte, error)) (map[int]map[int64][]byte, error) {
+func marshalSketchMaps[S Sketch[S]](src map[int]map[int64]S) (map[int]map[int64][]byte, error) {
 	out := make(map[int]map[int64][]byte, len(src))
 	for id, per := range src {
 		m := make(map[int64][]byte, len(per))
 		for e, sk := range per {
-			data, err := marshal(sk)
+			data, err := sk.MarshalBinaryCompact()
 			if err != nil {
 				return nil, fmt.Errorf("core: export point %d epoch %d: %w", id, e, err)
 			}
@@ -65,11 +64,12 @@ func marshalSketchMaps[S Sketch[S]](src map[int]map[int64]S, marshal func(S) ([]
 }
 
 // importSketchMapsLocked rebuilds a per-point per-epoch sketch store from
-// its durable blob form: every point id must be known to the center and
-// every decoded sketch must pass check. label prefixes decode errors (""
-// or "delta " / "sent aggregate " / ...). Caller holds c.mu.
+// its durable blob form, decoding each blob into a clone of the point's
+// prototype: every point id must be known to the center and every decoded
+// sketch must pass check. label prefixes decode errors ("" or "delta " /
+// "sent aggregate " / ...). Caller holds c.mu.
 func (c *Center[S]) importSketchMapsLocked(src map[int]map[int64][]byte, label string,
-	unmarshal func([]byte) (S, error), check func(id int, epoch int64, sk S) error) (map[int]map[int64]S, error) {
+	check func(id int, epoch int64, sk S) error) (map[int]map[int64]S, error) {
 	out := make(map[int]map[int64]S, len(c.protos))
 	for id := range c.protos {
 		out[id] = make(map[int64]S)
@@ -79,8 +79,8 @@ func (c *Center[S]) importSketchMapsLocked(src map[int]map[int64][]byte, label s
 			return nil, fmt.Errorf("core: import: unknown %s point %d", c.design, id)
 		}
 		for e, data := range per {
-			sk, err := unmarshal(data)
-			if err != nil {
+			sk := c.protos[id].Clone()
+			if err := sk.UnmarshalBinary(data); err != nil {
 				return nil, fmt.Errorf("core: import %spoint %d epoch %d: %w", label, id, e, err)
 			}
 			if err := check(id, e, sk); err != nil {
@@ -92,10 +92,9 @@ func (c *Center[S]) importSketchMapsLocked(src map[int]map[int64][]byte, label s
 	return out, nil
 }
 
-// ExportState snapshots the center's window store, marshaling each retained
-// upload with marshal. The snapshot is taken atomically under the center's
-// lock.
-func (c *SpreadCenter[S]) ExportState(marshal func(S) ([]byte, error)) (*SpreadCenterState, error) {
+// ExportState snapshots the center's window store. The snapshot is taken
+// atomically under the center's lock.
+func (c *SpreadCenter[S]) ExportState() (*SpreadCenterState, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := &SpreadCenterState{
@@ -105,26 +104,26 @@ func (c *SpreadCenter[S]) ExportState(marshal func(S) ([]byte, error)) (*SpreadC
 		st.LastEpoch[id] = e
 	}
 	var err error
-	if st.Uploads, err = marshalSketchMaps(c.uploads, marshal); err != nil {
+	if st.Uploads, err = marshalSketchMaps(c.uploads); err != nil {
 		return nil, err
 	}
 	return st, nil
 }
 
 // ImportState replaces the center's window store with a previously exported
-// snapshot, unmarshaling each upload with unmarshal. Every point id must be
-// known to the center and every sketch must match the point's declared
-// shape — a checkpoint from a differently configured cluster is rejected
-// before any state is replaced. A nil state is a no-op.
-func (c *SpreadCenter[S]) ImportState(st *SpreadCenterState, unmarshal func([]byte) (S, error)) error {
+// snapshot. Every point id must be known to the center and every sketch
+// must match the point's declared shape — a checkpoint from a differently
+// configured cluster is rejected before any state is replaced. A nil state
+// is a no-op.
+func (c *SpreadCenter[S]) ImportState(st *SpreadCenterState) error {
 	if st == nil {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	uploads, err := c.importSketchMapsLocked(st.Uploads, "", unmarshal, func(id int, e int64, sk S) error {
+	uploads, err := c.importSketchMapsLocked(st.Uploads, "", func(id int, e int64, sk S) error {
 		proto := c.protos[id]
-		if IsNil(sk) || !proto.Compatible(sk) || proto.Width() != sk.Width() {
+		if !proto.Compatible(sk) || proto.Width() != sk.Width() {
 			return fmt.Errorf("core: import point %d epoch %d: sketch does not match the declared shape", id, e)
 		}
 		return nil
@@ -161,17 +160,14 @@ func (c *SizeCenter) ExportState() (*SizeCenterState, error) {
 			st.ChainBroken[id] = true
 		}
 	}
-	// Compact blobs: ImportState dispatches on the sketch magic, so
-	// snapshots written by older fixed-encoding binaries keep restoring.
-	marshal := func(sk *countmin.Sketch) ([]byte, error) { return sk.MarshalBinaryCompact() }
 	var err error
-	if st.Deltas, err = marshalSketchMaps(c.uploads, marshal); err != nil {
+	if st.Deltas, err = marshalSketchMaps(c.uploads); err != nil {
 		return nil, err
 	}
-	if st.SentAgg, err = marshalSketchMaps(c.sentAgg, marshal); err != nil {
+	if st.SentAgg, err = marshalSketchMaps(c.sentAgg); err != nil {
 		return nil, err
 	}
-	if st.SentEnh, err = marshalSketchMaps(c.sentEnh, marshal); err != nil {
+	if st.SentEnh, err = marshalSketchMaps(c.sentEnh); err != nil {
 		return nil, err
 	}
 	return st, nil
@@ -188,13 +184,6 @@ func (c *SizeCenter) ImportState(st *SizeCenterState) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	unmarshal := func(data []byte) (*countmin.Sketch, error) {
-		var sk countmin.Sketch
-		if err := sk.UnmarshalBinary(data); err != nil {
-			return nil, err
-		}
-		return &sk, nil
-	}
 	check := func(what string) func(int, int64, *countmin.Sketch) error {
 		return func(id int, e int64, sk *countmin.Sketch) error {
 			if sk.Params() != c.params[id] {
@@ -204,15 +193,15 @@ func (c *SizeCenter) ImportState(st *SizeCenterState) error {
 			return nil
 		}
 	}
-	deltas, err := c.importSketchMapsLocked(st.Deltas, "delta ", unmarshal, check("delta"))
+	deltas, err := c.importSketchMapsLocked(st.Deltas, "delta ", check("delta"))
 	if err != nil {
 		return err
 	}
-	sentAgg, err := c.importSketchMapsLocked(st.SentAgg, "sent aggregate ", unmarshal, check("sent aggregate"))
+	sentAgg, err := c.importSketchMapsLocked(st.SentAgg, "sent aggregate ", check("sent aggregate"))
 	if err != nil {
 		return err
 	}
-	sentEnh, err := c.importSketchMapsLocked(st.SentEnh, "sent enhancement ", unmarshal, check("sent enhancement"))
+	sentEnh, err := c.importSketchMapsLocked(st.SentEnh, "sent enhancement ", check("sent enhancement"))
 	if err != nil {
 		return err
 	}

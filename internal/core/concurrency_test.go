@@ -190,11 +190,11 @@ func checkIngestPath[S Sketch[S]](t *testing.T, fresh func() S, cfg EngineConfig
 	}
 	same := func(what string, got, want S) {
 		t.Helper()
-		g, err := got.MarshalBinary()
+		g, err := got.MarshalBinaryCompact()
 		if err != nil {
 			t.Fatal(err)
 		}
-		w, err := want.MarshalBinary()
+		w, err := want.MarshalBinaryCompact()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -256,11 +256,11 @@ func (c *Center[S]) queryEpochsFrom(f uint64, first, last int64, src HistorySour
 	if cache != nil {
 		for _, i := range cold {
 			p := slots[i].p
+			// 64 bytes of entry overhead plus the sketch's footprint under
+			// the paper's memory model (see NewReplayCache); no allocation.
 			cost := int64(64)
 			if p.have {
-				if b, err := p.sk.MarshalBinary(); err == nil {
-					cost += int64(len(b))
-				}
+				cost += int64(p.sk.MemoryBits() / 8)
 			}
 			cache.insertPartial(first+int64(i), gen, slots[i].ver, p.sk, p.have, p.merged, cost)
 		}

@@ -166,13 +166,14 @@ func TestHistoryReplayMatchesLiveSpread(t *testing.T) {
 	}
 }
 
-// The same contract for the additive design: history stores the
-// recovered per-epoch deltas, and counter-add replay reproduces the live
-// join exactly.
-func TestHistoryReplayMatchesLiveSize(t *testing.T) {
+// sizeReplayFixture is replayFixture for the additive design: a
+// delta-mode size center with mixed widths, its encoded cells, and the
+// live answer recorded at every epoch boundary.
+func sizeReplayFixture(t *testing.T, epochs int64) (*SizeCenter, *mapHistSource[*countmin.Sketch], []liveAnswer) {
+	t.Helper()
 	const (
-		n, flows, epochs = 5, 6, 10
-		d, seed          = 4, 11
+		n, flows = 5, 6
+		d, seed  = 4, 11
 	)
 	params := map[int]countmin.Params{
 		0: {D: d, W: 32, Seed: seed},
@@ -221,6 +222,14 @@ func TestHistoryReplayMatchesLiveSize(t *testing.T) {
 			recorded = append(recorded, liveAnswer{f, k, est, cov})
 		}
 	}
+	return ctr, src, recorded
+}
+
+// The same contract for the additive design: history stores the
+// recovered per-epoch deltas, and counter-add replay reproduces the live
+// join exactly.
+func TestHistoryReplayMatchesLiveSize(t *testing.T) {
+	ctr, src, recorded := sizeReplayFixture(t, 10)
 	for _, want := range recorded {
 		got, cov, err := ctr.QueryAtFrom(want.f, want.k, src)
 		if err != nil {

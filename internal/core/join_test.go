@@ -78,7 +78,7 @@ func compactBytes[S Sketch[S]](t *testing.T, sk S) []byte {
 	if IsNil(sk) {
 		return nil
 	}
-	b, err := any(sk).(interface{ MarshalBinaryCompact() ([]byte, error) }).MarshalBinaryCompact()
+	b, err := sk.MarshalBinaryCompact()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,9 +320,9 @@ func (s *countingSketch) CompressTo(w int) (*countingSketch, error) {
 }
 func (s *countingSketch) Width() int                            { return s.sk.Width() }
 func (s *countingSketch) Compatible(o *countingSketch) bool     { return s.sk.Compatible(o.sk) }
-func (s *countingSketch) MarshalBinary() ([]byte, error)        { return s.sk.MarshalBinary() }
-func (s *countingSketch) UnmarshalBinary(data []byte) error     { return s.sk.UnmarshalBinary(data) }
 func (s *countingSketch) MarshalBinaryCompact() ([]byte, error) { return s.sk.MarshalBinaryCompact() }
+func (s *countingSketch) UnmarshalBinary(data []byte) error     { return s.sk.UnmarshalBinary(data) }
+func (s *countingSketch) MemoryBits() int                       { return s.sk.MemoryBits() }
 
 // TestJoinIsLinearPerRound guards the round's cost: a full push round —
 // every point's upload, then every point's aggregate and coverage — must

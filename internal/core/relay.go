@@ -332,8 +332,7 @@ func (r *Relay[S]) trimLocked() {
 
 // RelayState is the durable form of a relay's merge state: the forwarding
 // position, per-child sequence positions, and the partially merged
-// pending rounds. Sketch blobs are produced by the marshal function given
-// to ExportState, mirroring the center's checkpoint primitives.
+// pending rounds, mirroring the center's checkpoint primitives.
 type RelayState struct {
 	Forwarded int64
 	LastEpoch map[int]int64
@@ -349,7 +348,7 @@ type RelayRoundState struct {
 }
 
 // ExportState snapshots the relay's merge state atomically.
-func (r *Relay[S]) ExportState(marshal func(S) ([]byte, error)) (*RelayState, error) {
+func (r *Relay[S]) ExportState() (*RelayState, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	st := &RelayState{
@@ -363,7 +362,7 @@ func (r *Relay[S]) ExportState(marshal func(S) ([]byte, error)) (*RelayState, er
 	for e, rr := range r.pending {
 		var rs RelayRoundState
 		if !IsNil(rr.merged) {
-			data, err := marshal(rr.merged)
+			data, err := rr.merged.MarshalBinaryCompact()
 			if err != nil {
 				return nil, fmt.Errorf("core: export relay round %d: %w", e, err)
 			}
@@ -378,11 +377,11 @@ func (r *Relay[S]) ExportState(marshal func(S) ([]byte, error)) (*RelayState, er
 }
 
 // ImportState replaces the relay's merge state with a previously exported
-// snapshot. Every child id must be known and every sketch must decode to
-// the relay's width and shape — a checkpoint from a differently
-// configured tree is rejected before any state is replaced. A nil state
-// is a no-op.
-func (r *Relay[S]) ImportState(st *RelayState, unmarshal func([]byte) (S, error)) error {
+// snapshot, decoding each merged round into a clone of a child prototype.
+// Every child id must be known and every sketch must decode to the relay's
+// width and shape — a checkpoint from a differently configured tree is
+// rejected before any state is replaced. A nil state is a no-op.
+func (r *Relay[S]) ImportState(st *RelayState) error {
 	if st == nil {
 		return nil
 	}
@@ -410,11 +409,11 @@ func (r *Relay[S]) ImportState(st *RelayState, unmarshal func([]byte) (S, error)
 			rr.reported[id] = true
 		}
 		if len(rs.Merged) > 0 {
-			sk, err := unmarshal(rs.Merged)
-			if err != nil {
+			sk := ref.Clone()
+			if err := sk.UnmarshalBinary(rs.Merged); err != nil {
 				return fmt.Errorf("core: import relay round %d: %w", e, err)
 			}
-			if IsNil(sk) || !ref.Compatible(sk) || sk.Width() != r.width {
+			if !ref.Compatible(sk) || sk.Width() != r.width {
 				return fmt.Errorf("core: import relay round %d: sketch does not match the relay shape", e)
 			}
 			rr.merged = sk

@@ -102,7 +102,9 @@ type ReplayCache[S Sketch[S]] struct {
 }
 
 // NewReplayCache creates a cache bounded to budgetBytes of decoded
-// partials (plus the fixed-cap memo tier).
+// partials (plus the fixed-cap memo tier). Each partial is charged 64 bytes
+// plus MemoryBits()/8 of its sketch at the maximum width, so a budget of k
+// times that figure holds exactly k partials.
 func NewReplayCache[S Sketch[S]](budgetBytes int64) *ReplayCache[S] {
 	return &ReplayCache[S]{
 		budget:   budgetBytes,

@@ -259,4 +259,42 @@ func TestHistoryReplayCacheBudgetEviction(t *testing.T) {
 	if st.Bytes > 1<<10 {
 		t.Fatalf("cache bytes %d exceed the %d budget", st.Bytes, 1<<10)
 	}
+
+	// The charge: each partial costs 64 bytes plus its sketch's footprint
+	// under the paper's model at wMax, so a budget of k charges holds
+	// exactly k partials. Spread: 2 rows × 64 columns × 16 registers × 5
+	// bits; size: 4 rows × 64 counters × 32 bits.
+	checkReplayCharge(t, ctr.Center, src, epochs, 64+2*64*16*5/8)
+	sizeCtr, sizeSrc, _ := sizeReplayFixture(t, epochs)
+	checkReplayCharge(t, sizeCtr.Center, sizeSrc, epochs, 64+4*64*32/8)
+}
+
+// checkReplayCharge replays every epoch of src under a budget of three
+// per-partial charges and checks the cache's byte count against the
+// partials it holds.
+func checkReplayCharge[S Sketch[S]](t *testing.T, ctr *Center[S], src HistorySource[S], epochs, charge int64) {
+	t.Helper()
+	const k = 3
+	ctr.EnableReplayCache(k * charge)
+	if _, _, err := ctr.QueryRangeFrom(0, 1, epochs, src); err != nil {
+		t.Fatal(err)
+	}
+	st, _ := ctr.ReplayCacheStats()
+	rc := ctr.replay
+	rc.mu.Lock()
+	var want int64
+	for _, ent := range rc.entries {
+		want += 64
+		if ent.have {
+			want += int64(ent.sk.MemoryBits() / 8)
+		}
+	}
+	rc.mu.Unlock()
+	if st.Bytes != want {
+		t.Errorf("cache charges %d bytes, its partials' 64 + MemoryBits/8 sum to %d", st.Bytes, want)
+	}
+	if st.Entries != k || st.Bytes != k*charge {
+		t.Errorf("budget of %d charges of %d B holds %d partials in %d bytes, want %d in %d",
+			k, charge, st.Entries, st.Bytes, k, k*charge)
+	}
 }

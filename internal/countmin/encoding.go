@@ -5,48 +5,22 @@ import (
 	"fmt"
 )
 
-// Wire magics for the two binary encodings of a CountMin sketch. The fixed
-// encoding ships 8 bytes per counter; the compact one zigzag-varint
-// encodes the counters (a fresh epoch's counters are mostly zero or small,
-// one byte each) and is negotiated per connection. UnmarshalBinary accepts
-// both, so buffered uploads survive a codec renegotiation and checkpoints
-// written by either codec restore.
-const (
-	wireMagic        = 0xC3
-	wireMagicCompact = 0xC4
-)
+// wireMagic opens the binary encoding of a CountMin sketch: the header
+// (magic, D, W, Seed) followed by the D*W counters row-major as zigzag
+// varints, since a fresh epoch's counters are mostly zero or small (one
+// byte each). It is the only encoding; a payload under any other magic is
+// rejected.
+const wireMagic = 0xC4
 
-// appendHeader writes the shared encoding header: magic, D, W, Seed.
-func (s *Sketch) appendHeader(out []byte, magic byte) []byte {
-	p := s.params
-	out = append(out, magic)
-	out = binary.LittleEndian.AppendUint32(out, uint32(p.D))
-	out = binary.LittleEndian.AppendUint32(out, uint32(p.W))
-	out = binary.LittleEndian.AppendUint64(out, p.Seed)
-	return out
-}
-
-// MarshalBinary encodes the sketch little-endian: magic, D, W, Seed, then
-// the D*W counters row-major as int64.
-func (s *Sketch) MarshalBinary() ([]byte, error) {
-	p := s.params
-	out := make([]byte, 0, 1+4+4+8+p.D*p.W*8)
-	out = s.appendHeader(out, wireMagic)
-	for _, row := range s.rows {
-		for _, v := range row {
-			out = binary.LittleEndian.AppendUint64(out, uint64(v))
-		}
-	}
-	return out, nil
-}
-
-// MarshalBinaryCompact encodes the sketch in the compact form: the same
-// header under wireMagicCompact, then the D*W counters row-major as
-// zigzag varints.
+// MarshalBinaryCompact encodes the sketch little-endian: magic, D, W, Seed,
+// then the D*W counters row-major as zigzag varints.
 func (s *Sketch) MarshalBinaryCompact() ([]byte, error) {
 	p := s.params
 	out := make([]byte, 0, 1+4+4+8+p.D*p.W)
-	out = s.appendHeader(out, wireMagicCompact)
+	out = append(out, wireMagic)
+	out = binary.LittleEndian.AppendUint32(out, uint32(p.D))
+	out = binary.LittleEndian.AppendUint32(out, uint32(p.W))
+	out = binary.LittleEndian.AppendUint64(out, p.Seed)
 	for _, row := range s.rows {
 		for _, v := range row {
 			out = binary.AppendVarint(out, v)
@@ -55,19 +29,17 @@ func (s *Sketch) MarshalBinaryCompact() ([]byte, error) {
 	return out, nil
 }
 
-// UnmarshalBinary decodes a sketch previously encoded by MarshalBinary or
-// MarshalBinaryCompact, dispatching on the magic byte. When s already has
-// the decoded dimensions its counter rows are reused, so a pooled scratch
-// sketch decodes epoch after epoch without allocating; on error the
-// counter contents are unspecified but the sketch stays structurally
-// valid.
+// UnmarshalBinary decodes a sketch previously encoded by
+// MarshalBinaryCompact. When s already has the decoded dimensions its
+// counter rows are reused, so a pooled scratch sketch decodes epoch after
+// epoch without allocating; on error the counter contents are unspecified
+// but the sketch stays structurally valid.
 func (s *Sketch) UnmarshalBinary(data []byte) error {
 	if len(data) < 1+4+4+8 {
 		return fmt.Errorf("countmin: truncated sketch encoding")
 	}
-	magic := data[0]
-	if magic != wireMagic && magic != wireMagicCompact {
-		return fmt.Errorf("countmin: bad magic byte %#x", data[0])
+	if data[0] != wireMagic {
+		return fmt.Errorf("countmin: bad magic byte %#x (want %#x)", data[0], wireMagic)
 	}
 	off := 1
 	d := int(binary.LittleEndian.Uint32(data[off:]))
@@ -86,6 +58,10 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	if d > maxCells || w > maxCells || d*w > maxCells {
 		return fmt.Errorf("countmin: decode: implausible dimensions %dx%d", d, w)
 	}
+	// Every counter takes at least one varint byte.
+	if len(data)-off < d*w {
+		return fmt.Errorf("countmin: %d payload bytes for %d counters", len(data)-off, d*w)
+	}
 	rows := s.rows
 	if len(rows) != d {
 		rows = make([][]int64, d)
@@ -95,35 +71,23 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 			rows[i] = make([]int64, w)
 		}
 	}
-	if magic == wireMagic {
-		if want := d * w * 8; len(data[off:]) != want {
-			return fmt.Errorf("countmin: payload %d bytes, want %d", len(data[off:]), want)
-		}
-		for i := range rows {
-			for j := range rows[i] {
-				rows[i][j] = int64(binary.LittleEndian.Uint64(data[off:]))
-				off += 8
+	for i := range rows {
+		for j := range rows[i] {
+			v, n := binary.Varint(data[off:])
+			if n <= 0 {
+				return fmt.Errorf("countmin: truncated or malformed counter varint (row %d, col %d)", i, j)
 			}
-		}
-	} else {
-		for i := range rows {
-			for j := range rows[i] {
-				v, n := binary.Varint(data[off:])
-				if n <= 0 {
-					return fmt.Errorf("countmin: truncated or malformed counter varint (row %d, col %d)", i, j)
-				}
-				// Reject overlong varints (trailing zero continuation
-				// group): encodings stay canonical.
-				if n > 1 && data[off+n-1] == 0 {
-					return fmt.Errorf("countmin: non-minimal counter varint (row %d, col %d)", i, j)
-				}
-				rows[i][j] = v
-				off += n
+			// Reject overlong varints (trailing zero continuation group):
+			// encodings stay canonical.
+			if n > 1 && data[off+n-1] == 0 {
+				return fmt.Errorf("countmin: non-minimal counter varint (row %d, col %d)", i, j)
 			}
+			rows[i][j] = v
+			off += n
 		}
-		if off != len(data) {
-			return fmt.Errorf("countmin: %d trailing bytes", len(data)-off)
-		}
+	}
+	if off != len(data) {
+		return fmt.Errorf("countmin: %d trailing bytes", len(data)-off)
 	}
 	s.params = p
 	s.rows = rows

@@ -2,21 +2,20 @@ package countmin
 
 import (
 	"encoding"
+	"encoding/binary"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
 
-var (
-	_ encoding.BinaryMarshaler   = (*Sketch)(nil)
-	_ encoding.BinaryUnmarshaler = (*Sketch)(nil)
-)
+var _ encoding.BinaryUnmarshaler = (*Sketch)(nil)
 
 func TestEncodingRoundTrip(t *testing.T) {
 	s := New(Params{D: 5, W: 33, Seed: 77})
 	for f := uint64(0); f < 200; f++ {
 		s.Add(f, int64(f%29)-3) // include negative counters
 	}
-	data, err := s.MarshalBinary()
+	data, err := s.MarshalBinaryCompact()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +30,7 @@ func TestEncodingRoundTrip(t *testing.T) {
 
 func TestDecodeErrors(t *testing.T) {
 	s := New(Params{D: 2, W: 4, Seed: 1})
-	data, err := s.MarshalBinary()
+	data, err := s.MarshalBinaryCompact()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +44,22 @@ func TestDecodeErrors(t *testing.T) {
 		t.Fatal("expected magic error")
 	}
 	if err := g.UnmarshalBinary(append(data, 1, 2, 3)); err == nil {
+		t.Fatal("expected trailing-bytes error")
+	}
+	// A bare header claiming 2^24 counters must be rejected before they
+	// are allocated: every counter takes at least one payload byte.
+	hostile := binary.LittleEndian.AppendUint32([]byte{wireMagic}, 1)
+	hostile = binary.LittleEndian.AppendUint32(hostile, 1<<24)
+	hostile = binary.LittleEndian.AppendUint64(hostile, 1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = g.UnmarshalBinary(hostile)
+	runtime.ReadMemStats(&after)
+	if err == nil {
 		t.Fatal("expected payload-size error")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("rejecting a 17-byte header allocated %d bytes", grew)
 	}
 }
 
@@ -55,7 +69,7 @@ func TestEncodingQuick(t *testing.T) {
 		for f := uint64(0); f < uint64(flows); f++ {
 			s.Add(f, int64(f+1))
 		}
-		data, err := s.MarshalBinary()
+		data, err := s.MarshalBinaryCompact()
 		if err != nil {
 			return false
 		}

@@ -171,11 +171,15 @@ func TestPackIntoUnpackInto(t *testing.T) {
 		r := randRegs(rng, n)
 		words := make([]uint64, PackedWords(n))
 		PackInto(words, r)
-		// Must agree with the Packed reference implementation.
-		ref := Pack(r)
-		for i, w := range ref.Words() {
-			if words[i] != w {
-				t.Fatalf("n=%d: PackInto word %d = %#x, Pack says %#x", n, i, words[i], w)
+		// Must agree with the bit-by-bit layout: register i occupies bits
+		// [5i, 5i+5), padding bits stay zero.
+		for b := 0; b < 64*len(words); b++ {
+			want := uint64(0)
+			if i := b / RegisterBits; i < n {
+				want = uint64(r[i]>>uint(b%RegisterBits)) & 1
+			}
+			if got := words[b/64] >> uint(b%64) & 1; got != want {
+				t.Fatalf("n=%d: PackInto bit %d = %d, want %d", n, b, got, want)
 			}
 		}
 		got := make(Regs, n)

@@ -3,12 +3,11 @@
 // Heule et al. 2013).
 //
 // The paper's configuration is m HLL registers of r = 5 bits each, so each
-// register holds a value in [0, 31]. Two representations are provided:
-//
-//   - Regs: one byte per register, the working representation used on the
-//     record path (fast, still value-clamped to 5 bits);
-//   - Packed: true 5-bit packing into 64-bit words, used to account for and
-//     validate the paper's memory model and for compact wire encoding.
+// register holds a value in [0, 31]. Regs, one byte per register, is the
+// working representation on the record path (fast, still value-clamped to
+// 5 bits); MemoryBits accounts for it under the paper's 5-bit model. The
+// wire form is the compact encoding (AppendCompact/DecodeCompact), whose
+// dense mode carries the true 5-bit packing (PackInto/UnpackInto).
 //
 // Estimation uses the standard bias-corrected HLL formula with the
 // linear-counting small-range correction. With 64-bit hashing no

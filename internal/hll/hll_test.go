@@ -174,14 +174,14 @@ func TestAlphaMonotone(t *testing.T) {
 
 func TestPackedRoundTrip(t *testing.T) {
 	err := quick.Check(func(vals []uint8) bool {
-		if len(vals) == 0 {
-			return true
-		}
 		r := make(Regs, len(vals))
 		for i, v := range vals {
 			r[i] = v & MaxRegisterValue
 		}
-		return Pack(r).Unpack().Equal(r)
+		words := make([]uint64, PackedWords(len(r)))
+		PackInto(words, r)
+		back := make(Regs, len(r))
+		return UnpackInto(back, words) == nil && back.Equal(r)
 	}, &quick.Config{MaxCount: 200})
 	if err != nil {
 		t.Fatal(err)
@@ -190,45 +190,26 @@ func TestPackedRoundTrip(t *testing.T) {
 
 func TestPackedSetGetBoundaries(t *testing.T) {
 	// Registers straddling word boundaries (every 64/gcd(5,64) pattern).
-	p := NewPacked(200)
-	for i := 0; i < 200; i++ {
-		p.Set(i, uint8(i%32))
+	r := make(Regs, 200)
+	for i := range r {
+		r[i] = uint8(i % 32)
 	}
-	for i := 0; i < 200; i++ {
-		if got := p.Get(i); got != uint8(i%32) {
-			t.Fatalf("register %d: got %d want %d", i, got, i%32)
+	words := make([]uint64, PackedWords(len(r)))
+	PackInto(words, r)
+	got := make(Regs, len(r))
+	if err := UnpackInto(got, words); err != nil {
+		t.Fatal(err)
+	}
+	for i := range got {
+		if got[i] != uint8(i%32) {
+			t.Fatalf("register %d: got %d want %d", i, got[i], i%32)
 		}
 	}
 }
 
-func TestPackedMergeMatchesRegs(t *testing.T) {
-	a, b := NewRegs(300), NewRegs(300)
-	for e := 0; e < 2000; e++ {
-		record(a, uint64(e), 4)
-		record(b, uint64(e)*7, 8)
-	}
-	pa, pb := Pack(a), Pack(b)
-	if err := a.MergeMax(b); err != nil {
-		t.Fatal(err)
-	}
-	if err := pa.MergeMax(pb); err != nil {
-		t.Fatal(err)
-	}
-	if !pa.Unpack().Equal(a) {
-		t.Fatal("packed merge differs from byte-wise merge")
-	}
-}
-
-func TestPackedMergeMismatch(t *testing.T) {
-	if err := NewPacked(5).MergeMax(NewPacked(6)); err == nil {
-		t.Fatal("expected length-mismatch error")
-	}
-}
-
 func TestPackedMemorySavings(t *testing.T) {
-	p := NewPacked(1280)
-	if p.MemoryBits() != 1280*RegisterBits {
-		// 1280*5 = 6400 bits = exactly 100 words.
-		t.Fatalf("packed memory = %d bits, want %d", p.MemoryBits(), 1280*RegisterBits)
+	// 1280*5 = 6400 bits = exactly 100 words.
+	if got := PackedWords(1280) * 64; got != 1280*RegisterBits {
+		t.Fatalf("packed memory = %d bits, want %d", got, 1280*RegisterBits)
 	}
 }

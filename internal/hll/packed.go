@@ -2,30 +2,11 @@ package hll
 
 import "fmt"
 
-// Packed is a true 5-bit-per-register HLL register array packed into 64-bit
-// words. It is the memory model the paper's accounting assumes and the
-// representation used on the wire. It is slower to access than Regs, so the
-// record path uses Regs and converts at epoch boundaries.
-type Packed struct {
-	n     int
-	words []uint64
-}
-
-// NewPacked returns a zeroed packed array of n registers.
-func NewPacked(n int) *Packed {
-	nbits := n * RegisterBits
-	return &Packed{
-		n:     n,
-		words: make([]uint64, (nbits+63)/64),
-	}
-}
-
-// Pack converts a byte-per-register array into its packed form.
-func Pack(r Regs) *Packed {
-	p := NewPacked(len(r))
-	PackInto(p.words, r)
-	return p
-}
+// The canonical 5-bit packing of a register array into 64-bit words: the
+// memory model the paper's accounting assumes, and the payload of the
+// compact encoding's dense mode. Register i occupies bits [5i, 5i+5) of
+// the little-endian bit stream; unused padding bits of the last word are
+// zero.
 
 // PackedWords returns the number of 64-bit words the packed form of n
 // registers occupies.
@@ -55,7 +36,8 @@ func PackInto(words []uint64, r Regs) {
 
 // UnpackInto unpacks words (the canonical packed form of len(dst)
 // registers) into dst. It rejects a word slice of the wrong length and
-// non-zero padding bits, mirroring FromWords.
+// non-zero padding bits, so every register state has exactly one packed
+// form.
 func UnpackInto(dst Regs, words []uint64) error {
 	if len(words) != PackedWords(len(dst)) {
 		return fmt.Errorf("hll: %d words for %d registers, want %d", len(words), len(dst), PackedWords(len(dst)))
@@ -75,85 +57,4 @@ func UnpackInto(dst Regs, words []uint64) error {
 		dst[i] = uint8(v) & MaxRegisterValue
 	}
 	return nil
-}
-
-// Len returns the number of registers.
-func (p *Packed) Len() int { return p.n }
-
-// Get returns register i.
-func (p *Packed) Get(i int) uint8 {
-	bit := i * RegisterBits
-	word, off := bit/64, uint(bit%64)
-	v := p.words[word] >> off
-	if off+RegisterBits > 64 {
-		v |= p.words[word+1] << (64 - off)
-	}
-	return uint8(v) & MaxRegisterValue
-}
-
-// Set stores v (clamped to 5 bits) into register i.
-func (p *Packed) Set(i int, v uint8) {
-	if v > MaxRegisterValue {
-		v = MaxRegisterValue
-	}
-	bit := i * RegisterBits
-	word, off := bit/64, uint(bit%64)
-	p.words[word] &^= uint64(MaxRegisterValue) << off
-	p.words[word] |= uint64(v) << off
-	if off+RegisterBits > 64 {
-		rem := off + RegisterBits - 64
-		p.words[word+1] &^= uint64(MaxRegisterValue) >> (RegisterBits - rem)
-		p.words[word+1] |= uint64(v) >> (64 - off)
-	}
-}
-
-// Unpack converts back to the byte-per-register representation.
-func (p *Packed) Unpack() Regs {
-	r := make(Regs, p.n)
-	for i := range r {
-		r[i] = p.Get(i)
-	}
-	return r
-}
-
-// MergeMax folds o into p by register-wise max.
-func (p *Packed) MergeMax(o *Packed) error {
-	if p.n != o.n {
-		return fmt.Errorf("hll: packed merge length mismatch: %d vs %d", p.n, o.n)
-	}
-	for i := 0; i < p.n; i++ {
-		if v := o.Get(i); v > p.Get(i) {
-			p.Set(i, v)
-		}
-	}
-	return nil
-}
-
-// MemoryBits returns the exact packed footprint in bits.
-func (p *Packed) MemoryBits() int {
-	return len(p.words) * 64
-}
-
-// Words exposes the packed backing words for wire encoding. The returned
-// slice aliases the packed array; callers must not modify it.
-func (p *Packed) Words() []uint64 { return p.words }
-
-// FromWords reconstructs a packed array of n registers from backing words
-// previously obtained via Words. The word slice is copied.
-func FromWords(n int, words []uint64) (*Packed, error) {
-	want := (n*RegisterBits + 63) / 64
-	if len(words) != want {
-		return nil, fmt.Errorf("hll: %d words for %d registers, want %d", len(words), n, want)
-	}
-	p := NewPacked(n)
-	copy(p.words, words)
-	// Reject stray bits beyond the last register: encodings are canonical
-	// (every register state has exactly one byte representation).
-	if extra := n * RegisterBits % 64; extra != 0 {
-		last := p.words[len(p.words)-1]
-		if last&^((1<<uint(extra))-1) != 0 {
-			return nil, fmt.Errorf("hll: non-canonical padding bits in packed encoding")
-		}
-	}
-	return p, nil
 }

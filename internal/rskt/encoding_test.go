@@ -6,10 +6,7 @@ import (
 	"testing/quick"
 )
 
-var (
-	_ encoding.BinaryMarshaler   = (*Sketch)(nil)
-	_ encoding.BinaryUnmarshaler = (*Sketch)(nil)
-)
+var _ encoding.BinaryUnmarshaler = (*Sketch)(nil)
 
 func TestEncodingRoundTrip(t *testing.T) {
 	s := New(Params{W: 37, M: 24, Seed: 123}) // odd sizes exercise padding
@@ -18,7 +15,7 @@ func TestEncodingRoundTrip(t *testing.T) {
 			s.Record(f, uint64(e))
 		}
 	}
-	data, err := s.MarshalBinary()
+	data, err := s.MarshalBinaryCompact()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +30,7 @@ func TestEncodingRoundTrip(t *testing.T) {
 
 func TestEncodingEmpty(t *testing.T) {
 	s := New(Params{W: 1, M: 1, Seed: 0})
-	data, err := s.MarshalBinary()
+	data, err := s.MarshalBinaryCompact()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,10 +44,13 @@ func TestEncodingEmpty(t *testing.T) {
 }
 
 func TestEncodingCompactness(t *testing.T) {
-	// The payload must use 5-bit packing: ~2*W*M*5/8 bytes, not one byte
-	// per register.
+	// A dense payload must use 5-bit packing: ~2*W*M*5/8 bytes, not one
+	// byte per register.
 	s := New(Params{W: 64, M: 128, Seed: 0})
-	data, err := s.MarshalBinary()
+	for e := uint64(0); e < 200000; e++ {
+		s.Record(e%4096, e)
+	}
+	data, err := s.MarshalBinaryCompact()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestEncodingCompactness(t *testing.T) {
 
 func TestDecodeErrors(t *testing.T) {
 	s := New(Params{W: 4, M: 8, Seed: 1})
-	data, err := s.MarshalBinary()
+	data, err := s.MarshalBinaryCompact()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestEncodingQuick(t *testing.T) {
 		for i := 0; i < int(nPkts); i++ {
 			s.Record(seed%17, uint64(i))
 		}
-		data, err := s.MarshalBinary()
+		data, err := s.MarshalBinaryCompact()
 		if err != nil {
 			return false
 		}

@@ -69,7 +69,7 @@ func TestRecordSlotSharedAcrossSketches(t *testing.T) {
 	}
 }
 
-// TestCompactEncodingRoundTrip covers both codecs across densities,
+// TestCompactEncodingRoundTrip covers the encoding across densities,
 // including the decode-into-existing-sketch reuse path.
 func TestCompactEncodingRoundTrip(t *testing.T) {
 	p := Params{W: 41, M: 32, Seed: 5}
@@ -79,33 +79,27 @@ func TestCompactEncodingRoundTrip(t *testing.T) {
 		for k := 0; k < packets; k++ {
 			s.Record(uint64(k%9), uint64(k))
 		}
-		legacy, err := s.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
 		compact, err := s.MarshalBinaryCompact()
 		if err != nil {
 			t.Fatal(err)
 		}
 		mut := s.Clone()
 		mut.Record(77, 123456)
-		for name, enc := range map[string][]byte{"legacy": legacy, "compact": compact} {
-			if err := scratch.UnmarshalBinary(enc); err != nil {
-				t.Fatalf("%s packets=%d: %v", name, packets, err)
-			}
-			if !scratch.Equal(s) {
-				t.Fatalf("%s packets=%d: round-trip mismatch", name, packets)
-			}
-			// The decoded sketch must keep recording identically (derived
-			// state rebuilt).
-			scratch.Record(77, 123456)
-			if !scratch.Equal(mut) {
-				t.Fatalf("%s packets=%d: decoded sketch records differently", name, packets)
-			}
+		if err := scratch.UnmarshalBinary(compact); err != nil {
+			t.Fatalf("packets=%d: %v", packets, err)
 		}
-		// A sparse epoch must be materially smaller in compact form.
-		if packets == 40 && len(compact) >= len(legacy)/2 {
-			t.Fatalf("compact %d bytes vs legacy %d: expected >2x reduction at this density", len(compact), len(legacy))
+		if !scratch.Equal(s) {
+			t.Fatalf("packets=%d: round-trip mismatch", packets)
+		}
+		// The decoded sketch must keep recording identically (derived
+		// state rebuilt).
+		scratch.Record(77, 123456)
+		if !scratch.Equal(mut) {
+			t.Fatalf("packets=%d: decoded sketch records differently", packets)
+		}
+		// A sparse epoch must take well under half its 5-bit packed size.
+		if packed := s.MemoryBits() / 8; packets == 40 && len(compact) >= packed/2 {
+			t.Fatalf("compact %d bytes vs %d packed: expected >2x reduction at this density", len(compact), packed)
 		}
 	}
 }

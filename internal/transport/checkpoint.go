@@ -12,21 +12,21 @@ import (
 // Point-side durability: each epoch-boundary checkpoint is a durable
 // container (internal/durable) with three sections.
 //
-//	"state"   — the TQST2 snapshot (epoch + B/C/C' sketches, state.go;
-//	            restores from TQST1 checkpoints written by older binaries)
+//	"state"   — the TQST2 snapshot (epoch + B/C/C' sketches, state.go)
 //	"meta"    — the degradation accounting RestoreSnapshot cannot carry:
 //	            push-lineage flags, staged/current coverage, topology,
 //	            and the rebase marker (fixed-width little-endian)
 //	"uploads" — the retransmit buffer, sent history included, so a
 //	            restarted point can replay epochs a restarted center lost
 //
-// The TQST1 snapshot alone (the old -state flag) restores sketches but
+// The TQST2 snapshot alone (the -state flag) restores sketches but
 // assumes a healthy lineage; meta makes the restore honest — a re-pushed
 // aggregate is applied or rejected exactly as the pre-crash process would
 // have, and queries report the coverage the window really has.
 
 const (
 	pointMetaVersion    = 1
+	pointMetaBytes      = 34
 	pointUploadsVersion = 1
 )
 
@@ -56,7 +56,7 @@ func (c *PointClient) checkpointSectionsLocked() ([]durable.Section, error) {
 	}
 
 	meta := c.eng.meta()
-	mbuf := make([]byte, 0, 34)
+	mbuf := make([]byte, 0, pointMetaBytes)
 	mbuf = append(mbuf, pointMetaVersion)
 	mbuf = binary.LittleEndian.AppendUint32(mbuf, uint32(c.up.points))
 	mbuf = binary.LittleEndian.AppendUint32(mbuf, uint32(c.up.windowN))
@@ -117,7 +117,9 @@ func (c *PointClient) checkpointSectionsLocked() ([]durable.Section, error) {
 // restoreCheckpoint rebuilds the point from a loaded checkpoint: sketches
 // and epoch first (LoadState), then the honest accounting (RestoreMeta
 // overriding LoadState's healthy-lineage assumption), then the retransmit
-// buffer. Called from DialPoint before the first connect.
+// buffer. Every section is parsed before anything is restored, so a
+// malformed checkpoint fails DialPoint without touching the point. Called
+// from DialPoint before the first connect.
 func (c *PointClient) restoreCheckpoint(sections []durable.Section) error {
 	bySection := make(map[string][]byte, len(sections))
 	for _, sec := range sections {
@@ -127,16 +129,16 @@ func (c *PointClient) restoreCheckpoint(sections []durable.Section) error {
 	if !ok {
 		return fmt.Errorf("checkpoint has no state section")
 	}
-	if err := c.LoadState(bytes.NewReader(state)); err != nil {
-		return err
-	}
 
 	mbuf, ok := bySection["meta"]
 	if !ok {
 		return fmt.Errorf("checkpoint has no meta section")
 	}
-	if len(mbuf) != 34 || mbuf[0] != pointMetaVersion {
-		return fmt.Errorf("malformed meta section (%d bytes, version %d)", len(mbuf), mbuf[0])
+	if len(mbuf) != pointMetaBytes {
+		return fmt.Errorf("malformed meta section (%d bytes, want %d)", len(mbuf), pointMetaBytes)
+	}
+	if mbuf[0] != pointMetaVersion {
+		return fmt.Errorf("meta section version %d, want %d", mbuf[0], pointMetaVersion)
 	}
 	points := int(binary.LittleEndian.Uint32(mbuf[1:5]))
 	windowN := int(binary.LittleEndian.Uint32(mbuf[5:9]))
@@ -154,7 +156,6 @@ func (c *PointClient) restoreCheckpoint(sections []durable.Section) error {
 			EpochsExpected: int(int64(binary.LittleEndian.Uint64(mbuf[26:34]))),
 		},
 	}
-	c.eng.restoreMeta(meta)
 
 	ubuf, ok := bySection["uploads"]
 	if !ok {
@@ -164,16 +165,22 @@ func (c *PointClient) restoreCheckpoint(sections []durable.Section) error {
 		return fmt.Errorf("malformed uploads section")
 	}
 	count := binary.LittleEndian.Uint32(ubuf[1:5])
+	// Every entry takes at least its fixed header, so the section bounds
+	// the count before the count sizes an allocation.
+	const entryHeader = 13
+	if uint64(count) > uint64((len(ubuf)-5)/entryHeader) {
+		return fmt.Errorf("uploads section claims %d entries in %d bytes", count, len(ubuf))
+	}
 	off := 5
 	pending := make([]pendingUpload, 0, count)
 	for i := uint32(0); i < count; i++ {
-		if len(ubuf) < off+13 {
+		if len(ubuf) < off+entryHeader {
 			return fmt.Errorf("truncated uploads section (entry %d)", i)
 		}
 		epoch := int64(binary.LittleEndian.Uint64(ubuf[off : off+8]))
 		f := ubuf[off+8]
 		n := int(binary.LittleEndian.Uint32(ubuf[off+9 : off+13]))
-		off += 13
+		off += entryHeader
 		if n < 0 || len(ubuf) < off+n {
 			return fmt.Errorf("truncated uploads section (entry %d payload)", i)
 		}
@@ -196,6 +203,10 @@ func (c *PointClient) restoreCheckpoint(sections []durable.Section) error {
 		return fmt.Errorf("trailing bytes in uploads section")
 	}
 
+	if err := c.LoadState(bytes.NewReader(state)); err != nil {
+		return err
+	}
+	c.eng.restoreMeta(meta)
 	c.mu.Lock()
 	c.up.points = points
 	c.up.windowN = windowN

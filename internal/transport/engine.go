@@ -15,10 +15,10 @@ import (
 
 // The transport speaks to exactly one point-side and one center-side
 // protocol engine, both thin instantiations of the generic epoch engine in
-// internal/core behind a byte-level codec. The design (size/spread) and
-// the spread design's sketch backend (rSkt2 or vHLL) are picked once at
-// construction (newPointEngine / newCenterEngine); every hot path after
-// that is design-agnostic. Sketch selection is out-of-band configuration —
+// internal/core behind byte-level sketch payloads. The design
+// (size/spread) and the spread design's sketch backend (rSkt2 or vHLL) are
+// picked once at construction (newPointEngine / newCenterEngine); every
+// hot path after that is design-agnostic. Sketch selection is out-of-band configuration —
 // the wire messages carry opaque sketch blobs and never name the backend,
 // so both sides of a connection must be configured with the same Sketch
 // (a mismatch surfaces as a blob decode error, killing the connection).
@@ -108,14 +108,11 @@ type IngestPipe interface {
 }
 
 // pointCodec is the design- and backend-specific part of a point engine:
-// how sketch blobs encode and decode, and how the state file is framed.
+// how sketch blobs decode, and how the state file is framed. Every blob is
+// the sketch's one encoding (core.Sketch.MarshalBinaryCompact).
 type pointCodec[S core.Sketch[S]] struct {
-	// enc is the compact encoding every payload and state blob travels in;
-	// dec decodes one sketch blob, compact or fixed (it dispatches on the
-	// sketch's magic byte).
-	enc func(S) ([]byte, error)
 	dec func([]byte) (S, error)
-	// stateKind is the TQST1 kind byte ('s' spread, 'z' size).
+	// stateKind is the TQST2 kind byte ('s' spread, 'z' size).
 	stateKind byte
 	// hasBByte marks the size framing, which writes a B-presence byte
 	// (cumulative mode keeps no B sketch); the spread framing always has
@@ -173,7 +170,7 @@ func (e *enginePoint[S]) queryUnionCov(f uint64, peers []pointEngine) (float64, 
 func (e *enginePoint[S]) endEpoch(rebase bool) (int64, []byte, core.UploadMeta, error) {
 	epoch := e.pt.Epoch()
 	up, meta := e.pt.EndEpochMeta(rebase)
-	data, err := e.codec.enc(up)
+	data, err := up.MarshalBinaryCompact()
 	return epoch, data, meta, err
 }
 
@@ -207,8 +204,8 @@ func (e *enginePoint[S]) applyBackfill(forEpoch int64, data []byte, merged int) 
 	return err
 }
 
-// decodeRskt / decodeVhll / decodeCountMin are the blob decoders behind
-// each codec.
+// decodeRskt / decodeVhll / decodeCountMin decode one sketch blob of each
+// backend.
 func decodeRskt(data []byte) (*rskt.Sketch, error) {
 	var sk rskt.Sketch
 	if err := sk.UnmarshalBinary(data); err != nil {
@@ -243,9 +240,7 @@ func newPointEngine(cfg PointConfig) (pointEngine, error) {
 			if err != nil {
 				return nil, err
 			}
-			return newEnginePoint(pt.Point, pointCodec[*rskt.Sketch]{
-				enc: (*rskt.Sketch).MarshalBinaryCompact, dec: decodeRskt, stateKind: 's',
-			}), nil
+			return newEnginePoint(pt.Point, pointCodec[*rskt.Sketch]{dec: decodeRskt, stateKind: 's'}), nil
 		case SketchVhll:
 			params := vhll.Params{PhysicalRegisters: cfg.W, VirtualRegisters: cfg.M, Seed: cfg.Seed}
 			if _, err := vhll.New(params); err != nil {
@@ -261,9 +256,7 @@ func newPointEngine(cfg PointConfig) (pointEngine, error) {
 			if err != nil {
 				return nil, err
 			}
-			return newEnginePoint(pt.Point, pointCodec[*vhll.Sketch]{
-				enc: (*vhll.Sketch).MarshalBinaryCompact, dec: decodeVhll, stateKind: 's',
-			}), nil
+			return newEnginePoint(pt.Point, pointCodec[*vhll.Sketch]{dec: decodeVhll, stateKind: 's'}), nil
 		default:
 			return nil, fmt.Errorf("transport: unknown spread sketch %q", cfg.Sketch)
 		}
@@ -283,7 +276,7 @@ func newPointEngine(cfg PointConfig) (pointEngine, error) {
 			return nil, err
 		}
 		return newEnginePoint(pt.Point, pointCodec[*countmin.Sketch]{
-			enc: (*countmin.Sketch).MarshalBinaryCompact, dec: decodeCountMin, stateKind: 'z', hasBByte: true,
+			dec: decodeCountMin, stateKind: 'z', hasBByte: true,
 		}), nil
 	default:
 		return nil, fmt.Errorf("transport: unknown kind %q", cfg.Kind)
@@ -373,9 +366,6 @@ func (ls logSource[S]) EpochCells(epoch int64, points []int, visit func(point in
 type engineCenter[S core.Sketch[S]] struct {
 	ctr *core.Center[S]
 	dec func([]byte) (S, error)
-	// enc is the canonical (compact) encoding of every payload the center
-	// sends and every cell the epoch log stores.
-	enc func(S) ([]byte, error)
 	// recv ingests one decoded upload (the design wrapper's ReceiveMeta,
 	// which for size also checks the sketch parameters).
 	recv func(point int, epoch int64, sk S, meta core.UploadMeta) error
@@ -476,7 +466,7 @@ func (e *engineCenter[S]) buildPush(point int, forEpoch int64, enhance bool) (Pu
 		return push, err
 	}
 	if !core.IsNil(agg) {
-		push.Aggregate, err = e.pushEnc.encode(forEpoch, agg, func() ([]byte, error) { return e.enc(agg) })
+		push.Aggregate, err = e.pushEnc.encode(forEpoch, agg, agg.MarshalBinaryCompact)
 		if err != nil {
 			return push, err
 		}
@@ -487,7 +477,7 @@ func (e *engineCenter[S]) buildPush(point int, forEpoch int64, enhance bool) (Pu
 			return push, err
 		}
 		if !core.IsNil(enh) {
-			if push.Enhancement, err = e.enc(enh); err != nil {
+			if push.Enhancement, err = enh.MarshalBinaryCompact(); err != nil {
 				return push, err
 			}
 		}
@@ -497,7 +487,7 @@ func (e *engineCenter[S]) buildPush(point int, forEpoch int64, enhance bool) (Pu
 }
 
 func (e *engineCenter[S]) exportCell(point int, epoch int64) ([]byte, bool, error) {
-	return e.ctr.MarshalUpload(point, epoch, e.enc)
+	return e.ctr.MarshalUpload(point, epoch, S.MarshalBinaryCompact)
 }
 
 func (e *engineCenter[S]) historyAt(f uint64, k int64, log *durable.Log) (float64, core.Coverage, error) {
@@ -544,24 +534,7 @@ func newCenterEngine(cfg CenterConfig) (centerEngine, error) {
 			if err != nil {
 				return nil, err
 			}
-			return &engineCenter[*rskt.Sketch]{
-				ctr:  ctr.Center,
-				dec:  decodeRskt,
-				enc:  (*rskt.Sketch).MarshalBinaryCompact,
-				recv: ctr.ReceiveMeta,
-				save: func(ck *centerCheckpoint) error {
-					// Compact blobs in the checkpoint: the import path
-					// dispatches on the sketch magic, so checkpoints written
-					// by older (fixed-encoding) binaries keep restoring.
-					st, err := ctr.ExportState((*rskt.Sketch).MarshalBinaryCompact)
-					if err != nil {
-						return err
-					}
-					ck.Spread = st
-					return nil
-				},
-				load: func(ck *centerCheckpoint) error { return ctr.ImportState(ck.Spread, decodeRskt) },
-			}, nil
+			return newSpreadCenterEngine(ctr, decodeRskt), nil
 		case SketchVhll:
 			protos := make(map[int]*vhll.Sketch, len(cfg.Widths))
 			for id, w := range cfg.Widths {
@@ -575,21 +548,7 @@ func newCenterEngine(cfg CenterConfig) (centerEngine, error) {
 			if err != nil {
 				return nil, err
 			}
-			return &engineCenter[*vhll.Sketch]{
-				ctr:  ctr.Center,
-				dec:  decodeVhll,
-				enc:  (*vhll.Sketch).MarshalBinaryCompact,
-				recv: ctr.ReceiveMeta,
-				save: func(ck *centerCheckpoint) error {
-					st, err := ctr.ExportState((*vhll.Sketch).MarshalBinaryCompact)
-					if err != nil {
-						return err
-					}
-					ck.Spread = st
-					return nil
-				},
-				load: func(ck *centerCheckpoint) error { return ctr.ImportState(ck.Spread, decodeVhll) },
-			}, nil
+			return newSpreadCenterEngine(ctr, decodeVhll), nil
 		default:
 			return nil, fmt.Errorf("transport: unknown spread sketch %q", cfg.Sketch)
 		}
@@ -612,7 +571,6 @@ func newCenterEngine(cfg CenterConfig) (centerEngine, error) {
 		return &engineCenter[*countmin.Sketch]{
 			ctr:     ctr.Center,
 			dec:     decodeCountMin,
-			enc:     (*countmin.Sketch).MarshalBinaryCompact,
 			recv:    ctr.ReceiveMeta,
 			cum:     mode == core.SizeModeCumulative,
 			scratch: &sketchPool[*countmin.Sketch]{dec: decodeCountMin},
@@ -628,5 +586,24 @@ func newCenterEngine(cfg CenterConfig) (centerEngine, error) {
 		}, nil
 	default:
 		return nil, fmt.Errorf("transport: unknown kind %q", cfg.Kind)
+	}
+}
+
+// newSpreadCenterEngine wraps a spread center of either backend; its window
+// store travels in the checkpoint's Spread field.
+func newSpreadCenterEngine[S core.SpreadSketch[S]](ctr *core.SpreadCenter[S], dec func([]byte) (S, error)) *engineCenter[S] {
+	return &engineCenter[S]{
+		ctr:  ctr.Center,
+		dec:  dec,
+		recv: ctr.ReceiveMeta,
+		save: func(ck *centerCheckpoint) error {
+			st, err := ctr.ExportState()
+			if err != nil {
+				return err
+			}
+			ck.Spread = st
+			return nil
+		},
+		load: func(ck *centerCheckpoint) error { return ctr.ImportState(ck.Spread) },
 	}
 }

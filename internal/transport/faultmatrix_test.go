@@ -584,14 +584,14 @@ func (r *rawPoint) upload(epoch int, dup bool) {
 		if dup {
 			record(9000+epoch, 0, sk.Record)
 		}
-		payload, err = sk.MarshalBinary()
+		payload, err = sk.MarshalBinaryCompact()
 	} else if dup {
 		fork := r.cum.Clone()
 		record(9000+epoch, 0, func(f, e uint64) { fork.Record(f, 0) })
-		payload, err = fork.MarshalBinary()
+		payload, err = fork.MarshalBinaryCompact()
 	} else {
 		record(epoch, 0, func(f, e uint64) { r.cum.Record(f, 0) })
-		payload, err = r.cum.MarshalBinary()
+		payload, err = r.cum.MarshalBinaryCompact()
 	}
 	if err != nil {
 		r.t.Fatal(err)

@@ -38,33 +38,9 @@ func fuzzGob(t interface{ Fatal(args ...any) }, vs ...any) []byte {
 	return buf.Bytes()
 }
 
+// fuzzSpreadSketchBytes / fuzzSizeSketchBytes encode small real sketches,
+// the payloads every peer sends; the packed wire goldens pin them.
 func fuzzSpreadSketchBytes(t interface{ Fatal(args ...any) }) []byte {
-	sk := rskt.New(rskt.Params{W: 16, M: 4, Seed: 5})
-	for e := 0; e < 30; e++ {
-		sk.Record(7, uint64(e))
-	}
-	b, err := sk.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
-func fuzzSizeSketchBytes(t interface{ Fatal(args ...any) }) []byte {
-	sk := countmin.New(countmin.Params{D: 2, W: 16, Seed: 5})
-	for i := 0; i < 30; i++ {
-		sk.Record(7, 0)
-	}
-	b, err := sk.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
-// The *Compact variants encode the same sketches in the compact encoding
-// every current peer sends; the packed wire goldens pin them.
-func fuzzSpreadSketchBytesCompact(t interface{ Fatal(args ...any) }) []byte {
 	sk := rskt.New(rskt.Params{W: 16, M: 4, Seed: 5})
 	for e := 0; e < 30; e++ {
 		sk.Record(7, uint64(e))
@@ -76,7 +52,7 @@ func fuzzSpreadSketchBytesCompact(t interface{ Fatal(args ...any) }) []byte {
 	return b
 }
 
-func fuzzSizeSketchBytesCompact(t interface{ Fatal(args ...any) }) []byte {
+func fuzzSizeSketchBytes(t interface{ Fatal(args ...any) }) []byte {
 	sk := countmin.New(countmin.Params{D: 2, W: 16, Seed: 5})
 	for i := 0; i < 30; i++ {
 		sk.Record(7, 0)

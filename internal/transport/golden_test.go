@@ -34,29 +34,18 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden wire-format fi
 
 // goldenMessages fixes one representative value per wire message. The
 // sketch payloads are real encodings so the goldens also pin the sketch
-// binary formats that ride inside Upload and Push — once per encoding: the
-// *_packed variants carry the compact payloads every current peer sends,
-// the plain ones the fixed payloads of older peers, which must keep
-// decoding.
+// binary format that rides inside Upload and Push.
 func goldenMessages(t *testing.T) map[string]any {
 	t.Helper()
 	return map[string]any{
 		"hello":   Hello{Point: 3, Kind: KindSpread, W: 32, StateEpoch: 15},
 		"welcome": Welcome{WindowN: 5, Points: 4, ResumeEpoch: 17, PointEpoch: 15},
-		"upload": Upload{
+		"upload_packed": Upload{
 			Point: 3, Epoch: 16, Sketch: fuzzSizeSketchBytes(t),
 			AggApplied: true, EnhApplied: false, Rebase: true,
 		},
-		"push": Push{
-			ForEpoch: 17, Aggregate: fuzzSpreadSketchBytes(t),
-			CovMerged: 9, CovExpected: 12, IntoCurrent: true,
-		},
-		"upload_packed": Upload{
-			Point: 3, Epoch: 16, Sketch: fuzzSizeSketchBytesCompact(t),
-			AggApplied: true, EnhApplied: false, Rebase: true,
-		},
 		"push_packed": Push{
-			ForEpoch: 17, Aggregate: fuzzSpreadSketchBytesCompact(t),
+			ForEpoch: 17, Aggregate: fuzzSpreadSketchBytes(t),
 			CovMerged: 9, CovExpected: 12, IntoCurrent: true,
 		},
 		// The liveness probe a point sends between epochs (PROTOCOL.md
@@ -121,19 +110,19 @@ func TestGoldenDecodable(t *testing.T) {
 		t.Errorf("welcome decoded to %+v", w)
 	}
 	var u Upload
-	if err := gob.NewDecoder(bytes.NewReader(read("upload"))).Decode(&u); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(read("upload_packed"))).Decode(&u); err != nil {
 		t.Fatal(err)
 	}
-	wu := want["upload"].(Upload)
+	wu := want["upload_packed"].(Upload)
 	if u.Point != wu.Point || u.Epoch != wu.Epoch || !bytes.Equal(u.Sketch, wu.Sketch) ||
 		u.AggApplied != wu.AggApplied || u.EnhApplied != wu.EnhApplied || u.Rebase != wu.Rebase {
 		t.Errorf("upload decoded to %+v", u)
 	}
 	var p Push
-	if err := gob.NewDecoder(bytes.NewReader(read("push"))).Decode(&p); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(read("push_packed"))).Decode(&p); err != nil {
 		t.Fatal(err)
 	}
-	wp := want["push"].(Push)
+	wp := want["push_packed"].(Push)
 	if p.ForEpoch != wp.ForEpoch || !bytes.Equal(p.Aggregate, wp.Aggregate) ||
 		!bytes.Equal(p.Enhancement, wp.Enhancement) ||
 		p.CovMerged != wp.CovMerged || p.CovExpected != wp.CovExpected ||
@@ -141,25 +130,11 @@ func TestGoldenDecodable(t *testing.T) {
 		t.Errorf("push decoded to %+v", p)
 	}
 
-	// The packed goldens' payloads must decode as valid compact sketches.
-	var up Upload
-	if err := gob.NewDecoder(bytes.NewReader(read("upload_packed"))).Decode(&up); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(up.Sketch, want["upload_packed"].(Upload).Sketch) {
-		t.Errorf("packed upload decoded to %+v", up)
-	}
-	if _, err := decodeCountMin(up.Sketch); err != nil {
+	// The goldens' payloads must decode as valid sketches.
+	if _, err := decodeCountMin(u.Sketch); err != nil {
 		t.Errorf("packed upload payload does not decode: %v", err)
 	}
-	var pp Push
-	if err := gob.NewDecoder(bytes.NewReader(read("push_packed"))).Decode(&pp); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(pp.Aggregate, want["push_packed"].(Push).Aggregate) {
-		t.Errorf("packed push decoded to %+v", pp)
-	}
-	if _, err := decodeRskt(pp.Aggregate); err != nil {
+	if _, err := decodeRskt(p.Aggregate); err != nil {
 		t.Errorf("packed push payload does not decode: %v", err)
 	}
 
@@ -206,13 +181,11 @@ func TestGoldenLegacyHandshakeDecodable(t *testing.T) {
 // TestGoldenPreHeartbeatUploadDecodable proves an Upload stream written
 // before the Heartbeat field existed still decodes correctly: gob must
 // leave Heartbeat false, so every frame from a pre-heartbeat point is a
-// real measurement and none is mistaken for a probe. The _v2 goldens are
-// the exact bytes upload.bin/upload_packed.bin held before the field was
-// added.
+// real measurement and none is mistaken for a probe. upload_packed_v2
+// holds the exact bytes upload_packed.bin held before the field was added.
 func TestGoldenPreHeartbeatUploadDecodable(t *testing.T) {
 	want := goldenMessages(t)
 	for old, cur := range map[string]string{
-		"upload_v2":        "upload",
 		"upload_packed_v2": "upload_packed",
 	} {
 		b, err := os.ReadFile(filepath.Join("testdata", "golden", old+".bin"))

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/countmin"
-	"repro/internal/durable"
 	"repro/internal/rskt"
 )
 
@@ -21,9 +20,6 @@ import (
 // fixed-width meta section, the uploads retransmit buffer, and the
 // center's gob blob — for a deterministic protocol run. They share the
 // -update flag with the wire-format goldens; a diff is a recovery break.
-// The frozen _v1 variants hold what pre-codec binaries wrote (TQST1
-// state, fixed sketch encodings); TestLegacyCheckpointRestores proves
-// they keep restoring and they are never regenerated.
 
 // goldenPointSections runs a deterministic two-point cluster over real TCP
 // for three epochs (uploads, aggregate+enhancement pushes) and returns
@@ -119,28 +115,6 @@ func frameSections(secs []ckptSection) []byte {
 	return buf.Bytes()
 }
 
-// unframeSections inverts frameSections, recovering the durable sections a
-// golden checkpoint file holds.
-func unframeSections(t *testing.T, data []byte) []durable.Section {
-	t.Helper()
-	var secs []durable.Section
-	for len(data) > 0 {
-		nul := bytes.IndexByte(data, 0)
-		if nul < 0 || len(data) < nul+5 {
-			t.Fatal("malformed golden checkpoint framing")
-		}
-		name := string(data[:nul])
-		n := binary.LittleEndian.Uint32(data[nul+1 : nul+5])
-		data = data[nul+5:]
-		if uint32(len(data)) < n {
-			t.Fatal("truncated golden checkpoint section")
-		}
-		secs = append(secs, durable.Section{Name: name, Data: data[:n]})
-		data = data[n:]
-	}
-	return secs
-}
-
 func checkGoldenBytes(t *testing.T, name string, got []byte) {
 	t.Helper()
 	path := filepath.Join("testdata", "golden", name+".bin")
@@ -164,7 +138,7 @@ func checkGoldenBytes(t *testing.T, name string, got []byte) {
 	}
 }
 
-// TestGoldenPointCheckpoint pins the full point checkpoint: TQST1 state,
+// TestGoldenPointCheckpoint pins the full point checkpoint: TQST2 state,
 // meta section, and uploads retransmit buffer, for both designs.
 func TestGoldenPointCheckpoint(t *testing.T) {
 	for _, kind := range []Kind{KindSpread, KindSize} {
@@ -196,9 +170,7 @@ func TestGoldenCenterCheckpoint(t *testing.T) {
 		if err := center.Receive(0, 1, up); err != nil {
 			t.Fatal(err)
 		}
-		st, err := center.ExportState(func(sk *rskt.Sketch) ([]byte, error) {
-			return sk.MarshalBinaryCompact()
-		})
+		st, err := center.ExportState()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,84 +210,5 @@ func TestGoldenCenterCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkGoldenBytes(t, "ckpt_center_size", buf.Bytes())
-	})
-}
-
-// TestLegacyCheckpointRestores proves checkpoints written by pre-codec
-// binaries keep restoring: the frozen _v1 goldens hold TQST1 state
-// snapshots and fixed-encoding sketch blobs, and both restore paths
-// dispatch on the embedded versions rather than assuming the current ones.
-func TestLegacyCheckpointRestores(t *testing.T) {
-	read := func(name string) []byte {
-		b, err := os.ReadFile(filepath.Join("testdata", "golden", name+".bin"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	for _, kind := range []Kind{KindSpread, KindSize} {
-		kind := kind
-		t.Run("point_"+string(kind), func(t *testing.T) {
-			secs := unframeSections(t, read("ckpt_point_"+string(kind)+"_v1"))
-			cfg := PointConfig{Point: 0, Kind: kind, Seed: 11}
-			switch kind {
-			case KindSpread:
-				cfg.W, cfg.M = 32, 4
-			case KindSize:
-				cfg.W, cfg.D = 64, 2
-			}
-			eng, err := newPointEngine(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c := &PointClient{cfg: cfg, eng: eng}
-			if err := c.restoreCheckpoint(secs); err != nil {
-				t.Fatalf("legacy point checkpoint no longer restores: %v", err)
-			}
-			// The golden cluster ran three epochs, so the restored point
-			// lives in epoch 4 with three buffered uploads.
-			if c.Epoch() != 4 {
-				t.Errorf("restored epoch %d, want 4", c.Epoch())
-			}
-			if len(c.up.pending) != 3 {
-				t.Errorf("restored %d buffered uploads, want 3", len(c.up.pending))
-			}
-		})
-	}
-	t.Run("center_spread", func(t *testing.T) {
-		var ck centerCheckpoint
-		if err := gob.NewDecoder(bytes.NewReader(read("ckpt_center_spread_v1"))).Decode(&ck); err != nil {
-			t.Fatal(err)
-		}
-		eng, err := newCenterEngine(CenterConfig{
-			Kind: KindSpread, WindowN: 5, Widths: map[int]int{0: 32}, M: 4, Seed: 11,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.importState(&ck); err != nil {
-			t.Fatalf("legacy center checkpoint no longer restores: %v", err)
-		}
-		if eng.maxEpoch() != 1 {
-			t.Errorf("restored max epoch %d, want 1", eng.maxEpoch())
-		}
-	})
-	t.Run("center_size", func(t *testing.T) {
-		var ck centerCheckpoint
-		if err := gob.NewDecoder(bytes.NewReader(read("ckpt_center_size_v1"))).Decode(&ck); err != nil {
-			t.Fatal(err)
-		}
-		eng, err := newCenterEngine(CenterConfig{
-			Kind: KindSize, WindowN: 5, Widths: map[int]int{0: 64}, D: 2, Seed: 11,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.importState(&ck); err != nil {
-			t.Fatalf("legacy center checkpoint no longer restores: %v", err)
-		}
-		if eng.maxEpoch() != 1 {
-			t.Errorf("restored max epoch %d, want 1", eng.maxEpoch())
-		}
 	})
 }

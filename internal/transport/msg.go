@@ -8,10 +8,10 @@
 // sends one Upload per epoch, gob-encoded. The center answers with Push
 // messages carrying the ST-join aggregate (and the optional enhancement)
 // for the epoch in progress, plus the aggregate's window coverage. Sketch
-// payloads travel as their compact binary encodings, not as gob
-// structures; decoders dispatch on each sketch's magic byte, so the fixed
-// encodings older peers send still decode. Golden encodings of every message live in testdata/golden
-// (see golden_test.go): a change that breaks point↔center version
+// payloads travel as opaque bytes in each sketch's one binary encoding
+// (core.Sketch.MarshalBinaryCompact), not as gob structures. Golden
+// encodings of every message live in testdata/golden (see
+// golden_test.go): a change that breaks point↔center version
 // compatibility fails those tests loudly.
 package transport
 

@@ -132,7 +132,7 @@ type PointClient struct {
 	needRebase bool
 
 	// eng is the design-erased protocol engine (see engine.go): the
-	// generic core epoch engine behind the design's wire codec.
+	// generic core epoch engine behind byte-level sketch payloads.
 	eng pointEngine
 
 	// ckpt is the durable checkpoint store (nil when durability is

@@ -13,7 +13,7 @@ import (
 // relayEngine is the design-erased aggregation relay the RelayServer
 // drives: core.Relay behind the byte-level sketch codec, mirroring how
 // pointEngine/centerEngine wrap core.Point/core.Center. Sketch payloads
-// cross the boundary as their binary encodings.
+// cross the boundary in their one binary encoding.
 type relayEngine interface {
 	// receiveChild decodes one child upload and merges it into its epoch's
 	// combined round (core.Relay.Receive semantics, including the
@@ -45,7 +45,6 @@ type relayEngine interface {
 // epoch sketch.
 type engineRelay[S core.Sketch[S]] struct {
 	rel *core.Relay[S]
-	enc func(S) ([]byte, error)
 	dec func([]byte) (S, error)
 }
 
@@ -62,7 +61,7 @@ func (e *engineRelay[S]) nextReady() (int64, []byte, bool, error) {
 	if !ok {
 		return 0, nil, false, nil
 	}
-	data, err := e.enc(combined)
+	data, err := combined.MarshalBinaryCompact()
 	return epoch, data, true, err
 }
 
@@ -92,7 +91,7 @@ func (e *engineRelay[S]) reencoder(data []byte) func(childW int) ([]byte, error)
 		if err != nil {
 			return nil, err
 		}
-		b, err := e.enc(out)
+		b, err := out.MarshalBinaryCompact()
 		if err == nil {
 			built[childW] = b
 		}
@@ -108,11 +107,11 @@ func (e *engineRelay[S]) forwarded() int64            { return e.rel.Forwarded()
 func (e *engineRelay[S]) resyncForwarded(epoch int64) { e.rel.ResyncForwarded(epoch) }
 
 func (e *engineRelay[S]) exportState() (*core.RelayState, error) {
-	return e.rel.ExportState(e.enc)
+	return e.rel.ExportState()
 }
 
 func (e *engineRelay[S]) importState(st *core.RelayState) error {
-	return e.rel.ImportState(st, e.dec)
+	return e.rel.ImportState(st)
 }
 
 // newRelayEngine builds the relay engine selected by the configuration.
@@ -138,7 +137,7 @@ func newRelayEngine(cfg RelayConfig) (relayEngine, error) {
 			if err != nil {
 				return nil, err
 			}
-			return &engineRelay[*rskt.Sketch]{rel: rel, enc: (*rskt.Sketch).MarshalBinaryCompact, dec: decodeRskt}, nil
+			return &engineRelay[*rskt.Sketch]{rel: rel, dec: decodeRskt}, nil
 		case SketchVhll:
 			protos := make(map[int]*vhll.Sketch, len(cfg.Widths))
 			for id, w := range cfg.Widths {
@@ -154,7 +153,7 @@ func newRelayEngine(cfg RelayConfig) (relayEngine, error) {
 			if err != nil {
 				return nil, err
 			}
-			return &engineRelay[*vhll.Sketch]{rel: rel, enc: (*vhll.Sketch).MarshalBinaryCompact, dec: decodeVhll}, nil
+			return &engineRelay[*vhll.Sketch]{rel: rel, dec: decodeVhll}, nil
 		default:
 			return nil, fmt.Errorf("transport: unknown spread sketch %q", cfg.Sketch)
 		}
@@ -176,7 +175,7 @@ func newRelayEngine(cfg RelayConfig) (relayEngine, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &engineRelay[*countmin.Sketch]{rel: rel, enc: (*countmin.Sketch).MarshalBinaryCompact, dec: decodeCountMin}, nil
+		return &engineRelay[*countmin.Sketch]{rel: rel, dec: decodeCountMin}, nil
 	default:
 		return nil, fmt.Errorf("transport: unknown kind %q", cfg.Kind)
 	}

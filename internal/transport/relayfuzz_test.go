@@ -9,27 +9,26 @@ import (
 )
 
 // fuzzRelaySeeds are the committed child-stream inputs for FuzzRelayConn:
-// well-formed child handshakes and uploads under BOTH sketch encodings
-// (a relay decodes the fixed payloads of older children next to compact
-// ones, so the merge path must take them interleaved), plus truncated,
-// corrupted and hostile variants.
+// well-formed child handshakes and uploads, an upload under the retired
+// fixed encoding's magic (which the relay must reject like any other bad
+// payload), plus truncated, corrupted and hostile variants.
 func fuzzRelaySeeds(t interface{ Fatal(args ...any) }) [][]byte {
 	helloOK := fuzzGob(t, Hello{Point: 0, Kind: KindSize, W: 16})
 	wrongShard := fuzzGob(t, Hello{Point: 0, Kind: KindSize, W: 16, Shard: 1})
-	uploadLegacy := fuzzGob(t, Hello{Point: 0, Kind: KindSize, W: 16},
+	upload := fuzzGob(t, Hello{Point: 0, Kind: KindSize, W: 16},
 		Upload{Point: 0, Epoch: 1, Sketch: fuzzSizeSketchBytes(t)})
-	uploadPacked := fuzzGob(t, Hello{Point: 0, Kind: KindSize, W: 16},
-		Upload{Point: 0, Epoch: 1, Sketch: fuzzSizeSketchBytesCompact(t)})
+	uploadRetired := fuzzGob(t, Hello{Point: 0, Kind: KindSize, W: 16},
+		Upload{Point: 0, Epoch: 1, Sketch: append([]byte{0xC3}, fuzzSizeSketchBytes(t)[1:]...)})
 	uploadDup := fuzzGob(t, Hello{Point: 0, Kind: KindSize, W: 16},
 		Upload{Point: 0, Epoch: 1, Sketch: fuzzSizeSketchBytes(t)},
-		Upload{Point: 0, Epoch: 1, Sketch: fuzzSizeSketchBytesCompact(t)})
+		Upload{Point: 0, Epoch: 1, Sketch: fuzzSizeSketchBytes(t)})
 	badSketch := fuzzGob(t, Hello{Point: 0, Kind: KindSize, W: 16},
 		Upload{Point: 0, Epoch: 1, Sketch: []byte{0xC3, 0xFF, 0xFF, 0xFF, 0xFF}})
 	hugeEpoch := fuzzGob(t, Hello{Point: 0, Kind: KindSize, W: 16},
 		Upload{Point: 0, Epoch: 1 << 50, Sketch: fuzzSizeSketchBytes(t)})
 	unknownChild := fuzzGob(t, Hello{Point: 9, Kind: KindSize, W: 16})
 	wrongKind := fuzzGob(t, Hello{Point: 0, Kind: KindSpread, W: 16})
-	corrupt := append([]byte(nil), uploadLegacy...)
+	corrupt := append([]byte(nil), upload...)
 	if len(corrupt) > 4 {
 		corrupt[len(corrupt)/2] ^= 0xFF
 	}
@@ -38,8 +37,8 @@ func fuzzRelaySeeds(t interface{ Fatal(args ...any) }) [][]byte {
 		helloOK,
 		wrongShard,
 		helloOK[:len(helloOK)/2],
-		uploadLegacy,
-		uploadPacked,
+		upload,
+		uploadRetired,
 		uploadDup,
 		badSketch,
 		hugeEpoch,

@@ -15,14 +15,11 @@ import (
 // against one center, so the combined Upload a relay emits for a
 // completed round — the merged child sketches, compact-encoded — must
 // stay byte-stable. These goldens drive the real merge engine with fixed
-// child uploads (one fixed-encoded child as an older point sends, one
-// compact, since a relay decodes both) and pin the resulting frames for
-// every backend, plus the relay-shaped Hello whose Weight and Shard
-// fields older centers must keep tolerating. The plain relay_upload_*
-// frames pin the same merge under the fixed encoding an older relay
-// sent, which current centers must keep decoding.
+// child uploads and pin the resulting frames for every backend, plus the
+// relay-shaped Hello whose Weight and Shard fields older centers must keep
+// tolerating.
 
-func fuzzVhllSketchBytes(t interface{ Fatal(args ...any) }, compact bool) []byte {
+func fuzzVhllSketchBytes(t interface{ Fatal(args ...any) }) []byte {
 	sk, err := vhll.New(vhll.Params{PhysicalRegisters: 16, VirtualRegisters: 4, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -30,21 +27,15 @@ func fuzzVhllSketchBytes(t interface{ Fatal(args ...any) }, compact bool) []byte
 	for e := 0; e < 30; e++ {
 		sk.Record(7, uint64(e))
 	}
-	var b []byte
-	if compact {
-		b, err = sk.MarshalBinaryCompact()
-	} else {
-		b, err = sk.MarshalBinary()
-	}
+	b, err := sk.MarshalBinaryCompact()
 	if err != nil {
 		t.Fatal(err)
 	}
 	return b
 }
 
-// relayGoldenFrames builds one combined upload per backend × codec by
-// merging two fixed child epochs through a real relay engine, and the
-// relay Hello.
+// relayGoldenFrames builds one combined upload per backend by merging two
+// fixed child epochs through a real relay engine, and the relay Hello.
 func relayGoldenFrames(t *testing.T) map[string]any {
 	t.Helper()
 	frames := map[string]any{
@@ -54,17 +45,14 @@ func relayGoldenFrames(t *testing.T) map[string]any {
 		},
 	}
 	for _, tc := range []struct {
-		name    string
-		kind    Kind
-		sketch  string
-		compact bool
+		name   string
+		kind   Kind
+		sketch string
+		child  func(t interface{ Fatal(args ...any) }) []byte
 	}{
-		{"relay_upload_spread", KindSpread, SketchRskt, false},
-		{"relay_upload_spread_packed", KindSpread, SketchRskt, true},
-		{"relay_upload_vhll", KindSpread, SketchVhll, false},
-		{"relay_upload_vhll_packed", KindSpread, SketchVhll, true},
-		{"relay_upload_size", KindSize, "", false},
-		{"relay_upload_size_packed", KindSize, "", true},
+		{"relay_upload_spread_packed", KindSpread, SketchRskt, fuzzSpreadSketchBytes},
+		{"relay_upload_vhll_packed", KindSpread, SketchVhll, fuzzVhllSketchBytes},
+		{"relay_upload_size_packed", KindSize, "", fuzzSizeSketchBytes},
 	} {
 		eng, err := newRelayEngine(RelayConfig{
 			Kind: tc.kind, Sketch: tc.sketch, WindowN: 5,
@@ -73,17 +61,8 @@ func relayGoldenFrames(t *testing.T) map[string]any {
 		if err != nil {
 			t.Fatalf("%s: engine: %v", tc.name, err)
 		}
-		var child0, child1 []byte
-		switch {
-		case tc.sketch == SketchVhll:
-			child0, child1 = fuzzVhllSketchBytes(t, false), fuzzVhllSketchBytes(t, true)
-		case tc.kind == KindSpread:
-			child0, child1 = fuzzSpreadSketchBytes(t), fuzzSpreadSketchBytesCompact(t)
-		default:
-			child0, child1 = fuzzSizeSketchBytes(t), fuzzSizeSketchBytesCompact(t)
-		}
-		for child, payload := range map[int][]byte{0: child0, 1: child1} {
-			if err := eng.receiveChild(Upload{Point: child, Epoch: 1, Sketch: payload}); err != nil {
+		for child := 0; child < 2; child++ {
+			if err := eng.receiveChild(Upload{Point: child, Epoch: 1, Sketch: tc.child(t)}); err != nil {
 				t.Fatalf("%s: child %d: %v", tc.name, child, err)
 			}
 		}
@@ -91,36 +70,9 @@ func relayGoldenFrames(t *testing.T) map[string]any {
 		if err != nil || !ok {
 			t.Fatalf("%s: nextReady ok=%v err=%v", tc.name, ok, err)
 		}
-		if !tc.compact {
-			payload = fixedEncoding(t, tc.kind, tc.sketch, payload)
-		}
 		frames[tc.name] = Upload{Point: 7, Epoch: epoch, Sketch: payload}
 	}
 	return frames
-}
-
-// fixedEncoding re-marshals a compact sketch payload in the fixed
-// encoding.
-func fixedEncoding(t *testing.T, kind Kind, sketch string, payload []byte) []byte {
-	t.Helper()
-	var sk interface{ MarshalBinary() ([]byte, error) }
-	var err error
-	switch {
-	case sketch == SketchVhll:
-		sk, err = decodeVhll(payload)
-	case kind == KindSpread:
-		sk, err = decodeRskt(payload)
-	default:
-		sk, err = decodeCountMin(payload)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := sk.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
 }
 
 func TestGoldenRelayFrames(t *testing.T) {

@@ -10,17 +10,12 @@ import (
 
 // Point-state persistence: an agent can save its sketches and epoch before
 // shutting down and restore them on restart, so a restart does not lose
-// the current window. Format: magic + kind byte + epoch + length-prefixed
-// sketch blobs (B/C/C' for spread, [B]/C/C' for size with a presence flag
-// for B). Two versions share the framing: TQST1 carries fixed-encoding
-// sketch blobs, TQST2 compact ones. SaveState writes TQST2; LoadState
-// accepts both (the sketch decoders dispatch on each blob's own magic, so
-// the version byte documents provenance rather than switching a parser).
+// the current window. Format: the TQST2 magic + kind byte + epoch +
+// length-prefixed sketch blobs in their one binary encoding (B/C/C' for
+// spread, [B]/C/C' for size with a presence flag for B). LoadState rejects
+// any other magic, including the retired TQST1.
 
-var (
-	stateMagicV1 = [5]byte{'T', 'Q', 'S', 'T', '1'}
-	stateMagic   = [5]byte{'T', 'Q', 'S', 'T', '2'}
-)
+var stateMagic = [5]byte{'T', 'Q', 'S', 'T', '2'}
 
 // SaveState writes the point's current protocol state.
 func (c *PointClient) SaveState(w io.Writer) error {
@@ -69,7 +64,7 @@ func (e *enginePoint[S]) saveState(w io.Writer) error {
 		}
 	}
 	for _, sk := range sketches {
-		data, err := e.codec.enc(sk)
+		data, err := sk.MarshalBinaryCompact()
 		if err != nil {
 			return err
 		}
@@ -85,8 +80,8 @@ func (e *enginePoint[S]) loadState(r io.Reader) error {
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
 		return fmt.Errorf("transport: read state magic: %w", err)
 	}
-	if magic != stateMagic && magic != stateMagicV1 {
-		return fmt.Errorf("transport: not a TQST state file")
+	if magic != stateMagic {
+		return fmt.Errorf("transport: state magic %q, want %q", magic[:], stateMagic[:])
 	}
 	var kind [1]byte
 	if _, err := io.ReadFull(r, kind[:]); err != nil {

@@ -7,66 +7,39 @@ import (
 	"repro/internal/hll"
 )
 
-// Wire magics for the two binary encodings of a vHLL sketch. Deliberately
-// distinct from the rskt magics (0xA7/0xA8): a transport or checkpoint
-// restored under the wrong -sketch backend fails loudly at decode instead
-// of misreading registers. The compact form run-length encodes the shared
-// register array and is negotiated per connection; UnmarshalBinary accepts
-// both.
-const (
-	wireMagic        = 0xB3
-	wireMagicCompact = 0xB4
-)
+// wireMagic opens the binary encoding of a vHLL sketch: the header (magic,
+// physical and virtual register counts, seed) followed by the shared
+// register array as an hll compact register array. Deliberately distinct
+// from the rskt magic (0xA8): a transport or checkpoint restored under the
+// wrong -sketch backend fails loudly at decode instead of misreading
+// registers. It is the only encoding; a payload under any other magic is
+// rejected.
+const wireMagic = 0xB4
 
-// appendHeader writes the shared encoding header: magic, physical and
-// virtual register counts, seed.
-func (s *Sketch) appendHeader(out []byte, magic byte) []byte {
+// MarshalBinaryCompact encodes the sketch little-endian: magic, physical
+// and virtual register counts, seed, then the register array as an hll
+// compact register array.
+func (s *Sketch) MarshalBinaryCompact() ([]byte, error) {
 	p := s.params
-	out = append(out, magic)
+	out := make([]byte, 0, 64)
+	out = append(out, wireMagic)
 	out = binary.LittleEndian.AppendUint32(out, uint32(p.PhysicalRegisters))
 	out = binary.LittleEndian.AppendUint32(out, uint32(p.VirtualRegisters))
 	out = binary.LittleEndian.AppendUint64(out, p.Seed)
-	return out
-}
-
-// MarshalBinary encodes the sketch with 5-bit register packing (the
-// paper's memory model), little-endian: magic, physical and virtual
-// register counts, seed, then a word count and the packed words of the
-// shared register array.
-func (s *Sketch) MarshalBinary() ([]byte, error) {
-	words := make([]uint64, hll.PackedWords(len(s.regs)))
-	hll.PackInto(words, s.regs)
-	out := make([]byte, 0, 1+4+4+8+4+len(words)*8)
-	out = s.appendHeader(out, wireMagic)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(words)))
-	for _, w := range words {
-		out = binary.LittleEndian.AppendUint64(out, w)
-	}
-	return out, nil
-}
-
-// MarshalBinaryCompact encodes the sketch in the compact (run-length)
-// form: the same header under wireMagicCompact, then the register array as
-// an hll compact register array.
-func (s *Sketch) MarshalBinaryCompact() ([]byte, error) {
-	out := make([]byte, 0, 64)
-	out = s.appendHeader(out, wireMagicCompact)
 	return hll.AppendCompact(out, s.regs), nil
 }
 
-// UnmarshalBinary decodes a sketch previously encoded by MarshalBinary or
-// MarshalBinaryCompact, dispatching on the magic byte. When s already has
-// the decoded size its register array is reused, so a pooled scratch
-// sketch decodes epoch after epoch without allocating; on error the
-// register contents are unspecified but the sketch stays structurally
-// valid.
+// UnmarshalBinary decodes a sketch previously encoded by
+// MarshalBinaryCompact. When s already has the decoded size its register
+// array is reused, so a pooled scratch sketch decodes epoch after epoch
+// without allocating; on error the register contents are unspecified but
+// the sketch stays structurally valid.
 func (s *Sketch) UnmarshalBinary(data []byte) error {
 	if len(data) < 1+4+4+8 {
 		return fmt.Errorf("vhll: truncated sketch encoding")
 	}
-	magic := data[0]
-	if magic != wireMagic && magic != wireMagicCompact {
-		return fmt.Errorf("vhll: bad magic byte %#x", data[0])
+	if data[0] != wireMagic {
+		return fmt.Errorf("vhll: bad magic byte %#x (want %#x)", data[0], wireMagic)
 	}
 	off := 1
 	m := int(binary.LittleEndian.Uint32(data[off:]))
@@ -89,36 +62,12 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	if len(regs) != m {
 		regs = hll.NewRegs(m)
 	}
-	if magic == wireMagic {
-		if len(data[off:]) < 4 {
-			return fmt.Errorf("vhll: truncated register payload")
-		}
-		count := int(binary.LittleEndian.Uint32(data[off:]))
-		off += 4
-		want := hll.PackedWords(m)
-		if count != want {
-			return fmt.Errorf("vhll: %d words for %d registers, want %d", count, m, want)
-		}
-		if len(data[off:]) < count*8 {
-			return fmt.Errorf("vhll: truncated register payload")
-		}
-		words := make([]uint64, count)
-		for i := range words {
-			words[i] = binary.LittleEndian.Uint64(data[off:])
-			off += 8
-		}
-		if err := hll.UnpackInto(regs, words); err != nil {
-			return fmt.Errorf("vhll: decode registers: %w", err)
-		}
-	} else {
-		consumed, err := hll.DecodeCompact(regs, data[off:])
-		if err != nil {
-			return fmt.Errorf("vhll: decode registers: %w", err)
-		}
-		off += consumed
+	consumed, err := hll.DecodeCompact(regs, data[off:])
+	if err != nil {
+		return fmt.Errorf("vhll: decode registers: %w", err)
 	}
-	if off != len(data) {
-		return fmt.Errorf("vhll: %d trailing bytes", len(data)-off)
+	if off+consumed != len(data) {
+		return fmt.Errorf("vhll: %d trailing bytes", len(data)-off-consumed)
 	}
 	s.params = p
 	s.regs = regs

@@ -13,8 +13,8 @@ var genCorpus = flag.Bool("gen-corpus", false, "rewrite the committed fuzz seed 
 
 // TestGenerateFuzzCorpus rewrites the committed seed corpus when run with
 // -gen-corpus, in the `go test fuzz v1` format the fuzzer reads from
-// testdata/fuzz/<Target>, so `make fuzz-short` starts from both sketch
-// codecs instead of rediscovering the wire magics.
+// testdata/fuzz/<Target>, so `make fuzz-short` starts from real encodings
+// instead of rediscovering the wire magic.
 func TestGenerateFuzzCorpus(t *testing.T) {
 	if !*genCorpus {
 		t.Skip("run with -gen-corpus to rewrite testdata/fuzz")
@@ -31,10 +31,6 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 		for i := uint64(0); i < 100; i++ {
 			s.Record(i%7, i)
 		}
-		fixed, err := s.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
 		compact, err := s.MarshalBinaryCompact()
 		if err != nil {
 			t.Fatal(err)
@@ -47,7 +43,10 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seeds = append(seeds, fixed, compact, empty, compact[:len(compact)/2])
+		// The retired fixed encoding's magic over a compact body must be
+		// rejected.
+		legacy := append([]byte{0xB3}, compact[1:]...)
+		seeds = append(seeds, legacy, compact, empty, compact[:len(compact)/2])
 	}
 	writeSeedCorpus(t, "FuzzUnmarshalBinary", seeds)
 }

@@ -46,7 +46,7 @@ func TestSlotMatchesReference(t *testing.T) {
 	}
 }
 
-// TestCompactEncodingRoundTrip covers both codecs across densities,
+// TestCompactEncodingRoundTrip covers the encoding across densities,
 // including the decode-into-existing-sketch reuse path.
 func TestCompactEncodingRoundTrip(t *testing.T) {
 	p := Params{PhysicalRegisters: 2048, VirtualRegisters: 32, Seed: 5}
@@ -59,30 +59,24 @@ func TestCompactEncodingRoundTrip(t *testing.T) {
 		for k := 0; k < packets; k++ {
 			s.Record(uint64(k%9), uint64(k))
 		}
-		legacy, err := s.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
 		compact, err := s.MarshalBinaryCompact()
 		if err != nil {
 			t.Fatal(err)
 		}
 		mut := s.Clone()
 		mut.Record(77, 123456)
-		for name, enc := range map[string][]byte{"legacy": legacy, "compact": compact} {
-			if err := scratch.UnmarshalBinary(enc); err != nil {
-				t.Fatalf("%s packets=%d: %v", name, packets, err)
-			}
-			if !scratch.regs.Equal(s.regs) || scratch.params != s.params {
-				t.Fatalf("%s packets=%d: round-trip mismatch", name, packets)
-			}
-			scratch.Record(77, 123456)
-			if !scratch.regs.Equal(mut.regs) {
-				t.Fatalf("%s packets=%d: decoded sketch records differently", name, packets)
-			}
+		if err := scratch.UnmarshalBinary(compact); err != nil {
+			t.Fatalf("packets=%d: %v", packets, err)
 		}
-		if packets == 60 && len(compact) >= len(legacy)/2 {
-			t.Fatalf("compact %d bytes vs legacy %d: expected >2x reduction at this density", len(compact), len(legacy))
+		if !scratch.regs.Equal(s.regs) || scratch.params != s.params {
+			t.Fatalf("packets=%d: round-trip mismatch", packets)
+		}
+		scratch.Record(77, 123456)
+		if !scratch.regs.Equal(mut.regs) {
+			t.Fatalf("packets=%d: decoded sketch records differently", packets)
+		}
+		if packed := s.MemoryBits() / 8; packets == 60 && len(compact) >= packed/2 {
+			t.Fatalf("compact %d bytes vs %d packed: expected >2x reduction at this density", len(compact), packed)
 		}
 	}
 }
