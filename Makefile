@@ -1,7 +1,7 @@
-# Developer/CI entry points. `make check` is the gate: build, vet, the
-# full test suite under the race detector, a short fuzz pass over the
-# protocol decode paths, and a smoke run of the parallel ingest benchmarks
-# (100 iterations — checks they run, not their numbers).
+# Developer/CI entry points. `make check` is the gate: build, vet and
+# gofmt, the full test suite under the race detector (which includes the
+# bench/ smoke test), the crash, tree, chaos and store matrices, and a
+# short fuzz pass over every decode surface.
 
 GO ?= go
 
@@ -9,9 +9,9 @@ GO ?= go
 # internal/*/testdata/fuzz seeds each run with protocol-shaped inputs.
 FUZZTIME ?= 30s
 
-.PHONY: check build lint vet test test-race race crash-test tree-test chaos-test chaos-soak store-test fuzz-short bench-smoke bench bench-short bench-diff bench-scaling bench-tree bench-store
+.PHONY: check build lint vet test test-race race crash-test tree-test chaos-test chaos-soak store-test fuzz-short bench
 
-check: build lint race crash-test tree-test chaos-test store-test fuzz-short bench-smoke bench-short
+check: build lint race crash-test tree-test chaos-test store-test fuzz-short
 
 build:
 	$(GO) build ./...
@@ -67,14 +67,13 @@ chaos-test:
 	$(GO) test -race -count=1 -run '^TestChaos' ./internal/chaos
 
 # Open-ended randomized soak: runs the same engine with fresh seeds for
-# a time budget (or until CHAOS_EPOCHS epochs survive). Every run prints
-# a benchmark-shaped ChaosSoak row benchjson folds into
-# chaos_epochs_survived; a failing seed prints its exact replay command.
+# a time budget and keeps its per-run lines (epochs survived, faults
+# injected) in chaos_soak.txt; a failing seed prints its exact replay
+# command.
 CHAOS_SEED ?= 1
 CHAOS_SOAK ?= 2m
 chaos-soak:
 	$(GO) run ./cmd/tqchaos -seed $(CHAOS_SEED) -duration $(CHAOS_SOAK) | tee chaos_soak.txt
-	$(GO) run ./cmd/benchjson -o chaos_soak.json < chaos_soak.txt
 
 # The epoch-log store and retrospective-query gate: the log's own
 # format/retention/torn-tail/concurrency tests, the core replay engine,
@@ -107,84 +106,8 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentDecode$$' -fuzztime $(FUZZTIME) ./internal/durable
 	$(GO) test -run '^$$' -fuzz . -fuzztime $(FUZZTIME) ./internal/trace
 
-bench-smoke:
-	$(GO) test -run '^$$' -bench 'ThroughputParallel' -benchtime=100x .
-
-# Benchmark bookkeeping: runs pipe through cmd/benchjson into JSON
-# documents so perf claims ship with evidence. BENCH_PR5.json is the
-# committed trajectory for the hot-path/codec PR (regenerate with
-# `make bench BENCH_JSON=BENCH_PR5.json BENCH_BASELINE=old_bench.txt`).
-BENCH_JSON ?= bench.json
-BENCH_BASELINE ?=
-
-# Full benchmark pass (Tables I/II, the figure pipelines, and the upload
-# codec sizes), converted to $(BENCH_JSON).
+# The end-to-end benchmark (bench/, BENCHMARK.json): every workload, one
+# JSON document. Not part of check; the paper's tables and figures come
+# from cmd/tqbench (see EXPERIMENTS.md).
 bench:
-	$(GO) test -run '^$$' -bench . -benchtime=1s . | tee bench.txt
-	$(GO) run ./cmd/benchjson -o $(BENCH_JSON) \
-		$(if $(BENCH_BASELINE),-baseline $(BENCH_BASELINE)) < bench.txt
-
-# Sub-minute advisory pass over the hot-path microbenches (record, batch,
-# query, upload codec, epoch boundary); writes bench_short.json. Fixed
-# iteration counts keep it fast — the numbers are advisory (compare with
-# `make bench-diff`), the gate is only that every benchmark still runs.
-bench-short:
-	$(GO) test -run '^$$' \
-		-bench '^Benchmark(Table2Record|ThroughputParallel|Table1Query(Two|Three)SketchLocal|Upload(Spread|Size)|EpochBoundary)' \
-		-benchtime=1000x . | tee bench_short.txt
-	$(GO) run ./cmd/benchjson -o bench_short.json < bench_short.txt
-
-# Parallel-ingest scaling gate: runs the private-recorder benchmarks at
-# 1/2/4/8 workers and fails unless the 4-or-more-worker aggregate rate
-# reaches SCALING_MIN x the single-worker rate. The gated agg-packets/s
-# metric is CPU-projected from per-worker thread CPU time, so the gate is
-# meaningful even on a core-limited box (Linux only; elsewhere the metric
-# is absent and the gate errors rather than passing vacuously). The
-# iteration count is split across the workers, and each worker first-touches
-# a fresh delta sketch inside its timed loop: 2M iterations leave the
-# 8-worker row 250k packets per worker to amortize that over.
-SCALING_MIN ?= 2.0
-bench-scaling:
-	$(GO) test -run '^$$' -bench 'ThroughputParallelPipeline' -benchtime=2000000x . | tee bench_scaling.txt
-	$(GO) run ./cmd/benchjson -o bench_scaling.json < bench_scaling.txt
-	$(GO) run ./cmd/benchjson -scaling-gate $(SCALING_MIN) bench_scaling.json
-
-# Relay fan-in evidence: center-side ingest cost per epoch, p leaf
-# points uploading directly vs through a 2-level tree of 8 relays, at
-# p=64/256. benchjson pairs the topo=flat/topo=tree rows into its
-# relay_fanin_speedup map; BENCH_PR7.json is the committed trajectory
-# (regenerate with `make bench-tree BENCH_TREE_JSON=BENCH_PR7.json`).
-BENCH_TREE_JSON ?= bench_tree.json
-bench-tree:
-	$(GO) test -run '^$$' -bench '^BenchmarkRelayFanIn$$' -benchtime=200x \
-		./internal/transport | tee bench_tree.txt
-	$(GO) run ./cmd/benchjson -o $(BENCH_TREE_JSON) \
-		-note "center-side ingest per epoch, flat vs 2-level tree (8 relays)" < bench_tree.txt
-
-# Epoch-log store evidence: replay latency vs window length and cache
-# temperature (cold = full batched-read replay, warm = primed replay
-# cache, slide = per-step cost of a sliding window), plus the per-cell
-# append and lookup costs the log adds to the ingest path. benchjson
-# pairs the cold/warm rows into its store_warm_speedup map and the
-# -store-gate check fails unless every window's warm query is
-# STORE_MIN x cheaper than its cold one. BENCH_PR9.json (cold replay
-# only) and BENCH_PR10.json (cold/warm/slide) are the committed
-# trajectories (regenerate with
-# `make bench-store BENCH_STORE_JSON=BENCH_PR10.json`).
-BENCH_STORE_JSON ?= bench_store.json
-STORE_MIN ?= 5.0
-bench-store:
-	$(GO) test -run '^$$' -bench '^BenchmarkHistoricalQuery$$' -benchtime=50x \
-		./internal/transport | tee bench_store.txt
-	$(GO) test -run '^$$' -bench '^BenchmarkStore(Append|Get)$$' -benchtime=5000x \
-		./internal/durable | tee -a bench_store.txt
-	$(GO) run ./cmd/benchjson -o $(BENCH_STORE_JSON) \
-		-note "historical-query replay: cold/warm/slide vs window length; epoch-log append/lookup cost per cell" < bench_store.txt
-	$(GO) run ./cmd/benchjson -store-gate $(STORE_MIN) $(BENCH_STORE_JSON)
-
-# benchcmp-style ns/op comparison of two benchjson documents, e.g.
-# `make bench-short && make bench-diff OLD=BENCH_PR5.json NEW=bench_short.json`.
-OLD ?= BENCH_PR5.json
-NEW ?= bench_short.json
-bench-diff:
-	$(GO) run ./cmd/benchjson -diff $(OLD) $(NEW)
+	$(GO) run ./bench -all -o bench_out.json

@@ -5,11 +5,11 @@
 // starting from -seed, bumping the seed each run, until the -epochs or
 // -duration budget is spent (with neither set it makes a single pass).
 //
-// Output is `go test -bench` formatted, one line per run, so it pipes
-// straight into cmd/benchjson, which derives its chaos_epochs_survived
-// rows from the epochs_survived metric:
+// Output is one line per run on stdout, in `go test -bench` form: the
+// run's class, design and seed, its wall time, the cluster epochs it
+// survived and the faults it injected. The sweep's totals go to stderr:
 //
-//	tqchaos -seed 1 -duration 5m | benchjson -o chaos.json
+//	tqchaos -seed 1 -duration 5m | tee chaos_soak.txt
 //
 // A non-zero exit means a run found a real violation; the failing seed
 // and configuration are in the error, and replaying them reproduces the

@@ -15,7 +15,6 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -30,7 +29,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/diag"
-	"repro/internal/durable"
 	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/window"
@@ -68,8 +66,7 @@ func run(args []string) error {
 		traceFile  = fs.String("trace", "", "replay this trace file instead of synthetic traffic")
 		queries    = fs.Int("queries", 3, "sample networkwide queries printed per epoch")
 		queryAddr  = fs.String("query-addr", "", "also serve networkwide T-queries on this TCP address (see cmd/tqquery)")
-		stateFile  = fs.String("state", "", "load protocol state from this file on start (if present) and save it on shutdown")
-		ckptDir    = fs.String("checkpoint-dir", "", "write an atomic checkpoint every epoch and recover from it on restart (supersedes -state)")
+		ckptDir    = fs.String("checkpoint-dir", "", "write an atomic checkpoint every epoch and recover from it on restart")
 		pprofAddr  = fs.String("pprof", "", "serve net/http/pprof on this address, e.g. localhost:6060")
 		healthAddr = fs.String("health", "", "serve /healthz + /readyz on this address, e.g. localhost:8072")
 	)
@@ -137,29 +134,6 @@ func run(args []string) error {
 	}
 	if *ckptDir != "" && pc.Epoch() > 1 {
 		fmt.Printf("tqpoint %d: recovered checkpoint (epoch %d)\n", *point, pc.Epoch())
-	}
-
-	if *stateFile != "" {
-		if f, err := os.Open(*stateFile); err == nil {
-			loadErr := pc.LoadState(f)
-			f.Close()
-			if loadErr != nil {
-				return fmt.Errorf("load state: %w", loadErr)
-			}
-			fmt.Printf("tqpoint %d: restored state (epoch %d)\n", *point, pc.Epoch())
-		}
-		defer func() {
-			// Atomic replace: encoding into the live file would destroy the
-			// previous good state the moment a save fails or is cut short.
-			var buf bytes.Buffer
-			if err := pc.SaveState(&buf); err != nil {
-				fmt.Fprintf(os.Stderr, "tqpoint: save state: %v\n", err)
-				return
-			}
-			if err := durable.WriteFileAtomic(*stateFile, buf.Bytes(), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "tqpoint: save state: %v\n", err)
-			}
-		}()
 	}
 
 	if *queryAddr != "" {

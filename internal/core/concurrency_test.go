@@ -53,7 +53,7 @@ func hammerPoint[S Sketch[S]](t *testing.T, pt *Point[S], agg S) {
 	run(2000, func(i int) { _ = pt.Query(uint64(i % 50)) })
 	run(50, func(int) { _ = pt.EndEpoch() })
 	run(20, func(int) {
-		// PointClient.LoadState racing live ingest: the restore resets
+		// A checkpoint restore racing live ingest: the restore resets
 		// every lane a writer may be inside.
 		epoch, b, c, cp := pt.Snapshot()
 		if err := pt.RestoreSnapshot(epoch, b, c, cp); err != nil {

@@ -367,34 +367,6 @@ func (s *Store) Load() ([]Section, uint64, error) {
 	return nil, 0, ErrNoCheckpoint
 }
 
-// WriteFileAtomic replaces path's contents via the temp+fsync+rename dance,
-// so a crash mid-write never destroys the previous contents. It is the
-// durable replacement for os.Create-then-write state saving.
-func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, perm)
-	if err != nil {
-		return err
-	}
-	_, err = f.Write(data)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	syncDir(filepath.Dir(path))
-	return nil
-}
-
 // syncDir fsyncs a directory so a rename is durable; best-effort on
 // platforms where directories cannot be opened for sync.
 func syncDir(dir string) {

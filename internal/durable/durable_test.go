@@ -235,23 +235,3 @@ func TestStoreLoadEmpty(t *testing.T) {
 		t.Fatalf("Load on empty store = %v, want ErrNoCheckpoint", err)
 	}
 }
-
-func TestWriteFileAtomic(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "state.bin")
-	if err := WriteFileAtomic(path, []byte("first"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFileAtomic(path, []byte("second"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "second" {
-		t.Fatalf("content %q, want %q", got, "second")
-	}
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Fatal("temp file left behind")
-	}
-}

@@ -51,7 +51,7 @@ func (c *PointClient) saveCheckpointLocked() {
 
 func (c *PointClient) checkpointSectionsLocked() ([]durable.Section, error) {
 	var state bytes.Buffer
-	if err := c.SaveState(&state); err != nil {
+	if err := c.eng.saveState(&state); err != nil {
 		return nil, err
 	}
 
@@ -115,8 +115,8 @@ func (c *PointClient) checkpointSectionsLocked() ([]durable.Section, error) {
 }
 
 // restoreCheckpoint rebuilds the point from a loaded checkpoint: sketches
-// and epoch first (LoadState), then the honest accounting (RestoreMeta
-// overriding LoadState's healthy-lineage assumption), then the retransmit
+// and epoch first (loadState), then the honest accounting (RestoreMeta
+// overriding loadState's healthy-lineage assumption), then the retransmit
 // buffer. Every section is parsed before anything is restored, so a
 // malformed checkpoint fails DialPoint without touching the point. Called
 // from DialPoint before the first connect.
@@ -203,7 +203,7 @@ func (c *PointClient) restoreCheckpoint(sections []durable.Section) error {
 		return fmt.Errorf("trailing bytes in uploads section")
 	}
 
-	if err := c.LoadState(bytes.NewReader(state)); err != nil {
+	if err := c.eng.loadState(bytes.NewReader(state)); err != nil {
 		return err
 	}
 	c.eng.restoreMeta(meta)

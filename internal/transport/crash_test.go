@@ -86,6 +86,7 @@ func (c *fcluster) restartCenter(t *testing.T) {
 // sent-upload history replays the missing epoch, the lost round refires,
 // and estimates match the oracle on every surviving epoch.
 func TestFaultCrashCenterRestore(t *testing.T) {
+	noLeak(t)
 	forBothKinds(t, func(t *testing.T, kind Kind) {
 		c := newCrashCluster(t, kind, 2, false)
 		pushWant := make([]int64, fmP)
@@ -160,6 +161,7 @@ func TestFaultCrashCenterRestore(t *testing.T) {
 // generation with no decode or CRC errors surfacing, and the cluster
 // recovers exactly as from a clean one-generation-old checkpoint.
 func TestFaultCrashCenterMidCheckpoint(t *testing.T) {
+	noLeak(t)
 	forBothKinds(t, func(t *testing.T, kind Kind) {
 		c := newCrashCluster(t, kind, 1, false)
 		pushWant := make([]int64, fmP)
@@ -239,6 +241,7 @@ func TestFaultCrashCenterMidCheckpoint(t *testing.T) {
 // duplicate here), reapplies the current round's push, and the cluster
 // never notices: no gap, no backfill, full coverage throughout.
 func TestFaultCrashPointRestore(t *testing.T) {
+	noLeak(t)
 	forBothKinds(t, func(t *testing.T, kind Kind) {
 		c := newCrashCluster(t, kind, 1, true)
 		pushWant := make([]int64, fmP)
@@ -319,6 +322,7 @@ func TestFaultCrashPointRestore(t *testing.T) {
 // and estimates are exact on the survivors; the window heals back to
 // full as the lost epochs age out.
 func TestFaultCrashPointBackfill(t *testing.T) {
+	noLeak(t)
 	forBothKinds(t, func(t *testing.T, kind Kind) {
 		c := newCrashCluster(t, kind, 1, false)
 		pushWant := make([]int64, fmP)

@@ -164,14 +164,17 @@ func testHistoryFlatOracle(t *testing.T, kind Kind, sketch string) {
 }
 
 func TestHistoryFlatOracleSpread(t *testing.T) {
+	noLeak(t)
 	testHistoryFlatOracle(t, KindSpread, SketchRskt)
 }
 
 func TestHistoryFlatOracleSpreadVhll(t *testing.T) {
+	noLeak(t)
 	testHistoryFlatOracle(t, KindSpread, SketchVhll)
 }
 
 func TestHistoryFlatOracleSize(t *testing.T) {
+	noLeak(t)
 	testHistoryFlatOracle(t, KindSize, "")
 }
 
@@ -247,13 +250,20 @@ func testHistoryTreeOracle(t *testing.T, kind Kind) {
 	checkReplay(t, relay.HistoryQueryAddr().String(), recorded)
 }
 
-func TestHistoryTreeOracleSpread(t *testing.T) { testHistoryTreeOracle(t, KindSpread) }
-func TestHistoryTreeOracleSize(t *testing.T)   { testHistoryTreeOracle(t, KindSize) }
+func TestHistoryTreeOracleSpread(t *testing.T) {
+	noLeak(t)
+	testHistoryTreeOracle(t, KindSpread)
+}
+func TestHistoryTreeOracleSize(t *testing.T) {
+	noLeak(t)
+	testHistoryTreeOracle(t, KindSize)
+}
 
 // Flow-space sharding: each shard center keeps its own store; a query
 // for flow f replays on the shard that owns f and must match that
 // shard's live answer.
 func TestHistoryShardedOracleSpread(t *testing.T) {
+	noLeak(t)
 	const (
 		n, p, w = 4, 2, 32
 		shards  = 2
@@ -329,6 +339,7 @@ func TestHistoryShardedOracleSpread(t *testing.T) {
 // never an error, never a silently full-coverage claim — while fully
 // retained windows stay bit-identical to their live answers.
 func TestHistoryRetentionWindowEdge(t *testing.T) {
+	noLeak(t)
 	const (
 		n, p, w = 4, 2, 32
 		epochs  = 14
@@ -452,6 +463,7 @@ func TestHistoryRetentionWindowEdge(t *testing.T) {
 // query-level half of the race satellite; the Log-level half lives in
 // internal/durable). Run under -race.
 func TestHistoryCompactionRacesRangeQueries(t *testing.T) {
+	noLeak(t)
 	const (
 		n, p, w = 4, 2, 32
 		epochs  = 20
@@ -527,6 +539,7 @@ func TestHistoryCompactionRacesRangeQueries(t *testing.T) {
 // A center without a store still serves the live query forms on its
 // history address, and refuses the historical ones cleanly.
 func TestHistoryRPCWithoutStore(t *testing.T) {
+	noLeak(t)
 	srv, err := ServeCenter(CenterConfig{
 		Addr: "127.0.0.1:0", Kind: KindSpread, WindowN: 3,
 		Widths: map[int]int{0: 32}, M: 16, Seed: 1,
@@ -554,6 +567,7 @@ func TestHistoryRPCWithoutStore(t *testing.T) {
 // exact hex strings documented in PROTOCOL.md ("Historical-query RPC");
 // changing any of them breaks tqquery↔center version compatibility.
 func TestHistoryFrameGoldenBytes(t *testing.T) {
+	noLeak(t)
 	for _, tc := range []struct {
 		name string
 		got  []byte

@@ -20,11 +20,8 @@ type HistoryRelay struct {
 	ln       net.Listener
 	upstream string
 	dial     func(addr string) (net.Conn, error)
-
-	mu     sync.Mutex
-	closed bool
-	conns  map[net.Conn]struct{}
-	wg     sync.WaitGroup
+	conns    connSet
+	wg       sync.WaitGroup
 }
 
 // ServeHistoryRelay starts a history-query proxy on addr forwarding to
@@ -44,7 +41,7 @@ func serveHistoryRelay(addr, upstream string, dial func(string) (net.Conn, error
 	if dial == nil {
 		dial = func(a string) (net.Conn, error) { return net.Dial("tcp", a) }
 	}
-	r := &HistoryRelay{ln: ln, upstream: upstream, dial: dial, conns: make(map[net.Conn]struct{})}
+	r := &HistoryRelay{ln: ln, upstream: upstream, dial: dial}
 	r.wg.Add(1)
 	go r.acceptLoop()
 	return r, nil
@@ -55,38 +52,10 @@ func (r *HistoryRelay) Addr() net.Addr { return r.ln.Addr() }
 
 // Close stops the proxy and severs every forwarded connection.
 func (r *HistoryRelay) Close() error {
-	r.mu.Lock()
-	r.closed = true
-	conns := make([]net.Conn, 0, len(r.conns))
-	for c := range r.conns {
-		conns = append(conns, c)
-	}
-	r.mu.Unlock()
+	r.conns.closeAll()
 	err := r.ln.Close()
-	for _, c := range conns {
-		_ = c.Close()
-	}
 	r.wg.Wait()
 	return err
-}
-
-// track registers a live connection for teardown; it reports false (and
-// closes the connection) when the proxy is already closing.
-func (r *HistoryRelay) track(c net.Conn) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		_ = c.Close()
-		return false
-	}
-	r.conns[c] = struct{}{}
-	return true
-}
-
-func (r *HistoryRelay) untrack(c net.Conn) {
-	r.mu.Lock()
-	delete(r.conns, c)
-	r.mu.Unlock()
 }
 
 func (r *HistoryRelay) acceptLoop() {
@@ -109,19 +78,19 @@ func (r *HistoryRelay) acceptLoop() {
 // error unblocks the other direction's Read.
 func (r *HistoryRelay) forward(child net.Conn) {
 	defer child.Close()
-	if !r.track(child) {
+	if !r.conns.track(child) {
 		return
 	}
-	defer r.untrack(child)
+	defer r.conns.untrack(child)
 	up, err := r.dial(r.upstream)
 	if err != nil {
 		return // child sees EOF; its client reports the dial failure
 	}
 	defer up.Close()
-	if !r.track(up) {
+	if !r.conns.track(up) {
 		return
 	}
-	defer r.untrack(up)
+	defer r.conns.untrack(up)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

@@ -60,6 +60,7 @@ type QueryServer struct {
 	ln      net.Listener
 	handler func(flow uint64) (float64, core.Coverage)
 	history HistoryHandler
+	conns   connSet
 	wg      sync.WaitGroup
 }
 
@@ -95,8 +96,9 @@ func ServeQueriesHist(addr string, handler func(flow uint64) (float64, core.Cove
 // Addr returns the bound listen address.
 func (s *QueryServer) Addr() net.Addr { return s.ln.Addr() }
 
-// Close stops the server.
+// Close stops the server and severs every client connection.
 func (s *QueryServer) Close() error {
+	s.conns.closeAll()
 	err := s.ln.Close()
 	s.wg.Wait()
 	return err
@@ -113,6 +115,10 @@ func (s *QueryServer) acceptLoop() {
 		go func() {
 			defer s.wg.Done()
 			defer conn.Close()
+			if !s.conns.track(conn) {
+				return
+			}
+			defer s.conns.untrack(conn)
 			var buf [24]byte
 			for {
 				if _, err := io.ReadFull(conn, buf[:8]); err != nil {

@@ -159,17 +159,17 @@ func TestLegacyInputsRejected(t *testing.T) {
 				src.eng.record(7, e)
 			}
 			var state bytes.Buffer
-			if err := src.SaveState(&state); err != nil {
+			if err := src.eng.saveState(&state); err != nil {
 				t.Fatal(err)
 			}
-			if err := freshPoint(t, KindSpread).LoadState(bytes.NewReader(state.Bytes())); err != nil {
+			if err := freshPoint(t, KindSpread).eng.loadState(bytes.NewReader(state.Bytes())); err != nil {
 				t.Fatalf("control: TQST2 state does not load: %v", err)
 			}
 			old := bytes.Clone(state.Bytes())
 			copy(old, "TQST1")
 			c := freshPoint(t, KindSpread)
 			epoch, answer := c.Epoch(), c.eng.query(7)
-			err := c.LoadState(bytes.NewReader(old))
+			err := c.eng.loadState(bytes.NewReader(old))
 			return err, c.Epoch() == epoch && c.eng.query(7) == answer
 		}},
 	} {

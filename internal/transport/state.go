@@ -8,25 +8,15 @@ import (
 	"repro/internal/core"
 )
 
-// Point-state persistence: an agent can save its sketches and epoch before
-// shutting down and restore them on restart, so a restart does not lose
-// the current window. Format: the TQST2 magic + kind byte + epoch +
-// length-prefixed sketch blobs in their one binary encoding (B/C/C' for
-// spread, [B]/C/C' for size with a presence flag for B). LoadState rejects
-// any other magic, including the retired TQST1.
+// Point state: the sketches and epoch a point checkpoints (the `state`
+// section of its checkpoint), so a restart does not lose the current
+// window. Format: the TQST2 magic + kind byte + epoch + length-prefixed
+// sketch blobs in their one binary encoding (B/C/C' for spread, [B]/C/C'
+// for size with a presence flag for B). loadState rejects any other magic,
+// including the retired TQST1, and requires the state's design kind and
+// sketch shapes to match the point's configuration.
 
 var stateMagic = [5]byte{'T', 'Q', 'S', 'T', '2'}
-
-// SaveState writes the point's current protocol state.
-func (c *PointClient) SaveState(w io.Writer) error {
-	return c.eng.saveState(w)
-}
-
-// LoadState restores a previously saved state into the point. The state's
-// design kind and sketch shapes must match the point's configuration.
-func (c *PointClient) LoadState(r io.Reader) error {
-	return c.eng.loadState(r)
-}
 
 func (e *enginePoint[S]) saveState(w io.Writer) error {
 	if _, err := w.Write(stateMagic[:]); err != nil {

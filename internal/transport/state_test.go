@@ -45,7 +45,7 @@ func TestSpreadStateRoundTrip(t *testing.T) {
 	}
 
 	var state bytes.Buffer
-	if err := pc.SaveState(&state); err != nil {
+	if err := pc.eng.saveState(&state); err != nil {
 		t.Fatal(err)
 	}
 
@@ -57,7 +57,7 @@ func TestSpreadStateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pc2.Close()
-	if err := pc2.LoadState(bytes.NewReader(state.Bytes())); err != nil {
+	if err := pc2.eng.loadState(bytes.NewReader(state.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	if pc2.Epoch() != pc.Epoch() {
@@ -80,7 +80,7 @@ func TestSizeStateRoundTrip(t *testing.T) {
 		pc.Record(3, 0)
 	}
 	var state bytes.Buffer
-	if err := pc.SaveState(&state); err != nil {
+	if err := pc.eng.saveState(&state); err != nil {
 		t.Fatal(err)
 	}
 	pc2, err := DialPoint(PointConfig{
@@ -90,7 +90,7 @@ func TestSizeStateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pc2.Close()
-	if err := pc2.LoadState(bytes.NewReader(state.Bytes())); err != nil {
+	if err := pc2.eng.loadState(bytes.NewReader(state.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	got, err := pc2.QuerySize(3)
@@ -107,20 +107,20 @@ func TestLoadStateRejectsMismatch(t *testing.T) {
 	defer srvA.Close()
 	defer pcA.Close()
 	var state bytes.Buffer
-	if err := pcA.SaveState(&state); err != nil {
+	if err := pcA.eng.saveState(&state); err != nil {
 		t.Fatal(err)
 	}
 
 	srvB, pcB := newStatePair(t, KindSize)
 	defer srvB.Close()
 	defer pcB.Close()
-	if err := pcB.LoadState(bytes.NewReader(state.Bytes())); err == nil {
+	if err := pcB.eng.loadState(bytes.NewReader(state.Bytes())); err == nil {
 		t.Fatal("expected kind-mismatch error")
 	}
-	if err := pcB.LoadState(bytes.NewReader([]byte("garbage!"))); err == nil {
+	if err := pcB.eng.loadState(bytes.NewReader([]byte("garbage!"))); err == nil {
 		t.Fatal("expected magic error")
 	}
-	if err := pcB.LoadState(bytes.NewReader(nil)); err == nil {
+	if err := pcB.eng.loadState(bytes.NewReader(nil)); err == nil {
 		t.Fatal("expected truncation error")
 	}
 }

@@ -336,6 +336,34 @@ func TestQueryRPCRoundTrip(t *testing.T) {
 	}
 }
 
+// Close must not wait on a client that keeps its connection open: the
+// server severs it, and the client's next query fails.
+func TestQueryServerCloseWithOpenClient(t *testing.T) {
+	noLeak(t)
+	srv, err := ServeQueries("127.0.0.1:0", func(flow uint64) float64 { return float64(flow) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	qc, err := DialQuery(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer qc.Close()
+	if got, err := qc.Query(3); err != nil || got != 3 {
+		t.Fatalf("Query(3) = %v, %v", got, err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Close() }()
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Fatal("QueryServer.Close still blocked 1s after it was called with a client connected")
+	}
+	if got, err := qc.Query(4); err == nil {
+		t.Fatalf("Query after Close = %v, want an error", got)
+	}
+}
+
 func TestQueryRPCCoverage(t *testing.T) {
 	cov := core.Coverage{EpochsMerged: 5, EpochsExpected: 8}
 	srv, err := ServeQueriesCov("127.0.0.1:0", func(flow uint64) (float64, core.Coverage) {
