@@ -45,7 +45,10 @@ type Sketch[S any] interface {
 	Compatible(S) bool
 	// MarshalBinaryCompact/UnmarshalBinary are the sketch's one binary
 	// encoding, used by the wire protocol, the epoch log and the
-	// checkpoint export/import paths.
+	// checkpoint export/import paths. UnmarshalBinary on a sketch with
+	// dimensions (any but the backend's zero value) rejects an encoding
+	// of other dimensions before allocating, so decoding into a zero
+	// sketch of the expected shape bounds what a payload can allocate.
 	MarshalBinaryCompact() ([]byte, error)
 	UnmarshalBinary([]byte) error
 	// MemoryBits is the sketch's footprint under the paper's memory model

@@ -418,6 +418,18 @@ func (c *Center[S]) coverageLocked(k int64) Coverage {
 	return cov
 }
 
+// NewSketch returns a zero sketch of point's declared shape: the target
+// the point's uploads decode into, so one naming other dimensions is
+// rejected before it allocates. ok is false for an unknown point.
+func (c *Center[S]) NewSketch(point int) (sk S, ok bool) {
+	// protos are fixed at construction; no lock needed.
+	proto, ok := c.protos[point]
+	if !ok {
+		return sk, false
+	}
+	return proto.Clone(), true
+}
+
 // HasUpload reports whether the center holds point's measurement for
 // epoch. The transport layer uses it after an ImportState to rebuild its
 // round-completion accounting for epochs the restored rounds had not yet

@@ -96,6 +96,11 @@ func NewPoint[S Sketch[S]](id int, fresh func() S, cfg EngineConfig[S]) (*Point[
 // ID returns the point's identifier.
 func (p *Point[S]) ID() int { return p.id }
 
+// NewSketch returns a zero sketch of the point's shape: the target a
+// pushed or restored payload decodes into, so one naming other dimensions
+// is rejected before it allocates.
+func (p *Point[S]) NewSketch() S { return p.fresh() }
+
 // Mode returns the upload mode.
 func (p *Point[S]) Mode() Mode { return p.mode }
 

@@ -51,6 +51,7 @@ type Relay[S Sketch[S]] struct {
 	weights map[int]int // leaf count under each child (>= 1)
 	weight  int         // total subtree leaf count
 	width   int         // max child width: the relay's own upload width
+	wide    S           // zero-state prototype at the relay's width
 
 	// pending[epoch] accumulates the partially merged round.
 	pending map[int64]*relayRound[S]
@@ -124,6 +125,9 @@ func NewRelay[S Sketch[S]](windowN int, protos map[int]S, weights map[int]int, c
 	}
 	for id, p := range protos {
 		r.protos[id] = p.Clone()
+		if p.Width() == width {
+			r.wide = r.protos[id]
+		}
 		w := weights[id]
 		if w < 1 {
 			w = 1
@@ -136,6 +140,23 @@ func NewRelay[S Sketch[S]](windowN int, protos map[int]S, weights map[int]int, c
 
 // Width is the relay's upstream upload width: the maximum child width.
 func (r *Relay[S]) Width() int { return r.width }
+
+// NewSketch returns a zero sketch of the relay's own shape (its width):
+// the target a push from upstream decodes into, so one naming other
+// dimensions is rejected before it allocates.
+func (r *Relay[S]) NewSketch() S { return r.wide.Clone() }
+
+// NewChildSketch returns a zero sketch of child's declared shape: the
+// target the child's uploads decode into. ok is false for an unknown
+// child.
+func (r *Relay[S]) NewChildSketch(child int) (sk S, ok bool) {
+	// protos are fixed at construction; no lock needed.
+	proto, ok := r.protos[child]
+	if !ok {
+		return sk, false
+	}
+	return proto.Clone(), true
+}
 
 // Weight is the relay's total subtree leaf count — what the upstream
 // center weights each combined upload by in its coverage accounting.
@@ -377,21 +398,16 @@ func (r *Relay[S]) ExportState() (*RelayState, error) {
 }
 
 // ImportState replaces the relay's merge state with a previously exported
-// snapshot, decoding each merged round into a clone of a child prototype.
-// Every child id must be known and every sketch must decode to the relay's
-// width and shape — a checkpoint from a differently configured tree is
-// rejected before any state is replaced. A nil state is a no-op.
+// snapshot, decoding each merged round into a zero sketch of the relay's
+// shape. Every child id must be known and every sketch must decode to the
+// relay's width and shape — a checkpoint from a differently configured
+// tree is rejected before any state is replaced. A nil state is a no-op.
 func (r *Relay[S]) ImportState(st *RelayState) error {
 	if st == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var ref S
-	for _, p := range r.protos {
-		ref = p
-		break
-	}
 	lastEpoch := make(map[int]int64, len(st.LastEpoch))
 	for id, e := range st.LastEpoch {
 		if _, ok := r.protos[id]; !ok {
@@ -409,11 +425,11 @@ func (r *Relay[S]) ImportState(st *RelayState) error {
 			rr.reported[id] = true
 		}
 		if len(rs.Merged) > 0 {
-			sk := ref.Clone()
+			sk := r.wide.Clone()
 			if err := sk.UnmarshalBinary(rs.Merged); err != nil {
 				return fmt.Errorf("core: import relay round %d: %w", e, err)
 			}
-			if !ref.Compatible(sk) || sk.Width() != r.width {
+			if !r.wide.Compatible(sk) || sk.Width() != r.width {
 				return fmt.Errorf("core: import relay round %d: sketch does not match the relay shape", e)
 			}
 			rr.merged = sk

@@ -30,10 +30,12 @@ func (s *Sketch) MarshalBinaryCompact() ([]byte, error) {
 }
 
 // UnmarshalBinary decodes a sketch previously encoded by
-// MarshalBinaryCompact. When s already has the decoded dimensions its
-// counter rows are reused, so a pooled scratch sketch decodes epoch after
-// epoch without allocating; on error the counter contents are unspecified
-// but the sketch stays structurally valid.
+// MarshalBinaryCompact. A sketch that already has dimensions (anything but
+// the zero Sketch) accepts only an encoding of those dimensions, rejected
+// from the header before anything is allocated, and reuses its counter
+// rows, so a pooled scratch sketch decodes epoch after epoch without
+// allocating. The zero Sketch accepts any dimensions. On error the counter
+// contents are unspecified but the sketch stays structurally valid.
 func (s *Sketch) UnmarshalBinary(data []byte) error {
 	if len(data) < 1+4+4+8 {
 		return fmt.Errorf("countmin: truncated sketch encoding")
@@ -49,6 +51,9 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	seed := binary.LittleEndian.Uint64(data[off:])
 	off += 8
 	p := Params{D: d, W: w, Seed: seed}
+	if s.params.W != 0 && (d != s.params.D || w != s.params.W) {
+		return fmt.Errorf("countmin: decode: encoding is %dx%d, want %dx%d", d, w, s.params.D, s.params.W)
+	}
 	if err := p.Validate(); err != nil {
 		return fmt.Errorf("countmin: decode: %w", err)
 	}

@@ -83,3 +83,21 @@ func TestEncodingQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDecodeRejectsOtherDimensions: a sketch with dimensions accepts only
+// an encoding of those dimensions; the zero Sketch accepts any.
+func TestDecodeRejectsOtherDimensions(t *testing.T) {
+	data, err := New(Params{D: 2, W: 8, Seed: 1}).MarshalBinaryCompact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []Params{{D: 2, W: 4, Seed: 1}, {D: 3, W: 8, Seed: 1}} {
+		if err := New(p).UnmarshalBinary(data); err == nil {
+			t.Errorf("a %dx%d sketch decoded a 2x8 encoding", p.D, p.W)
+		}
+	}
+	var zero Sketch
+	if err := zero.UnmarshalBinary(data); err != nil {
+		t.Errorf("zero sketch: %v", err)
+	}
+}

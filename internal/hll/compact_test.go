@@ -2,6 +2,9 @@ package hll
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -214,10 +217,28 @@ func FuzzCompact(f *testing.F) {
 		if n > 4096 {
 			return
 		}
+		// The input bytes, read as registers, must encode exactly as the
+		// reference encodes them.
+		regs := make(Regs, len(data))
+		for i, b := range data {
+			regs[i] = b & MaxRegisterValue
+		}
+		if got, want := AppendCompact(nil, regs), refAppendCompact(nil, regs); !bytes.Equal(got, want) {
+			t.Fatalf("encoding of %x differs from the reference:\n got  %x\n want %x", regs, got, want)
+		}
+
 		dst := make(Regs, n)
 		consumed, err := DecodeCompact(dst, data)
+		ref := make(Regs, n)
+		refConsumed, refErr := refDecodeCompact(ref, data)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("decode of %x: err %v, reference err %v", data, err, refErr)
+		}
 		if err != nil {
 			return
+		}
+		if consumed != refConsumed || !dst.Equal(ref) {
+			t.Fatalf("decode of %x differs from the reference", data)
 		}
 		if consumed > len(data) {
 			t.Fatalf("consumed %d of %d bytes", consumed, len(data))
@@ -234,4 +255,267 @@ func FuzzCompact(f *testing.F) {
 			t.Fatalf("non-canonical encoding accepted:\n in  %x\n out %x", data[:consumed], re)
 		}
 	})
+}
+
+// regsWithNonzero returns n registers of which exactly k (clamped to n)
+// are nonzero, at random positions, with random values in [1, 31].
+func regsWithNonzero(rng *rand.Rand, n, k int) Regs {
+	r := make(Regs, n)
+	for _, i := range rng.Perm(n)[:min(max(k, 0), n)] {
+		r[i] = uint8(1 + rng.Intn(MaxRegisterValue))
+	}
+	return r
+}
+
+// TestCompactMatchesReference pins the word-at-a-time kernels to the
+// register-at-a-time reference below, byte for byte: equal encodings,
+// equal decoded registers, and the same verdict (and, when accepted, the
+// same registers) on every single-bit corruption of every encoding and on
+// every encoding read at a length one off its own. The inputs cover
+// lengths on both sides of a 64-register word, densities across [0, 1],
+// and the two nonzero counts on each side of the sparse/dense threshold
+// (sparse iff nonzero < 4n/5).
+func TestCompactMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	var ns []int
+	for n := 0; n <= 140; n++ {
+		ns = append(ns, n)
+	}
+	ns = append(ns, 191, 192, 193, 320, 447, 448, 449, 577, 640, 700)
+	for _, n := range ns {
+		var inputs []Regs
+		for _, density := range []float64{0, 0.02, 0.25, 0.5, 0.75, 0.9, 1} {
+			inputs = append(inputs, regsWithNonzero(rng, n, int(density*float64(n)+0.5)))
+		}
+		threshold := (4*n + 4) / 5 // smallest dense count
+		for k := threshold - 2; k <= threshold+1; k++ {
+			inputs = append(inputs, regsWithNonzero(rng, n, k))
+		}
+		for _, r := range inputs {
+			enc := AppendCompact(nil, r)
+			want := refAppendCompact(nil, r)
+			if !bytes.Equal(enc, want) {
+				t.Fatalf("n=%d nonzero=%d: encoding differs from the reference\n got  %x\n want %x", n, countNonzero(r), enc, want)
+			}
+			checkDecodeAgrees(t, n, enc)
+			// Read at a neighbouring length, a register can land in the
+			// bitmap's padding bits, which no single-bit flip reaches
+			// with a value to go with it.
+			for _, m := range []int{n - 1, n + 1} {
+				if m >= 0 {
+					checkDecodeAgrees(t, m, enc)
+				}
+			}
+			// Every single-bit corruption must get the same verdict.
+			flipped := bytes.Clone(enc)
+			for b := 0; b < 8*len(enc); b++ {
+				flipped[b/8] ^= 1 << uint(b%8)
+				checkDecodeAgrees(t, n, flipped)
+				flipped[b/8] ^= 1 << uint(b%8)
+			}
+		}
+	}
+}
+
+// checkDecodeAgrees decodes data as n registers with the kernel and the
+// reference and fails unless both reject it, or both accept it with the
+// same registers and the same consumed length.
+func checkDecodeAgrees(t *testing.T, n int, data []byte) {
+	t.Helper()
+	got, want := make(Regs, n), make(Regs, n)
+	for i := range got {
+		got[i], want[i] = MaxRegisterValue, MaxRegisterValue // decode must overwrite
+	}
+	consumed, err := DecodeCompact(got, data)
+	refConsumed, refErr := refDecodeCompact(want, data)
+	if (err == nil) != (refErr == nil) {
+		t.Fatalf("n=%d data %x: err %v, reference err %v", n, data, err, refErr)
+	}
+	if err == nil && (consumed != refConsumed || !got.Equal(want)) {
+		t.Fatalf("n=%d data %x: decode differs from the reference", n, data)
+	}
+}
+
+// TestCompactMultiRow pins the multi-array form to back-to-back
+// single-array encodings.
+func TestCompactMultiRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, n := range []int{0, 1, 63, 64, 65, 700} {
+		a, b := regsWithNonzero(rng, n, n/10), regsWithNonzero(rng, n, n)
+		want := AppendCompact(AppendCompact([]byte{0xEE}, a), b)
+		if got := AppendCompact([]byte{0xEE}, a, b); !bytes.Equal(got, want) {
+			t.Fatalf("n=%d: two-row encoding differs from two single-row encodings", n)
+		}
+	}
+}
+
+// The register-at-a-time kernels the word-at-a-time ones replaced, kept
+// verbatim as the reference for TestCompactMatchesReference and
+// FuzzCompact.
+
+// refAppendCompact appends the compact encoding of r to dst and returns the
+// extended slice.
+func refAppendCompact(dst []byte, r Regs) []byte {
+	n := len(r)
+	nonzero := 0
+	for _, v := range r {
+		if v != 0 {
+			nonzero++
+		}
+	}
+	if nonzero*RegisterBits+n < n*RegisterBits {
+		dst = append(dst, 1)
+		bitmap := make([]uint64, (n+63)/64)
+		vals := make([]uint64, PackedWords(nonzero))
+		bit := 0
+		for i, v := range r {
+			if v == 0 {
+				continue
+			}
+			bitmap[i/64] |= 1 << uint(i%64)
+			word, off := bit/64, uint(bit%64)
+			vals[word] |= uint64(v&MaxRegisterValue) << off
+			if off+RegisterBits > 64 {
+				vals[word+1] |= uint64(v&MaxRegisterValue) >> (64 - off)
+			}
+			bit += RegisterBits
+		}
+		dst = AppendRunWords(dst, bitmap)
+		for _, w := range vals {
+			dst = binary.LittleEndian.AppendUint64(dst, w)
+		}
+		return dst
+	}
+	dst = append(dst, 0)
+	words := make([]uint64, PackedWords(n))
+	refPackInto(words, r)
+	return AppendRunWords(dst, words)
+}
+
+// refDecodeCompact decodes a compact encoding of exactly len(dst) registers
+// from the front of data, overwriting dst, and returns the number of bytes
+// consumed. Non-canonical encodings (wrong mode for the density, stray
+// padding bits, zero sparse values) are rejected.
+func refDecodeCompact(dst Regs, data []byte) (int, error) {
+	if len(data) < 1 {
+		return 0, fmt.Errorf("hll: truncated compact encoding")
+	}
+	n := len(dst)
+	switch data[0] {
+	case 0:
+		words := make([]uint64, PackedWords(n))
+		consumed, err := DecodeRunWords(words, data[1:])
+		if err != nil {
+			return 0, err
+		}
+		if err := refUnpackInto(dst, words); err != nil {
+			return 0, err
+		}
+		nonzero := 0
+		for _, v := range dst {
+			if v != 0 {
+				nonzero++
+			}
+		}
+		if nonzero*RegisterBits+n < n*RegisterBits {
+			return 0, fmt.Errorf("hll: dense encoding for a sparse array")
+		}
+		return 1 + consumed, nil
+	case 1:
+		bitmap := make([]uint64, (n+63)/64)
+		consumed, err := DecodeRunWords(bitmap, data[1:])
+		if err != nil {
+			return 0, err
+		}
+		off := 1 + consumed
+		if extra := n % 64; extra != 0 && bitmap[len(bitmap)-1]&^((1<<uint(extra))-1) != 0 {
+			return 0, fmt.Errorf("hll: non-canonical bitmap padding")
+		}
+		nonzero := 0
+		for _, w := range bitmap {
+			nonzero += bits.OnesCount64(w)
+		}
+		if nonzero*RegisterBits+n >= n*RegisterBits {
+			return 0, fmt.Errorf("hll: sparse encoding for a dense array")
+		}
+		valWords := PackedWords(nonzero)
+		if len(data)-off < valWords*8 {
+			return 0, fmt.Errorf("hll: truncated sparse values")
+		}
+		vals := make([]uint64, valWords)
+		for i := range vals {
+			vals[i] = binary.LittleEndian.Uint64(data[off:])
+			off += 8
+		}
+		if extra := nonzero * RegisterBits % 64; extra != 0 && vals[valWords-1]&^((1<<uint(extra))-1) != 0 {
+			return 0, fmt.Errorf("hll: non-canonical padding bits in sparse values")
+		}
+		for i := range dst {
+			dst[i] = 0
+		}
+		bit := 0
+		for i := 0; i < n; i++ {
+			if bitmap[i/64]&(1<<uint(i%64)) == 0 {
+				continue
+			}
+			word, o := bit/64, uint(bit%64)
+			v := vals[word] >> o
+			if o+RegisterBits > 64 {
+				v |= vals[word+1] << (64 - o)
+			}
+			reg := uint8(v) & MaxRegisterValue
+			if reg == 0 {
+				return 0, fmt.Errorf("hll: zero register in sparse encoding")
+			}
+			dst[i] = reg
+			bit += RegisterBits
+		}
+		return off, nil
+	}
+	return 0, fmt.Errorf("hll: unknown compact mode %d", data[0])
+}
+
+// refPackInto packs r (clamping to 5 bits) into words, which must have length
+// PackedWords(len(r)). Unused padding bits of the last word are zero, so
+// the output is canonical.
+func refPackInto(words []uint64, r Regs) {
+	for i := range words {
+		words[i] = 0
+	}
+	for i, v := range r {
+		if v > MaxRegisterValue {
+			v = MaxRegisterValue
+		}
+		bit := i * RegisterBits
+		word, off := bit/64, uint(bit%64)
+		words[word] |= uint64(v) << off
+		if off+RegisterBits > 64 {
+			words[word+1] |= uint64(v) >> (64 - off)
+		}
+	}
+}
+
+// refUnpackInto unpacks words (the canonical packed form of len(dst)
+// registers) into dst. It rejects a word slice of the wrong length and
+// non-zero padding bits, so every register state has exactly one packed
+// form.
+func refUnpackInto(dst Regs, words []uint64) error {
+	if len(words) != PackedWords(len(dst)) {
+		return fmt.Errorf("hll: %d words for %d registers, want %d", len(words), len(dst), PackedWords(len(dst)))
+	}
+	if extra := len(dst) * RegisterBits % 64; extra != 0 {
+		if words[len(words)-1]&^((1<<uint(extra))-1) != 0 {
+			return fmt.Errorf("hll: non-canonical padding bits in packed encoding")
+		}
+	}
+	for i := range dst {
+		bit := i * RegisterBits
+		word, off := bit/64, uint(bit%64)
+		v := words[word] >> off
+		if off+RegisterBits > 64 {
+			v |= words[word+1] << (64 - off)
+		}
+		dst[i] = uint8(v) & MaxRegisterValue
+	}
+	return nil
 }

@@ -6,7 +6,8 @@ import "fmt"
 // memory model the paper's accounting assumes, and the payload of the
 // compact encoding's dense mode. Register i occupies bits [5i, 5i+5) of
 // the little-endian bit stream; unused padding bits of the last word are
-// zero.
+// zero. Both directions stream through a 64-bit accumulator, one word
+// load or store per 64 bits.
 
 // PackedWords returns the number of 64-bit words the packed form of n
 // registers occupies.
@@ -18,20 +19,25 @@ func PackedWords(n int) int {
 // PackedWords(len(r)). Unused padding bits of the last word are zero, so
 // the output is canonical.
 func PackInto(words []uint64, r Regs) {
-	for i := range words {
-		words[i] = 0
-	}
-	for i, v := range r {
-		if v > MaxRegisterValue {
-			v = MaxRegisterValue
+	var acc uint64 // pending bits, low-aligned
+	var nb uint    // how many of acc's bits are pending
+	k := 0
+	for _, v := range r {
+		x := uint64(min(v, MaxRegisterValue))
+		acc |= x << nb
+		nb += RegisterBits
+		if nb >= 64 {
+			words[k] = acc
+			k++
+			nb -= 64
+			acc = x >> (RegisterBits - nb)
 		}
-		bit := i * RegisterBits
-		word, off := bit/64, uint(bit%64)
-		words[word] |= uint64(v) << off
-		if off+RegisterBits > 64 {
-			words[word+1] |= uint64(v) >> (64 - off)
-		}
 	}
+	if nb > 0 {
+		words[k] = acc
+		k++
+	}
+	clear(words[k:])
 }
 
 // UnpackInto unpacks words (the canonical packed form of len(dst)
@@ -47,12 +53,19 @@ func UnpackInto(dst Regs, words []uint64) error {
 			return fmt.Errorf("hll: non-canonical padding bits in packed encoding")
 		}
 	}
+	var acc uint64 // unread bits, low-aligned
+	var nb uint    // how many of acc's bits are unread
 	for i := range dst {
-		bit := i * RegisterBits
-		word, off := bit/64, uint(bit%64)
-		v := words[word] >> off
-		if off+RegisterBits > 64 {
-			v |= words[word+1] << (64 - off)
+		v := acc
+		if nb < RegisterBits {
+			x := words[0]
+			words = words[1:]
+			v |= x << nb
+			acc = x >> (RegisterBits - nb)
+			nb += 64 - RegisterBits
+		} else {
+			acc >>= RegisterBits
+			nb -= RegisterBits
 		}
 		dst[i] = uint8(v) & MaxRegisterValue
 	}

@@ -14,28 +14,32 @@ import (
 // magic is rejected.
 const wireMagic = 0xA8
 
+// headerLen is the size of the encoding's fixed header.
+const headerLen = 1 + 4 + 4 + 8
+
 // MarshalBinaryCompact encodes the sketch little-endian: magic, W, M, Seed,
-// then each row as an hll compact register array.
+// then each row as an hll compact register array. hll.AppendCompact sizes
+// both rows before writing, so the header grows once, to the exact length.
 func (s *Sketch) MarshalBinaryCompact() ([]byte, error) {
 	p := s.params
-	out := make([]byte, 0, 64)
+	out := make([]byte, 0, headerLen)
 	out = append(out, wireMagic)
 	out = binary.LittleEndian.AppendUint32(out, uint32(p.W))
 	out = binary.LittleEndian.AppendUint32(out, uint32(p.M))
 	out = binary.LittleEndian.AppendUint64(out, p.Seed)
-	for u := 0; u < 2; u++ {
-		out = hll.AppendCompact(out, s.rows[u])
-	}
-	return out, nil
+	return hll.AppendCompact(out, s.rows[0], s.rows[1]), nil
 }
 
 // UnmarshalBinary decodes a sketch previously encoded by
-// MarshalBinaryCompact. When s already has the decoded dimensions its
-// register arrays are reused, so a pooled scratch sketch decodes epoch
-// after epoch without allocating; on error the register contents are
-// unspecified but the sketch stays structurally valid.
+// MarshalBinaryCompact. A sketch that already has dimensions (anything but
+// the zero Sketch) accepts only an encoding of those dimensions, rejected
+// from the header before anything is allocated, and reuses its register
+// arrays, so a pooled scratch sketch decodes epoch after epoch without
+// allocating. The zero Sketch accepts any dimensions. On error the
+// register contents are unspecified but the sketch stays structurally
+// valid.
 func (s *Sketch) UnmarshalBinary(data []byte) error {
-	if len(data) < 1+4+4+8 {
+	if len(data) < headerLen {
 		return fmt.Errorf("rskt: truncated sketch encoding")
 	}
 	if data[0] != wireMagic {
@@ -49,6 +53,9 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	seed := binary.LittleEndian.Uint64(data[off:])
 	off += 8
 	p := Params{W: w, M: m, Seed: seed}
+	if s.params.W != 0 && (w != s.params.W || m != s.params.M) {
+		return fmt.Errorf("rskt: decode: encoding is %dx%d, want %dx%d", w, m, s.params.W, s.params.M)
+	}
 	if err := p.Validate(); err != nil {
 		return fmt.Errorf("rskt: decode: %w", err)
 	}

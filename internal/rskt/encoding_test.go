@@ -104,3 +104,24 @@ func TestEncodingQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDecodeRejectsOtherDimensions: a sketch with dimensions accepts only
+// an encoding of those dimensions; the zero Sketch accepts any.
+func TestDecodeRejectsOtherDimensions(t *testing.T) {
+	data, err := New(Params{W: 8, M: 4, Seed: 1}).MarshalBinaryCompact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []Params{{W: 4, M: 4, Seed: 1}, {W: 8, M: 8, Seed: 1}} {
+		if err := New(p).UnmarshalBinary(data); err == nil {
+			t.Errorf("a %dx%d sketch decoded an 8x4 encoding", p.W, p.M)
+		}
+	}
+	if err := New(Params{W: 8, M: 4, Seed: 2}).UnmarshalBinary(data); err != nil {
+		t.Errorf("same dimensions, other seed: %v", err)
+	}
+	var zero Sketch
+	if err := zero.UnmarshalBinary(data); err != nil {
+		t.Errorf("zero sketch: %v", err)
+	}
+}

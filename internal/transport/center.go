@@ -487,8 +487,8 @@ func (s *CenterServer) ingest(up Upload) error {
 	s.mu.Unlock()
 	if rcvErr == nil {
 		// Persist the accepted cell to the epoch-log store, outside s.mu
-		// (exportCell takes the core center lock, Append does disk I/O).
-		s.appendStore(up.Point, up.Epoch)
+		// (logCell may take the core center lock, Append does disk I/O).
+		s.appendStore(up)
 	}
 	if complete {
 		s.pushRound(up.Epoch+1, nil)
@@ -496,16 +496,17 @@ func (s *CenterServer) ingest(up Upload) error {
 	return nil
 }
 
-// appendStore exports the stored single-epoch cell for (point, epoch)
-// and appends it to the epoch log. Failures are counted and logged but
-// never fatal: the live pipeline must outlive its history. Duplicate
-// appends after a checkpoint-restore are benign — canonical encodings
-// make the re-appended bytes identical and the index keeps one entry.
-func (s *CenterServer) appendStore(point int, epoch int64) {
+// appendStore appends the stored single-epoch cell for an accepted
+// upload to the epoch log. Failures are counted and logged but never
+// fatal: the live pipeline must outlive its history. Duplicate appends
+// after a checkpoint-restore are benign — canonical encodings make the
+// re-appended bytes identical and the index keeps one entry.
+func (s *CenterServer) appendStore(up Upload) {
 	if s.store == nil {
 		return
 	}
-	blob, ok, err := s.eng.exportCell(point, epoch)
+	point, epoch := up.Point, up.Epoch
+	blob, ok, err := s.eng.logCell(up)
 	if err == nil && ok {
 		err = s.store.Append(point, epoch, blob)
 		if err == nil {

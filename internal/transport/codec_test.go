@@ -67,3 +67,22 @@ func checkPassThrough[S core.Sketch[S]](t *testing.T, kind Kind, relayW int, wid
 		t.Fatalf("%s: narrower child: %v", kind, err)
 	}
 }
+
+// decodeRskt / decodeCountMin decode a payload into the zero sketch, which
+// accepts any dimensions: for tests that inspect a payload without a
+// node's declared shape at hand.
+func decodeRskt(data []byte) (*rskt.Sketch, error) {
+	var sk rskt.Sketch
+	if err := sk.UnmarshalBinary(data); err != nil {
+		return nil, err
+	}
+	return &sk, nil
+}
+
+func decodeCountMin(data []byte) (*countmin.Sketch, error) {
+	var sk countmin.Sketch
+	if err := sk.UnmarshalBinary(data); err != nil {
+		return nil, err
+	}
+	return &sk, nil
+}

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"encoding"
 	"fmt"
 	"io"
 	"sync"
@@ -33,32 +32,61 @@ const (
 	SketchVhll = "vhll"
 )
 
+// decodeFor decodes data into fresh(point), a zero sketch of the shape
+// point declared (core.Point.NewSketch, core.Center.NewSketch,
+// core.Relay.NewChildSketch). Every sketch payload decodes into its
+// sender's declared shape, here or through a sketchPool: a sketch with
+// dimensions rejects an encoding naming other dimensions from its header,
+// so a short hostile payload cannot make a node allocate a sketch of the
+// payload's choosing.
+func decodeFor[S core.Sketch[S]](fresh func(point int) (S, bool), point int, data []byte) (S, error) {
+	var zero S
+	sk, ok := fresh(point)
+	if !ok {
+		return zero, fmt.Errorf("transport: no sketch shape for point %d", point)
+	}
+	if err := sk.UnmarshalBinary(data); err != nil {
+		return zero, err
+	}
+	return sk, nil
+}
+
 // sketchPool recycles decoded sketch scratch on paths that never retain
 // the decoded value (merge-only applies at the point, the additive
-// receive at the size center). Decoding into a recycled sketch of the
-// same dimensions reuses its register arrays, so the per-epoch decode
+// receive at the size center, the batched history read). It keeps one
+// pool per point id, filled through fresh with that point's shape, so a
+// recycled sketch reuses its register arrays and the per-epoch decode
 // path stops allocating once warm. Paths that alias the decoded sketch
 // (the spread center's window store) must not use a pool.
 type sketchPool[S core.Sketch[S]] struct {
-	pool sync.Pool
-	dec  func([]byte) (S, error)
+	fresh func(point int) (S, bool)
+	pools sync.Map // point id -> *sync.Pool
 }
 
-// get decodes data into a recycled sketch, or a fresh one when the pool
-// is empty. Sketches handed out must come back via put after use.
-func (p *sketchPool[S]) get(data []byte) (S, error) {
-	if v := p.pool.Get(); v != nil {
-		sk := v.(S)
-		if err := any(sk).(encoding.BinaryUnmarshaler).UnmarshalBinary(data); err != nil {
-			var zero S
-			return zero, err
-		}
-		return sk, nil
+func (p *sketchPool[S]) poolFor(point int) *sync.Pool {
+	if v, ok := p.pools.Load(point); ok {
+		return v.(*sync.Pool)
 	}
-	return p.dec(data)
+	v, _ := p.pools.LoadOrStore(point, new(sync.Pool))
+	return v.(*sync.Pool)
 }
 
-func (p *sketchPool[S]) put(sk S) { p.pool.Put(sk) }
+// get decodes point's payload into a recycled sketch of the point's
+// shape, or a fresh one when none is free. Sketches handed out must come
+// back via put after use.
+func (p *sketchPool[S]) get(point int, data []byte) (S, error) {
+	sk, ok := p.poolFor(point).Get().(S)
+	if !ok {
+		return decodeFor(p.fresh, point, data)
+	}
+	if err := sk.UnmarshalBinary(data); err != nil {
+		var zero S
+		return zero, err
+	}
+	return sk, nil
+}
+
+func (p *sketchPool[S]) put(point int, sk S) { p.poolFor(point).Put(sk) }
 
 // pointEngine is the design-erased measurement point the PointClient
 // drives. Sketch payloads cross this boundary as their compact binary
@@ -107,11 +135,10 @@ type IngestPipe interface {
 	Close()
 }
 
-// pointCodec is the design- and backend-specific part of a point engine:
-// how sketch blobs decode, and how the state file is framed. Every blob is
-// the sketch's one encoding (core.Sketch.MarshalBinaryCompact).
-type pointCodec[S core.Sketch[S]] struct {
-	dec func([]byte) (S, error)
+// pointCodec is the design-specific part of a point engine: how the state
+// file is framed. Every blob is the sketch's one encoding
+// (core.Sketch.MarshalBinaryCompact).
+type pointCodec struct {
 	// stateKind is the TQST2 kind byte ('s' spread, 'z' size).
 	stateKind byte
 	// hasBByte marks the size framing, which writes a B-presence byte
@@ -124,17 +151,17 @@ type pointCodec[S core.Sketch[S]] struct {
 // epoch sketch.
 type enginePoint[S core.Sketch[S]] struct {
 	pt    *core.Point[S]
-	codec pointCodec[S]
+	codec pointCodec
 	// scratch recycles decode buffers across pushes: every apply below
 	// merges the decoded sketch and drops it, so the same scratch sketch
 	// can absorb push after push without allocating.
 	scratch sketchPool[S]
 }
 
-// newEnginePoint wires the scratch pool to the codec's decoder.
-func newEnginePoint[S core.Sketch[S]](pt *core.Point[S], codec pointCodec[S]) *enginePoint[S] {
+// newEnginePoint wires the scratch pool to the point's sketch shape.
+func newEnginePoint[S core.Sketch[S]](pt *core.Point[S], codec pointCodec) *enginePoint[S] {
 	e := &enginePoint[S]{pt: pt, codec: codec}
-	e.scratch.dec = codec.dec
+	e.scratch.fresh = func(int) (S, bool) { return pt.NewSketch(), true }
 	return e
 }
 
@@ -175,59 +202,33 @@ func (e *enginePoint[S]) endEpoch(rebase bool) (int64, []byte, core.UploadMeta, 
 }
 
 func (e *enginePoint[S]) applyAggregate(forEpoch int64, data []byte, merged int) error {
-	sk, err := e.scratch.get(data)
+	sk, err := e.scratch.get(e.pt.ID(), data)
 	if err != nil {
 		return err
 	}
 	err = e.pt.ApplyAggregateCovAt(forEpoch, sk, merged)
-	e.scratch.put(sk)
+	e.scratch.put(e.pt.ID(), sk)
 	return err
 }
 
 func (e *enginePoint[S]) applyEnhancement(forEpoch int64, data []byte) error {
-	sk, err := e.scratch.get(data)
+	sk, err := e.scratch.get(e.pt.ID(), data)
 	if err != nil {
 		return err
 	}
 	err = e.pt.ApplyEnhancementAt(forEpoch, sk)
-	e.scratch.put(sk)
+	e.scratch.put(e.pt.ID(), sk)
 	return err
 }
 
 func (e *enginePoint[S]) applyBackfill(forEpoch int64, data []byte, merged int) error {
-	sk, err := e.scratch.get(data)
+	sk, err := e.scratch.get(e.pt.ID(), data)
 	if err != nil {
 		return err
 	}
 	err = e.pt.ApplyBackfillCovAt(forEpoch, sk, merged)
-	e.scratch.put(sk)
+	e.scratch.put(e.pt.ID(), sk)
 	return err
-}
-
-// decodeRskt / decodeVhll / decodeCountMin decode one sketch blob of each
-// backend.
-func decodeRskt(data []byte) (*rskt.Sketch, error) {
-	var sk rskt.Sketch
-	if err := sk.UnmarshalBinary(data); err != nil {
-		return nil, err
-	}
-	return &sk, nil
-}
-
-func decodeVhll(data []byte) (*vhll.Sketch, error) {
-	var sk vhll.Sketch
-	if err := sk.UnmarshalBinary(data); err != nil {
-		return nil, err
-	}
-	return &sk, nil
-}
-
-func decodeCountMin(data []byte) (*countmin.Sketch, error) {
-	var sk countmin.Sketch
-	if err := sk.UnmarshalBinary(data); err != nil {
-		return nil, err
-	}
-	return &sk, nil
 }
 
 // newPointEngine builds the point engine selected by the configuration.
@@ -240,7 +241,7 @@ func newPointEngine(cfg PointConfig) (pointEngine, error) {
 			if err != nil {
 				return nil, err
 			}
-			return newEnginePoint(pt.Point, pointCodec[*rskt.Sketch]{dec: decodeRskt, stateKind: 's'}), nil
+			return newEnginePoint(pt.Point, pointCodec{stateKind: 's'}), nil
 		case SketchVhll:
 			params := vhll.Params{PhysicalRegisters: cfg.W, VirtualRegisters: cfg.M, Seed: cfg.Seed}
 			if _, err := vhll.New(params); err != nil {
@@ -256,7 +257,7 @@ func newPointEngine(cfg PointConfig) (pointEngine, error) {
 			if err != nil {
 				return nil, err
 			}
-			return newEnginePoint(pt.Point, pointCodec[*vhll.Sketch]{dec: decodeVhll, stateKind: 's'}), nil
+			return newEnginePoint(pt.Point, pointCodec{stateKind: 's'}), nil
 		default:
 			return nil, fmt.Errorf("transport: unknown spread sketch %q", cfg.Sketch)
 		}
@@ -275,9 +276,7 @@ func newPointEngine(cfg PointConfig) (pointEngine, error) {
 		if err != nil {
 			return nil, err
 		}
-		return newEnginePoint(pt.Point, pointCodec[*countmin.Sketch]{
-			dec: decodeCountMin, stateKind: 'z', hasBByte: true,
-		}), nil
+		return newEnginePoint(pt.Point, pointCodec{stateKind: 'z', hasBByte: true}), nil
 	default:
 		return nil, fmt.Errorf("transport: unknown kind %q", cfg.Kind)
 	}
@@ -301,10 +300,10 @@ type centerEngine interface {
 	reported(point int, epoch int64) bool
 	exportState(ck *centerCheckpoint) error
 	importState(ck *centerCheckpoint) error
-	// exportCell marshals the stored single-epoch measurement for (point,
-	// epoch) in the canonical compact encoding — the epoch log's feed.
-	// ok=false when the center holds no such cell.
-	exportCell(point int, epoch int64) ([]byte, bool, error)
+	// logCell returns the epoch log's bytes for an accepted upload: the
+	// single-epoch measurement the center stored, in its one encoding.
+	// ok=false when the center no longer holds the cell.
+	logCell(up Upload) ([]byte, bool, error)
 	// historyAt / historyRange replay the ST join over stored cells
 	// (retrospective T-queries); queryWindowLive answers from the live
 	// window — the reference the replay's exactness contract is against.
@@ -321,13 +320,13 @@ type centerEngine interface {
 }
 
 // logSource adapts the durable epoch log to core.HistorySource: cells
-// come back as decoded sketches, absence is the coverage signal. It also
-// implements core.EpochSource — the batched read path — decoding through
-// a shared scratch pool: the replay never retains the visited sketch, so
-// one recycled sketch per worker absorbs an entire pass.
+// come back as decoded sketches of their point's shape, absence is the
+// coverage signal. It also implements core.EpochSource — the batched read
+// path — decoding through a shared scratch pool: the replay never retains
+// the visited sketch, so one recycled sketch per worker absorbs an entire
+// pass.
 type logSource[S core.Sketch[S]] struct {
 	log  *durable.Log
-	dec  func([]byte) (S, error)
 	pool *sketchPool[S]
 }
 
@@ -337,7 +336,7 @@ func (ls logSource[S]) Cell(point int, epoch int64) (S, bool, error) {
 	if err != nil || !ok {
 		return zero, false, err
 	}
-	sk, err := ls.dec(b)
+	sk, err := decodeFor(ls.pool.fresh, point, b)
 	if err != nil {
 		return zero, false, err
 	}
@@ -350,12 +349,12 @@ func (ls logSource[S]) Cell(point int, epoch int64) (S, bool, error) {
 // pooled scratch that is reclaimed as soon as visit returns.
 func (ls logSource[S]) EpochCells(epoch int64, points []int, visit func(point int, sk S) error) error {
 	return ls.log.GetEpoch(epoch, points, func(point int, blob []byte) error {
-		sk, err := ls.pool.get(blob)
+		sk, err := ls.pool.get(point, blob)
 		if err != nil {
 			return err
 		}
 		err = visit(point, sk)
-		ls.pool.put(sk)
+		ls.pool.put(point, sk)
 		return err
 	})
 }
@@ -365,7 +364,6 @@ func (ls logSource[S]) EpochCells(epoch int64, points []int, visit func(point in
 // upload validation path and the gob-frozen checkpoint state shapes.
 type engineCenter[S core.Sketch[S]] struct {
 	ctr *core.Center[S]
-	dec func([]byte) (S, error)
 	// recv ingests one decoded upload (the design wrapper's ReceiveMeta,
 	// which for size also checks the sketch parameters).
 	recv func(point int, epoch int64, sk S, meta core.UploadMeta) error
@@ -381,10 +379,9 @@ type engineCenter[S core.Sketch[S]] struct {
 	// design-specific field.
 	save func(ck *centerCheckpoint) error
 	load func(ck *centerCheckpoint) error
-	// histOnce/hist lazily build the shared decode-scratch pool for the
-	// batched history read path (logSource.EpochCells).
-	histOnce sync.Once
-	hist     *sketchPool[S]
+	// hist is the shared decode-scratch pool for the history read path
+	// (logSource).
+	hist *sketchPool[S]
 	// pushEnc caches the newest round's encoded aggregates.
 	pushEnc encodeMemo
 }
@@ -424,11 +421,6 @@ func (m *encodeMemo) encode(forEpoch int64, sk any, marshal func() ([]byte, erro
 	return b, err
 }
 
-func (e *engineCenter[S]) histPool() *sketchPool[S] {
-	e.histOnce.Do(func() { e.hist = &sketchPool[S]{dec: e.dec} })
-	return e.hist
-}
-
 func (e *engineCenter[S]) maxEpoch() int64                        { return e.ctr.MaxEpoch() }
 func (e *engineCenter[S]) lastEpoch(point int) int64              { return e.ctr.LastEpoch(point) }
 func (e *engineCenter[S]) setWeight(point, weight int)            { e.ctr.SetWeight(point, weight) }
@@ -440,9 +432,9 @@ func (e *engineCenter[S]) receive(up Upload) error {
 	var sk S
 	var err error
 	if e.scratch != nil {
-		sk, err = e.scratch.get(up.Sketch)
+		sk, err = e.scratch.get(up.Point, up.Sketch)
 	} else {
-		sk, err = e.dec(up.Sketch)
+		sk, err = decodeFor(e.ctr.NewSketch, up.Point, up.Sketch)
 	}
 	if err != nil {
 		return fmt.Errorf("point %d epoch %d: %w", up.Point, up.Epoch, err)
@@ -454,7 +446,7 @@ func (e *engineCenter[S]) receive(up Upload) error {
 		Rebase:     up.Rebase,
 	})
 	if e.scratch != nil {
-		e.scratch.put(sk)
+		e.scratch.put(up.Point, sk)
 	}
 	return err
 }
@@ -486,16 +478,24 @@ func (e *engineCenter[S]) buildPush(point int, forEpoch int64, enhance bool) (Pu
 	return push, nil
 }
 
-func (e *engineCenter[S]) exportCell(point int, epoch int64) ([]byte, bool, error) {
-	return e.ctr.MarshalUpload(point, epoch, S.MarshalBinaryCompact)
+// logCell logs a delta-mode upload as received: the center stores it
+// unchanged, and decoders accept only canonical encodings, so the payload
+// is byte for byte what re-encoding the stored cell would give, without
+// the re-encode under the center lock. Cumulative mode stores a recovered
+// delta, which is encoded from the center.
+func (e *engineCenter[S]) logCell(up Upload) ([]byte, bool, error) {
+	if !e.cum {
+		return up.Sketch, e.ctr.HasUpload(up.Point, up.Epoch), nil
+	}
+	return e.ctr.MarshalUpload(up.Point, up.Epoch, S.MarshalBinaryCompact)
 }
 
 func (e *engineCenter[S]) historyAt(f uint64, k int64, log *durable.Log) (float64, core.Coverage, error) {
-	return e.ctr.QueryAtFrom(f, k, logSource[S]{log: log, dec: e.dec, pool: e.histPool()})
+	return e.ctr.QueryAtFrom(f, k, logSource[S]{log: log, pool: e.hist})
 }
 
 func (e *engineCenter[S]) historyRange(f uint64, from, to int64, log *durable.Log) (float64, core.Coverage, error) {
-	return e.ctr.QueryRangeFrom(f, from, to, logSource[S]{log: log, dec: e.dec, pool: e.histPool()})
+	return e.ctr.QueryRangeFrom(f, from, to, logSource[S]{log: log, pool: e.hist})
 }
 
 func (e *engineCenter[S]) enableReplayCache(budgetBytes int64) { e.ctr.EnableReplayCache(budgetBytes) }
@@ -534,7 +534,7 @@ func newCenterEngine(cfg CenterConfig) (centerEngine, error) {
 			if err != nil {
 				return nil, err
 			}
-			return newSpreadCenterEngine(ctr, decodeRskt), nil
+			return newSpreadCenterEngine(ctr), nil
 		case SketchVhll:
 			protos := make(map[int]*vhll.Sketch, len(cfg.Widths))
 			for id, w := range cfg.Widths {
@@ -548,7 +548,7 @@ func newCenterEngine(cfg CenterConfig) (centerEngine, error) {
 			if err != nil {
 				return nil, err
 			}
-			return newSpreadCenterEngine(ctr, decodeVhll), nil
+			return newSpreadCenterEngine(ctr), nil
 		default:
 			return nil, fmt.Errorf("transport: unknown spread sketch %q", cfg.Sketch)
 		}
@@ -570,10 +570,10 @@ func newCenterEngine(cfg CenterConfig) (centerEngine, error) {
 		}
 		return &engineCenter[*countmin.Sketch]{
 			ctr:     ctr.Center,
-			dec:     decodeCountMin,
 			recv:    ctr.ReceiveMeta,
 			cum:     mode == core.SizeModeCumulative,
-			scratch: &sketchPool[*countmin.Sketch]{dec: decodeCountMin},
+			scratch: &sketchPool[*countmin.Sketch]{fresh: ctr.NewSketch},
+			hist:    &sketchPool[*countmin.Sketch]{fresh: ctr.NewSketch},
 			save: func(ck *centerCheckpoint) error {
 				st, err := ctr.ExportState()
 				if err != nil {
@@ -591,11 +591,11 @@ func newCenterEngine(cfg CenterConfig) (centerEngine, error) {
 
 // newSpreadCenterEngine wraps a spread center of either backend; its window
 // store travels in the checkpoint's Spread field.
-func newSpreadCenterEngine[S core.SpreadSketch[S]](ctr *core.SpreadCenter[S], dec func([]byte) (S, error)) *engineCenter[S] {
+func newSpreadCenterEngine[S core.SpreadSketch[S]](ctr *core.SpreadCenter[S]) *engineCenter[S] {
 	return &engineCenter[S]{
 		ctr:  ctr.Center,
-		dec:  dec,
 		recv: ctr.ReceiveMeta,
+		hist: &sketchPool[S]{fresh: ctr.NewSketch},
 		save: func(ck *centerCheckpoint) error {
 			st, err := ctr.ExportState()
 			if err != nil {

@@ -45,11 +45,10 @@ type relayEngine interface {
 // epoch sketch.
 type engineRelay[S core.Sketch[S]] struct {
 	rel *core.Relay[S]
-	dec func([]byte) (S, error)
 }
 
 func (e *engineRelay[S]) receiveChild(up Upload) error {
-	sk, err := e.dec(up.Sketch)
+	sk, err := decodeFor(e.rel.NewChildSketch, up.Point, up.Sketch)
 	if err != nil {
 		return fmt.Errorf("child %d epoch %d: %w", up.Point, up.Epoch, err)
 	}
@@ -81,8 +80,9 @@ func (e *engineRelay[S]) reencoder(data []byte) func(childW int) ([]byte, error)
 		if b, ok := built[childW]; ok {
 			return b, nil
 		}
-		if core.IsNil(sk) && decErr == nil {
-			sk, decErr = e.dec(data)
+		if core.IsNil(sk) {
+			sk = e.rel.NewSketch()
+			decErr = sk.UnmarshalBinary(data)
 		}
 		if decErr != nil {
 			return nil, decErr
@@ -137,7 +137,7 @@ func newRelayEngine(cfg RelayConfig) (relayEngine, error) {
 			if err != nil {
 				return nil, err
 			}
-			return &engineRelay[*rskt.Sketch]{rel: rel, dec: decodeRskt}, nil
+			return &engineRelay[*rskt.Sketch]{rel: rel}, nil
 		case SketchVhll:
 			protos := make(map[int]*vhll.Sketch, len(cfg.Widths))
 			for id, w := range cfg.Widths {
@@ -153,7 +153,7 @@ func newRelayEngine(cfg RelayConfig) (relayEngine, error) {
 			if err != nil {
 				return nil, err
 			}
-			return &engineRelay[*vhll.Sketch]{rel: rel, dec: decodeVhll}, nil
+			return &engineRelay[*vhll.Sketch]{rel: rel}, nil
 		default:
 			return nil, fmt.Errorf("transport: unknown spread sketch %q", cfg.Sketch)
 		}
@@ -175,7 +175,7 @@ func newRelayEngine(cfg RelayConfig) (relayEngine, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &engineRelay[*countmin.Sketch]{rel: rel, dec: decodeCountMin}, nil
+		return &engineRelay[*countmin.Sketch]{rel: rel}, nil
 	default:
 		return nil, fmt.Errorf("transport: unknown kind %q", cfg.Kind)
 	}

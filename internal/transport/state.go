@@ -118,7 +118,7 @@ func (e *enginePoint[S]) loadState(r io.Reader) error {
 		if err != nil {
 			return fmt.Errorf("transport: read state: %w", err)
 		}
-		sk, err := e.codec.dec(data)
+		sk, err := decodeFor(e.scratch.fresh, e.pt.ID(), data)
 		if err != nil {
 			return err
 		}

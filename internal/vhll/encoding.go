@@ -16,12 +16,16 @@ import (
 // rejected.
 const wireMagic = 0xB4
 
+// headerLen is the size of the encoding's fixed header.
+const headerLen = 1 + 4 + 4 + 8
+
 // MarshalBinaryCompact encodes the sketch little-endian: magic, physical
 // and virtual register counts, seed, then the register array as an hll
-// compact register array.
+// compact register array. hll.AppendCompact sizes the array before
+// writing, so the header grows once, to the exact length.
 func (s *Sketch) MarshalBinaryCompact() ([]byte, error) {
 	p := s.params
-	out := make([]byte, 0, 64)
+	out := make([]byte, 0, headerLen)
 	out = append(out, wireMagic)
 	out = binary.LittleEndian.AppendUint32(out, uint32(p.PhysicalRegisters))
 	out = binary.LittleEndian.AppendUint32(out, uint32(p.VirtualRegisters))
@@ -30,12 +34,14 @@ func (s *Sketch) MarshalBinaryCompact() ([]byte, error) {
 }
 
 // UnmarshalBinary decodes a sketch previously encoded by
-// MarshalBinaryCompact. When s already has the decoded size its register
-// array is reused, so a pooled scratch sketch decodes epoch after epoch
-// without allocating; on error the register contents are unspecified but
-// the sketch stays structurally valid.
+// MarshalBinaryCompact. A sketch that already has a size (anything but the
+// zero Sketch) accepts only an encoding of that size, rejected from the
+// header before anything is allocated, and reuses its register array, so
+// a pooled scratch sketch decodes epoch after epoch without allocating.
+// The zero Sketch accepts any size. On error the register contents are
+// unspecified but the sketch stays structurally valid.
 func (s *Sketch) UnmarshalBinary(data []byte) error {
-	if len(data) < 1+4+4+8 {
+	if len(data) < headerLen {
 		return fmt.Errorf("vhll: truncated sketch encoding")
 	}
 	if data[0] != wireMagic {
@@ -49,6 +55,10 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	seed := binary.LittleEndian.Uint64(data[off:])
 	off += 8
 	p := Params{PhysicalRegisters: m, VirtualRegisters: v, Seed: seed}
+	if s.params.PhysicalRegisters != 0 && (m != s.params.PhysicalRegisters || v != s.params.VirtualRegisters) {
+		return fmt.Errorf("vhll: decode: encoding is %d/%d registers, want %d/%d",
+			m, v, s.params.PhysicalRegisters, s.params.VirtualRegisters)
+	}
 	if err := p.Validate(); err != nil {
 		return fmt.Errorf("vhll: decode: %w", err)
 	}

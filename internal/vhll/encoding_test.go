@@ -87,3 +87,29 @@ func FuzzUnmarshalBinary(f *testing.F) {
 		_ = s.Estimate(1)
 	})
 }
+
+// TestDecodeRejectsOtherDimensions: a sketch with a size accepts only an
+// encoding of that size; the zero Sketch accepts any.
+func TestDecodeRejectsOtherDimensions(t *testing.T) {
+	src, err := New(Params{PhysicalRegisters: 64, VirtualRegisters: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := src.MarshalBinaryCompact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []Params{{PhysicalRegisters: 32, VirtualRegisters: 8}, {PhysicalRegisters: 64, VirtualRegisters: 16}} {
+		dst, err := New(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dst.UnmarshalBinary(data); err == nil {
+			t.Errorf("a %d/%d sketch decoded a 64/8 encoding", p.PhysicalRegisters, p.VirtualRegisters)
+		}
+	}
+	var zero Sketch
+	if err := zero.UnmarshalBinary(data); err != nil {
+		t.Errorf("zero sketch: %v", err)
+	}
+}
