@@ -33,11 +33,12 @@ test:
 test-race:
 	$(GO) test -race ./internal/transport ./internal/faultnet
 
-# The whole suite under the race detector, plus, by name, the guard that a
-# push round stays O(p + n) sketch operations (no join per destination).
+# The whole suite under the race detector, plus, by name, the guards that a
+# push round stays O(p + n) sketch operations (no join per destination) and
+# that an epoch boundary merges each dirty ingest lane once per kept sketch.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=1 -run '^TestJoinIsLinearPerRound$$' ./internal/core
+	$(GO) test -race -count=1 -run '^(TestJoinIsLinearPerRound|TestEndEpochFoldsEachLaneOnce)$$' ./internal/core
 
 # The crash-restart matrix: process-death scenarios against the durable
 # checkpoint store, plus the store's own corruption/fallback tests, all

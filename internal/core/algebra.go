@@ -121,3 +121,11 @@ func mustMerge[S Sketch[S]](dst, src S) {
 		panic("core: lane fold: " + err.Error())
 	}
 }
+
+// mustCopy overwrites dst with src, under the same shape guarantee as
+// mustMerge.
+func mustCopy[S Sketch[S]](dst, src S) {
+	if err := dst.CopyFrom(src); err != nil {
+		panic("core: lane fold: " + err.Error())
+	}
+}

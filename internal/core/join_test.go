@@ -282,10 +282,12 @@ func TestJoinMatchesReference(t *testing.T) {
 	}
 }
 
-// opCounter counts the sketch operations a round's join performs.
-type opCounter struct{ expand, merge int }
+// opCounter counts the sketch operations a round's join or a point's
+// epoch boundary performs.
+type opCounter struct{ expand, merge, copy int }
 
-// countingSketch is a CountMin that counts its ExpandTo and Merge calls.
+// countingSketch is a CountMin that counts its ExpandTo, Merge and
+// CopyFrom calls.
 type countingSketch struct {
 	sk *countmin.Sketch
 	n  *opCounter
@@ -306,9 +308,12 @@ func (s *countingSketch) Merge(o *countingSketch) error {
 	s.n.merge++
 	return s.sk.Merge(o.sk)
 }
-func (s *countingSketch) CopyFrom(o *countingSketch) error { return s.sk.CopyFrom(o.sk) }
-func (s *countingSketch) Reset()                           { s.sk.Reset() }
-func (s *countingSketch) Clone() *countingSketch           { return s.wrap(s.sk.Clone()) }
+func (s *countingSketch) CopyFrom(o *countingSketch) error {
+	s.n.copy++
+	return s.sk.CopyFrom(o.sk)
+}
+func (s *countingSketch) Reset()                 { s.sk.Reset() }
+func (s *countingSketch) Clone() *countingSketch { return s.wrap(s.sk.Clone()) }
 func (s *countingSketch) ExpandTo(w int) (*countingSketch, error) {
 	s.n.expand++
 	sk, err := s.sk.ExpandTo(w)

@@ -20,8 +20,17 @@ import (
 // algebra (counter-wise addition for size, register-wise max for spread)
 // at the fold points:
 //
-//   - EndEpoch and Snapshot merge every dirty lane into B/C/C' and reset
-//     it, so uploads and persisted state are lane-free;
+//   - EndEpoch drains every dirty lane with one merge per lane per sketch
+//     it keeps: in delta mode B is built in the memory of the C the
+//     boundary discards — a copy of the first dirty lane, the others
+//     merged into it — and merges into C' once, so B is not a standing
+//     sketch; in cumulative mode each lane merges into C and C'. After a
+//     RestoreSnapshot the point holds the restored B, which already sits
+//     in C', and that epoch's boundary merges each lane into B and C'
+//     separately instead;
+//   - Snapshot folds the lanes into its copies and leaves the point as it
+//     was, so persisted state is lane-free;
+//   - Recorder.Close hands its lane's delta to a shared lane;
 //   - Query folds on the fly (the algebra's union along the queried row
 //     positions only) and mutates nothing.
 //
@@ -30,6 +39,9 @@ import (
 // multiset of records — the Thm 6.1/6.3 exact-equality invariants hold
 // whichever lane a packet went through. A record is visible to every fold
 // point once the call that made it returns.
+//
+// The upload EndEpoch returns can come back through Point.Recycle once
+// encoded; the next boundary reuses it as C' instead of allocating.
 
 // SpreadPacket is one <flow, element> packet for batched recording
 // (RecordBatch). For the size design only Flow is meaningful.
@@ -74,6 +86,12 @@ func (l *lane[S]) applyFlows(fs []uint64) {
 		l.d.Record(f, 0)
 	}
 	l.markDirty()
+}
+
+// clear empties the delta after a fold. Caller holds l.mu.
+func (l *lane[S]) clear() {
+	l.d.Reset()
+	l.dirty.Store(false)
 }
 
 // markDirty flags the delta as holding unfolded records. Caller holds

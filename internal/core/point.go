@@ -28,9 +28,20 @@ type Point[S Sketch[S]] struct {
 	fresh    func() S
 	epoch    int64 // current epoch k (1-based)
 
-	b  S // per-epoch measurement (ModeDelta only; zero otherwise)
 	c  S // query target (holds the approximate T-stream); the upload in cumulative mode
 	cp S // C': staging for the next epoch
+	// b is the per-epoch measurement B (delta mode only). Between
+	// boundaries B lives in the lanes, and the boundary builds it in the
+	// memory of the C it discards, so b stays nil — except after
+	// RestoreSnapshot, when it holds the restored B, whose records C'
+	// already has. The next boundary then folds each lane into B and C'
+	// separately: merging such a B into C' whole would count its records
+	// twice in an additive design.
+	b S
+
+	// spare is an upload handed back by Recycle, already reset: the next
+	// boundary takes it as the new C' instead of calling fresh.
+	spare S
 
 	// Degradation accounting (see coverage.go and protocol.go).
 	// topoPoints/topoN describe the cluster (0 = standalone, coverage
@@ -62,9 +73,9 @@ type Point[S Sketch[S]] struct {
 }
 
 // NewPoint creates a measurement point whose sketches are built by fresh
-// (called two or three times plus once per ingest lane up front, and once
-// per epoch for the new upload sketch in delta mode), with the design
-// discipline fixed by cfg.
+// (called twice plus once per ingest lane up front, and once per epoch for
+// the new C', unless the caller hands uploads back with Recycle), with the
+// design discipline fixed by cfg.
 func NewPoint[S Sketch[S]](id int, fresh func() S, cfg EngineConfig[S]) (*Point[S], error) {
 	if fresh == nil {
 		return nil, fmt.Errorf("core: nil sketch constructor for point %d", id)
@@ -82,9 +93,6 @@ func NewPoint[S Sketch[S]](id int, fresh func() S, cfg EngineConfig[S]) (*Point[
 		c:        fresh(),
 		cp:       fresh(),
 		shared:   make([]*lane[S], normShards(cfg.Shards)),
-	}
-	if cfg.Mode == ModeDelta {
-		p.b = fresh()
 	}
 	for i := range p.shared {
 		p.shared[i] = &lane[S]{d: fresh()}
@@ -236,29 +244,49 @@ func (p *Point[S]) gatherLocked(extras []S, locked []*sync.Mutex) ([]S, []*sync.
 	return extras, locked
 }
 
-// foldLaneLocked merges one lane's delta into the authoritative sketch
-// set (C, C' and, in delta mode, B) with the design's merge algebra and
-// resets it. Caller holds p.mu.
-func (p *Point[S]) foldLaneLocked(l *lane[S]) {
-	if !l.dirty.Load() {
-		return
+// foldLanesLocked merges every dirty lane into each of dsts with the
+// design's merge algebra; with drain set it also empties the lane. Caller
+// holds p.mu.
+func (p *Point[S]) foldLanesLocked(drain bool, dsts ...S) {
+	for _, l := range p.lanes {
+		if !l.dirty.Load() {
+			continue
+		}
+		l.mu.Lock()
+		for _, d := range dsts {
+			mustMerge(d, l.d)
+		}
+		if drain {
+			l.clear()
+		}
+		l.mu.Unlock()
 	}
-	l.mu.Lock()
-	if !IsNil(p.b) {
-		mustMerge(p.b, l.d)
-	}
-	mustMerge(p.c, l.d)
-	mustMerge(p.cp, l.d)
-	l.d.Reset()
-	l.dirty.Store(false)
-	l.mu.Unlock()
 }
 
-// flushIngestLocked folds every dirty lane into the authoritative sketch
-// set. Caller holds p.mu.
-func (p *Point[S]) flushIngestLocked() {
+// buildUploadLocked is the delta-mode boundary fold, one merge per dirty
+// lane: b, whose old contents are dropped, becomes a copy of the first
+// dirty lane, every other dirty lane merges into it, and b merges into C'
+// once. Caller holds p.mu.
+func (p *Point[S]) buildUploadLocked(b S) {
+	copied := false
 	for _, l := range p.lanes {
-		p.foldLaneLocked(l)
+		if !l.dirty.Load() {
+			continue
+		}
+		l.mu.Lock()
+		if copied {
+			mustMerge(b, l.d)
+		} else {
+			mustCopy(b, l.d)
+			copied = true
+		}
+		l.clear()
+		l.mu.Unlock()
+	}
+	if copied {
+		mustMerge(p.cp, b)
+	} else {
+		b.Reset() // an epoch without records
 	}
 }
 
@@ -267,22 +295,50 @@ func (p *Point[S]) flushIngestLocked() {
 func (p *Point[S]) dropIngestLocked() {
 	for _, l := range p.lanes {
 		l.mu.Lock()
-		l.d.Reset()
-		l.dirty.Store(false)
+		l.clear()
 		l.mu.Unlock()
 	}
+}
+
+// takeSpareLocked returns the recycled upload, or a fresh sketch when the
+// caller never recycles. Caller holds p.mu.
+func (p *Point[S]) takeSpareLocked() S {
+	s := p.spare
+	if IsNil(s) {
+		return p.fresh()
+	}
+	var zero S
+	p.spare = zero
+	return s
+}
+
+// Recycle hands back an upload EndEpoch returned, once the caller is done
+// with it (encoded and dropped), so the next boundary reuses its memory
+// instead of allocating. The caller must hold no other reference to s.
+// The reset runs outside the point mutex.
+func (p *Point[S]) Recycle(s S) {
+	if IsNil(s) {
+		return
+	}
+	s.Reset()
+	p.mu.Lock()
+	p.spare = s
+	p.mu.Unlock()
 }
 
 // EndEpoch performs the epoch-boundary actions (stage 2, local periodical
 // measurement update) and returns the upload for the epoch that just
 // ended: the per-epoch B in delta mode, or the cumulative C in cumulative
-// mode. The returned sketch is owned by the caller.
+// mode. The returned sketch is owned by the caller, who may hand it back
+// with Recycle.
 //
-// The upload is taken by pointer swap, not by cloning under the lock: the
-// epoch boundary costs the lane fold plus one allocation instead of a
-// full sketch copy ("copy C' to C, reset C'" becomes swap-then-reset in
-// delta mode). The boundary never stops the record path as a whole: it
-// locks one lane at a time, for the length of that lane's fold.
+// The upload is taken by pointer swap, not by cloning under the lock
+// ("copy C' to C, reset C'" becomes C' → C and a new C'). Each dirty lane
+// is folded once per sketch the boundary keeps. In delta mode B is built
+// from the lanes in the memory of the C the boundary discards, and merged
+// into C' once; C itself gets no merge. In cumulative mode each lane
+// merges into C and C'. The boundary never stops the record path as a
+// whole: it locks one lane at a time, for the length of that lane's fold.
 func (p *Point[S]) EndEpoch() S {
 	upload, _ := p.EndEpochMeta(false)
 	return upload
@@ -299,35 +355,30 @@ func (p *Point[S]) EndEpoch() S {
 func (p *Point[S]) EndEpochMeta(rebase bool) (S, UploadMeta) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.flushIngestLocked()
 	meta := UploadMeta{Epoch: p.epoch}
-	var upload S
-	if p.mode == ModeCumulative {
-		if rebase {
-			meta.Rebase = true
-			meta.AggApplied = p.aggApplied
-			upload = p.cp.Clone()
-			p.c = p.cp
-			p.cp = p.fresh()
-		} else {
-			if p.additive {
-				meta.AggApplied = p.aggAppliedPrev
-				meta.EnhApplied = p.enhApplied
-			}
-			upload = p.c
-			p.c = p.cp
-			p.cp = p.fresh()
-		}
-	} else {
-		if p.additive {
-			meta.AggApplied = p.aggAppliedPrev
-			meta.EnhApplied = p.enhApplied
-		}
-		upload = p.b
-		p.b = p.fresh()
-		p.c, p.cp = p.cp, p.c
-		p.cp.Reset()
+	if p.additive {
+		meta.AggApplied = p.aggAppliedPrev
+		meta.EnhApplied = p.enhApplied
 	}
+	var upload S
+	switch {
+	case p.mode == ModeCumulative:
+		p.foldLanesLocked(true, p.c, p.cp)
+		upload = p.c
+		if rebase {
+			meta = UploadMeta{Epoch: p.epoch, Rebase: true, AggApplied: p.aggApplied}
+			upload = p.cp.Clone()
+		}
+	case IsNil(p.b):
+		upload = p.c
+		p.buildUploadLocked(upload)
+	default: // a restored B, already in C'
+		p.foldLanesLocked(true, p.b, p.cp)
+		upload = p.b
+		var zero S
+		p.b = zero
+	}
+	p.c, p.cp = p.cp, p.takeSpareLocked()
 	p.rollCoverageLocked()
 	p.epoch++
 	return upload, meta

@@ -77,9 +77,8 @@ func (p *Point[S]) RestoreMeta(m PointMeta) {
 func (p *Point[S]) ResetWindow() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if !IsNil(p.b) {
-		p.b.Reset()
-	}
+	var zero S
+	p.b = zero
 	p.c.Reset()
 	p.cp.Reset()
 	p.dropIngestLocked()

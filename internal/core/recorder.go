@@ -40,14 +40,24 @@ func (r *Recorder[S]) RecordBatch(ps []SpreadPacket) {
 	r.l.mu.Unlock()
 }
 
-// Close folds the recorder's remaining delta into the point and
+// Close hands the recorder's remaining delta to a shared lane and
 // unregisters its lane. The recorder must not be used afterwards.
 func (r *Recorder[S]) Close() {
 	p := r.p
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.foldLaneLocked(r.l)
 	if i := slices.Index(p.lanes, r.l); i >= 0 {
 		p.lanes = slices.Delete(p.lanes, i, i+1)
 	}
+	if !r.l.dirty.Load() {
+		return
+	}
+	// Lock order: p.mu, then lanes. Writers hold one lane at a time.
+	dst := p.shared[0]
+	r.l.mu.Lock()
+	dst.mu.Lock()
+	mustMerge(dst.d, r.l.d)
+	dst.markDirty()
+	dst.mu.Unlock()
+	r.l.mu.Unlock()
 }

@@ -7,17 +7,25 @@ import (
 // Snapshot returns the point's epoch and deep copies of its sketches (B,
 // C, C'), taken atomically. Together with RestoreSnapshot it lets an agent
 // persist its state across restarts without losing the window. The ingest
-// lanes are folded first, so persisted state is lane-free and portable
-// across lane-count configurations. In cumulative mode (no B sketch) the
-// returned b is nil.
+// lanes are folded into the copies, not into the point, so persisted
+// state is lane-free and portable across lane-count configurations, and
+// the point never holds a B whose records C' already has. In cumulative
+// mode (no B sketch) the returned b is nil.
 func (p *Point[S]) Snapshot() (epoch int64, b, c, cp S) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.flushIngestLocked()
-	if !IsNil(p.b) {
-		b = p.b.Clone()
+	c, cp = p.c.Clone(), p.cp.Clone()
+	dsts := []S{c, cp}
+	if p.mode == ModeDelta {
+		if IsNil(p.b) {
+			b = p.fresh()
+		} else {
+			b = p.b.Clone()
+		}
+		dsts = append(dsts, b)
 	}
-	return p.epoch, b, p.c.Clone(), p.cp.Clone()
+	p.foldLanesLocked(false, dsts...)
+	return p.epoch, b, c, cp
 }
 
 // RestoreSnapshot overwrites the point's state with a snapshot. The
@@ -30,22 +38,27 @@ func (p *Point[S]) RestoreSnapshot(epoch int64, b, c, cp S) error {
 	if IsNil(c) || IsNil(cp) || (!p.additive && IsNil(b)) {
 		return fmt.Errorf("core: nil sketch in snapshot")
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if IsNil(p.b) != IsNil(b) {
+	if (p.mode == ModeDelta) == IsNil(b) {
 		return fmt.Errorf("core: snapshot upload mode does not match the point's")
 	}
-	if !IsNil(p.b) {
-		if err := p.b.CopyFrom(b); err != nil {
+	// The restored B already sits in C', so the point keeps it as its B:
+	// this epoch's boundary folds each lane into B and C' separately.
+	var held S
+	if !IsNil(b) {
+		held = p.fresh()
+		if err := held.CopyFrom(b); err != nil {
 			return fmt.Errorf("core: restore B: %w", err)
 		}
 	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	if err := p.c.CopyFrom(c); err != nil {
 		return fmt.Errorf("core: restore C: %w", err)
 	}
 	if err := p.cp.CopyFrom(cp); err != nil {
 		return fmt.Errorf("core: restore C': %w", err)
 	}
+	p.b = held
 	// The restored snapshot replaces the whole state, unfolded records
 	// included.
 	p.dropIngestLocked()

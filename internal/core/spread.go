@@ -30,8 +30,8 @@ type SpreadPoint[S SpreadSketch[S]] struct {
 }
 
 // NewSpreadPointOf creates a measurement point whose sketches are built by
-// fresh (called three times plus once per ingest lane up front, and once
-// per epoch for the new B).
+// fresh (called twice plus once per ingest lane up front, and once per
+// epoch for the new C' unless uploads come back through Recycle).
 func NewSpreadPointOf[S SpreadSketch[S]](id int, fresh func() S) (*SpreadPoint[S], error) {
 	return newSpreadPointOf(id, fresh, 0)
 }

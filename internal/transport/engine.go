@@ -198,6 +198,9 @@ func (e *enginePoint[S]) endEpoch(rebase bool) (int64, []byte, core.UploadMeta, 
 	epoch := e.pt.Epoch()
 	up, meta := e.pt.EndEpochMeta(rebase)
 	data, err := up.MarshalBinaryCompact()
+	// The encoded bytes are all that leaves this call, so the upload
+	// sketch goes back to the point as its next C'.
+	e.pt.Recycle(up)
 	return epoch, data, meta, err
 }
 

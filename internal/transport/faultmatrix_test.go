@@ -209,6 +209,7 @@ func forBothKinds(t *testing.T, fn func(t *testing.T, kind Kind)) {
 // epoch boundary; the retransmit buffer replays it after Redial and no
 // data is lost.
 func TestFaultDropUpload(t *testing.T) {
+	noLeak(t)
 	forBothKinds(t, func(t *testing.T, kind Kind) {
 		c := newFCluster(t, kind)
 		pushWant := make([]int64, fmP)
@@ -273,6 +274,7 @@ func TestFaultDropUpload(t *testing.T) {
 // reconnect re-push delivers the same round and the point recovers within
 // the same epoch.
 func TestFaultDropPush(t *testing.T) {
+	noLeak(t)
 	forBothKinds(t, func(t *testing.T, kind Kind) {
 		c := newFCluster(t, kind)
 		pushWant := make([]int64, fmP)
@@ -332,6 +334,7 @@ func TestFaultDropPush(t *testing.T) {
 // stale window, and coverage returns to full within one epoch of
 // reconnecting — the paper's real-time guarantee restored.
 func TestFaultCenterOutage(t *testing.T) {
+	noLeak(t)
 	forBothKinds(t, func(t *testing.T, kind Kind) {
 		c := newFCluster(t, kind)
 		pushWant := make([]int64, fmP)
@@ -436,6 +439,7 @@ func TestFaultCenterOutage(t *testing.T) {
 // reseeds the center's recovery chain — no gap, full coverage within the
 // restart epoch.
 func TestFaultPointRestart(t *testing.T) {
+	noLeak(t)
 	forBothKinds(t, func(t *testing.T, kind Kind) {
 		c := newFCluster(t, kind)
 		pushWant := make([]int64, fmP)
@@ -509,6 +513,7 @@ func TestFaultPointRestart(t *testing.T) {
 // not double-counted. Driven over a raw protocol connection so the
 // duplicate's payload can even disagree with the original.
 func TestFaultDuplicateUpload(t *testing.T) {
+	noLeak(t)
 	forBothKinds(t, func(t *testing.T, kind Kind) {
 		c, raw := newRawCluster(t, kind) // point 1 live, point 0 raw
 
@@ -665,6 +670,7 @@ func newRawCluster(t *testing.T, kind Kind) (*fcluster, *rawPoint) {
 // are counted, the cumulative chain reseeds via rebase, and coverage
 // honestly reports the hole until the window slides past it.
 func TestFaultRetransmitCapLongOutage(t *testing.T) {
+	noLeak(t)
 	forBothKinds(t, func(t *testing.T, kind Kind) {
 		c := newFCluster(t, kind)
 		pushWant := make([]int64, fmP)

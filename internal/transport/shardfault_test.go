@@ -182,6 +182,7 @@ func (c *scluster) checkOracle(x int, survived []pe, label string) {
 // estimate bit for bit, full coverage, and oracle equality over the
 // healthy window.
 func TestShardedEqualsFlat(t *testing.T) {
+	noLeak(t)
 	forBothKinds(t, func(t *testing.T, kind Kind) {
 		sc := newSCluster(t, kind, false)
 		fc := newFCluster(t, kind)
@@ -235,6 +236,7 @@ func TestShardedEqualsFlat(t *testing.T) {
 // checkpoint, the retransmit buffers replay the lost epoch and the union
 // returns to full coverage and oracle equality within one epoch.
 func TestFaultShardFailover(t *testing.T) {
+	noLeak(t)
 	forBothKinds(t, func(t *testing.T, kind Kind) {
 		c := newSCluster(t, kind, true)
 		pushWant := [][]int64{make([]int64, sfShards), make([]int64, sfShards)}
