@@ -3,6 +3,7 @@ package countmin
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 )
 
 // wireMagic opens the binary encoding of a CountMin sketch: the header
@@ -12,21 +13,103 @@ import (
 // rejected.
 const wireMagic = 0xC4
 
+// headerLen is the encoding's fixed header: magic, D, W, Seed.
+const headerLen = 1 + 4 + 4 + 8
+
+// encodeScratch holds MarshalBinaryCompact's scratch buffers. Each call
+// takes its own, so concurrent encodes of one sketch never share one.
+var encodeScratch = sync.Pool{New: func() any { return new([]byte) }}
+
 // MarshalBinaryCompact encodes the sketch little-endian: magic, D, W, Seed,
-// then the D*W counters row-major as zigzag varints.
+// then the D*W counters row-major as zigzag varints. The counters go into
+// pooled scratch sized at two bytes each, which holds every counter in
+// [-8192, 8192) (zigzag form below 2^14) without a length branch; a longer
+// one grows it. The result is one exactly sized slice.
 func (s *Sketch) MarshalBinaryCompact() ([]byte, error) {
 	p := s.params
-	out := make([]byte, 0, 1+4+4+8+p.D*p.W)
-	out = append(out, wireMagic)
-	out = binary.LittleEndian.AppendUint32(out, uint32(p.D))
-	out = binary.LittleEndian.AppendUint32(out, uint32(p.W))
-	out = binary.LittleEndian.AppendUint64(out, p.Seed)
-	for _, row := range s.rows {
-		for _, v := range row {
-			out = binary.AppendVarint(out, v)
+	bp := encodeScratch.Get().(*[]byte)
+	buf := *bp
+	if need := headerLen + 2*p.D*p.W; len(buf) < need {
+		buf = make([]byte, need)
+	}
+	buf[0] = wireMagic
+	binary.LittleEndian.PutUint32(buf[1:], uint32(p.D))
+	binary.LittleEndian.PutUint32(buf[5:], uint32(p.W))
+	binary.LittleEndian.PutUint64(buf[9:], p.Seed)
+	// buf keeps two bytes of room for every counter not yet written.
+	k := headerLen
+	for i, row := range s.rows {
+		for j := 0; ; j++ {
+			n, m := putShort(buf[k:], row[j:])
+			j, k = j+n, k+m
+			if j == len(row) {
+				break
+			}
+			// row[j] takes three or more bytes.
+			if need := k + binary.MaxVarintLen64 + 2*((p.D-i)*p.W-j-1); need > len(buf) {
+				grown := make([]byte, need+len(buf)/4)
+				copy(grown, buf[:k])
+				buf = grown
+			}
+			k += binary.PutVarint(buf[k:], row[j])
 		}
 	}
+	out := make([]byte, k)
+	copy(out, buf[:k])
+	*bp = buf
+	encodeScratch.Put(bp)
 	return out, nil
+}
+
+// putShort zigzag-encodes the leading counters of row that lie in
+// [-8192, 8192), one or two varint bytes each, into buf, which has two
+// bytes of room for each counter, and returns how many counters it encoded
+// and how many bytes they took.
+func putShort(buf []byte, row []int64) (n, k int) {
+	for n < len(row) {
+		v := row[n]
+		u := uint64(v<<1) ^ uint64(v>>63) // zigzag
+		if u >= 1<<14 {
+			break
+		}
+		// Write both bytes: a one-byte value's second byte is zero, and
+		// the next counter overwrites it.
+		hi := u >> 7
+		more := (hi + 0x7f) >> 7 // 1 iff hi != 0
+		b := buf[k : k+2]
+		b[0] = byte(u) | byte(more<<7)
+		b[1] = byte(hi)
+		k += 1 + int(more)
+		n++
+	}
+	return n, k
+}
+
+// getShort decodes the leading counters of body into row while they are
+// canonical one- or two-byte zigzag varints and do not end in body's last
+// byte, and returns how many counters it decoded and how many bytes they
+// took. It stops before anything else, which the caller's binary.Varint
+// path decodes or rejects.
+func getShort(row []int64, body []byte) (n, k int) {
+	for n < len(row) && k+1 < len(body) {
+		b0 := body[k]
+		if b0 < 0x80 {
+			row[n] = int64(b0>>1) ^ -int64(b0&1)
+			k++
+			n++
+			continue
+		}
+		// A second byte of zero would be an overlong encoding.
+		b1 := body[k+1]
+		if b1 >= 0x80 || b1 == 0 {
+			break
+		}
+		u := uint64(b0&0x7f) | uint64(b1)<<7
+		row[n] = int64(u>>1) ^ -int64(u&1)
+		k += 2
+		n++
+	}
+	return n, k
 }
 
 // UnmarshalBinary decodes a sketch previously encoded by
@@ -36,20 +119,21 @@ func (s *Sketch) MarshalBinaryCompact() ([]byte, error) {
 // rows, so a pooled scratch sketch decodes epoch after epoch without
 // allocating. The zero Sketch accepts any dimensions. On error the counter
 // contents are unspecified but the sketch stays structurally valid.
+//
+// Only canonical encodings are accepted: a non-minimal varint, a truncated
+// or overflowing one, and trailing bytes are all rejected. One- and
+// two-byte counters, nearly all of them in practice, decode inline; longer
+// ones and a counter in the payload's last byte go through binary.Varint.
 func (s *Sketch) UnmarshalBinary(data []byte) error {
-	if len(data) < 1+4+4+8 {
+	if len(data) < headerLen {
 		return fmt.Errorf("countmin: truncated sketch encoding")
 	}
 	if data[0] != wireMagic {
 		return fmt.Errorf("countmin: bad magic byte %#x (want %#x)", data[0], wireMagic)
 	}
-	off := 1
-	d := int(binary.LittleEndian.Uint32(data[off:]))
-	off += 4
-	w := int(binary.LittleEndian.Uint32(data[off:]))
-	off += 4
-	seed := binary.LittleEndian.Uint64(data[off:])
-	off += 8
+	d := int(binary.LittleEndian.Uint32(data[1:]))
+	w := int(binary.LittleEndian.Uint32(data[5:]))
+	seed := binary.LittleEndian.Uint64(data[9:])
 	p := Params{D: d, W: w, Seed: seed}
 	if s.params.W != 0 && (d != s.params.D || w != s.params.W) {
 		return fmt.Errorf("countmin: decode: encoding is %dx%d, want %dx%d", d, w, s.params.D, s.params.W)
@@ -63,9 +147,10 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	if d > maxCells || w > maxCells || d*w > maxCells {
 		return fmt.Errorf("countmin: decode: implausible dimensions %dx%d", d, w)
 	}
+	body := data[headerLen:]
 	// Every counter takes at least one varint byte.
-	if len(data)-off < d*w {
-		return fmt.Errorf("countmin: %d payload bytes for %d counters", len(data)-off, d*w)
+	if len(body) < d*w {
+		return fmt.Errorf("countmin: %d payload bytes for %d counters", len(body), d*w)
 	}
 	rows := s.rows
 	if len(rows) != d {
@@ -76,23 +161,29 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 			rows[i] = make([]int64, w)
 		}
 	}
-	for i := range rows {
-		for j := range rows[i] {
-			v, n := binary.Varint(data[off:])
+	k := 0
+	for i, row := range rows {
+		for j := 0; ; j++ {
+			n, m := getShort(row[j:], body[k:])
+			j, k = j+n, k+m
+			if j == len(row) {
+				break
+			}
+			v, n := binary.Varint(body[k:])
 			if n <= 0 {
 				return fmt.Errorf("countmin: truncated or malformed counter varint (row %d, col %d)", i, j)
 			}
 			// Reject overlong varints (trailing zero continuation group):
 			// encodings stay canonical.
-			if n > 1 && data[off+n-1] == 0 {
+			if n > 1 && body[k+n-1] == 0 {
 				return fmt.Errorf("countmin: non-minimal counter varint (row %d, col %d)", i, j)
 			}
-			rows[i][j] = v
-			off += n
+			row[j] = v
+			k += n
 		}
 	}
-	if off != len(data) {
-		return fmt.Errorf("countmin: %d trailing bytes", len(data)-off)
+	if k != len(body) {
+		return fmt.Errorf("countmin: %d trailing bytes", len(body)-k)
 	}
 	s.params = p
 	s.rows = rows

@@ -5,8 +5,9 @@ import (
 	"testing"
 )
 
-// FuzzUnmarshalBinary checks the decoder never panics and that accepted
-// inputs round-trip byte-identically through MarshalBinaryCompact.
+// FuzzUnmarshalBinary checks the decoder never panics, that its verdict
+// and counters equal the reference decoder's on every input, and that
+// accepted inputs round-trip byte-identically through MarshalBinaryCompact.
 func FuzzUnmarshalBinary(f *testing.F) {
 	s := New(Params{D: 2, W: 4, Seed: 9})
 	s.Add(3, 7)
@@ -22,9 +23,16 @@ func FuzzUnmarshalBinary(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{1}, 40))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var sk Sketch
-		if err := sk.UnmarshalBinary(data); err != nil {
+		var sk, ref Sketch
+		err := sk.UnmarshalBinary(data)
+		if refErr := refUnmarshal(&ref, data); (err == nil) != (refErr == nil) {
+			t.Fatalf("err %v, reference err %v", err, refErr)
+		}
+		if err != nil {
 			return
+		}
+		if !sk.Equal(&ref) {
+			t.Fatal("decode differs from the reference")
 		}
 		out, err := sk.MarshalBinaryCompact()
 		if err != nil {

@@ -1,8 +1,11 @@
 package countmin
 
 import (
+	"bytes"
+	"encoding/binary"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -39,6 +42,30 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 		legacy := append([]byte{0xC3}, compact[1:]...)
 		seeds = append(seeds, legacy, compact, empty, compact[:len(compact)/2])
 	}
+	// Edges of the inline one- and two-byte decode: an overlong two-byte
+	// value, a ten-byte math.MinInt64, an eleven-byte varint (overflow),
+	// and a payload whose last counter takes two bytes.
+	header := func(d, w int) []byte {
+		h := binary.LittleEndian.AppendUint32([]byte{wireMagic}, uint32(d))
+		h = binary.LittleEndian.AppendUint32(h, uint32(w))
+		return binary.LittleEndian.AppendUint64(h, 9)
+	}
+	encode := func(s *Sketch) []byte {
+		b, err := s.MarshalBinaryCompact()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	minInt := New(Params{D: 1, W: 2, Seed: 9})
+	minInt.rows[0][0] = math.MinInt64
+	lastTwo := New(Params{D: 2, W: 4, Seed: 9})
+	lastTwo.rows[1][3] = 100
+	seeds = append(seeds,
+		append(header(1, 2), 0x80, 0x00, 0x02),
+		encode(minInt),
+		append(append(header(1, 1), bytes.Repeat([]byte{0xff}, 10)...), 0x01),
+		encode(lastTwo))
 	writeSeedCorpus(t, "FuzzUnmarshalBinary", seeds)
 }
 

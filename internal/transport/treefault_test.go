@@ -155,6 +155,7 @@ func (c *tcluster) checkFullRecovery(x int, K int, label string) {
 // bit-identical to the flat deployment's (the same oracle the flat
 // matrix checks against).
 func TestFaultRelayHealthy(t *testing.T) {
+	noLeak(t)
 	forBothKinds(t, func(t *testing.T, kind Kind) {
 		c := newTCluster(t, kind, "")
 		pushWant := make([]int64, fmP)
@@ -189,6 +190,7 @@ func TestFaultRelayHealthy(t *testing.T) {
 // rounds), the children's retransmit buffers replay the lost epoch, and
 // the tree converges to the oracle within one epoch.
 func TestFaultRelayCrash(t *testing.T) {
+	noLeak(t)
 	forBothKinds(t, func(t *testing.T, kind Kind) {
 		c := newTCluster(t, kind, "")
 		pushWant := make([]int64, fmP)
@@ -276,6 +278,7 @@ func TestFaultRelayCrash(t *testing.T) {
 // positions make the child requeue exactly the lost upload; nothing is
 // double-merged, nothing is backfilled, and the oracle holds.
 func TestFaultRelayRestartCheckpoint(t *testing.T) {
+	noLeak(t)
 	forBothKinds(t, func(t *testing.T, kind Kind) {
 		c := newTCluster(t, kind, t.TempDir())
 		pushWant := make([]int64, fmP)
@@ -359,6 +362,7 @@ func TestFaultRelayRestartCheckpoint(t *testing.T) {
 // partial subtree under full weight — until the child's retransmit
 // replays, then the round completes untruncated.
 func TestFaultRelayChildPartition(t *testing.T) {
+	noLeak(t)
 	forBothKinds(t, func(t *testing.T, kind Kind) {
 		c := newTCluster(t, kind, "")
 		pushWant := make([]int64, fmP)
@@ -504,6 +508,7 @@ func TestFaultRelayUpstreamOutage(t *testing.T) {
 // floor) so the retransmits land and the subtree recovers immediately;
 // the outage epochs that fell off every buffer are honestly lost.
 func TestFaultRelayOutageBeyondWindow(t *testing.T) {
+	noLeak(t)
 	forBothKinds(t, func(t *testing.T, kind Kind) {
 		c := newTCluster(t, kind, "")
 		pushWant := make([]int64, fmP)
