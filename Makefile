@@ -16,11 +16,16 @@ check: build lint race crash-test tree-test chaos-test store-test fuzz-short
 build:
 	$(GO) build ./...
 
-# Static gate: go vet plus a gofmt diff check (fails listing the
-# unformatted files).
+# Static gate: go vet, a gofmt diff check (fails listing the unformatted
+# files), and a guard that encoding/gob stays retired: every hop and every
+# checkpoint speaks the binary frame (internal/transport/frame.go), so the
+# gate fails listing any .go file, test or not, that imports gob.
 lint: vet
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+	@out="$$(grep -rlE --include='*.go' --exclude-dir=.bench_build \
+		'^[[:space:]]*(import[[:space:]]+)?([[:alnum:]_.]+[[:space:]]+)?"encoding/gob"[[:space:]]*(//.*)?$$' . || true)"; \
+		if [ -n "$$out" ]; then echo "encoding/gob is retired; imported by:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -88,7 +93,9 @@ store-test:
 	$(GO) test -race -count=1 -run '^TestHistory' ./internal/transport
 
 # Short fuzz pass over every decode surface a peer can reach: the protocol
-# streams (center- and point-side), the Push apply path, the sketch and
+# streams (center- and point-side), the Push apply path, the center and
+# relay checkpoint sections (an accepted section must re-encode to the
+# same bytes), the sketch and
 # trace binary decoders (each sketch has one encoding; an accepted input
 # must re-encode to the same bytes, and the hll compact target covers the
 # register layouts the wire and checkpoints carry), and the SWAR merge
@@ -98,6 +105,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzPointConn$$' -fuzztime $(FUZZTIME) ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzPushApply$$' -fuzztime $(FUZZTIME) ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzRelayConn$$' -fuzztime $(FUZZTIME) ./internal/transport
+	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointSection$$' -fuzztime $(FUZZTIME) ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalBinary$$' -fuzztime $(FUZZTIME) ./internal/rskt
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalBinary$$' -fuzztime $(FUZZTIME) ./internal/countmin
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalBinary$$' -fuzztime $(FUZZTIME) ./internal/vhll

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/countmin"
 )
@@ -10,10 +11,11 @@ import (
 // restart to keep answering aggregate requests for epochs that predate the
 // new process. Export/Import move the whole store at once — they are
 // checkpoint primitives, not incremental replication. Sketches travel as
-// opaque byte blobs in their one binary encoding (MarshalBinaryCompact),
-// which the transport layer frames (see internal/transport). The map
+// opaque byte blobs in their one binary encoding (MarshalBinaryCompact);
+// the transport layer writes the state structs into its checkpoint
+// section, maps in ascending key order (see internal/transport). The map
 // marshaling/unmarshaling machinery is generic; the state structs keep
-// their design-specific (gob-frozen) shapes.
+// their design-specific shapes.
 
 // SpreadCenterState is the durable form of a SpreadCenter's window store:
 // every retained per-point per-epoch upload plus the upload sequence
@@ -33,9 +35,9 @@ type SpreadCenterState struct {
 type SizeCenterState struct {
 	// LastEpoch[point] is the last upload epoch per point.
 	LastEpoch map[int]int64
-	// ChainBroken marks cumulative-mode points whose recovery chain lost
-	// an epoch and awaits a rebase upload.
-	ChainBroken map[int]bool
+	// ChainBroken lists, in ascending order, the cumulative-mode points
+	// whose recovery chain lost an epoch and awaits a rebase upload.
+	ChainBroken []int
 	// Deltas[point][epoch] is the recovered single-epoch measurement.
 	Deltas map[int]map[int64][]byte
 	// SentAgg[point][epoch] is the aggregate pushed to point during that
@@ -149,17 +151,17 @@ func (c *SizeCenter) ExportState() (*SizeCenterState, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := &SizeCenterState{
-		LastEpoch:   make(map[int]int64, len(c.lastEpoch)),
-		ChainBroken: make(map[int]bool, len(c.chainBroken)),
+		LastEpoch: make(map[int]int64, len(c.lastEpoch)),
 	}
 	for id, e := range c.lastEpoch {
 		st.LastEpoch[id] = e
 	}
 	for id, broken := range c.chainBroken {
 		if broken {
-			st.ChainBroken[id] = true
+			st.ChainBroken = append(st.ChainBroken, id)
 		}
 	}
+	slices.Sort(st.ChainBroken)
 	var err error
 	if st.Deltas, err = marshalSketchMaps(c.uploads); err != nil {
 		return nil, err
@@ -213,13 +215,11 @@ func (c *SizeCenter) ImportState(st *SizeCenterState) error {
 		lastEpoch[id] = e
 	}
 	chainBroken := make(map[int]bool, len(st.ChainBroken))
-	for id, broken := range st.ChainBroken {
+	for _, id := range st.ChainBroken {
 		if _, ok := c.params[id]; !ok {
 			return fmt.Errorf("core: import: unknown size point %d", id)
 		}
-		if broken {
-			chainBroken[id] = true
-		}
+		chainBroken[id] = true
 	}
 	c.uploads = deltas
 	c.sentAgg = sentAgg

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -362,7 +363,8 @@ type RelayState struct {
 	Pending map[int64]RelayRoundState
 }
 
-// RelayRoundState is one pending epoch's durable form.
+// RelayRoundState is one pending epoch's durable form. Reported is in
+// ascending order.
 type RelayRoundState struct {
 	Merged   []byte
 	Reported []int
@@ -392,6 +394,7 @@ func (r *Relay[S]) ExportState() (*RelayState, error) {
 		for id := range rr.reported {
 			rs.Reported = append(rs.Reported, id)
 		}
+		slices.Sort(rs.Reported)
 		st.Pending[e] = rs
 	}
 	return st, nil

@@ -256,7 +256,7 @@ type CenterStats struct {
 	// RestoredGeneration is the checkpoint generation restored at startup
 	// (0 = started fresh).
 	RestoredGeneration uint64
-	// HeartbeatsReceived counts liveness probes (Upload.Heartbeat frames)
+	// HeartbeatsReceived counts liveness probes (Heartbeat frames)
 	// accepted from children.
 	HeartbeatsReceived int64
 	// Evictions counts connections dropped because a deadline expired —

@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"repro/internal/core"
@@ -10,95 +8,98 @@ import (
 
 // Center-side durability: the center's whole recovery state — window
 // store, push position, and the topology that produced them — travels as
-// one gob blob inside a durable checkpoint container (internal/durable,
-// section "center"). The topology fields let a restarted center reject a
-// checkpoint written under a different configuration instead of merging
-// incompatible sketches.
-type centerCheckpoint struct {
-	Kind    Kind
-	WindowN int
-	Widths  map[int]int
-	M       int
-	D       int
-	Seed    uint64
-	// Weights/Shard/Delta pin the tree/shard topology (gob omits the zero
-	// values, so flat centers keep reading their pre-tree checkpoints).
-	Weights map[int]int
-	Shard   int
-	Delta   bool
-	// LastPush is the most recent round pushed before the checkpoint.
-	LastPush int64
-	// Exactly one of Spread/Size is set, matching Kind.
-	Spread *core.SpreadCenterState
-	Size   *core.SizeCenterState
+// one section inside a durable checkpoint container (internal/durable,
+// section "center"):
+//
+//	topology header (checkpoint.go)
+//	i64  LastPush
+//	spread: LastEpoch map, Uploads sketch store
+//	size:   LastEpoch map, ChainBroken ids, Deltas, SentAgg and SentEnh
+//	        sketch stores
+//
+// The topology header lets a restarted center reject a checkpoint written
+// under a different configuration instead of merging incompatible
+// sketches.
+type centerSection struct {
+	topo topology
+	// lastPush is the most recent round pushed before the checkpoint.
+	lastPush int64
+	// Exactly one of spread/size is set, matching topo.kind.
+	spread *core.SpreadCenterState
+	size   *core.SizeCenterState
 }
 
-// snapshot captures the center's checkpoint state: the topology, the
-// newest round whose fan-out finished, and the window store.
-func (s *CenterServer) snapshot() (any, error) {
-	ck := centerCheckpoint{
-		Kind:    s.cfg.Kind,
-		WindowN: s.cfg.WindowN,
-		Widths:  s.cfg.Widths,
-		M:       s.cfg.M,
-		D:       s.cfg.D,
-		Seed:    s.cfg.Seed,
-		Weights: s.cfg.Weights,
-		Shard:   s.cfg.Shard,
-		Delta:   s.cfg.DeltaUploads,
+func (c *centerSection) encode() []byte {
+	var a appender
+	a.topology(c.topo)
+	a.i64(c.lastPush)
+	switch c.topo.kind {
+	case KindSpread:
+		a.epochs(c.spread.LastEpoch)
+		a.sketches(c.spread.Uploads)
+	case KindSize:
+		a.epochs(c.size.LastEpoch)
+		a.ids(c.size.ChainBroken)
+		a.sketches(c.size.Deltas)
+		a.sketches(c.size.SentAgg)
+		a.sketches(c.size.SentEnh)
 	}
+	return a.b
+}
+
+func parseCenterSection(data []byte) (centerSection, error) {
+	r := reader{b: data}
+	c := centerSection{topo: r.topology(), lastPush: r.i64()}
+	switch c.topo.kind {
+	case KindSpread:
+		c.spread = &core.SpreadCenterState{LastEpoch: r.epochs(), Uploads: r.sketches()}
+	case KindSize:
+		c.size = &core.SizeCenterState{LastEpoch: r.epochs(), ChainBroken: r.ids(),
+			Deltas: r.sketches(), SentAgg: r.sketches(), SentEnh: r.sketches()}
+	}
+	if err := r.done(); err != nil {
+		return c, err
+	}
+	return c, canonical(data, c.encode)
+}
+
+// topology is the center's configured checkpoint topology.
+func (s *CenterServer) topology() topology {
+	return topology{
+		kind: s.cfg.Kind, windowN: s.cfg.WindowN, m: s.cfg.M, d: s.cfg.D, seed: s.cfg.Seed,
+		shard: s.cfg.Shard, delta: s.cfg.DeltaUploads, widths: s.cfg.Widths, weights: s.cfg.Weights,
+	}
+}
+
+// snapshot captures the center's checkpoint section: the topology, the
+// newest round whose fan-out finished, and the window store.
+func (s *CenterServer) snapshot() ([]byte, error) {
+	sec := centerSection{topo: s.topology()}
 	s.mu.Lock()
-	ck.LastPush = s.pushed
+	sec.lastPush = s.pushed
 	s.mu.Unlock()
-	if err := s.eng.exportState(&ck); err != nil {
+	if err := s.eng.exportState(&sec); err != nil {
 		return nil, err
 	}
-	return ck, nil
+	return sec.encode(), nil
 }
 
 // restoreCheckpoint replaces the center's fresh state with a checkpoint
 // section, after verifying it was written under the same topology. Called
 // from ServeCenter before the listener exists.
 func (s *CenterServer) restoreCheckpoint(data []byte) error {
-	var ck centerCheckpoint
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&ck); err != nil {
+	sec, err := parseCenterSection(data)
+	if err != nil {
 		return fmt.Errorf("decode: %w", err)
 	}
-	if ck.Kind != s.cfg.Kind || ck.WindowN != s.cfg.WindowN || ck.Seed != s.cfg.Seed {
-		return fmt.Errorf("checkpoint topology (%s, n=%d, seed=%d) does not match the configured (%s, n=%d, seed=%d)",
-			ck.Kind, ck.WindowN, ck.Seed, s.cfg.Kind, s.cfg.WindowN, s.cfg.Seed)
+	if err := sec.topo.match(s.topology()); err != nil {
+		return err
 	}
-	// The unused parameter is zero in both the config and the checkpoint,
-	// so both checks apply regardless of design.
-	if ck.M != s.cfg.M {
-		return fmt.Errorf("checkpoint M=%d does not match the configured M=%d", ck.M, s.cfg.M)
-	}
-	if ck.D != s.cfg.D {
-		return fmt.Errorf("checkpoint D=%d does not match the configured D=%d", ck.D, s.cfg.D)
-	}
-	if len(ck.Widths) != len(s.cfg.Widths) {
-		return fmt.Errorf("checkpoint has %d points, configured %d", len(ck.Widths), len(s.cfg.Widths))
-	}
-	for id, w := range s.cfg.Widths {
-		if ck.Widths[id] != w {
-			return fmt.Errorf("checkpoint width %d for point %d, configured %d", ck.Widths[id], id, w)
-		}
-		if normWeight(ck.Weights[id]) != normWeight(s.cfg.Weights[id]) {
-			return fmt.Errorf("checkpoint weight %d for point %d, configured %d",
-				normWeight(ck.Weights[id]), id, normWeight(s.cfg.Weights[id]))
-		}
-	}
-	if ck.Shard != s.cfg.Shard {
-		return fmt.Errorf("checkpoint is for shard %d, configured shard %d", ck.Shard, s.cfg.Shard)
-	}
-	if ck.Delta != s.cfg.DeltaUploads {
-		return fmt.Errorf("checkpoint upload mode (delta=%t) does not match the configured (delta=%t)", ck.Delta, s.cfg.DeltaUploads)
-	}
-	if err := s.eng.importState(&ck); err != nil {
+	if err := s.eng.importState(&sec); err != nil {
 		return err
 	}
 	s.mu.Lock()
-	s.lastPush, s.pushed = ck.LastPush, ck.LastPush
+	s.lastPush, s.pushed = sec.lastPush, sec.lastPush
 	s.mu.Unlock()
 	return nil
 }

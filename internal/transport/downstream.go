@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -40,9 +38,9 @@ type downstream struct {
 	pushFor func(c *childConn, forEpoch int64) (p Push, ok bool, err error)
 	// ingest handles one upload (never a heartbeat) from a child.
 	ingest func(up Upload) error
-	// snapshot captures the role's checkpoint state, gob-encoded into the
-	// section named after the role.
-	snapshot func() (any, error)
+	// snapshot encodes the role's checkpoint section, saved under the
+	// role's name.
+	snapshot func() ([]byte, error)
 
 	ln          net.Listener
 	ckpt        *durable.Store // nil when durability is disabled
@@ -77,20 +75,28 @@ type downstream struct {
 type childConn struct {
 	id   int
 	conn net.Conn
-	enc  *gob.Encoder
-	// wto bounds each encode on the connection (0 = never time out).
+	// wto bounds each frame write on the connection (0 = never time out).
 	wto time.Duration
-	mu  sync.Mutex // serializes encodes: a fan-out and a resync may race
+	mu  sync.Mutex // serializes writes: a fan-out and a resync may race
+	out []byte     // the frame being written, reused under mu
 }
 
-func (c *childConn) send(v any) error {
+// send writes the frame appendFrame builds, as one write.
+func (c *childConn) send(appendFrame func(dst []byte) []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.wto > 0 {
 		_ = c.conn.SetWriteDeadline(time.Now().Add(c.wto))
 		defer c.conn.SetWriteDeadline(time.Time{})
 	}
-	return c.enc.Encode(v)
+	c.out = appendFrame(c.out[:0])
+	_, err := c.conn.Write(c.out)
+	return err
+}
+
+// sendPush writes one push frame.
+func (c *childConn) sendPush(p Push) error {
+	return c.send(func(dst []byte) []byte { return appendPush(dst, p) })
 }
 
 // isWedged reports whether a connection error means the peer is wedged
@@ -279,17 +285,20 @@ func (d *downstream) handle(conn net.Conn) (err error) {
 			err = fmt.Errorf("panic handling connection: %v", r)
 		}
 	}()
-	dec := gob.NewDecoder(conn)
-	var hello Hello
-	if err := d.decodeBounded(conn, dec, &hello); err != nil {
-		return fmt.Errorf("decode hello: %w", err)
+	_, body, err := d.readBounded(conn, frameHello)
+	if err != nil {
+		return fmt.Errorf("read hello: %w", err)
+	}
+	hello, err := parseHello(body)
+	if err != nil {
+		return fmt.Errorf("parse hello: %w", err)
 	}
 	if err := d.admit(hello); err != nil {
 		return err
 	}
-	c := &childConn{id: hello.Point, conn: conn, enc: gob.NewEncoder(conn), wto: d.writeTimeout}
+	c := &childConn{id: hello.Point, conn: conn, wto: d.writeTimeout}
 	welcome := d.welcome(hello)
-	if err := c.send(welcome); err != nil {
+	if err := c.send(func(dst []byte) []byte { return appendWelcome(dst, welcome) }); err != nil {
 		return fmt.Errorf("send welcome to child %d: %w", c.id, err)
 	}
 	d.mu.Lock()
@@ -318,8 +327,8 @@ func (d *downstream) handle(conn net.Conn) (err error) {
 	}
 
 	for {
-		var up Upload
-		if err := d.decodeBounded(conn, dec, &up); err != nil {
+		kind, body, err := d.readBounded(conn, frameUpload, frameHeartbeat)
+		if err != nil {
 			if errors.Is(err, net.ErrClosed) {
 				return nil
 			}
@@ -327,12 +336,21 @@ func (d *downstream) handle(conn net.Conn) (err error) {
 				d.bump(&d.evictions)
 				return fmt.Errorf("evicting child %d: no frame within %v (half-open peer?)", c.id, d.readTimeout)
 			}
-			return fmt.Errorf("decode upload: %w", err)
+			return fmt.Errorf("read upload: %w", err)
+		}
+		var up Upload
+		if kind == frameHeartbeat {
+			up.Point, _, err = parseHeartbeat(body)
+		} else {
+			up, err = parseUpload(body)
+		}
+		if err != nil {
+			return fmt.Errorf("parse upload: %w", err)
 		}
 		if up.Point != c.id {
 			return fmt.Errorf("upload claims child %d on connection of child %d", up.Point, c.id)
 		}
-		if up.Heartbeat {
+		if kind == frameHeartbeat {
 			d.bump(&d.heartbeats)
 			continue
 		}
@@ -342,15 +360,15 @@ func (d *downstream) handle(conn net.Conn) (err error) {
 	}
 }
 
-// decodeBounded decodes one frame, arming the connection's read deadline
-// first when readTimeout is configured. A child must produce SOME frame
-// (upload or heartbeat) within each window or the decode fails with
-// os.ErrDeadlineExceeded and the caller evicts it.
-func (d *downstream) decodeBounded(conn net.Conn, dec *gob.Decoder, v any) error {
+// readBounded reads one frame of the given kinds, arming the connection's
+// read deadline first when readTimeout is configured. A child must produce
+// SOME frame (upload or heartbeat) within each window or the read fails
+// with os.ErrDeadlineExceeded and the caller evicts it.
+func (d *downstream) readBounded(conn net.Conn, kinds ...byte) (byte, []byte, error) {
 	if d.readTimeout > 0 {
 		_ = conn.SetReadDeadline(time.Now().Add(d.readTimeout))
 	}
-	return dec.Decode(v)
+	return readFrame(conn, kinds...)
 }
 
 // resync brings a newly registered child level with the cluster. K is the
@@ -390,7 +408,7 @@ func (d *downstream) backfill(c *childConn, K int64) error {
 		// The K-1 enhancement targets an epoch the child no longer holds;
 		// the aggregate already covers its span.
 		fill.Enhancement = nil
-		if err := c.send(fill); err != nil {
+		if err := c.sendPush(fill); err != nil {
 			return err
 		}
 		d.bump(&d.backfills)
@@ -406,7 +424,7 @@ func (d *downstream) sendRound(c *childConn, forEpoch int64) (bool, error) {
 	if err != nil || !ok {
 		return false, err
 	}
-	if err := c.send(p); err != nil {
+	if err := c.sendPush(p); err != nil {
 		return false, err
 	}
 	return true, nil
@@ -436,7 +454,7 @@ func (d *downstream) pushRound(forEpoch int64, publishLocked func()) {
 				d.logf("transport: %s push to child %d: %v", d.role, c.id, err)
 				if isWedged(err) {
 					// The child stopped draining pushes: evict it rather than
-					// let its dead socket (and poisoned encoder) linger. Its
+					// let its dead socket (and its torn frame) linger. Its
 					// handler's next read fails and cleans up; the child
 					// re-admits through the resync handshake.
 					_ = c.conn.Close()
@@ -497,13 +515,9 @@ func (d *downstream) openCheckpoint(dir, name string, restore func(data []byte) 
 func (d *downstream) writeCheckpoint() {
 	d.ckptMu.Lock()
 	defer d.ckptMu.Unlock()
-	var buf bytes.Buffer
-	ck, err := d.snapshot()
+	data, err := d.snapshot()
 	if err == nil {
-		err = gob.NewEncoder(&buf).Encode(ck)
-	}
-	if err == nil {
-		err = d.ckpt.Save([]durable.Section{{Name: d.role, Data: buf.Bytes()}})
+		err = d.ckpt.Save([]durable.Section{{Name: d.role, Data: data}})
 	}
 	if err != nil {
 		d.logf("transport: write %s checkpoint: %v", d.role, err)

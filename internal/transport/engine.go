@@ -2,7 +2,6 @@ package transport
 
 import (
 	"fmt"
-	"io"
 	"sync"
 
 	"repro/internal/core"
@@ -119,8 +118,8 @@ type pointEngine interface {
 	// flow-sharded point set. Peers must be engines of the same design and
 	// backend (sharded sub-points are config clones, so they always are).
 	queryUnionCov(f uint64, peers []pointEngine) (float64, core.Coverage, error)
-	saveState(w io.Writer) error
-	loadState(r io.Reader) error
+	saveState() ([]byte, error)
+	loadState(data []byte) error
 }
 
 // IngestPipe is one worker's private ingest lane into the point
@@ -301,8 +300,8 @@ type centerEngine interface {
 	// toward its round (stored, or — in cumulative mode — consumed by the
 	// sequence position even when gap-dropped).
 	reported(point int, epoch int64) bool
-	exportState(ck *centerCheckpoint) error
-	importState(ck *centerCheckpoint) error
+	exportState(sec *centerSection) error
+	importState(sec *centerSection) error
 	// logCell returns the epoch log's bytes for an accepted upload: the
 	// single-epoch measurement the center stored, in its one encoding.
 	// ok=false when the center no longer holds the cell.
@@ -364,7 +363,8 @@ func (ls logSource[S]) EpochCells(epoch int64, points []int, visit func(point in
 
 // engineCenter is the single center-engine implementation, generic over
 // the epoch sketch. The three hooks carry what stays design-specific: the
-// upload validation path and the gob-frozen checkpoint state shapes.
+// upload validation path and the design's window-store state in the
+// checkpoint section.
 type engineCenter[S core.Sketch[S]] struct {
 	ctr *core.Center[S]
 	// recv ingests one decoded upload (the design wrapper's ReceiveMeta,
@@ -378,10 +378,10 @@ type engineCenter[S core.Sketch[S]] struct {
 	// aliases the decoded sketch outright (core.Center.ReceiveMeta stores
 	// it without cloning), so pooling there would corrupt the window.
 	scratch *sketchPool[S]
-	// save/load move the window store into/out of the checkpoint's
-	// design-specific field.
-	save func(ck *centerCheckpoint) error
-	load func(ck *centerCheckpoint) error
+	// save/load move the window store into/out of the checkpoint
+	// section's design-specific field.
+	save func(sec *centerSection) error
+	load func(sec *centerSection) error
 	// hist is the shared decode-scratch pool for the history read path
 	// (logSource).
 	hist *sketchPool[S]
@@ -424,12 +424,12 @@ func (m *encodeMemo) encode(forEpoch int64, sk any, marshal func() ([]byte, erro
 	return b, err
 }
 
-func (e *engineCenter[S]) maxEpoch() int64                        { return e.ctr.MaxEpoch() }
-func (e *engineCenter[S]) lastEpoch(point int) int64              { return e.ctr.LastEpoch(point) }
-func (e *engineCenter[S]) setWeight(point, weight int)            { e.ctr.SetWeight(point, weight) }
-func (e *engineCenter[S]) totalWeight() int                       { return e.ctr.TotalWeight() }
-func (e *engineCenter[S]) exportState(ck *centerCheckpoint) error { return e.save(ck) }
-func (e *engineCenter[S]) importState(ck *centerCheckpoint) error { return e.load(ck) }
+func (e *engineCenter[S]) maxEpoch() int64                      { return e.ctr.MaxEpoch() }
+func (e *engineCenter[S]) lastEpoch(point int) int64            { return e.ctr.LastEpoch(point) }
+func (e *engineCenter[S]) setWeight(point, weight int)          { e.ctr.SetWeight(point, weight) }
+func (e *engineCenter[S]) totalWeight() int                     { return e.ctr.TotalWeight() }
+func (e *engineCenter[S]) exportState(sec *centerSection) error { return e.save(sec) }
+func (e *engineCenter[S]) importState(sec *centerSection) error { return e.load(sec) }
 
 func (e *engineCenter[S]) receive(up Upload) error {
 	var sk S
@@ -577,15 +577,15 @@ func newCenterEngine(cfg CenterConfig) (centerEngine, error) {
 			cum:     mode == core.SizeModeCumulative,
 			scratch: &sketchPool[*countmin.Sketch]{fresh: ctr.NewSketch},
 			hist:    &sketchPool[*countmin.Sketch]{fresh: ctr.NewSketch},
-			save: func(ck *centerCheckpoint) error {
+			save: func(sec *centerSection) error {
 				st, err := ctr.ExportState()
 				if err != nil {
 					return err
 				}
-				ck.Size = st
+				sec.size = st
 				return nil
 			},
-			load: func(ck *centerCheckpoint) error { return ctr.ImportState(ck.Size) },
+			load: func(sec *centerSection) error { return ctr.ImportState(sec.size) },
 		}, nil
 	default:
 		return nil, fmt.Errorf("transport: unknown kind %q", cfg.Kind)
@@ -593,20 +593,20 @@ func newCenterEngine(cfg CenterConfig) (centerEngine, error) {
 }
 
 // newSpreadCenterEngine wraps a spread center of either backend; its window
-// store travels in the checkpoint's Spread field.
+// store travels in the checkpoint section's spread field.
 func newSpreadCenterEngine[S core.SpreadSketch[S]](ctr *core.SpreadCenter[S]) *engineCenter[S] {
 	return &engineCenter[S]{
 		ctr:  ctr.Center,
 		recv: ctr.ReceiveMeta,
 		hist: &sketchPool[S]{fresh: ctr.NewSketch},
-		save: func(ck *centerCheckpoint) error {
+		save: func(sec *centerSection) error {
 			st, err := ctr.ExportState()
 			if err != nil {
 				return err
 			}
-			ck.Spread = st
+			sec.spread = st
 			return nil
 		},
-		load: func(ck *centerCheckpoint) error { return ctr.ImportState(ck.Spread) },
+		load: func(sec *centerSection) error { return ctr.ImportState(sec.spread) },
 	}
 }

@@ -1,7 +1,7 @@
 package transport
 
 import (
-	"encoding/gob"
+	"net"
 	"testing"
 
 	"repro/internal/core"
@@ -569,7 +569,7 @@ func TestFaultDuplicateUpload(t *testing.T) {
 type rawPoint struct {
 	t    *testing.T
 	kind Kind
-	enc  *gob.Encoder
+	conn net.Conn
 	// cum is the raw point's running cumulative C (size design): the
 	// uploaded sketch must be cumulative across epochs for the center's
 	// recovery subtraction to be meaningful.
@@ -601,13 +601,13 @@ func (r *rawPoint) upload(epoch int, dup bool) {
 	if err != nil {
 		r.t.Fatal(err)
 	}
-	if err := r.enc.Encode(Upload{Point: 0, Epoch: int64(epoch), Sketch: payload}); err != nil {
+	if _, err := r.conn.Write(frameOf(Upload{Point: 0, Epoch: int64(epoch), Sketch: payload})); err != nil {
 		r.t.Fatalf("raw upload epoch %d: %v", epoch, err)
 	}
 }
 
 // newRawCluster builds a two-point deployment where point 1 is a live
-// client and point 0 is a raw gob connection under test control.
+// client and point 0 is a raw frame connection under test control.
 func newRawCluster(t *testing.T, kind Kind) (*fcluster, *rawPoint) {
 	t.Helper()
 	c := &fcluster{t: t, kind: kind, fnet: faultnet.New(fmSeed)}
@@ -638,13 +638,11 @@ func newRawCluster(t *testing.T, kind Kind) (*fcluster, *rawPoint) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	enc := gob.NewEncoder(conn)
-	if err := enc.Encode(Hello{Point: 0, Kind: kind, W: fmW}); err != nil {
+	if _, err := conn.Write(frameOf(Hello{Point: 0, Kind: kind, W: fmW})); err != nil {
 		t.Fatal(err)
 	}
-	dec := gob.NewDecoder(conn)
-	var welcome Welcome
-	if err := dec.Decode(&welcome); err != nil {
+	welcome, err := readMessage(conn, frameWelcome, parseWelcome)
+	if err != nil {
 		t.Fatalf("raw welcome: %v", err)
 	}
 	if welcome.WindowN != fmN || welcome.Points != 2 {
@@ -654,13 +652,12 @@ func newRawCluster(t *testing.T, kind Kind) (*fcluster, *rawPoint) {
 	// never depend on this side reading.
 	go func() {
 		for {
-			var p Push
-			if dec.Decode(&p) != nil {
+			if _, _, err := readFrame(conn, framePush); err != nil {
 				return
 			}
 		}
 	}()
-	raw := &rawPoint{t: t, kind: kind, enc: enc,
+	raw := &rawPoint{t: t, kind: kind, conn: conn,
 		cum: countmin.New(countmin.Params{D: fmD, W: fmW, Seed: fmSeed})}
 	return c, raw
 }

@@ -2,7 +2,7 @@ package transport
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"net"
@@ -17,25 +17,19 @@ import (
 	"repro/internal/rskt"
 )
 
-// The gob decode paths are the center's and point's attack surface: a
+// The frame read paths are the center's and point's attack surface: a
 // malformed Hello, Upload, Welcome or Push (truncated stream, hostile
-// sketch header, wrong types) must produce an error and a dropped
-// connection, never a panic or a hang. Seeds live both in f.Add calls and
+// sketch header, wrong kinds, a declared length past the kind's cap) must
+// produce an error and a dropped connection, never a panic, a hang or an
+// allocation sized by the declaration. Seeds live both in f.Add calls and
 // as a committed corpus under testdata/fuzz (regenerate with -gen-corpus).
 
 var genCorpus = flag.Bool("gen-corpus", false, "rewrite the committed fuzz seed corpus in testdata/fuzz")
 
-// fuzzGob encodes a sequence of values as one gob stream, the way a
-// connection carries them.
-func fuzzGob(t interface{ Fatal(args ...any) }, vs ...any) []byte {
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	for _, v := range vs {
-		if err := enc.Encode(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return buf.Bytes()
+// frameHeader is the 5-byte start of a frame declaring n bytes of the
+// given kind, with none of them following: the oversize-frame seeds.
+func frameHeader(kind byte, n uint32) []byte {
+	return append(binary.LittleEndian.AppendUint32(nil, n), kind)
 }
 
 // fuzzSpreadSketchBytes / fuzzSizeSketchBytes encode small real sketches,
@@ -68,12 +62,12 @@ func fuzzSizeSketchBytes(t interface{ Fatal(args ...any) }) []byte {
 // FuzzCenterConn: well-formed handshakes and uploads plus their truncated
 // and corrupted variants.
 func fuzzCenterSeeds(t interface{ Fatal(args ...any) }) [][]byte {
-	helloOK := fuzzGob(t, Hello{Point: 0, Kind: KindSize, W: 16})
-	upload := fuzzGob(t, Hello{Point: 0, Kind: KindSize, W: 16},
+	helloOK := framesOf(Hello{Point: 0, Kind: KindSize, W: 16})
+	upload := framesOf(Hello{Point: 0, Kind: KindSize, W: 16},
 		Upload{Point: 0, Epoch: 1, Sketch: fuzzSizeSketchBytes(t), AggApplied: false})
-	badSketch := fuzzGob(t, Hello{Point: 0, Kind: KindSize, W: 16},
+	badSketch := framesOf(Hello{Point: 0, Kind: KindSize, W: 16},
 		Upload{Point: 0, Epoch: 1, Sketch: []byte{0xC3, 0xFF, 0xFF, 0xFF, 0xFF}})
-	wrongKind := fuzzGob(t, Hello{Point: 0, Kind: "bogus", W: 16})
+	wrongKind := framesOf(Hello{Point: 0, Kind: "bogus", W: 16})
 	corrupt := append([]byte(nil), helloOK...)
 	if len(corrupt) > 4 {
 		corrupt[len(corrupt)/2] ^= 0xFF
@@ -87,6 +81,8 @@ func fuzzCenterSeeds(t interface{ Fatal(args ...any) }) [][]byte {
 		wrongKind,
 		corrupt,
 		bytes.Repeat([]byte{0xFF}, 64),
+		frameHeader(frameHello, 1<<30),
+		append(bytes.Clone(helloOK), frameHeader(frameUpload, uploadHeader+maxSketchBytes+1)...),
 	}
 }
 
@@ -94,31 +90,33 @@ func fuzzCenterSeeds(t interface{ Fatal(args ...any) }) [][]byte {
 // FuzzPointConn: a Welcome followed by pushes, plus hostile variants.
 func fuzzPointSeeds(t interface{ Fatal(args ...any) }) [][]byte {
 	welcome := Welcome{WindowN: 5, Points: 2, ResumeEpoch: 1}
-	pushOK := fuzzGob(t, welcome,
+	pushOK := framesOf(welcome,
 		Push{ForEpoch: 1, Aggregate: fuzzSpreadSketchBytes(t), CovMerged: 3, CovExpected: 6})
-	badAgg := fuzzGob(t, welcome, Push{ForEpoch: 1, Aggregate: []byte{0xA7, 0x00}})
-	resync := fuzzGob(t, Welcome{WindowN: 5, Points: 2, ResumeEpoch: 9, PointEpoch: 3})
-	hostile := fuzzGob(t, Welcome{WindowN: -3, Points: -1, ResumeEpoch: -7, PointEpoch: 1 << 50})
+	badAgg := framesOf(welcome, Push{ForEpoch: 1, Aggregate: []byte{0xA7, 0x00}})
+	resync := framesOf(Welcome{WindowN: 5, Points: 2, ResumeEpoch: 9, PointEpoch: 3})
+	hostile := framesOf(Welcome{WindowN: -3, Points: -1, ResumeEpoch: -7, PointEpoch: 1 << 50})
 	return [][]byte{
 		{},
-		fuzzGob(t, welcome),
+		framesOf(welcome),
 		pushOK,
 		pushOK[:len(pushOK)-3],
 		badAgg,
 		resync,
 		hostile,
 		bytes.Repeat([]byte{0xA7}, 48),
+		append(framesOf(welcome), frameHeader(framePush, pushHeader+maxSketchBytes+1)...),
 	}
 }
 
-// fuzzPushSeeds are gob-encoded Push messages for FuzzPushApply.
+// fuzzPushSeeds are Push frames for FuzzPushApply.
 func fuzzPushSeeds(t interface{ Fatal(args ...any) }) [][]byte {
 	return [][]byte{
-		fuzzGob(t, Push{ForEpoch: 1, Aggregate: fuzzSpreadSketchBytes(t), CovMerged: 3, CovExpected: 6}),
-		fuzzGob(t, Push{ForEpoch: 1, Aggregate: fuzzSizeSketchBytes(t), Enhancement: fuzzSizeSketchBytes(t)}),
-		fuzzGob(t, Push{ForEpoch: -5, Aggregate: []byte{0xA7}, Enhancement: []byte{0xC3}}),
-		fuzzGob(t, Push{}),
+		framesOf(Push{ForEpoch: 1, Aggregate: fuzzSpreadSketchBytes(t), CovMerged: 3, CovExpected: 6}),
+		framesOf(Push{ForEpoch: 1, Aggregate: fuzzSizeSketchBytes(t), Enhancement: fuzzSizeSketchBytes(t)}),
+		framesOf(Push{ForEpoch: -5, Aggregate: []byte{0xA7}, Enhancement: []byte{0xC3}}),
+		framesOf(Push{}),
 		bytes.Repeat([]byte{0x13}, 32),
+		frameHeader(framePush, pushHeader+maxSketchBytes+1),
 	}
 }
 
@@ -155,16 +153,7 @@ func FuzzCenterConn(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer probe.Close()
-		if err := gob.NewEncoder(probe).Encode(Hello{Point: 1, Kind: KindSize, W: 16}); err != nil {
-			t.Fatalf("probe hello: %v", err)
-		}
-		var w Welcome
-		if err := gob.NewDecoder(probe).Decode(&w); err != nil {
-			t.Fatalf("center stopped welcoming after %q: %v", data, err)
-		}
-		if w.WindowN != 3 || w.Points != 2 {
-			t.Fatalf("welcome corrupted: %+v", w)
-		}
+		probeHandshake(t, probe, data)
 	})
 }
 
@@ -183,7 +172,7 @@ func FuzzPointConn(f *testing.F) {
 			if err != nil {
 				return
 			}
-			// Don't bother decoding the Hello: write the fuzzed stream in
+			// Don't bother reading the Hello: write the fuzzed stream in
 			// its place and hang up.
 			conn.Write(data)
 			conn.Close()
@@ -204,15 +193,16 @@ func FuzzPointConn(f *testing.F) {
 	})
 }
 
-// FuzzPushApply decodes a Push from arbitrary bytes and applies it to both
-// point designs, mirroring PointClient.apply without the socket overhead.
+// FuzzPushApply reads a Push frame from arbitrary bytes and applies it to
+// both point designs, mirroring PointClient.apply without the socket
+// overhead.
 func FuzzPushApply(f *testing.F) {
 	for _, s := range fuzzPushSeeds(f) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var push Push
-		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&push); err != nil {
+		push, err := readMessage(bytes.NewReader(data), framePush, parsePush)
+		if err != nil {
 			return
 		}
 		sp, err := core.NewSpreadPoint(0, rskt.Params{W: 16, M: 4, Seed: 5})
@@ -249,7 +239,7 @@ func FuzzPushApply(f *testing.F) {
 // TestGenerateFuzzCorpus rewrites the committed seed corpus when run with
 // -gen-corpus. The files use the `go test fuzz v1` format the fuzzer reads
 // from testdata/fuzz/<Target>, so `make fuzz-short` starts from
-// protocol-shaped inputs instead of rediscovering the gob framing.
+// protocol-shaped inputs instead of rediscovering the framing.
 func TestGenerateFuzzCorpus(t *testing.T) {
 	if !*genCorpus {
 		t.Skip("run with -gen-corpus to rewrite testdata/fuzz")
@@ -271,6 +261,22 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 	write("FuzzPointConn", fuzzPointSeeds(t))
 	write("FuzzPushApply", fuzzPushSeeds(t))
 	write("FuzzRelayConn", fuzzRelaySeeds(t))
+	write("FuzzCheckpointSection", fuzzSectionSeeds(t))
 }
 
-var _ net.Conn = (*faultnet.Conn)(nil)
+// probeHandshake runs a clean child handshake on conn and checks the
+// node still welcomes it with the cluster's shape (3-epoch window, two
+// leaves) after the fuzzed stream data.
+func probeHandshake(t *testing.T, conn net.Conn, data []byte) {
+	t.Helper()
+	if _, err := conn.Write(frameOf(Hello{Point: 1, Kind: KindSize, W: 16})); err != nil {
+		t.Fatalf("probe hello: %v", err)
+	}
+	w, err := readMessage(conn, frameWelcome, parseWelcome)
+	if err != nil {
+		t.Fatalf("node stopped welcoming after %q: %v", data, err)
+	}
+	if w.WindowN != 3 || w.Points != 2 {
+		t.Fatalf("welcome corrupted: %+v", w)
+	}
+}

@@ -3,28 +3,23 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"os"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/core"
-	"repro/internal/countmin"
-	"repro/internal/rskt"
 )
 
 // The durable checkpoint layout is a compatibility surface just like the
 // wire format: a point (or center) restarted with a new binary must be
 // able to read the checkpoint the old binary wrote. These goldens pin the
 // exact bytes of every checkpoint section — the TQST2 state snapshot, the
-// fixed-width meta section, the uploads retransmit buffer, and the
-// center's gob blob — for a deterministic protocol run. They share the
-// -update flag with the wire-format goldens; a diff is a recovery break.
+// meta section, the uploads retransmit buffer, and the center's section —
+// for a deterministic protocol run. They share the -update flag with the
+// wire-format goldens; a diff is a recovery break.
 
-// goldenPointSections runs a deterministic two-point cluster over real TCP
-// for three epochs (uploads, aggregate+enhancement pushes) and returns
-// point 0's checkpoint sections.
-func goldenPointSections(t *testing.T, kind Kind) []ckptSection {
+// goldenCluster runs a deterministic two-point cluster over real TCP for
+// three epochs (uploads, aggregate+enhancement pushes) and returns point
+// 0's checkpoint sections and the center's section.
+func goldenCluster(t *testing.T, kind Kind) ([]ckptSection, []byte) {
 	t.Helper()
 	cfg := CenterConfig{
 		Addr:    "127.0.0.1:0",
@@ -90,7 +85,14 @@ func goldenPointSections(t *testing.T, kind Kind) []ckptSection {
 	for _, s := range sections {
 		out = append(out, ckptSection{name: s.Name, data: s.Data})
 	}
-	return out
+	if !srv.WaitRounds(3) {
+		t.Fatal("center never finished round 3")
+	}
+	center, err := srv.snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out, center
 }
 
 // ckptSection is a name/bytes pair, decoupled from the store's section type so
@@ -142,73 +144,26 @@ func checkGoldenBytes(t *testing.T, name string, got []byte) {
 // meta section, and uploads retransmit buffer, for both designs.
 func TestGoldenPointCheckpoint(t *testing.T) {
 	for _, kind := range []Kind{KindSpread, KindSize} {
-		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
-			secs := goldenPointSections(t, kind)
+			secs, _ := goldenCluster(t, kind)
 			checkGoldenBytes(t, "ckpt_point_"+string(kind), frameSections(secs))
 		})
 	}
 }
 
-// TestGoldenCenterCheckpoint pins the gob encoding of the center
-// checkpoint blob. Gob map encoding order is nondeterministic for maps
-// with 2+ keys, so the pinned cluster is a single point with a single
-// received epoch — enough to fix the type descriptors (every field name
-// and type of centerCheckpoint and the core state structs) and the
-// embedded sketch encodings.
+// TestGoldenCenterCheckpoint pins the center's section for the golden
+// cluster: two points of different widths, three epochs, and — for the
+// cumulative size design — the sent aggregates and enhancements. Maps are
+// written in ascending key order, so the bytes are deterministic; the
+// section must also parse, which requires it to be canonical.
 func TestGoldenCenterCheckpoint(t *testing.T) {
-	t.Run("spread", func(t *testing.T) {
-		params := rskt.Params{W: 32, M: 4, Seed: 11}
-		center, err := core.NewSpreadCenter(5, map[int]rskt.Params{0: params})
-		if err != nil {
-			t.Fatal(err)
-		}
-		up := rskt.New(params)
-		for f := uint64(0); f < 16; f++ {
-			up.Record(f, f<<8|f)
-		}
-		if err := center.Receive(0, 1, up); err != nil {
-			t.Fatal(err)
-		}
-		st, err := center.ExportState()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ck := centerCheckpoint{
-			Kind: KindSpread, WindowN: 5, Widths: map[int]int{0: 32},
-			M: 4, Seed: 11, LastPush: 1, Spread: st,
-		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(ck); err != nil {
-			t.Fatal(err)
-		}
-		checkGoldenBytes(t, "ckpt_center_spread", buf.Bytes())
-	})
-	t.Run("size", func(t *testing.T) {
-		params := countmin.Params{D: 2, W: 64, Seed: 11}
-		center, err := core.NewSizeCenter(5, map[int]countmin.Params{0: params}, core.SizeModeCumulative)
-		if err != nil {
-			t.Fatal(err)
-		}
-		up := countmin.New(params)
-		for f := uint64(0); f < 16; f++ {
-			up.Add(f, int64(f)+1)
-		}
-		if err := center.Receive(0, 1, up); err != nil {
-			t.Fatal(err)
-		}
-		st, err := center.ExportState()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ck := centerCheckpoint{
-			Kind: KindSize, WindowN: 5, Widths: map[int]int{0: 64},
-			D: 2, Seed: 11, LastPush: 1, Size: st,
-		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(ck); err != nil {
-			t.Fatal(err)
-		}
-		checkGoldenBytes(t, "ckpt_center_size", buf.Bytes())
-	})
+	for _, kind := range []Kind{KindSpread, KindSize} {
+		t.Run(string(kind), func(t *testing.T) {
+			_, center := goldenCluster(t, kind)
+			checkGoldenBytes(t, "ckpt_center_"+string(kind), center)
+			if _, err := parseCenterSection(center); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 }

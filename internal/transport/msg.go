@@ -5,14 +5,15 @@
 //
 // Wire protocol: every point opens one TCP connection to the center and
 // sends a Hello, receives a Welcome (topology and epoch resync), then
-// sends one Upload per epoch, gob-encoded. The center answers with Push
-// messages carrying the ST-join aggregate (and the optional enhancement)
-// for the epoch in progress, plus the aggregate's window coverage. Sketch
-// payloads travel as opaque bytes in each sketch's one binary encoding
-// (core.Sketch.MarshalBinaryCompact), not as gob structures. Golden
-// encodings of every message live in testdata/golden (see
-// golden_test.go): a change that breaks point↔center version
-// compatibility fails those tests loudly.
+// sends one Upload per epoch, with Heartbeat probes between epochs when
+// configured. The center answers with Push messages carrying the ST-join
+// aggregate (and the optional enhancement) for the epoch in progress, plus
+// the aggregate's window coverage. Every message is one binary frame
+// (frame.go): a length, a kind, a fixed header, then the sketch payloads
+// as opaque bytes in each sketch's one binary encoding
+// (core.Sketch.MarshalBinaryCompact). Golden frames of every message live
+// in testdata/golden (see golden_test.go): a change to the wire format
+// fails those tests loudly.
 package transport
 
 // Kind discriminates the two designs on the wire.
@@ -37,13 +38,11 @@ type Hello struct {
 	// point). The center compares it against the cluster clock: a point
 	// whose state is behind (restart from an old checkpoint, or no
 	// checkpoint at all) is offered a backfill push (Push.IntoCurrent)
-	// rebuilding the window it missed. Old centers ignore the field; old
-	// points leave it zero, which the center treats like a fresh point.
+	// rebuilding the window it missed.
 	StateEpoch int64
 	// Weight is the number of leaf measurement points one upload on this
 	// connection represents: 0 or 1 for a direct point, the subtree's leaf
-	// count for an aggregation relay (see RelayConfig). Gob omits zero
-	// fields, so pre-tree binaries interoperate as weight-1 points.
+	// count for an aggregation relay (see RelayConfig).
 	Weight int
 	// Shard is the center shard this connection expects to reach in a
 	// flow-sharded deployment (0 in the flat one). The center rejects a
@@ -82,16 +81,13 @@ type Upload struct {
 	AggApplied bool
 	EnhApplied bool
 	Rebase     bool
-	// Heartbeat marks a liveness probe instead of a measurement: Sketch is
-	// empty, Epoch is the point's current local epoch, and the frame must
-	// not be ingested. A server with a read deadline armed uses heartbeats
-	// to tell an idle-but-alive child (sends them between epochs) from a
-	// half-open one (sends nothing, gets evicted). Old servers built before
-	// the field would ingest the frame, so points only emit heartbeats when
-	// HeartbeatEvery is explicitly configured. Gob leaves the field false
-	// for old senders, keeping every pre-heartbeat stream valid.
-	Heartbeat bool
 }
+
+// A heartbeat is not a message type: it is a frame of its own kind
+// carrying the sender's id and current epoch (appendHeartbeat), never
+// ingested. A server with a read deadline armed uses heartbeats to tell an
+// idle-but-alive child (sends them between epochs) from a half-open one
+// (sends nothing, gets evicted).
 
 // Push carries the center's ST-join result back to one point. It must be
 // applied during epoch ForEpoch (the round-trip bound guarantees delivery

@@ -32,9 +32,11 @@ type PointConfig struct {
 	// Dial, if set, replaces net.Dial for reaching the center. Fault
 	// harnesses (internal/faultnet) inject in-memory dialers here.
 	Dial func(addr string) (net.Conn, error)
-	// DialTimeout bounds each TCP dial when Dial is nil (default 10s). An
-	// unbounded dial would stall the epoch clock's EndEpoch loop for the
-	// whole kernel timeout when the center's host drops off the network.
+	// DialTimeout bounds each TCP dial when Dial is nil, and the
+	// Hello→Welcome handshake of every connect (default 10s). An unbounded
+	// dial or handshake would stall the epoch clock's EndEpoch loop for
+	// the whole kernel timeout when the center's host drops off the
+	// network, or forever against a center that accepts and never answers.
 	DialTimeout time.Duration
 	// RedialAttempts is how many connection attempts one Redial makes
 	// before giving up (default 3). Attempts after the first are separated
@@ -64,12 +66,11 @@ type PointConfig struct {
 	// fails with a timeout, the connection is closed, and the upload stays
 	// buffered for retransmission after Redial. Zero = block forever.
 	WriteTimeout time.Duration
-	// HeartbeatEvery, when positive, sends a liveness probe
-	// (Upload.Heartbeat) on the connection at this interval so a server
-	// with a read deadline can tell this idle-but-alive point from a dead
-	// one. Set it to a fraction (a third or less) of the server's
-	// ReadTimeout. Zero disables heartbeats — required against servers
-	// built before the heartbeat frame, which would try to ingest it.
+	// HeartbeatEvery, when positive, sends a liveness probe (a Heartbeat
+	// frame) on the connection at this interval so a server with a read
+	// deadline can tell this idle-but-alive point from a dead one. Set it
+	// to a fraction (a third or less) of the server's ReadTimeout. Zero
+	// disables heartbeats.
 	HeartbeatEvery time.Duration
 }
 
@@ -165,7 +166,7 @@ func DialPoint(cfg PointConfig) (*PointClient, error) {
 	c := &PointClient{cfg: cfg}
 	c.pushCond = sync.NewCond(&c.pushMu)
 	c.up = upstream{
-		id: cfg.Point, addr: cfg.Addr, dial: dialer(cfg.Dial, cfg.DialTimeout),
+		id: cfg.Point, addr: cfg.Addr, dial: dialer(cfg.Dial, cfg.DialTimeout), dialTimeout: cfg.DialTimeout,
 		wto: cfg.WriteTimeout, hbEvery: cfg.HeartbeatEvery,
 		backoff: cfg.RedialBackoff, backoffMax: cfg.RedialBackoffMax, sleep: time.Sleep,
 		hello: func() Hello {
@@ -362,7 +363,7 @@ func (c *PointClient) EndEpoch() error {
 	// idempotently), never silently lost. Checkpoint failures degrade
 	// durability, not liveness (see LastCheckpointErr).
 	c.saveCheckpointLocked()
-	if c.up.enc == nil {
+	if !c.up.live {
 		c.up.markAttemptedLocked()
 		return fmt.Errorf("transport: connection failed: %w", c.up.err)
 	}

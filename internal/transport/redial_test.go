@@ -108,7 +108,7 @@ func TestRedialRetransmitsBufferedUploads(t *testing.T) {
 	waitFor(t, "failure detected", func() bool {
 		pc.mu.Lock()
 		defer pc.mu.Unlock()
-		return pc.up.enc == nil
+		return !pc.up.live
 	})
 
 	// Two epochs end during the outage: EndEpoch must report the outage

@@ -44,8 +44,8 @@ type RelayConfig struct {
 	// Shard is the center shard this subtree belongs to (0 when unsharded);
 	// validated on both hops.
 	Shard int
-	// DialTimeout bounds upstream TCP dials when UpstreamDial is nil
-	// (default 10s).
+	// DialTimeout bounds upstream TCP dials when UpstreamDial is nil, and
+	// the Hello→Welcome handshake of every upstream connect (default 10s).
 	DialTimeout time.Duration
 	// RedialBackoff/RedialBackoffMax shape the jittered exponential backoff
 	// of the automatic upstream redial loop (defaults 200ms / 2s). Unlike a
@@ -193,7 +193,7 @@ func ServeRelay(cfg RelayConfig) (*RelayServer, error) {
 	}
 	s.init(cfg.CheckpointEvery)
 	s.up = upstream{
-		id: cfg.Relay, addr: cfg.UpstreamAddr, dial: dialer(cfg.UpstreamDial, cfg.DialTimeout),
+		id: cfg.Relay, addr: cfg.UpstreamAddr, dial: dialer(cfg.UpstreamDial, cfg.DialTimeout), dialTimeout: cfg.DialTimeout,
 		wto: cfg.WriteTimeout, hbEvery: cfg.HeartbeatEvery,
 		backoff: cfg.RedialBackoff, backoffMax: cfg.RedialBackoffMax, sleep: time.Sleep,
 		hello:          s.upstreamHello,
@@ -244,7 +244,7 @@ func (s *RelayServer) Stats() RelayStats {
 	defer s.mu.Unlock()
 	return RelayStats{
 		ConnectedChildren:     len(s.conns),
-		UpstreamConnected:     s.up.enc != nil,
+		UpstreamConnected:     s.up.live,
 		UploadsReceived:       s.uploads,
 		UploadsDuplicate:      s.dups,
 		Forwards:              s.forwards,
@@ -282,7 +282,7 @@ func (s *RelayServer) WaitForwards(n int64) bool {
 // WaitUpstream blocks until the upstream hop is live (or not, per want),
 // or the relay closes.
 func (s *RelayServer) WaitUpstream(want bool) bool {
-	return s.waitCond(0, func() bool { return (s.up.enc != nil) == want })
+	return s.waitCond(0, func() bool { return (s.up.live) == want })
 }
 
 // Close stops the relay: the upstream hop, the child listener and every

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bytes"
-	"encoding/gob"
 	"testing"
 
 	"repro/internal/faultnet"
@@ -13,21 +12,21 @@ import (
 // fixed encoding's magic (which the relay must reject like any other bad
 // payload), plus truncated, corrupted and hostile variants.
 func fuzzRelaySeeds(t interface{ Fatal(args ...any) }) [][]byte {
-	helloOK := fuzzGob(t, Hello{Point: 0, Kind: KindSize, W: 16})
-	wrongShard := fuzzGob(t, Hello{Point: 0, Kind: KindSize, W: 16, Shard: 1})
-	upload := fuzzGob(t, Hello{Point: 0, Kind: KindSize, W: 16},
+	helloOK := framesOf(Hello{Point: 0, Kind: KindSize, W: 16})
+	wrongShard := framesOf(Hello{Point: 0, Kind: KindSize, W: 16, Shard: 1})
+	upload := framesOf(Hello{Point: 0, Kind: KindSize, W: 16},
 		Upload{Point: 0, Epoch: 1, Sketch: fuzzSizeSketchBytes(t)})
-	uploadRetired := fuzzGob(t, Hello{Point: 0, Kind: KindSize, W: 16},
+	uploadRetired := framesOf(Hello{Point: 0, Kind: KindSize, W: 16},
 		Upload{Point: 0, Epoch: 1, Sketch: append([]byte{0xC3}, fuzzSizeSketchBytes(t)[1:]...)})
-	uploadDup := fuzzGob(t, Hello{Point: 0, Kind: KindSize, W: 16},
+	uploadDup := framesOf(Hello{Point: 0, Kind: KindSize, W: 16},
 		Upload{Point: 0, Epoch: 1, Sketch: fuzzSizeSketchBytes(t)},
 		Upload{Point: 0, Epoch: 1, Sketch: fuzzSizeSketchBytes(t)})
-	badSketch := fuzzGob(t, Hello{Point: 0, Kind: KindSize, W: 16},
+	badSketch := framesOf(Hello{Point: 0, Kind: KindSize, W: 16},
 		Upload{Point: 0, Epoch: 1, Sketch: []byte{0xC3, 0xFF, 0xFF, 0xFF, 0xFF}})
-	hugeEpoch := fuzzGob(t, Hello{Point: 0, Kind: KindSize, W: 16},
+	hugeEpoch := framesOf(Hello{Point: 0, Kind: KindSize, W: 16},
 		Upload{Point: 0, Epoch: 1 << 50, Sketch: fuzzSizeSketchBytes(t)})
-	unknownChild := fuzzGob(t, Hello{Point: 9, Kind: KindSize, W: 16})
-	wrongKind := fuzzGob(t, Hello{Point: 0, Kind: KindSpread, W: 16})
+	unknownChild := framesOf(Hello{Point: 9, Kind: KindSize, W: 16})
+	wrongKind := framesOf(Hello{Point: 0, Kind: KindSpread, W: 16})
 	corrupt := append([]byte(nil), upload...)
 	if len(corrupt) > 4 {
 		corrupt[len(corrupt)/2] ^= 0xFF
@@ -46,6 +45,8 @@ func fuzzRelaySeeds(t interface{ Fatal(args ...any) }) [][]byte {
 		wrongKind,
 		corrupt,
 		bytes.Repeat([]byte{0xFF}, 64),
+		frameHeader(frameHello, 1<<30),
+		append(bytes.Clone(helloOK), frameHeader(frameUpload, uploadHeader+maxSketchBytes+1)...),
 	}
 }
 
@@ -96,15 +97,6 @@ func FuzzRelayConn(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer probe.Close()
-		if err := gob.NewEncoder(probe).Encode(Hello{Point: 1, Kind: KindSize, W: 16}); err != nil {
-			t.Fatalf("probe hello: %v", err)
-		}
-		var w Welcome
-		if err := gob.NewDecoder(probe).Decode(&w); err != nil {
-			t.Fatalf("relay stopped welcoming after %q: %v", data, err)
-		}
-		if w.WindowN != 3 || w.Points != 2 {
-			t.Fatalf("welcome corrupted: %+v", w)
-		}
+		probeHandshake(t, probe, data)
 	})
 }

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bytes"
-	"encoding/gob"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,14 +9,12 @@ import (
 	"repro/internal/vhll"
 )
 
-// The relay's upstream frames are wire-compatibility surface exactly like
-// the point messages: a tree deployment mixes relay and point binaries
-// against one center, so the combined Upload a relay emits for a
-// completed round — the merged child sketches, compact-encoded — must
-// stay byte-stable. These goldens drive the real merge engine with fixed
-// child uploads and pin the resulting frames for every backend, plus the
-// relay-shaped Hello whose Weight and Shard fields older centers must keep
-// tolerating.
+// The relay's upstream frames are wire format exactly like the point
+// messages: the combined Upload a relay emits for a completed round — the
+// merged child sketches, compact-encoded — must stay byte-stable. These
+// goldens drive the real merge engine with fixed child uploads and pin the
+// resulting frames for every backend, plus the relay-shaped Hello with its
+// Weight and Shard fields.
 
 func fuzzVhllSketchBytes(t interface{ Fatal(args ...any) }) []byte {
 	sk, err := vhll.New(vhll.Params{PhysicalRegisters: 16, VirtualRegisters: 4, Seed: 5})
@@ -76,59 +73,25 @@ func relayGoldenFrames(t *testing.T) map[string]any {
 }
 
 func TestGoldenRelayFrames(t *testing.T) {
-	for name, msg := range relayGoldenFrames(t) {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(msg); err != nil {
-			t.Fatalf("%s: encode: %v", name, err)
-		}
-		path := filepath.Join("testdata", "golden", name+".bin")
-		if *updateGolden {
-			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("%s: missing golden (run with -update): %v", name, err)
-		}
-		if !bytes.Equal(buf.Bytes(), want) {
-			t.Errorf("%s: relay wire format changed (%d bytes, golden %d).\n"+
-				"This breaks relay↔center version compatibility; if that is "+
-				"intended, regenerate with -update.", name, buf.Len(), len(want))
-		}
-	}
+	checkGoldenFrames(t, relayGoldenFrames(t))
 }
 
-// TestGoldenRelayDecodable proves each pinned relay frame still decodes
-// into the current Upload type with the merged payload intact, and that
-// the payload still decodes through a fresh relay engine — new relays
-// reading old bytes.
+// TestGoldenRelayDecodable proves each pinned relay frame decodes into
+// the message it pins, merged payload intact.
 func TestGoldenRelayDecodable(t *testing.T) {
-	want := relayGoldenFrames(t)
-	for name, msg := range want {
+	for name, msg := range relayGoldenFrames(t) {
 		b, err := os.ReadFile(filepath.Join("testdata", "golden", name+".bin"))
 		if err != nil {
 			t.Fatalf("missing golden (run with -update): %v", err)
 		}
-		if name == "relay_hello" {
-			var h Hello
-			if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&h); err != nil {
-				t.Fatal(err)
-			}
-			if h != msg.(Hello) {
-				t.Errorf("relay_hello decoded to %+v", h)
+		got := parseFrame(t, b)
+		if h, ok := msg.(Hello); ok {
+			if got != h {
+				t.Errorf("relay_hello decoded to %+v", got)
 			}
 			continue
 		}
-		var u Upload
-		if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&u); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		wu := msg.(Upload)
+		u, wu := got.(Upload), msg.(Upload)
 		if u.Point != wu.Point || u.Epoch != wu.Epoch || !bytes.Equal(u.Sketch, wu.Sketch) {
 			t.Errorf("%s decoded to Point=%d Epoch=%d (%d payload bytes)",
 				name, u.Point, u.Epoch, len(u.Sketch))

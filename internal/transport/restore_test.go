@@ -14,7 +14,7 @@ import (
 )
 
 // freshPoint builds an unconnected point of the golden cluster's shape
-// (goldenPointSections), the state DialPoint restores a checkpoint into.
+// (goldenCluster), the state DialPoint restores a checkpoint into.
 func freshPoint(t *testing.T, kind Kind) *PointClient {
 	t.Helper()
 	cfg := PointConfig{Point: 0, Kind: kind, Seed: 11}
@@ -36,7 +36,7 @@ func freshPoint(t *testing.T, kind Kind) *PointClient {
 // an error — no panic, no allocation sized by a hostile count — and leave
 // the point exactly as fresh as it was, sketches included.
 func TestRestoreCheckpointRejectsMalformedSections(t *testing.T) {
-	good := goldenPointSections(t, KindSize)
+	good, _ := goldenCluster(t, KindSize)
 	section := func(name string) []byte {
 		for _, s := range good {
 			if s.name == name {
@@ -61,7 +61,7 @@ func TestRestoreCheckpointRejectsMalformedSections(t *testing.T) {
 		{"missing meta", map[string][]byte{"meta": nil}},
 		{"missing uploads", map[string][]byte{"uploads": nil}},
 		{"empty meta", map[string][]byte{"meta": {}}},
-		{"short meta", map[string][]byte{"meta": section("meta")[:pointMetaBytes-1]}},
+		{"short meta", map[string][]byte{"meta": section("meta")[:len(section("meta"))-1]}},
 		{"wrong-version meta", map[string][]byte{"meta": wrongVersion}},
 		{"empty uploads", map[string][]byte{"uploads": {}}},
 		{"count beyond an empty payload", map[string][]byte{"uploads": hugeCount}},
@@ -158,18 +158,18 @@ func TestLegacyInputsRejected(t *testing.T) {
 			for e := uint64(0); e < 40; e++ {
 				src.eng.record(7, e)
 			}
-			var state bytes.Buffer
-			if err := src.eng.saveState(&state); err != nil {
+			state, err := src.eng.saveState()
+			if err != nil {
 				t.Fatal(err)
 			}
-			if err := freshPoint(t, KindSpread).eng.loadState(bytes.NewReader(state.Bytes())); err != nil {
+			if err := freshPoint(t, KindSpread).eng.loadState(state); err != nil {
 				t.Fatalf("control: TQST2 state does not load: %v", err)
 			}
-			old := bytes.Clone(state.Bytes())
+			old := bytes.Clone(state)
 			copy(old, "TQST1")
 			c := freshPoint(t, KindSpread)
 			epoch, answer := c.Epoch(), c.eng.query(7)
-			err := c.eng.loadState(bytes.NewReader(old))
+			err = c.eng.loadState(old)
 			return err, c.Epoch() == epoch && c.eng.query(7) == answer
 		}},
 	} {

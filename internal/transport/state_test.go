@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bytes"
 	"testing"
 )
 
@@ -44,8 +43,8 @@ func TestSpreadStateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var state bytes.Buffer
-	if err := pc.eng.saveState(&state); err != nil {
+	state, err := pc.eng.saveState()
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -57,7 +56,7 @@ func TestSpreadStateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pc2.Close()
-	if err := pc2.eng.loadState(bytes.NewReader(state.Bytes())); err != nil {
+	if err := pc2.eng.loadState(state); err != nil {
 		t.Fatal(err)
 	}
 	if pc2.Epoch() != pc.Epoch() {
@@ -79,8 +78,8 @@ func TestSizeStateRoundTrip(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		pc.Record(3, 0)
 	}
-	var state bytes.Buffer
-	if err := pc.eng.saveState(&state); err != nil {
+	state, err := pc.eng.saveState()
+	if err != nil {
 		t.Fatal(err)
 	}
 	pc2, err := DialPoint(PointConfig{
@@ -90,7 +89,7 @@ func TestSizeStateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pc2.Close()
-	if err := pc2.eng.loadState(bytes.NewReader(state.Bytes())); err != nil {
+	if err := pc2.eng.loadState(state); err != nil {
 		t.Fatal(err)
 	}
 	got, err := pc2.QuerySize(3)
@@ -106,21 +105,21 @@ func TestLoadStateRejectsMismatch(t *testing.T) {
 	srvA, pcA := newStatePair(t, KindSpread)
 	defer srvA.Close()
 	defer pcA.Close()
-	var state bytes.Buffer
-	if err := pcA.eng.saveState(&state); err != nil {
+	state, err := pcA.eng.saveState()
+	if err != nil {
 		t.Fatal(err)
 	}
 
 	srvB, pcB := newStatePair(t, KindSize)
 	defer srvB.Close()
 	defer pcB.Close()
-	if err := pcB.eng.loadState(bytes.NewReader(state.Bytes())); err == nil {
+	if err := pcB.eng.loadState(state); err == nil {
 		t.Fatal("expected kind-mismatch error")
 	}
-	if err := pcB.eng.loadState(bytes.NewReader([]byte("garbage!"))); err == nil {
+	if err := pcB.eng.loadState([]byte("garbage!")); err == nil {
 		t.Fatal("expected magic error")
 	}
-	if err := pcB.eng.loadState(bytes.NewReader(nil)); err == nil {
+	if err := pcB.eng.loadState(nil); err == nil {
 		t.Fatal("expected truncation error")
 	}
 }

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -23,6 +22,9 @@ type upstream struct {
 	id   int
 	addr string
 	dial func(addr string) (net.Conn, error)
+	// dialTimeout is the configured DialTimeout: effectiveDialTimeout of
+	// it bounds the Hello→Welcome handshake of every connect.
+	dialTimeout time.Duration
 	// wto bounds every write (0 = block forever); hbEvery paces heartbeats
 	// (0 = none).
 	wto, hbEvery time.Duration
@@ -51,7 +53,8 @@ type upstream struct {
 	// role's own state changes atomically with the hop's.
 	mu   *sync.Mutex
 	conn net.Conn      // newest connection (closed once the hop dies)
-	enc  *gob.Encoder  // nil while the hop is down
+	live bool          // whether conn is the hop's working connection
+	out  []byte        // the frame being written, reused under mu
 	done chan struct{} // closed when conn's reader exits
 	err  error         // why the hop went down
 	// windowN and points arrive in the parent's Welcome; windowN caps the
@@ -76,8 +79,8 @@ type upstream struct {
 
 // pendingUpload is a buffered upload. attempted marks uploads whose first
 // transmission failed (or that were buffered while disconnected); sending
-// one after reconnect counts as a retry. sent marks uploads the encoder
-// accepted; they stay buffered as history for parent-restart requeues
+// one after reconnect counts as a retry. sent marks uploads written to the
+// hop; they stay buffered as history for parent-restart requeues
 // until the window slides past them.
 type pendingUpload struct {
 	up        Upload
@@ -118,17 +121,20 @@ func (u *upstream) connect() error {
 	if err != nil {
 		return fmt.Errorf("transport: dial upstream: %w", err)
 	}
-	enc := gob.NewEncoder(conn)
-	if err := enc.Encode(u.hello()); err != nil {
+	// The handshake shares the dial's bound: a parent that accepts and
+	// never answers must fail this connect, not stall the redial behind
+	// it (and the owner's Close) forever.
+	_ = conn.SetDeadline(time.Now().Add(effectiveDialTimeout(u.dialTimeout)))
+	if _, err := conn.Write(appendHello(nil, u.hello())); err != nil {
 		conn.Close()
 		return fmt.Errorf("transport: send hello: %w", err)
 	}
-	dec := gob.NewDecoder(conn)
-	var w Welcome
-	if err := dec.Decode(&w); err != nil {
+	w, err := readMessage(conn, frameWelcome, parseWelcome)
+	if err != nil {
 		conn.Close()
 		return fmt.Errorf("transport: receive welcome: %w", err)
 	}
+	_ = conn.SetDeadline(time.Time{})
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	if u.closed {
@@ -147,12 +153,12 @@ func (u *upstream) connect() error {
 	}
 	u.welcomed(w)
 	done := make(chan struct{})
-	u.conn, u.enc, u.done, u.err = conn, enc, done, nil
+	u.conn, u.live, u.done, u.err = conn, true, done, nil
 	if u.changed != nil {
 		u.changed()
 	}
 	u.wg.Add(1)
-	go u.read(conn, dec, done)
+	go u.read(conn, done)
 	if u.hbEvery > 0 {
 		u.wg.Add(1)
 		go u.heartbeat(conn, done)
@@ -162,19 +168,19 @@ func (u *upstream) connect() error {
 
 // read applies the parent's pushes until the hop dies, then takes it down
 // and, unless the owner closed it, hands the outage to lost.
-func (u *upstream) read(conn net.Conn, dec *gob.Decoder, done chan struct{}) {
+func (u *upstream) read(conn net.Conn, done chan struct{}) {
 	defer u.wg.Done()
 	var err error
 	for err == nil {
 		var p Push
-		if err = dec.Decode(&p); err == nil {
+		if p, err = readMessage(conn, framePush, parsePush); err == nil {
 			err = u.push(p)
 		}
 	}
 	u.mu.Lock()
 	current := u.conn == conn // a newer hop may already have taken over
 	if current {
-		u.enc, u.err = nil, err
+		u.live, u.err = false, err
 		if u.changed != nil {
 			u.changed()
 		}
@@ -190,8 +196,8 @@ func (u *upstream) read(conn net.Conn, dec *gob.Decoder, done chan struct{}) {
 
 // heartbeat sends liveness probes on conn until its reader exits, keeping
 // this node admitted at a parent with a read deadline through quiet
-// stretches. Probes share the upload encoder under mu, so they interleave
-// cleanly with uploads; a failed probe ends the loop — the reader and the
+// stretches. Probes are written under mu like uploads, so whole frames
+// interleave; a failed probe ends the loop — the reader and the
 // redial machinery own recovery.
 func (u *upstream) heartbeat(conn net.Conn, done chan struct{}) {
 	defer u.wg.Done()
@@ -204,11 +210,12 @@ func (u *upstream) heartbeat(conn net.Conn, done chan struct{}) {
 		case <-t.C:
 		}
 		u.mu.Lock()
-		if u.conn != conn || u.enc == nil {
+		if u.conn != conn || !u.live {
 			u.mu.Unlock()
 			return
 		}
-		err := u.encodeLocked(Upload{Point: u.id, Epoch: u.heartbeatEpoch(), Heartbeat: true})
+		u.out = appendHeartbeat(u.out[:0], u.id, u.heartbeatEpoch())
+		err := u.writeLocked()
 		u.mu.Unlock()
 		if err != nil {
 			return
@@ -217,18 +224,18 @@ func (u *upstream) heartbeat(conn net.Conn, done chan struct{}) {
 	}
 }
 
-// encodeLocked writes one frame on the live hop, bounded by wto. Callers
-// hold mu — which is exactly why the bound exists: an unbounded write
-// against a parent that stopped reading would wedge every path that takes
-// the node's lock. A write that times out leaves the encoder poisoned
+// writeLocked writes the frame in out on the live hop, bounded by wto.
+// Callers hold mu — which is exactly why the bound exists: an unbounded
+// write against a parent that stopped reading would wedge every path that
+// takes the node's lock. A write that times out leaves the stream torn
 // mid-frame, so the connection is closed: the reader unblocks and takes
 // the hop down, and the buffered upload waits for the next connect.
-func (u *upstream) encodeLocked(v any) error {
+func (u *upstream) writeLocked() error {
 	if u.wto > 0 {
 		_ = u.conn.SetWriteDeadline(time.Now().Add(u.wto))
 		defer u.conn.SetWriteDeadline(time.Time{})
 	}
-	err := u.enc.Encode(v)
+	_, err := u.conn.Write(u.out)
 	if isWedged(err) {
 		u.writeTimeouts.Add(1)
 		_ = u.conn.Close()
@@ -241,7 +248,7 @@ func (u *upstream) encodeLocked(v any) error {
 // remaining unsent uploads stay and are marked attempted; a down hop sends
 // nothing. Callers must hold mu.
 func (u *upstream) flushLocked() error {
-	if u.enc == nil {
+	if !u.live {
 		return nil
 	}
 	for i := range u.pending {
@@ -249,7 +256,8 @@ func (u *upstream) flushLocked() error {
 		if p.sent {
 			continue
 		}
-		if err := u.encodeLocked(p.up); err != nil {
+		u.out = appendUpload(u.out[:0], p.up)
+		if err := u.writeLocked(); err != nil {
 			u.markAttemptedLocked()
 			return fmt.Errorf("transport: upload epoch %d: %w", p.up.Epoch, err)
 		}
@@ -337,7 +345,7 @@ func (u *upstream) redial(attempts int) error {
 func (u *upstream) close() error {
 	u.mu.Lock()
 	u.closed = true
-	conn, live := u.conn, u.enc != nil
+	conn, live := u.conn, u.live
 	u.mu.Unlock()
 	if !live {
 		return nil // the dead hop's reader closes its own connection
