@@ -39,11 +39,14 @@ test-race:
 	$(GO) test -race ./internal/transport ./internal/faultnet
 
 # The whole suite under the race detector, plus, by name, the guards that a
-# push round stays O(p + n) sketch operations (no join per destination) and
-# that an epoch boundary merges each dirty ingest lane once per kept sketch.
+# push round stays O(p + n) sketch operations (no join per destination),
+# that an epoch boundary merges each dirty ingest lane once per kept sketch,
+# that a history window's union estimate stays bit-identical to merging its
+# partials, and that the epoch log runs a batched read's visit unlocked.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=1 -run '^(TestJoinIsLinearPerRound|TestEndEpochFoldsEachLaneOnce)$$' ./internal/core
+	$(GO) test -race -count=1 -run '^(TestJoinIsLinearPerRound|TestEndEpochFoldsEachLaneOnce|TestReplayWindowMatchesMergeReference)$$' ./internal/core
+	$(GO) test -race -count=1 -run '^TestLogGetManyVisitRunsUnlocked$$' ./internal/durable
 
 # The crash-restart matrix: process-death scenarios against the durable
 # checkpoint store, plus the store's own corruption/fallback tests, all

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 )
@@ -17,11 +18,13 @@ import (
 // The join is assembled epoch-by-epoch rather than point-by-point: each
 // epoch's cells are merged at their native widths, expanded to the
 // maximum width and spatially joined into one per-epoch partial, and the
-// window answer is the merge of its epochs' partials. ExpandTo is
-// positional replication and every backend's Merge is element-wise
-// (register max / integer counter add), so this regrouping is exactly
-// the live answer's register image — and it is what makes the partials
-// cacheable (ReplayCache) and the epochs independently computable
+// window answer is the union estimate over its epochs' partials
+// (EstimateUnion), which reads only the flow's registers or counters in
+// each partial and never materializes the window. ExpandTo is positional
+// replication and every backend's Merge is element-wise (register max /
+// integer counter add), so this regrouping is exactly the live answer's
+// register image — and it is what makes the partials cacheable
+// (ReplayCache) and the epochs independently computable
 // (replayWorkers-bounded parallelism for cold windows).
 
 // HistorySource yields stored (point, epoch) measurements for replay.
@@ -43,6 +46,16 @@ type HistorySource[S Sketch[S]] interface {
 // per segment.
 type EpochSource[S Sketch[S]] interface {
 	EpochCells(epoch int64, points []int, visit func(point int, sk S) error) error
+}
+
+// SpanSource is an optional HistorySource extension: Span reports the
+// inclusive epoch range the source retains (ok=false when it holds
+// nothing). The replay visits only the requested epochs inside it, so a
+// query's time and memory follow the retained history rather than the
+// requested range. Implemented by the transport's log adapter over
+// durable.Log.Span.
+type SpanSource interface {
+	Span() (first, last int64, ok bool)
 }
 
 // replayWorkers bounds the per-query worker pool replaying cold epochs.
@@ -152,8 +165,9 @@ func computeEpochPartial[S Sketch[S]](e int64, ids []int, weights map[int]int, w
 // (children, weights, maximum width, topology generation) under the
 // lock, then assemble the window from per-epoch partials lock-free so
 // long-range queries never stall ingest. With a replay cache attached,
-// warm epochs are in-memory merges and only cold epochs touch src —
-// those fan out across a bounded worker pool.
+// warm epochs are in-memory reads and only cold epochs touch src —
+// those fan out across a bounded worker pool. Coverage expects every
+// requested epoch; only the epochs src retains (SpanSource) are visited.
 func (c *Center[S]) queryEpochsFrom(f uint64, first, last int64, src HistorySource[S]) (float64, Coverage, error) {
 	c.mu.Lock()
 	ids := make([]int, 0, len(c.protos))
@@ -167,11 +181,15 @@ func (c *Center[S]) queryEpochsFrom(f uint64, first, last int64, src HistorySour
 	cache := c.replay
 	c.mu.Unlock()
 
-	span := int(last - first + 1)
-	var cov Coverage
+	weight := 0
 	for _, id := range ids {
-		cov.EpochsExpected += weights[id] * span
+		weight += weights[id]
 	}
+	span := last - first + 1
+	if weight > 0 && span > math.MaxInt/int64(weight) {
+		return 0, Coverage{}, fmt.Errorf("core: epoch range [%d, %d] overflows the coverage count", first, last)
+	}
+	cov := Coverage{EpochsExpected: weight * int(span)}
 
 	var verSum uint64
 	if cache != nil {
@@ -184,18 +202,30 @@ func (c *Center[S]) queryEpochsFrom(f uint64, first, last int64, src HistorySour
 		verSum = cache.versionSum(first, last)
 	}
 
-	type slot struct {
-		p      epochPartial[S]
-		cached bool
-		ver    uint64
+	// Epochs outside the retained span hold no cells: skip them.
+	vFirst, vLast := first, last
+	if ss, ok := src.(SpanSource); ok {
+		lo, hi, ok := ss.Span()
+		if !ok {
+			return 0, cov, nil
+		}
+		vFirst, vLast = max(first, lo), min(last, hi)
+		if vFirst > vLast {
+			return 0, cov, nil
+		}
 	}
-	slots := make([]slot, span)
+
+	type slot struct {
+		p   epochPartial[S]
+		ver uint64
+	}
+	slots := make([]slot, vLast-vFirst+1)
 	var cold []int
 	for i := range slots {
-		e := first + int64(i)
+		e := vFirst + int64(i)
 		if cache != nil {
 			if sk, merged, have, ok := cache.lookupPartial(e, gen); ok {
-				slots[i] = slot{p: epochPartial[S]{sk: sk, have: have, merged: merged}, cached: true}
+				slots[i].p = epochPartial[S]{sk: sk, have: have, merged: merged}
 				continue
 			}
 			slots[i].ver = cache.version(e)
@@ -213,7 +243,7 @@ func (c *Center[S]) queryEpochsFrom(f uint64, first, last int64, src HistorySour
 	var firstErr error
 	if workers <= 1 {
 		for _, i := range cold {
-			p, err := computeEpochPartial(first+int64(i), ids, weights, wMax, src)
+			p, err := computeEpochPartial(vFirst+int64(i), ids, weights, wMax, src)
 			if err != nil {
 				return 0, cov, err
 			}
@@ -228,7 +258,7 @@ func (c *Center[S]) queryEpochsFrom(f uint64, first, last int64, src HistorySour
 			go func() {
 				defer wg.Done()
 				for i := range work {
-					p, err := computeEpochPartial(first+int64(i), ids, weights, wMax, src)
+					p, err := computeEpochPartial(vFirst+int64(i), ids, weights, wMax, src)
 					if err != nil {
 						errMu.Lock()
 						if firstErr == nil {
@@ -251,8 +281,8 @@ func (c *Center[S]) queryEpochsFrom(f uint64, first, last int64, src HistorySour
 		}
 	}
 
-	// Publish cold partials. Once inserted the sketch is shared, so the
-	// final assembly below only reads it (first use clones).
+	// Publish cold partials. Once inserted the sketch is shared, so
+	// everything below only reads it.
 	if cache != nil {
 		for _, i := range cold {
 			p := slots[i].p
@@ -262,31 +292,30 @@ func (c *Center[S]) queryEpochsFrom(f uint64, first, last int64, src HistorySour
 			if p.have {
 				cost += int64(p.sk.MemoryBits() / 8)
 			}
-			cache.insertPartial(first+int64(i), gen, slots[i].ver, p.sk, p.have, p.merged, cost)
+			cache.insertPartial(vFirst+int64(i), gen, slots[i].ver, p.sk, p.have, p.merged, cost)
 		}
 	}
 
-	var acc S
-	haveAcc := false
+	// The window answer reads the flow's cells across every partial
+	// (EstimateUnion): bit-identical to merging them, with no window-sized
+	// sketch. The shape check Merge would make stays.
+	parts := make([]S, 0, len(slots))
 	for i := range slots {
 		p := slots[i].p
 		cov.EpochsMerged += p.merged
 		if !p.have {
 			continue
 		}
-		if !haveAcc {
-			acc = p.sk.Clone()
-			haveAcc = true
-			continue
+		if len(parts) > 0 && (p.sk.Width() != parts[0].Width() || !parts[0].Compatible(p.sk)) {
+			return 0, cov, fmt.Errorf("core: history window join epoch %d: partial of width %d does not join width %d",
+				vFirst+int64(i), p.sk.Width(), parts[0].Width())
 		}
-		if err := acc.Merge(p.sk); err != nil {
-			return 0, cov, fmt.Errorf("core: history window join epoch %d: %w", first+int64(i), err)
-		}
+		parts = append(parts, p.sk)
 	}
-	if !haveAcc {
+	if len(parts) == 0 {
 		return 0, cov, nil
 	}
-	est := acc.EstimateUnion(f, nil)
+	est := parts[0].EstimateUnion(f, parts[1:])
 	if cache != nil {
 		cache.insertWindow(windowKey{f, first, last, gen}, windowAnswer{est, cov}, verSum)
 	}

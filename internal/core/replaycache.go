@@ -9,8 +9,9 @@
 //     (register max, counter add), expand-then-merge commutes with
 //     merge-then-expand and merge order never changes a register bit —
 //     so a window answer assembled from cached partials is bit-identical
-//     to the from-scratch replay. A warm QueryAt is pure in-memory
-//     merges; a sliding QueryRange pays one cold epoch per step.
+//     to the from-scratch replay. A warm QueryAt reads only the flow's
+//     cells in each cached partial (EstimateUnion) and copies no sketch;
+//     a sliding QueryRange pays one cold epoch per step.
 //   - window memos: the final (estimate, coverage) of a whole (flow,
 //     window) query, making an exactly-repeated query O(1).
 //
@@ -80,8 +81,8 @@ type windowAnswer struct {
 
 // ReplayCache caches historical-replay work for one Center. All methods
 // are safe for concurrent use. Cached sketches are shared read-only:
-// lookupPartial returns the cached object itself and callers must only
-// Clone or Merge-from it.
+// lookupPartial returns the cached object itself, which callers must
+// never write.
 type ReplayCache[S Sketch[S]] struct {
 	mu      sync.Mutex
 	budget  int64
@@ -131,9 +132,24 @@ func (rc *ReplayCache[S]) version(e int64) uint64 {
 func (rc *ReplayCache[S]) versionSum(first, last int64) uint64 {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	var s uint64
-	for e := first; e <= last; e++ {
-		s += rc.verLocked(e)
+	return rc.versionSumLocked(first, last)
+}
+
+// versionSumLocked costs min(span, per-epoch counters) steps, so a range
+// query far wider than the retained history sums in bounded time.
+func (rc *ReplayCache[S]) versionSumLocked(first, last int64) uint64 {
+	span := uint64(last - first + 1)
+	s := rc.verBase * span
+	if span <= uint64(len(rc.verEpoch)) {
+		for e := first; e <= last; e++ {
+			s += rc.verEpoch[e]
+		}
+		return s
+	}
+	for e, v := range rc.verEpoch {
+		if e >= first && e <= last {
+			s += v
+		}
 	}
 	return s
 }
@@ -165,9 +181,8 @@ func (rc *ReplayCache[S]) insertPartial(epoch int64, gen, ver uint64, sk S, have
 		return
 	}
 	key := partialKey{epoch, gen}
-	if old, ok := rc.entries[key]; ok {
+	if _, ok := rc.entries[key]; ok {
 		// Another query raced us here; keep theirs.
-		_ = old
 		return
 	}
 	ent := &partialEntry[S]{key: key, sk: sk, have: have, merged: merged, bytes: bytes}
@@ -203,11 +218,7 @@ func (rc *ReplayCache[S]) lookupWindow(flow uint64, first, last int64, gen uint6
 func (rc *ReplayCache[S]) insertWindow(k windowKey, ans windowAnswer, verSum uint64) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	var s uint64
-	for e := k.first; e <= k.last; e++ {
-		s += rc.verLocked(e)
-	}
-	if s != verSum {
+	if rc.versionSumLocked(k.first, k.last) != verSum {
 		return
 	}
 	if len(rc.memo) >= replayMemoCap {

@@ -682,11 +682,13 @@ func (l *Log) Get(point int, epoch int64) ([]byte, bool, error) {
 }
 
 // cellHit is one resolved cell in a batched read, ordered for a
-// sequential pass: ascending (segment, offset).
+// sequential pass: ascending (segment, offset). entry is its raw image
+// once read.
 type cellHit struct {
 	ref   entryRef
 	point int
 	epoch int64
+	entry []byte
 }
 
 // readChunkBytes caps how much of a segment one pooled batched read
@@ -696,25 +698,54 @@ const readChunkBytes = 256 << 10
 
 // GetMany reads every retained cell in epochs × points, calling visit
 // once per cell found. Cells are grouped by segment and read in offset
-// order — one buffered sequential pass per segment through pooled
-// buffers, CRCs verified in-pass — so a window replay pays O(segments)
-// coalesced reads instead of one syscall + allocation per cell. Segments
-// whose epoch/point spans don't intersect the request are pruned from
-// the index probe entirely.
+// order — one coalesced sequential read per segment run through pooled
+// buffers — so a window replay pays O(segments) reads instead of one
+// syscall + allocation per cell. Segments whose epoch/point spans don't
+// intersect the request are pruned from the index probe entirely.
 //
-// The blob passed to visit is borrowed: it is valid only for the
-// duration of the call and must not be retained or modified. visit must
-// not call back into the Log. Missing cells (never appended, or
-// evicted) are skipped silently — that is the coverage signal. A
-// non-nil error from visit aborts the pass and is returned verbatim.
+// Only the index probe and the reads hold the log's read lock. CRCs are
+// verified and visit runs after it is released, so appends and
+// compaction proceed while visit decodes; the bytes were read into
+// buffers private to this call, which a compaction dropping their
+// segment cannot touch, and visit may call back into the Log. The blob
+// passed to visit is borrowed: it is valid only for the duration of the
+// call and must not be retained or modified. Missing cells (never
+// appended, or evicted) are skipped silently — that is the coverage
+// signal. A non-nil error from visit aborts the pass and is returned
+// verbatim.
 func (l *Log) GetMany(epochs []int64, points []int, visit func(point int, epoch int64, blob []byte) error) error {
 	if len(epochs) == 0 || len(points) == 0 {
 		return nil
 	}
+	hits, bufs, err := l.readMany(epochs, points)
+	defer func() {
+		for _, rb := range bufs {
+			putReadBuf(rb)
+		}
+	}()
+	if err != nil {
+		return err
+	}
+	for _, h := range hits {
+		blob, err := verifyEntry(h.entry, h.ref, h.point, h.epoch)
+		if err == nil {
+			err = visit(h.point, h.epoch, blob)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// readMany is GetMany's locked phase: it resolves the request to entry
+// refs in (segment, offset) order and reads each hit's entry into pooled
+// buffers, returned even on error so the caller can recycle them.
+func (l *Log) readMany(epochs []int64, points []int) ([]cellHit, []*readBuf, error) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	if l.closed {
-		return ErrLogClosed
+		return nil, nil, ErrLogClosed
 	}
 	minPt, maxPt := points[0], points[0]
 	for _, pt := range points[1:] {
@@ -742,12 +773,9 @@ func (l *Log) GetMany(epochs []int64, points []int, visit func(point int, epoch 
 		}
 		for _, pt := range points {
 			if ref, ok := l.index[cellKey{pt, e}]; ok {
-				hits = append(hits, cellHit{ref, pt, e})
+				hits = append(hits, cellHit{ref: ref, point: pt, epoch: e})
 			}
 		}
-	}
-	if len(hits) == 0 {
-		return nil
 	}
 	sort.Slice(hits, func(i, j int) bool {
 		if hits[i].ref.seq != hits[j].ref.seq {
@@ -755,6 +783,7 @@ func (l *Log) GetMany(epochs []int64, points []int, visit func(point int, epoch 
 		}
 		return hits[i].ref.off < hits[j].ref.off
 	})
+	var bufs []*readBuf
 	for start := 0; start < len(hits); {
 		// One coalesced read: same segment, span under the chunk cap.
 		seq := hits[start].ref.seq
@@ -772,29 +801,21 @@ func (l *Log) GetMany(epochs []int64, points []int, visit func(point int, epoch 
 		}
 		f, err := l.reader(seq)
 		if err != nil {
-			return err
+			return nil, bufs, err
 		}
 		base := hits[start].ref.off
 		rb := getReadBuf(int(spanEnd - base))
+		bufs = append(bufs, rb)
 		if _, err := f.ReadAt(rb.b, base); err != nil {
-			putReadBuf(rb)
-			return fmt.Errorf("durable: batched read segment %d: %w", seq, err)
+			return nil, bufs, fmt.Errorf("durable: batched read segment %d: %w", seq, err)
 		}
-		for _, h := range hits[start:end] {
-			entry := rb.b[h.ref.off-base : h.ref.off-base+int64(h.ref.n)]
-			blob, err := verifyEntry(entry, h.ref, h.point, h.epoch)
-			if err == nil {
-				err = visit(h.point, h.epoch, blob)
-			}
-			if err != nil {
-				putReadBuf(rb)
-				return err
-			}
+		for i := start; i < end; i++ {
+			h := &hits[i]
+			h.entry = rb.b[h.ref.off-base : h.ref.off-base+int64(h.ref.n)]
 		}
-		putReadBuf(rb)
 		start = end
 	}
-	return nil
+	return hits, bufs, nil
 }
 
 // GetEpoch reads every retained cell of one epoch across points; see

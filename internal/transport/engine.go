@@ -323,10 +323,10 @@ type centerEngine interface {
 
 // logSource adapts the durable epoch log to core.HistorySource: cells
 // come back as decoded sketches of their point's shape, absence is the
-// coverage signal. It also implements core.EpochSource — the batched read
-// path — decoding through a shared scratch pool: the replay never retains
-// the visited sketch, so one recycled sketch per worker absorbs an entire
-// pass.
+// coverage signal. It also implements core.SpanSource and
+// core.EpochSource — the batched read path — decoding through a shared
+// scratch pool: the replay never retains the visited sketch, so one
+// recycled sketch per worker absorbs an entire pass.
 type logSource[S core.Sketch[S]] struct {
 	log  *durable.Log
 	pool *sketchPool[S]
@@ -345,10 +345,14 @@ func (ls logSource[S]) Cell(point int, epoch int64) (S, bool, error) {
 	return sk, true, nil
 }
 
+// Span bounds a replay to the epochs the log retains (core.SpanSource).
+func (ls logSource[S]) Span() (first, last int64, ok bool) { return ls.log.Span() }
+
 // EpochCells streams one epoch's cells out of the log in a single
 // batched pass (durable.Log.GetEpoch): segment-grouped offset-ordered
-// reads, CRCs checked in-pass, blobs borrowed, sketches decoded into
-// pooled scratch that is reclaimed as soon as visit returns.
+// reads, CRCs checked before each visit, blobs borrowed, sketches
+// decoded into pooled scratch that is reclaimed as soon as visit
+// returns.
 func (ls logSource[S]) EpochCells(epoch int64, points []int, visit func(point int, sk S) error) error {
 	return ls.log.GetEpoch(epoch, points, func(point int, blob []byte) error {
 		sk, err := ls.pool.get(point, blob)
