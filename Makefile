@@ -42,11 +42,14 @@ test-race:
 # push round stays O(p + n) sketch operations (no join per destination),
 # that an epoch boundary merges each dirty ingest lane once per kept sketch,
 # that a history window's union estimate stays bit-identical to merging its
-# partials, and that the epoch log runs a batched read's visit unlocked.
+# partials, that a per-epoch partial owns its sketch, that the epoch log runs
+# a batched read's visit unlocked, and that a replay from logged partials
+# answers exactly what the point cells give.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=1 -run '^(TestJoinIsLinearPerRound|TestEndEpochFoldsEachLaneOnce|TestReplayWindowMatchesMergeReference)$$' ./internal/core
+	$(GO) test -race -count=1 -run '^(TestJoinIsLinearPerRound|TestEndEpochFoldsEachLaneOnce|TestReplayWindowMatchesMergeReference|TestEpochPartialDoesNotAliasCells)$$' ./internal/core
 	$(GO) test -race -count=1 -run '^TestLogGetManyVisitRunsUnlocked$$' ./internal/durable
+	$(GO) test -race -count=1 -run '^TestPersistedPartialMatchesCells$$' ./internal/transport
 
 # The crash-restart matrix: process-death scenarios against the durable
 # checkpoint store, plus the store's own corruption/fallback tests, all

@@ -133,7 +133,13 @@ func run(args []string) error {
 				detail["store_bytes"] = st.StoreBytes
 				detail["store_segments"] = st.StoreSegments
 				detail["store_appends"] = st.StoreAppends
+				detail["store_partial_appends"] = st.StorePartialAppends
 				detail["store_append_errors"] = st.StoreAppendErrors
+				// Cold replayed epochs by read path: one partial cell, or
+				// a join of the point cells when the partial is missing
+				// or no longer matches them.
+				detail["replay_epochs_from_partial"] = st.ReplayEpochsFromPartial
+				detail["replay_epochs_from_cells"] = st.ReplayEpochsFromCells
 				detail["store_compactions"] = st.StoreCompactions
 				detail["store_compaction_errors"] = st.StoreCompactionErrors
 				detail["store_last_compaction_age_s"] = compactAge

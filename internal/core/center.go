@@ -39,6 +39,7 @@ type Center[S Sketch[S]] struct {
 
 	protos map[int]S // zero-state prototype per point (width + shape)
 	wMax   int
+	wide   int // a point whose width is wMax
 
 	// uploads[point][epoch] is the single-epoch measurement: the uploaded
 	// B sketch for a delta-mode max design, the recovered delta for the
@@ -155,6 +156,12 @@ func NewCenter[S Sketch[S]](windowN int, protos map[int]S, cfg EngineConfig[S]) 
 		}
 	}
 	slices.Sort(c.ids)
+	for _, id := range c.ids {
+		if c.protos[id].Width() == wMax {
+			c.wide = id
+			break
+		}
+	}
 	return c, nil
 }
 
@@ -429,6 +436,10 @@ func (c *Center[S]) NewSketch(point int) (sk S, ok bool) {
 	}
 	return proto.Clone(), true
 }
+
+// NewPartialSketch returns a zero sketch at the maximum width: the shape
+// of every merged partial, which a stored partial decodes into.
+func (c *Center[S]) NewPartialSketch() S { return c.protos[c.wide].Clone() }
 
 // HasUpload reports whether the center holds point's measurement for
 // epoch. The transport layer uses it after an ImportState to rebuild its

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 )
 
@@ -58,6 +59,18 @@ type SpanSource interface {
 	Span() (first, last int64, ok bool)
 }
 
+// PartialSource is an optional HistorySource fast path: EpochPartial
+// returns epoch's merged partial — the spatial join at the maximum width
+// that the source's cells for points would give — and the sorted ids it
+// joined. ok is false when the source holds no partial, or none that
+// joins exactly the points whose cells it still holds; the replay then
+// joins the cells. The sketch is owned by the caller. Implemented by the
+// transport's log adapter over the partial cell the center appends when
+// an epoch's round closes (Center.MarshalPartial).
+type PartialSource[S Sketch[S]] interface {
+	EpochPartial(epoch int64, points []int) (sk S, ids []int, ok bool, err error)
+}
+
 // replayWorkers bounds the per-query worker pool replaying cold epochs.
 const replayWorkers = 8
 
@@ -87,24 +100,42 @@ func (c *Center[S]) QueryRangeFrom(f uint64, from, to int64, src HistorySource[S
 }
 
 // epochPartial is one epoch's spatial join at the maximum width, plus
-// its coverage share. have is false for an epoch with no retained cells.
+// its coverage share and the sorted ids it joined. have is false for an
+// epoch with no retained cells.
 type epochPartial[S Sketch[S]] struct {
 	sk     S
 	have   bool
 	merged int
+	ids    []int
 }
 
 // computeEpochPartial joins every retained cell of epoch e across ids:
 // cells merge at their native widths first, then each width group
 // expands once to wMax and spatially joins — fewer expansions, same
-// register bits. It prefers the batched EpochSource pass when src
-// implements it.
+// register bits. It takes a source's stored partial when src implements
+// PartialSource and holds a valid one, and otherwise prefers the batched
+// EpochSource pass.
 func computeEpochPartial[S Sketch[S]](e int64, ids []int, weights map[int]int, wMax int, src HistorySource[S]) (epochPartial[S], error) {
 	var p epochPartial[S]
+	if ps, ok := src.(PartialSource[S]); ok {
+		sk, joined, ok, err := ps.EpochPartial(e, ids)
+		if err != nil {
+			return p, fmt.Errorf("core: history partial epoch %d: %w", e, err)
+		}
+		if ok {
+			p = epochPartial[S]{sk: sk, have: true, ids: joined}
+			for _, id := range joined {
+				p.merged += weights[id]
+			}
+			return p, nil
+		}
+	}
+	p.ids = make([]int, 0, len(ids))
 	var groups map[int]S
 	var order []int
 	add := func(id int, cell S, owned bool) error {
 		p.merged += weights[id]
+		p.ids = append(p.ids, id)
 		w := cell.Width()
 		if g, ok := groups[w]; ok {
 			if err := g.Merge(cell); err != nil {
@@ -144,10 +175,16 @@ func computeEpochPartial[S Sketch[S]](e int64, ids []int, weights map[int]int, w
 			}
 		}
 	}
+	slices.Sort(p.ids)
 	for _, w := range order {
-		ex, err := groups[w].ExpandTo(wMax)
-		if err != nil {
-			return p, fmt.Errorf("core: history expand epoch %d width %d: %w", e, w, err)
+		// Every group is owned (cloned or handed over), so one already at
+		// wMax joins as it is.
+		ex := groups[w]
+		if w != wMax {
+			var err error
+			if ex, err = ex.ExpandTo(wMax); err != nil {
+				return p, fmt.Errorf("core: history expand epoch %d width %d: %w", e, w, err)
+			}
 		}
 		if !p.have {
 			p.sk = ex
@@ -170,10 +207,9 @@ func computeEpochPartial[S Sketch[S]](e int64, ids []int, weights map[int]int, w
 // requested epoch; only the epochs src retains (SpanSource) are visited.
 func (c *Center[S]) queryEpochsFrom(f uint64, first, last int64, src HistorySource[S]) (float64, Coverage, error) {
 	c.mu.Lock()
-	ids := make([]int, 0, len(c.protos))
-	weights := make(map[int]int, len(c.protos))
-	for id := range c.protos {
-		ids = append(ids, id)
+	ids := c.ids // sorted, fixed at construction
+	weights := make(map[int]int, len(ids))
+	for _, id := range ids {
 		weights[id] = c.weightLocked(id)
 	}
 	wMax := c.wMax
@@ -361,4 +397,24 @@ func (c *Center[S]) MarshalUpload(point int, epoch int64, enc func(S) ([]byte, e
 		return nil, false, fmt.Errorf("core: marshal upload (%d, %d): %w", point, epoch, err)
 	}
 	return b, true, nil
+}
+
+// MarshalPartial encodes epoch's merged partial — the spatial join at
+// the maximum width the round pushed — and returns the sorted ids it
+// joined, building the partial if the window no longer memoizes it. ok is
+// false when the center holds no cell of epoch. A built partial is never
+// mutated, so only the lookup holds the center lock. This is the epoch
+// log's partial-cell feed (PartialSource).
+func (c *Center[S]) MarshalPartial(epoch int64, enc func(S) ([]byte, error)) ([]byte, []int, bool, error) {
+	c.mu.Lock()
+	p, err := c.partialLocked(epoch)
+	c.mu.Unlock()
+	if err != nil || !p.have {
+		return nil, nil, false, err
+	}
+	b, err := enc(p.sk)
+	if err != nil {
+		return nil, nil, false, fmt.Errorf("core: marshal partial epoch %d: %w", epoch, err)
+	}
+	return b, p.ids, true, nil
 }

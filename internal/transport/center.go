@@ -6,6 +6,7 @@ import (
 	"log"
 	"math"
 	"net"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -69,10 +70,11 @@ type CenterConfig struct {
 	// write amplification.
 	CheckpointEvery int
 	// StoreDir, if set, enables the time-indexed epoch-log store: every
-	// accepted upload's single-epoch cell is appended to a durable
-	// append-only log (internal/durable.Log), from which the center
-	// replays retrospective T-queries (HistoryAt/HistoryRange and the
-	// historical-query RPC) over windows the live store has long trimmed.
+	// accepted upload's single-epoch cell, and each closed epoch's merged
+	// partial, is appended to a durable append-only log
+	// (internal/durable.Log), from which the center replays retrospective
+	// T-queries (HistoryAt/HistoryRange and the historical-query RPC)
+	// over windows the live store has long trimmed.
 	// Independent of CheckpointDir, though deployments typically point
 	// both at the same directory.
 	StoreDir string
@@ -132,16 +134,30 @@ type CenterServer struct {
 	histSrv *QueryServer // nil unless HistoryAddr is set
 
 	// Guarded by mu.
-	received  map[int64]int // uploads seen per epoch
-	gaps      int64
-	storeErrs int64 // epoch-log append failures (never fatal)
+	received       map[int64]int // uploads seen per epoch
+	gaps           int64
+	cellAppends    int64 // point cells appended to the epoch log
+	partialAppends int64 // partial cells appended to the epoch log
+	storeErrs      int64 // epoch-log append failures (never fatal)
+
+	// failAppend, when set, fails the epoch-log appends it matches before
+	// they reach the store (fault-injection tests).
+	failAppend atomic.Pointer[func(point int, epoch int64) bool]
 }
+
+// partialCell is the epoch log's reserved point id: the cell stored under
+// it for epoch e is e's merged partial (appendPartial), never a child's
+// measurement, so ServeCenter rejects a topology that names it.
+const partialCell = math.MaxUint32
 
 // ServeCenter starts a measurement center listening on cfg.Addr. The
 // returned server runs until Close.
 func ServeCenter(cfg CenterConfig) (*CenterServer, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
+	}
+	if _, ok := cfg.Widths[partialCell]; ok {
+		return nil, fmt.Errorf("transport: point id %d is reserved for the epoch log's partial cells", partialCell)
 	}
 	eng, err := newCenterEngine(cfg)
 	if err != nil {
@@ -207,6 +223,7 @@ func ServeCenter(cfg CenterConfig) (*CenterServer, error) {
 		hs, err := ServeQueriesHist(cfg.HistoryAddr, s.liveAnswer, HistoryHandler{
 			At:    s.HistoryAt,
 			Range: s.HistoryRange,
+			Logf:  cfg.Logf,
 		})
 		if err != nil {
 			if s.store != nil {
@@ -269,11 +286,19 @@ type CenterStats struct {
 	LastRoundAt time.Time
 	// StoreEnabled reports whether the epoch-log store is configured.
 	StoreEnabled bool
-	// StoreAppends counts cells appended to the epoch log.
+	// StoreAppends counts point cells appended to the epoch log.
 	StoreAppends int64
-	// StoreAppendErrors counts failed appends (logged, never fatal: the
-	// live pipeline outlives its history).
+	// StorePartialAppends counts partial cells appended to the epoch log:
+	// one per closed epoch, each that epoch's merged partial.
+	StorePartialAppends int64
+	// StoreAppendErrors counts failed appends of either kind (logged,
+	// never fatal: the live pipeline outlives its history).
 	StoreAppendErrors int64
+	// ReplayEpochsFromPartial / ReplayEpochsFromCells count the cold
+	// epochs historical queries replayed from the log, split by whether
+	// the epoch's partial cell answered or its point cells were joined.
+	ReplayEpochsFromPartial int64
+	ReplayEpochsFromCells   int64
 	// StoreBytes / StoreSegments / StoreEntries describe the log's
 	// on-disk footprint.
 	StoreBytes    int64
@@ -308,26 +333,28 @@ type CenterStats struct {
 func (s *CenterServer) Stats() CenterStats {
 	s.mu.Lock()
 	st := CenterStats{
-		ConnectedPoints:    len(s.conns),
-		UploadsReceived:    s.uploads,
-		RoundsPushed:       s.rounds,
-		UploadsDuplicate:   s.dups,
-		UploadsGap:         s.gaps,
-		Repushes:           s.repushes,
-		Backfills:          s.backfills,
-		CheckpointsWritten: s.checkpoints,
-		RestoredGeneration: s.restoredGen,
-		HeartbeatsReceived: s.heartbeats,
-		Evictions:          s.evictions,
-		StoreAppendErrors:  s.storeErrs,
-		LastPushEpoch:      s.pushed,
-		LastRoundAt:        s.lastRoundAt,
+		ConnectedPoints:     len(s.conns),
+		UploadsReceived:     s.uploads,
+		RoundsPushed:        s.rounds,
+		UploadsDuplicate:    s.dups,
+		UploadsGap:          s.gaps,
+		Repushes:            s.repushes,
+		Backfills:           s.backfills,
+		CheckpointsWritten:  s.checkpoints,
+		RestoredGeneration:  s.restoredGen,
+		HeartbeatsReceived:  s.heartbeats,
+		Evictions:           s.evictions,
+		StoreAppends:        s.cellAppends,
+		StorePartialAppends: s.partialAppends,
+		StoreAppendErrors:   s.storeErrs,
+		LastPushEpoch:       s.pushed,
+		LastRoundAt:         s.lastRoundAt,
 	}
 	s.mu.Unlock()
+	st.ReplayEpochsFromPartial, st.ReplayEpochsFromCells = s.eng.replayReads()
 	if s.store != nil {
 		ls := s.store.Stats()
 		st.StoreEnabled = true
-		st.StoreAppends = int64(ls.Appends)
 		st.StoreBytes = ls.Bytes
 		st.StoreSegments = ls.Segments
 		st.StoreEntries = ls.Entries
@@ -492,6 +519,10 @@ func (s *CenterServer) ingest(up Upload) error {
 	}
 	if complete {
 		s.pushRound(up.Epoch+1, nil)
+		// The closed epoch's partial follows its push, so the push never
+		// waits for the encode or the write, and it follows the epoch's
+		// cells, so the log stays in epoch order.
+		s.appendPartial(up.Epoch)
 	}
 	return nil
 }
@@ -508,15 +539,48 @@ func (s *CenterServer) appendStore(up Upload) {
 	point, epoch := up.Point, up.Epoch
 	blob, ok, err := s.eng.logCell(up)
 	if err == nil && ok {
-		err = s.store.Append(point, epoch, blob)
+		err = s.appendLog(point, epoch, blob)
 		if err == nil {
 			// A cell landing for this epoch stales any cached partial or
 			// memoized window touching it (late uploads, backfill replays).
 			s.eng.invalidateReplayEpochs(epoch, epoch)
+			s.bump(&s.cellAppends)
 		}
 	}
 	if err != nil {
 		s.cfg.Logf("transport: epoch-log append (%d, %d): %v", point, epoch, err)
 		s.bump(&s.storeErrs)
 	}
+}
+
+// appendPartial appends a closed epoch's merged partial to the epoch log
+// as its partial cell, so a cold replay decodes one blob for the epoch
+// instead of joining every point cell (logSource.EpochPartial). Like
+// appendStore it is never fatal. It leaves the replay cache alone: the
+// replay takes a partial only when it joins exactly the cells the log
+// holds, and then it is the sketch those cells give.
+func (s *CenterServer) appendPartial(epoch int64) {
+	if s.store == nil {
+		return
+	}
+	blob, ok, err := s.eng.logPartial(epoch)
+	if err == nil && ok {
+		if err = s.appendLog(partialCell, epoch, blob); err == nil {
+			s.bump(&s.partialAppends)
+		}
+	}
+	if err != nil {
+		s.cfg.Logf("transport: epoch-log partial append (epoch %d): %v", epoch, err)
+		s.bump(&s.storeErrs)
+	}
+}
+
+// errAppendFault is the error an injected append failure reports.
+var errAppendFault = errors.New("transport: injected epoch-log append failure")
+
+func (s *CenterServer) appendLog(point int, epoch int64, blob []byte) error {
+	if f := s.failAppend.Load(); f != nil && (*f)(point, epoch) {
+		return errAppendFault
+	}
+	return s.store.Append(point, epoch, blob)
 }

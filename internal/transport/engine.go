@@ -2,7 +2,9 @@ package transport
 
 import (
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/countmin"
@@ -306,6 +308,9 @@ type centerEngine interface {
 	// single-epoch measurement the center stored, in its one encoding.
 	// ok=false when the center no longer holds the cell.
 	logCell(up Upload) ([]byte, bool, error)
+	// logPartial returns the epoch log's partial cell for a closed epoch
+	// (appendPartialCell); ok=false when the center holds no cell of it.
+	logPartial(epoch int64) ([]byte, bool, error)
 	// historyAt / historyRange replay the ST join over stored cells
 	// (retrospective T-queries); queryWindowLive answers from the live
 	// window — the reference the replay's exactness contract is against.
@@ -319,6 +324,9 @@ type centerEngine interface {
 	invalidateReplayEpochs(min, max int64)
 	resetReplayCache()
 	replayCacheStats() (core.ReplayCacheStats, bool)
+	// replayReads counts cold replayed epochs by how the log answered
+	// them: from the epoch's partial cell, or from its point cells.
+	replayReads() (partial, cells int64)
 }
 
 // logSource adapts the durable epoch log to core.HistorySource: cells
@@ -326,10 +334,99 @@ type centerEngine interface {
 // coverage signal. It also implements core.SpanSource and
 // core.EpochSource — the batched read path — decoding through a shared
 // scratch pool: the replay never retains the visited sketch, so one
-// recycled sketch per worker absorbs an entire pass.
+// recycled sketch per worker absorbs an entire pass. As a
+// core.PartialSource it serves a closed epoch from its partial cell.
 type logSource[S core.Sketch[S]] struct {
 	log  *durable.Log
 	pool *sketchPool[S]
+	// wide returns a zero sketch of the partials' shape (maximum width).
+	wide  func() S
+	reads *replayReads
+}
+
+// replayReads counts cold replayed epochs by the path that answered them.
+type replayReads struct{ partial, cells atomic.Int64 }
+
+// partialPoints is the one-id point list that reads a partial cell.
+var partialPoints = []int{partialCell}
+
+// appendPartialCell builds an epoch's partial cell: u32 count, that many
+// u32 point ids in ascending order (the cells the partial joined), then
+// the maximum-width sketch's one encoding.
+func appendPartialCell(ids []int, sk []byte) []byte {
+	a := appender{b: make([]byte, 0, 4+4*len(ids)+len(sk))}
+	a.u32(len(ids))
+	for _, id := range ids {
+		a.u32(id)
+	}
+	a.raw(sk)
+	return a.b
+}
+
+// parsePartialCell splits a partial cell into its ids and sketch bytes
+// (aliasing blob). The count is bounded by the bytes left; an empty or
+// unsorted id list is rejected.
+func parsePartialCell(blob []byte) (ids []int, sk []byte, err error) {
+	r := reader{b: blob}
+	n := r.count(4)
+	if n == 0 {
+		r.fail("partial cell joins no point")
+	}
+	ids = make([]int, n)
+	for i := range ids {
+		if ids[i] = r.u32(); i > 0 && ids[i] <= ids[i-1] {
+			r.fail("partial cell ids not ascending at %d", i)
+		}
+	}
+	sk = r.rest()
+	if r.err != nil {
+		return nil, nil, fmt.Errorf("transport: %w", r.err)
+	}
+	return ids, sk, nil
+}
+
+// EpochPartial reads epoch's partial cell and, when its ids are exactly
+// the queried points whose cells the log holds, decodes it into a fresh
+// maximum-width sketch (core.PartialSource). A cell that landed after the
+// partial was logged, a failed cell append and an eviction each break
+// that equality, and the replay joins the cells instead. Coverage is
+// counted from the ids under the current weights, so a weight change
+// needs no tag either.
+func (ls logSource[S]) EpochPartial(epoch int64, points []int) (S, []int, bool, error) {
+	var sk S
+	var ids []int
+	ok := false
+	err := ls.log.GetEpoch(epoch, partialPoints, func(_ int, blob []byte) error {
+		var body []byte
+		var err error
+		if ids, body, err = parsePartialCell(blob); err != nil {
+			return err
+		}
+		held := make([]int, 0, len(points))
+		for _, id := range points {
+			if ls.log.Has(id, epoch) {
+				held = append(held, id)
+			}
+		}
+		if !slices.Equal(ids, held) {
+			return nil
+		}
+		sk = ls.wide()
+		if err := sk.UnmarshalBinary(body); err != nil {
+			return err
+		}
+		ok = true
+		return nil
+	})
+	switch {
+	case err != nil:
+		return sk, nil, false, err
+	case ok:
+		ls.reads.partial.Add(1)
+	default:
+		ls.reads.cells.Add(1)
+	}
+	return sk, ids, ok, nil
 }
 
 func (ls logSource[S]) Cell(point int, epoch int64) (S, bool, error) {
@@ -387,8 +484,9 @@ type engineCenter[S core.Sketch[S]] struct {
 	save func(sec *centerSection) error
 	load func(sec *centerSection) error
 	// hist is the shared decode-scratch pool for the history read path
-	// (logSource).
-	hist *sketchPool[S]
+	// (logSource), and reads counts that path's cold epochs.
+	hist  *sketchPool[S]
+	reads replayReads
 	// pushEnc caches the newest round's encoded aggregates.
 	pushEnc encodeMemo
 }
@@ -497,12 +595,29 @@ func (e *engineCenter[S]) logCell(up Upload) ([]byte, bool, error) {
 	return e.ctr.MarshalUpload(up.Point, up.Epoch, S.MarshalBinaryCompact)
 }
 
+// logPartial encodes a closed epoch's merged partial as its log cell.
+func (e *engineCenter[S]) logPartial(epoch int64) ([]byte, bool, error) {
+	sk, ids, ok, err := e.ctr.MarshalPartial(epoch, S.MarshalBinaryCompact)
+	if err != nil || !ok {
+		return nil, false, err
+	}
+	return appendPartialCell(ids, sk), true, nil
+}
+
+func (e *engineCenter[S]) source(log *durable.Log) logSource[S] {
+	return logSource[S]{log: log, pool: e.hist, wide: e.ctr.NewPartialSketch, reads: &e.reads}
+}
+
 func (e *engineCenter[S]) historyAt(f uint64, k int64, log *durable.Log) (float64, core.Coverage, error) {
-	return e.ctr.QueryAtFrom(f, k, logSource[S]{log: log, pool: e.hist})
+	return e.ctr.QueryAtFrom(f, k, e.source(log))
 }
 
 func (e *engineCenter[S]) historyRange(f uint64, from, to int64, log *durable.Log) (float64, core.Coverage, error) {
-	return e.ctr.QueryRangeFrom(f, from, to, logSource[S]{log: log, pool: e.hist})
+	return e.ctr.QueryRangeFrom(f, from, to, e.source(log))
+}
+
+func (e *engineCenter[S]) replayReads() (partial, cells int64) {
+	return e.reads.partial.Load(), e.reads.cells.Load()
 }
 
 func (e *engineCenter[S]) enableReplayCache(budgetBytes int64) { e.ctr.EnableReplayCache(budgetBytes) }

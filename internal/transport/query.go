@@ -4,8 +4,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"log"
 	"math"
 	"net"
+	"runtime/debug"
 	"sync"
 
 	"repro/internal/core"
@@ -53,6 +55,33 @@ type HistoryHandler struct {
 	At func(flow uint64, k int64) (float64, core.Coverage, error)
 	// Range answers the join over the arbitrary epoch range [from, to].
 	Range func(flow uint64, from, to int64) (float64, core.Coverage, error)
+	// Logf, if set, receives the panics a hook recovered from (defaults
+	// to log.Printf).
+	Logf func(format string, args ...any)
+}
+
+// answer runs one historical hook. An error, a missing hook or a panic
+// all give the NaN answer: a replay that panics costs its request, not
+// the connection or the process.
+func (h HistoryHandler) answer(hook string, call func() (float64, core.Coverage, error)) (v float64, cov core.Coverage) {
+	defer func() {
+		if r := recover(); r != nil {
+			logf := h.Logf
+			if logf == nil {
+				logf = log.Printf
+			}
+			logf("transport: history %s handler panicked: %v\n%s", hook, r, debug.Stack())
+			v, cov = math.NaN(), core.Coverage{}
+		}
+	}()
+	if call == nil {
+		return math.NaN(), core.Coverage{}
+	}
+	v, cov, err := call()
+	if err != nil {
+		return math.NaN(), core.Coverage{}
+	}
+	return v, cov
 }
 
 // QueryServer serves windowed query answers for one local sketch.
@@ -148,13 +177,11 @@ func (s *QueryServer) acceptLoop() {
 					}
 					flow = binary.LittleEndian.Uint64(buf[0:8])
 					k := int64(binary.LittleEndian.Uint64(buf[8:16]))
-					v, cov, err := math.NaN(), core.Coverage{}, error(nil)
-					if s.history.At != nil {
-						v, cov, err = s.history.At(flow, k)
+					var call func() (float64, core.Coverage, error)
+					if at := s.history.At; at != nil {
+						call = func() (float64, core.Coverage, error) { return at(flow, k) }
 					}
-					if err != nil {
-						v, cov = math.NaN(), core.Coverage{}
-					}
+					v, cov := s.history.answer("at", call)
 					if _, err := conn.Write(encodeCovResponse(v, cov)); err != nil {
 						return
 					}
@@ -167,13 +194,11 @@ func (s *QueryServer) acceptLoop() {
 					flow = binary.LittleEndian.Uint64(buf[0:8])
 					from := int64(binary.LittleEndian.Uint64(buf[8:16]))
 					to := int64(binary.LittleEndian.Uint64(buf[16:24]))
-					v, cov, err := math.NaN(), core.Coverage{}, error(nil)
-					if s.history.Range != nil {
-						v, cov, err = s.history.Range(flow, from, to)
+					var call func() (float64, core.Coverage, error)
+					if rg := s.history.Range; rg != nil {
+						call = func() (float64, core.Coverage, error) { return rg(flow, from, to) }
 					}
-					if err != nil {
-						v, cov = math.NaN(), core.Coverage{}
-					}
+					v, cov := s.history.answer("range", call)
 					if _, err := conn.Write(encodeCovResponse(v, cov)); err != nil {
 						return
 					}
