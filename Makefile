@@ -42,14 +42,16 @@ test-race:
 # push round stays O(p + n) sketch operations (no join per destination),
 # that an epoch boundary merges each dirty ingest lane once per kept sketch,
 # that a history window's union estimate stays bit-identical to merging its
-# partials, that a per-epoch partial owns its sketch, that the epoch log runs
-# a batched read's visit unlocked, and that a replay from logged partials
-# answers exactly what the point cells give.
+# partials, that a per-epoch partial owns its sketch, that the window
+# arithmetic refuses a k that would wrap, that the epoch log runs a batched
+# read's visit unlocked, that a replay from logged partials answers exactly
+# what the point cells give, and that every stored partial, logged or
+# cached, answers exactly what a naive merge of the log's cells gives.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=1 -run '^(TestJoinIsLinearPerRound|TestEndEpochFoldsEachLaneOnce|TestReplayWindowMatchesMergeReference|TestEpochPartialDoesNotAliasCells)$$' ./internal/core
+	$(GO) test -race -count=1 -run '^(TestJoinIsLinearPerRound|TestEndEpochFoldsEachLaneOnce|TestReplayWindowMatchesMergeReference|TestEpochPartialDoesNotAliasCells|TestHistoryAggregateSpanEdges)$$' ./internal/core
 	$(GO) test -race -count=1 -run '^TestLogGetManyVisitRunsUnlocked$$' ./internal/durable
-	$(GO) test -race -count=1 -run '^TestPersistedPartialMatchesCells$$' ./internal/transport
+	$(GO) test -race -count=1 -run '^(TestPersistedPartialMatchesCells|TestHistoryModelMatchesNaiveReplay)$$' ./internal/transport
 
 # The crash-restart matrix: process-death scenarios against the durable
 # checkpoint store, plus the store's own corruption/fallback tests, all
@@ -89,10 +91,13 @@ chaos-soak:
 
 # The epoch-log store and retrospective-query gate: the log's own
 # format/retention/torn-tail/concurrency tests, the core replay engine,
-# and the end-to-end oracle matrix (-at/-range bit-identical to recorded
+# the end-to-end oracle matrix (-at/-range bit-identical to recorded
 # live answers across flat/tree/sharded topologies, both designs, both
-# spread backends, and a restart that rebuilds the index from disk),
-# all under the race detector.
+# spread backends, and a restart that rebuilds the index from disk), and
+# the model-based referee TestHistoryModelMatchesNaiveReplay (random
+# appends, faults, weight changes, cache resets, restarts and
+# compactions against a small replay cache, every answer held to a naive
+# merge of the log's cells), all under the race detector.
 store-test:
 	$(GO) test -race -count=1 -run '^(TestLog|TestOpenRejects)' ./internal/durable
 	$(GO) test -race -count=1 -run '^TestHistory' ./internal/core

@@ -145,14 +145,14 @@ func run(args []string) error {
 				detail["store_last_compaction_age_s"] = compactAge
 			}
 			if st.ReplayCacheEnabled {
-				// Replay-cache health: hit ratio tells whether repeated
-				// retrospective queries are landing warm; invalidations
-				// track compaction/append churn aging cached windows.
+				// Replay-cache health: the hit ratio tells whether repeated
+				// retrospective queries land warm. A miss is a cold epoch:
+				// never cached, evicted by the budget, or cached over ids
+				// the log no longer holds exactly (a late cell, a failed
+				// append, a compaction).
 				detail["replay_cache_hits"] = st.ReplayCacheHits
 				detail["replay_cache_misses"] = st.ReplayCacheMisses
-				detail["replay_cache_window_hits"] = st.ReplayCacheWindowHits
 				detail["replay_cache_evictions"] = st.ReplayCacheEvictions
-				detail["replay_cache_invalidations"] = st.ReplayCacheInvalidations
 				detail["replay_cache_bytes"] = st.ReplayCacheBytes
 				detail["replay_cache_entries"] = st.ReplayCacheEntries
 			}

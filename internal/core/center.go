@@ -76,13 +76,8 @@ type Center[S Sketch[S]] struct {
 	// flat center would. Every point has an entry (>= 1).
 	weights map[int]int
 
-	// topoGen counts topology mutations (SetWeight); replay-cache entries
-	// are keyed by it so partials joined under an old weight map can never
-	// serve a query under the new one. protos are fixed at construction,
-	// so weights are the only post-construction shape change.
-	topoGen uint64
-	// replay, when non-nil, caches per-epoch partials and window memos
-	// for the historical replay path (see ReplayCache).
+	// replay, when non-nil, caches per-epoch partials for the historical
+	// replay path (see ReplayCache).
 	replay *ReplayCache[S]
 }
 
@@ -180,9 +175,8 @@ func (c *Center[S]) SetWeight(point, weight int) {
 		weight = 1
 	}
 	if c.weights[point] != weight {
-		c.topoGen++
-		// Memoized coverage (and partials' merged counts) are weighted.
-		c.resetJoinLocked()
+		// Memoized round coverage is weighted; partials are not.
+		clear(c.rounds)
 	}
 	c.weights[point] = weight
 }
@@ -199,19 +193,6 @@ func (c *Center[S]) EnableReplayCache(budgetBytes int64) {
 		return
 	}
 	c.replay = NewReplayCache[S](budgetBytes)
-}
-
-// InvalidateReplayEpochs drops cached replay state touching the
-// inclusive epoch span [min, max]. The store layer calls it when
-// compaction evicts epochs and when a (late) append lands, so the cache
-// never serves an evicted epoch or a partial missing a backfilled cell.
-func (c *Center[S]) InvalidateReplayEpochs(min, max int64) {
-	c.mu.Lock()
-	rc := c.replay
-	c.mu.Unlock()
-	if rc != nil {
-		rc.InvalidateEpochs(min, max)
-	}
 }
 
 // ResetReplayCache drops all cached replay state (cold-path benchmarks).
@@ -487,14 +468,6 @@ func (c *Center[S]) trimLocked(latest int64) {
 // it keeps, so no partial aliases a stored upload.
 type liveSource[S Sketch[S]] map[int]map[int64]S
 
-func (ls liveSource[S]) Cell(point int, epoch int64) (S, bool, error) {
-	sk, ok := ls[point][epoch]
-	if ok {
-		sk = sk.Clone()
-	}
-	return sk, ok, nil
-}
-
 func (ls liveSource[S]) EpochCells(epoch int64, points []int, visit func(int, S) error) error {
 	for _, id := range points {
 		if sk, ok := ls[id][epoch]; ok {
@@ -541,7 +514,7 @@ func (c *Center[S]) partialLocked(e int64) (epochPartial[S], error) {
 	if p, ok := c.part[e]; ok {
 		return p, nil
 	}
-	p, err := computeEpochPartial(e, c.ids, c.weights, c.wMax, liveSource[S](c.uploads))
+	p, err := computeEpochPartial(e, c.ids, c.wMax, liveSource[S](c.uploads))
 	if err != nil {
 		return p, err
 	}

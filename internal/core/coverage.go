@@ -41,8 +41,12 @@ func (c Coverage) Full() bool { return c.EpochsMerged >= c.EpochsExpected }
 // aggregateSpan returns the inclusive epoch range [first, last] the
 // center's aggregate pushed during epoch k covers (eq. (5)): k-n+2 .. k-1,
 // clamped to real epochs (>= 1). It returns ok=false when the range is
-// empty (cluster start-up).
+// empty (cluster start-up, or any k < 2, checked before the arithmetic so
+// a k near math.MinInt64 cannot wrap around to the top epochs).
 func aggregateSpan(k int64, windowN int) (first, last int64, ok bool) {
+	if k < 2 {
+		return 0, 0, false
+	}
 	first, last = k-int64(windowN)+2, k-1
 	if first < 1 {
 		first = 1

@@ -28,47 +28,37 @@ import (
 // (ReplayCache) and the epochs independently computable
 // (replayWorkers-bounded parallelism for cold windows).
 
-// HistorySource yields stored (point, epoch) measurements for replay.
-// Cell returns ok=false for a cell the source does not hold — the
-// coverage signal. A returned sketch is owned by the caller (the replay
-// merges into it). Sources must tolerate concurrent readers: a cold
-// range replay fans epochs across a worker pool.
+// HistorySource yields stored per-epoch measurements for replay: in
+// practice the transport's adapter over the durable epoch log. Sources
+// must tolerate concurrent readers: a cold range replay fans epochs
+// across a worker pool.
 type HistorySource[S Sketch[S]] interface {
-	Cell(point int, epoch int64) (S, bool, error)
+	// Span reports the inclusive epoch range the source retains (ok=false
+	// when it holds nothing). The replay visits only the requested
+	// epochs inside it, so a query's time and memory follow the retained
+	// history rather than the requested range.
+	Span() (first, last int64, ok bool)
+	// Held reports, for each epoch of [first, last], the ids among the
+	// sorted points whose cell the source holds (held[i] for epoch
+	// first+i, sorted): the coverage signal, and the ids every stored
+	// partial is checked against.
+	Held(first, last int64, points []int) [][]int
+	// EpochPartial returns epoch's stored partial — the spatial join at
+	// the maximum width of the cells of held — when the source keeps one
+	// that joined exactly held; ok=false sends the replay to the cells.
+	// The sketch is owned by the caller.
+	EpochPartial(epoch int64, held []int) (sk S, ok bool, err error)
+	EpochSource[S]
 }
 
-// EpochSource is an optional batched fast path a HistorySource may
-// implement: EpochCells yields every cell the source retains for one
-// epoch across the given points, in any order. The sketch passed to
-// visit is borrowed decode scratch — valid only for the duration of the
-// call; the replay clones or merges out of it immediately. Implemented
-// by the transport's log adapter over durable.Log.GetEpoch, turning a
-// window replay's per-cell lookup/read/alloc into one sequential pass
-// per segment.
+// EpochSource yields one epoch's cells: EpochCells visits every cell the
+// source retains for epoch across the given points, in any order. The
+// sketch passed to visit is borrowed — valid only for the duration of the
+// call; the join clones or merges out of it immediately. The log adapter
+// reads an epoch in one batched pass (durable.Log.GetEpoch); the live
+// center serves its window store (liveSource).
 type EpochSource[S Sketch[S]] interface {
 	EpochCells(epoch int64, points []int, visit func(point int, sk S) error) error
-}
-
-// SpanSource is an optional HistorySource extension: Span reports the
-// inclusive epoch range the source retains (ok=false when it holds
-// nothing). The replay visits only the requested epochs inside it, so a
-// query's time and memory follow the retained history rather than the
-// requested range. Implemented by the transport's log adapter over
-// durable.Log.Span.
-type SpanSource interface {
-	Span() (first, last int64, ok bool)
-}
-
-// PartialSource is an optional HistorySource fast path: EpochPartial
-// returns epoch's merged partial — the spatial join at the maximum width
-// that the source's cells for points would give — and the sorted ids it
-// joined. ok is false when the source holds no partial, or none that
-// joins exactly the points whose cells it still holds; the replay then
-// joins the cells. The sketch is owned by the caller. Implemented by the
-// transport's log adapter over the partial cell the center appends when
-// an epoch's round closes (Center.MarshalPartial).
-type PartialSource[S Sketch[S]] interface {
-	EpochPartial(epoch int64, points []int) (sk S, ids []int, ok bool, err error)
 }
 
 // replayWorkers bounds the per-query worker pool replaying cold epochs.
@@ -99,42 +89,23 @@ func (c *Center[S]) QueryRangeFrom(f uint64, from, to int64, src HistorySource[S
 	return c.queryEpochsFrom(f, from, to, src)
 }
 
-// epochPartial is one epoch's spatial join at the maximum width, plus
-// its coverage share and the sorted ids it joined. have is false for an
-// epoch with no retained cells.
+// epochPartial is one epoch's spatial join at the maximum width and the
+// sorted ids it joined. have is false for an epoch with no cells.
 type epochPartial[S Sketch[S]] struct {
-	sk     S
-	have   bool
-	merged int
-	ids    []int
+	sk   S
+	have bool
+	ids  []int
 }
 
-// computeEpochPartial joins every retained cell of epoch e across ids:
-// cells merge at their native widths first, then each width group
-// expands once to wMax and spatially joins — fewer expansions, same
-// register bits. It takes a source's stored partial when src implements
-// PartialSource and holds a valid one, and otherwise prefers the batched
-// EpochSource pass.
-func computeEpochPartial[S Sketch[S]](e int64, ids []int, weights map[int]int, wMax int, src HistorySource[S]) (epochPartial[S], error) {
+// computeEpochPartial joins every cell of epoch e across ids: cells merge
+// at their native widths first, then each width group expands once to
+// wMax and spatially joins — fewer expansions, same register bits.
+func computeEpochPartial[S Sketch[S]](e int64, ids []int, wMax int, src EpochSource[S]) (epochPartial[S], error) {
 	var p epochPartial[S]
-	if ps, ok := src.(PartialSource[S]); ok {
-		sk, joined, ok, err := ps.EpochPartial(e, ids)
-		if err != nil {
-			return p, fmt.Errorf("core: history partial epoch %d: %w", e, err)
-		}
-		if ok {
-			p = epochPartial[S]{sk: sk, have: true, ids: joined}
-			for _, id := range joined {
-				p.merged += weights[id]
-			}
-			return p, nil
-		}
-	}
 	p.ids = make([]int, 0, len(ids))
 	var groups map[int]S
 	var order []int
-	add := func(id int, cell S, owned bool) error {
-		p.merged += weights[id]
+	add := func(id int, cell S) error {
 		p.ids = append(p.ids, id)
 		w := cell.Width()
 		if g, ok := groups[w]; ok {
@@ -146,39 +117,16 @@ func computeEpochPartial[S Sketch[S]](e int64, ids []int, weights map[int]int, w
 		if groups == nil {
 			groups = make(map[int]S, 2)
 		}
-		if owned {
-			groups[w] = cell
-		} else {
-			groups[w] = cell.Clone()
-		}
+		groups[w] = cell.Clone()
 		order = append(order, w)
 		return nil
 	}
-	if es, ok := src.(EpochSource[S]); ok {
-		err := es.EpochCells(e, ids, func(id int, cell S) error {
-			return add(id, cell, false)
-		})
-		if err != nil {
-			return p, fmt.Errorf("core: history epoch %d: %w", e, err)
-		}
-	} else {
-		for _, id := range ids {
-			cell, ok, err := src.Cell(id, e)
-			if err != nil {
-				return p, fmt.Errorf("core: history cell (%d, %d): %w", id, e, err)
-			}
-			if !ok {
-				continue
-			}
-			if err := add(id, cell, true); err != nil {
-				return p, err
-			}
-		}
+	if err := src.EpochCells(e, ids, add); err != nil {
+		return p, fmt.Errorf("core: history epoch %d: %w", e, err)
 	}
 	slices.Sort(p.ids)
 	for _, w := range order {
-		// Every group is owned (cloned or handed over), so one already at
-		// wMax joins as it is.
+		// Every group is a clone, so one already at wMax joins as it is.
 		ex := groups[w]
 		if w != wMax {
 			var err error
@@ -199,12 +147,13 @@ func computeEpochPartial[S Sketch[S]](e int64, ids []int, weights map[int]int, w
 }
 
 // queryEpochsFrom is the shared replay: snapshot the cluster shape
-// (children, weights, maximum width, topology generation) under the
-// lock, then assemble the window from per-epoch partials lock-free so
-// long-range queries never stall ingest. With a replay cache attached,
-// warm epochs are in-memory reads and only cold epochs touch src —
-// those fan out across a bounded worker pool. Coverage expects every
-// requested epoch; only the epochs src retains (SpanSource) are visited.
+// (children, weights, maximum width) under the lock, then assemble the
+// window from per-epoch partials lock-free so long-range queries never
+// stall ingest. One probe of src gives every retained epoch's held ids;
+// a cached partial that joined exactly those ids is an in-memory read,
+// and the cold epochs fan out across a bounded worker pool. Coverage
+// expects every requested epoch and counts the ids each partial joined
+// under the current weights.
 func (c *Center[S]) queryEpochsFrom(f uint64, first, last int64, src HistorySource[S]) (float64, Coverage, error) {
 	c.mu.Lock()
 	ids := c.ids // sorted, fixed at construction
@@ -213,7 +162,6 @@ func (c *Center[S]) queryEpochsFrom(f uint64, first, last int64, src HistorySour
 		weights[id] = c.weightLocked(id)
 	}
 	wMax := c.wMax
-	gen := c.topoGen
 	cache := c.replay
 	c.mu.Unlock()
 
@@ -227,63 +175,40 @@ func (c *Center[S]) queryEpochsFrom(f uint64, first, last int64, src HistorySour
 	}
 	cov := Coverage{EpochsExpected: weight * int(span)}
 
-	var verSum uint64
-	if cache != nil {
-		if ans, ok := cache.lookupWindow(f, first, last, gen); ok {
-			return ans.est, ans.cov, nil
-		}
-		// Snapshot before touching partials: if any epoch in the window
-		// is invalidated between here and insertWindow, the memo insert
-		// is discarded.
-		verSum = cache.versionSum(first, last)
-	}
-
 	// Epochs outside the retained span hold no cells: skip them.
-	vFirst, vLast := first, last
-	if ss, ok := src.(SpanSource); ok {
-		lo, hi, ok := ss.Span()
-		if !ok {
-			return 0, cov, nil
-		}
-		vFirst, vLast = max(first, lo), min(last, hi)
-		if vFirst > vLast {
-			return 0, cov, nil
-		}
+	lo, hi, ok := src.Span()
+	if !ok {
+		return 0, cov, nil
 	}
-
-	type slot struct {
-		p   epochPartial[S]
-		ver uint64
+	vFirst, vLast := max(first, lo), min(last, hi)
+	if vFirst > vLast {
+		return 0, cov, nil
 	}
-	slots := make([]slot, vLast-vFirst+1)
+	held := src.Held(vFirst, vLast, ids)
+	slots := make([]epochPartial[S], len(held))
 	var cold []int
-	for i := range slots {
-		e := vFirst + int64(i)
+	for i, h := range held {
+		if len(h) == 0 {
+			continue
+		}
 		if cache != nil {
-			if sk, merged, have, ok := cache.lookupPartial(e, gen); ok {
-				slots[i].p = epochPartial[S]{sk: sk, have: have, merged: merged}
+			if sk, ok := cache.lookupPartial(vFirst+int64(i), h); ok {
+				slots[i] = epochPartial[S]{sk: sk, have: true, ids: h}
 				continue
 			}
-			slots[i].ver = cache.version(e)
 		}
 		cold = append(cold, i)
 	}
 
-	workers := len(cold)
-	if mp := runtime.GOMAXPROCS(0); workers > mp {
-		workers = mp
-	}
-	if workers > replayWorkers {
-		workers = replayWorkers
-	}
+	workers := min(len(cold), runtime.GOMAXPROCS(0), replayWorkers)
 	var firstErr error
 	if workers <= 1 {
 		for _, i := range cold {
-			p, err := computeEpochPartial(vFirst+int64(i), ids, weights, wMax, src)
+			p, err := replayEpoch(vFirst+int64(i), held[i], wMax, src)
 			if err != nil {
 				return 0, cov, err
 			}
-			slots[i].p = p
+			slots[i] = p
 		}
 	} else {
 		var wg sync.WaitGroup
@@ -294,7 +219,7 @@ func (c *Center[S]) queryEpochsFrom(f uint64, first, last int64, src HistorySour
 			go func() {
 				defer wg.Done()
 				for i := range work {
-					p, err := computeEpochPartial(vFirst+int64(i), ids, weights, wMax, src)
+					p, err := replayEpoch(vFirst+int64(i), held[i], wMax, src)
 					if err != nil {
 						errMu.Lock()
 						if firstErr == nil {
@@ -303,7 +228,7 @@ func (c *Center[S]) queryEpochsFrom(f uint64, first, last int64, src HistorySour
 						errMu.Unlock()
 						continue
 					}
-					slots[i].p = p
+					slots[i] = p
 				}
 			}()
 		}
@@ -321,14 +246,11 @@ func (c *Center[S]) queryEpochsFrom(f uint64, first, last int64, src HistorySour
 	// everything below only reads it.
 	if cache != nil {
 		for _, i := range cold {
-			p := slots[i].p
-			// 64 bytes of entry overhead plus the sketch's footprint under
-			// the paper's memory model (see NewReplayCache); no allocation.
-			cost := int64(64)
-			if p.have {
-				cost += int64(p.sk.MemoryBits() / 8)
+			if p := slots[i]; p.have {
+				// 64 bytes of entry overhead plus the sketch's footprint under
+				// the paper's memory model (see NewReplayCache); no allocation.
+				cache.insertPartial(vFirst+int64(i), p.ids, p.sk, 64+int64(p.sk.MemoryBits()/8))
 			}
-			cache.insertPartial(vFirst+int64(i), gen, slots[i].ver, p.sk, p.have, p.merged, cost)
 		}
 	}
 
@@ -336,11 +258,12 @@ func (c *Center[S]) queryEpochsFrom(f uint64, first, last int64, src HistorySour
 	// (EstimateUnion): bit-identical to merging them, with no window-sized
 	// sketch. The shape check Merge would make stays.
 	parts := make([]S, 0, len(slots))
-	for i := range slots {
-		p := slots[i].p
-		cov.EpochsMerged += p.merged
+	for i, p := range slots {
 		if !p.have {
 			continue
+		}
+		for _, id := range p.ids {
+			cov.EpochsMerged += weights[id]
 		}
 		if len(parts) > 0 && (p.sk.Width() != parts[0].Width() || !parts[0].Compatible(p.sk)) {
 			return 0, cov, fmt.Errorf("core: history window join epoch %d: partial of width %d does not join width %d",
@@ -351,11 +274,21 @@ func (c *Center[S]) queryEpochsFrom(f uint64, first, last int64, src HistorySour
 	if len(parts) == 0 {
 		return 0, cov, nil
 	}
-	est := parts[0].EstimateUnion(f, parts[1:])
-	if cache != nil {
-		cache.insertWindow(windowKey{f, first, last, gen}, windowAnswer{est, cov}, verSum)
+	return parts[0].EstimateUnion(f, parts[1:]), cov, nil
+}
+
+// replayEpoch builds epoch e's partial over held, the sorted ids whose
+// cells src holds: from src's stored partial when it joined exactly
+// those ids, and otherwise from the cells.
+func replayEpoch[S Sketch[S]](e int64, held []int, wMax int, src HistorySource[S]) (epochPartial[S], error) {
+	sk, ok, err := src.EpochPartial(e, held)
+	if err != nil {
+		return epochPartial[S]{}, fmt.Errorf("core: history partial epoch %d: %w", e, err)
 	}
-	return est, cov, nil
+	if ok {
+		return epochPartial[S]{sk: sk, have: true, ids: held}, nil
+	}
+	return computeEpochPartial(e, held, wMax, src)
 }
 
 // QueryWindowLive answers the networkwide T-query for flow f as of epoch
@@ -404,7 +337,7 @@ func (c *Center[S]) MarshalUpload(point int, epoch int64, enc func(S) ([]byte, e
 // joined, building the partial if the window no longer memoizes it. ok is
 // false when the center holds no cell of epoch. A built partial is never
 // mutated, so only the lookup holds the center lock. This is the epoch
-// log's partial-cell feed (PartialSource).
+// log's partial-cell feed (HistorySource.EpochPartial).
 func (c *Center[S]) MarshalPartial(epoch int64, enc func(S) ([]byte, error)) ([]byte, []int, bool, error) {
 	c.mu.Lock()
 	p, err := c.partialLocked(epoch)

@@ -10,7 +10,7 @@ import (
 
 // mapHistSource is an in-memory HistorySource over encoded cells — the
 // shape the durable epoch log presents, including the encode/decode
-// round trip the real path takes.
+// round trip the real path takes. Cell reads one cell, for references.
 type mapHistSource[S Sketch[S]] struct {
 	cells map[[2]int64][]byte
 	dec   func([]byte) (S, error)
@@ -27,6 +27,41 @@ func (m *mapHistSource[S]) Cell(point int, epoch int64) (S, bool, error) {
 		return zero, false, err
 	}
 	return sk, true, nil
+}
+
+// Span claims every epoch, so the replay visits each requested one
+// (spannedSource reports the epochs the cells cover).
+func (m *mapHistSource[S]) Span() (first, last int64, ok bool) { return 1, math.MaxInt64, true }
+
+func (m *mapHistSource[S]) Held(first, last int64, points []int) [][]int {
+	held := make([][]int, last-first+1)
+	for i := range held {
+		for _, id := range points {
+			if _, ok := m.cells[[2]int64{int64(id), first + int64(i)}]; ok {
+				held[i] = append(held[i], id)
+			}
+		}
+	}
+	return held
+}
+
+// EpochPartial never answers: the source stores no partials.
+func (m *mapHistSource[S]) EpochPartial(int64, []int) (S, bool, error) {
+	var zero S
+	return zero, false, nil
+}
+
+func (m *mapHistSource[S]) EpochCells(epoch int64, points []int, visit func(int, S) error) error {
+	for _, id := range points {
+		sk, ok, err := m.Cell(id, epoch)
+		if err == nil && ok {
+			err = visit(id, sk)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (m *mapHistSource[S]) drop(point int, epoch int64) {

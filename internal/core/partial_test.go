@@ -18,14 +18,6 @@ type scratchSource[S Sketch[S]] struct {
 	scratch map[int]S // width -> the sketch lent to visit
 }
 
-func (s scratchSource[S]) Cell(point int, _ int64) (S, bool, error) {
-	sk, ok := s.cells[point]
-	if ok {
-		sk = sk.Clone()
-	}
-	return sk, ok, nil
-}
-
 func (s scratchSource[S]) EpochCells(_ int64, points []int, visit func(int, S) error) error {
 	for _, id := range points {
 		cell, ok := s.cells[id]
@@ -131,7 +123,7 @@ func checkPartialOwnsSketch[S Sketch[S]](t *testing.T, c *Center[S], e int64) {
 		src.cells[id] = cell
 		src.scratch[cell.Width()] = cell.Clone()
 	}
-	rp, err := computeEpochPartial(e, c.ids, c.weights, c.wMax, HistorySource[S](src))
+	rp, err := computeEpochPartial(e, c.ids, c.wMax, src)
 	if err != nil {
 		t.Fatal(err)
 	}

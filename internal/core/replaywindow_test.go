@@ -18,9 +18,8 @@ import (
 // naive algorithm: every retained cell in the window expanded to the
 // maximum width, cloned and merged into one sketch, then estimated.
 
-// spannedSource is a mapHistSource that also reports the epochs it
-// retains (SpanSource), as the epoch log does, so the replay clamps the
-// epochs it visits.
+// spannedSource is a mapHistSource that reports the epochs it retains,
+// as the epoch log does, so the replay clamps the epochs it visits.
 type spannedSource[S Sketch[S]] struct{ *mapHistSource[S] }
 
 func (s spannedSource[S]) Span() (first, last int64, ok bool) {
@@ -211,7 +210,7 @@ func runReplayWindowReference[S Sketch[S]](t *testing.T, seed int64, b windowBac
 			t.Run(fmt.Sprintf("foreign-%s/epoch=%d", name, at), func(t *testing.T) {
 				ctr.EnableReplayCache(64 << 20)
 				rc := ctr.replay
-				rc.insertPartial(at, ctr.topoGen, rc.version(at), foreign[name], true, 1, partialCost)
+				rc.insertPartial(at, src.Held(at, at, ids)[0], foreign[name], partialCost)
 				_, _, err := ctr.QueryRangeFrom(1, 4, 8, src)
 				if err == nil || !strings.Contains(err.Error(), "history window join epoch") {
 					t.Fatalf("foreign %s partial at epoch %d: err = %v, want the window-join error", name, at, err)

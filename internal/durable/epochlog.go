@@ -36,6 +36,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -75,12 +76,6 @@ type LogConfig struct {
 	// MaxBytes, when > 0, evicts oldest sealed segments until the log
 	// fits. 0 is unlimited.
 	MaxBytes int64
-	// OnEvict, when non-nil, is called after any compaction pass that
-	// evicted at least one non-empty segment, with the inclusive epoch
-	// span the evicted segments covered. It runs without log locks held,
-	// so the callback may call back into the Log; replay caches hook it
-	// to drop partials for epochs the store can no longer serve.
-	OnEvict func(minEpoch, maxEpoch int64)
 }
 
 // LogStats is a point-in-time snapshot of the log for health endpoints.
@@ -146,11 +141,14 @@ type Log struct {
 	mu         sync.RWMutex
 	closed     bool
 	compacting bool
-	index      map[cellKey]entryRef
-	segs       []*segMeta // ascending seq; the last one is active
-	active     *os.File   // append handle for segs[len(segs)-1]
-	lastEpoch  int64
-	haveEpoch  bool
+	// index maps each epoch to its cells' newest entries. It is keyed
+	// by epoch so one epoch's cells are one lookup away (Held).
+	index     map[int64]epochCells
+	cells     int        // cells in index
+	segs      []*segMeta // ascending seq; the last one is active
+	active    *os.File   // append handle for segs[len(segs)-1]
+	lastEpoch int64
+	haveEpoch bool
 
 	appends          uint64
 	compactions      uint64
@@ -183,7 +181,7 @@ func OpenLog(cfg LogConfig) (*Log, error) {
 	}
 	l := &Log{
 		cfg:     cfg,
-		index:   make(map[cellKey]entryRef),
+		index:   make(map[int64]epochCells),
 		readers: make(map[uint64]*os.File),
 	}
 	seqs, err := l.segSeqs()
@@ -255,9 +253,9 @@ func (l *Log) scanSegmentFile(seq uint64, final bool) error {
 	}
 	meta := &segMeta{seq: seq}
 	good, scanErr := scanSegment(b, func(off int64, point int, epoch int64, blob []byte) {
-		l.index[cellKey{point, epoch}] = entryRef{
+		l.setRefLocked(point, epoch, entryRef{
 			seq: seq, off: off, n: entryHeaderLen + len(blob) + entryCRCLen,
-		}
+		})
 		l.noteCell(meta, point, epoch)
 	})
 	if scanErr != nil {
@@ -278,6 +276,50 @@ func (l *Log) scanSegmentFile(seq uint64, final bool) error {
 	meta.bytes = int64(len(b))
 	l.segs = append(l.segs, meta)
 	return nil
+}
+
+// epochCells lists one epoch's indexed cells in ascending point order:
+// a few dozen at most, searched in place.
+type epochCells []cellRef
+
+type cellRef struct {
+	point int
+	ref   entryRef
+}
+
+// find returns point's position in c, or where it would be inserted.
+func (c epochCells) find(point int) (int, bool) {
+	lo, hi := 0, len(c)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); c[m].point < point {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(c) && c[lo].point == point
+}
+
+// refLocked returns the index entry for (point, epoch).
+func (l *Log) refLocked(point int, epoch int64) (entryRef, bool) {
+	cells := l.index[epoch]
+	i, ok := cells.find(point)
+	if !ok {
+		return entryRef{}, false
+	}
+	return cells[i].ref, true
+}
+
+// setRefLocked points the index at a cell's newest entry.
+func (l *Log) setRefLocked(point int, epoch int64, ref entryRef) {
+	cells := l.index[epoch]
+	i, ok := cells.find(point)
+	if ok {
+		cells[i].ref = ref
+		return
+	}
+	l.index[epoch] = slices.Insert(cells, i, cellRef{point, ref})
+	l.cells++
 }
 
 func (l *Log) noteCell(meta *segMeta, point int, epoch int64) {
@@ -412,7 +454,7 @@ func (l *Log) Append(point int, epoch int64, blob []byte) error {
 	if _, err := l.active.Write(buf); err != nil {
 		return fmt.Errorf("durable: append: %w", err)
 	}
-	l.index[cellKey{point, epoch}] = entryRef{seq: meta.seq, off: meta.bytes, n: len(buf)}
+	l.setRefLocked(point, epoch, entryRef{seq: meta.seq, off: meta.bytes, n: len(buf)})
 	meta.bytes += int64(len(buf))
 	l.noteCell(meta, point, epoch)
 	l.appends++
@@ -427,13 +469,11 @@ func (l *Log) Append(point int, epoch int64, blob []byte) error {
 		go func() {
 			defer l.wg.Done()
 			l.mu.Lock()
+			defer l.mu.Unlock()
 			l.compacting = false
-			var ev evictSpan
 			if !l.closed {
-				ev, _ = l.compactLocked()
+				_ = l.compactLocked()
 			}
-			l.mu.Unlock()
-			l.notifyEvict(ev)
 		}()
 	}
 	return nil
@@ -495,34 +535,6 @@ func (l *Log) retentionCutoffLocked() (int64, bool) {
 	return l.lastEpoch - int64(l.cfg.RetainEpochs), true
 }
 
-// evictSpan accumulates the inclusive epoch range a compaction pass
-// removed, for the OnEvict callback.
-type evictSpan struct {
-	min, max int64
-	ok       bool
-}
-
-func (s *evictSpan) add(m *segMeta) {
-	if m.entries == 0 {
-		return
-	}
-	if !s.ok || m.minEpoch < s.min {
-		s.min = m.minEpoch
-	}
-	if !s.ok || m.maxEpoch > s.max {
-		s.max = m.maxEpoch
-	}
-	s.ok = true
-}
-
-// notifyEvict fires the OnEvict callback for a non-empty evicted span.
-// Must be called without l.mu held.
-func (l *Log) notifyEvict(ev evictSpan) {
-	if ev.ok && l.cfg.OnEvict != nil {
-		l.cfg.OnEvict(ev.min, ev.max)
-	}
-}
-
 // Compact runs one synchronous compaction pass: sealed segments whose
 // every epoch falls behind the retention cutoff are deleted, then oldest
 // sealed segments go until the log fits MaxBytes. The active segment is
@@ -530,19 +542,15 @@ func (l *Log) notifyEvict(ev evictSpan) {
 // retried on the next pass.
 func (l *Log) Compact() error {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.closed {
-		l.mu.Unlock()
 		return ErrLogClosed
 	}
-	ev, err := l.compactLocked()
-	l.mu.Unlock()
-	l.notifyEvict(ev)
-	return err
+	return l.compactLocked()
 }
 
-func (l *Log) compactLocked() (evictSpan, error) {
+func (l *Log) compactLocked() error {
 	var firstErr error
-	var ev evictSpan
 	cutoff, haveCutoff := l.retentionCutoffLocked()
 	keep := l.segs[:0:0]
 	sealed := l.segs[:len(l.segs)-1]
@@ -562,7 +570,6 @@ func (l *Log) compactLocked() (evictSpan, error) {
 			keep = append(keep, sealed[i])
 			continue
 		}
-		ev.add(m)
 	}
 	// MaxBytes: evict oldest sealed survivors until the log fits.
 	if l.cfg.MaxBytes > 0 {
@@ -578,7 +585,6 @@ func (l *Log) compactLocked() (evictSpan, error) {
 				}
 				break
 			}
-			ev.add(m)
 			total -= m.bytes
 			keep = keep[1:]
 		}
@@ -586,7 +592,7 @@ func (l *Log) compactLocked() (evictSpan, error) {
 	l.segs = append(keep, l.segs[len(l.segs)-1])
 	l.compactions++
 	l.lastCompaction = time.Now()
-	return ev, firstErr
+	return firstErr
 }
 
 // dropSegmentLocked deletes one sealed segment and scrubs its cells from
@@ -606,8 +612,14 @@ func (l *Log) dropSegmentLocked(m *segMeta) error {
 	}
 	l.rmu.Unlock()
 	for _, k := range m.keys {
-		if ref, ok := l.index[k]; ok && ref.seq == m.seq {
-			delete(l.index, k)
+		cells := l.index[k.epoch]
+		if i, ok := cells.find(k.point); ok && cells[i].ref.seq == m.seq {
+			l.cells--
+			if cells = slices.Delete(cells, i, i+1); len(cells) == 0 {
+				delete(l.index, k.epoch)
+			} else {
+				l.index[k.epoch] = cells
+			}
 		}
 	}
 	m.keys = nil
@@ -659,7 +671,7 @@ func (l *Log) Get(point int, epoch int64) ([]byte, bool, error) {
 	if l.closed {
 		return nil, false, ErrLogClosed
 	}
-	ref, ok := l.index[cellKey{point, epoch}]
+	ref, ok := l.refLocked(point, epoch)
 	if !ok {
 		return nil, false, nil
 	}
@@ -768,12 +780,13 @@ func (l *Log) readMany(epochs []int64, points []int) ([]cellHit, []*readBuf, err
 				break
 			}
 		}
-		if !admitted {
+		cells := l.index[e]
+		if !admitted || cells == nil {
 			continue
 		}
 		for _, pt := range points {
-			if ref, ok := l.index[cellKey{pt, e}]; ok {
-				hits = append(hits, cellHit{ref: ref, point: pt, epoch: e})
+			if i, ok := cells.find(pt); ok {
+				hits = append(hits, cellHit{ref: cells[i].ref, point: pt, epoch: e})
 			}
 		}
 	}
@@ -831,8 +844,33 @@ func (l *Log) GetEpoch(epoch int64, points []int, visit func(point int, blob []b
 func (l *Log) Has(point int, epoch int64) bool {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	_, ok := l.index[cellKey{point, epoch}]
+	_, ok := l.refLocked(point, epoch)
 	return ok
+}
+
+// Held reports which of points hold a retained cell in each epoch of
+// [first, last]: held[i] lists, in the order of points, those whose cell
+// for epoch first+i is retained. It takes the read lock once for the
+// whole span, so a caller sees one consistent index.
+func (l *Log) Held(first, last int64, points []int) [][]int {
+	if first > last {
+		return nil
+	}
+	held := make([][]int, last-first+1)
+	buf := make([]int, 0, len(held)*len(points))
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	for i := range held {
+		cells := l.index[first+int64(i)]
+		start := len(buf)
+		for _, id := range points {
+			if _, ok := cells.find(id); ok {
+				buf = append(buf, id)
+			}
+		}
+		held[i] = buf[start:len(buf):len(buf)]
+	}
+	return held
 }
 
 // reader returns the lazily-opened read handle for a segment. Called
@@ -882,7 +920,7 @@ func (l *Log) Stats() LogStats {
 	defer l.mu.RUnlock()
 	st := LogStats{
 		Segments:         len(l.segs),
-		Entries:          len(l.index),
+		Entries:          l.cells,
 		Appends:          l.appends,
 		Compactions:      l.compactions,
 		CompactionErrors: l.compactionErrors,

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 )
 
@@ -118,64 +117,49 @@ func TestLogEvictionKeepsReappendedCells(t *testing.T) {
 	}
 }
 
-// OnEvict must fire after compaction with a span covering every evicted
-// epoch, and must not fire when nothing is evicted.
-func TestLogOnEvictSpan(t *testing.T) {
-	type span struct{ min, max int64 }
-	var (
-		mu    sync.Mutex // Append's background compaction also fires OnEvict
-		calls []span
-	)
-	snapshot := func() []span {
-		mu.Lock()
-		defer mu.Unlock()
-		return append([]span(nil), calls...)
-	}
-	l, err := OpenLog(LogConfig{
-		Dir: t.TempDir(), MaxSegmentBytes: 64, RetainEpochs: 4,
-		OnEvict: func(minEpoch, maxEpoch int64) {
-			mu.Lock()
-			calls = append(calls, span{minEpoch, maxEpoch})
-			mu.Unlock()
-		},
-	})
+// Held must agree with Has for every (point, epoch) of the span once a
+// compaction evicted the oldest epochs, and list each epoch's ids in the
+// order of the requested points.
+func TestLogHeldMatchesHas(t *testing.T) {
+	l, err := OpenLog(LogConfig{Dir: t.TempDir(), MaxSegmentBytes: 64, RetainEpochs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	mustAppend(t, l, 0, 1)
-	if err := l.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if got := snapshot(); len(got) != 0 {
-		t.Fatalf("OnEvict fired with nothing to evict: %+v", got)
-	}
-	for epoch := int64(2); epoch <= 20; epoch++ {
-		mustAppend(t, l, 0, epoch)
-	}
-	if err := l.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	got := snapshot()
-	if len(got) == 0 {
-		t.Fatal("OnEvict never fired across an evicting compaction")
-	}
-	first, _, ok := l.Span()
-	if !ok || first <= 1 {
-		t.Fatalf("compaction evicted nothing: first=%d", first)
-	}
-	covered := func(e int64) bool {
-		for _, c := range got {
-			if c.min <= e && e <= c.max {
-				return true
+	for epoch := int64(1); epoch <= 12; epoch++ {
+		for point := 0; point < 4; point++ {
+			if (int(epoch)+point)%3 != 0 {
+				mustAppend(t, l, point, epoch)
 			}
 		}
-		return false
 	}
-	for epoch := int64(1); epoch < first; epoch++ {
-		if !covered(epoch) {
-			t.Errorf("evicted epoch %d outside every OnEvict span %+v", epoch, got)
+	// A synchronous pass first: it leaves a background one nothing to
+	// evict, so the index holds still while Held and Has read it.
+	if err := l.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if first, _, _ := l.Span(); first <= 1 {
+		t.Fatalf("compaction evicted nothing: first=%d", first)
+	}
+	points := []int{0, 2, 3, 5}
+	held := l.Held(0, 13, points)
+	if len(held) != 14 {
+		t.Fatalf("Held over 14 epochs returned %d", len(held))
+	}
+	for i, ids := range held {
+		epoch := int64(i)
+		var want []int
+		for _, point := range points {
+			if l.Has(point, epoch) {
+				want = append(want, point)
+			}
 		}
+		if fmt.Sprint(ids) != fmt.Sprint(want) {
+			t.Errorf("Held epoch %d = %v, Has says %v", epoch, ids, want)
+		}
+	}
+	if held := l.Held(5, 4, points); held != nil {
+		t.Fatalf("Held over an empty span = %v", held)
 	}
 }
 

@@ -89,12 +89,13 @@ type CenterConfig struct {
 	// package default).
 	StoreSegmentBytes int64
 	// ReplayCacheBytes budgets the historical-replay cache (decoded
-	// per-epoch partials + window memos; see core.ReplayCache), which
-	// makes warm repeated HistoryAt queries in-memory and sliding
-	// HistoryRange sweeps O(1 new epoch) per step. Zero picks a default
-	// (64 MiB) whenever the store is enabled; negative disables caching.
-	// Entries are invalidated by store compaction and late appends, so
-	// cached answers stay bit-identical to a cold replay.
+	// per-epoch partials; see core.ReplayCache), which makes warm
+	// repeated HistoryAt queries in-memory and sliding HistoryRange
+	// sweeps O(1 new epoch) per step. Zero picks a default (64 MiB)
+	// whenever the store is enabled; negative disables caching. A cached
+	// partial is served only while the ids it joined equal the cells the
+	// store holds for its epoch, so cached answers stay bit-identical to
+	// a cold replay.
 	ReplayCacheBytes int64
 	// HistoryAddr, if set, serves the query RPC (live, coverage, and
 	// historical forms) on this TCP address; tqquery -at/-range dials it
@@ -201,12 +202,6 @@ func ServeCenter(cfg CenterConfig) (*CenterServer, error) {
 			RetainEpochs:    cfg.RetainEpochs,
 			MaxBytes:        cfg.StoreMaxBytes,
 			MaxSegmentBytes: cfg.StoreSegmentBytes,
-			// Compaction eviction must reach the replay cache before any
-			// query can hit a partial for an epoch the store no longer
-			// holds; the callback fires outside the log's locks.
-			OnEvict: func(minEpoch, maxEpoch int64) {
-				s.eng.invalidateReplayEpochs(minEpoch, maxEpoch)
-			},
 		})
 		if err != nil {
 			return nil, fmt.Errorf("transport: open epoch-log store: %w", err)
@@ -316,17 +311,15 @@ type CenterStats struct {
 	StoreLastCompaction time.Time
 	// ReplayCacheEnabled reports whether the historical-replay cache is
 	// attached; the remaining ReplayCache* fields mirror
-	// core.ReplayCacheStats (partial hits/misses, whole-window memo hits,
-	// budget evictions, compaction/append invalidations, footprint).
-	ReplayCacheEnabled       bool
-	ReplayCacheHits          int64
-	ReplayCacheMisses        int64
-	ReplayCacheWindowHits    int64
-	ReplayCacheEvictions     int64
-	ReplayCacheInvalidations int64
-	ReplayCacheBytes         int64
-	ReplayCacheEntries       int
-	ReplayCacheBudget        int64
+	// core.ReplayCacheStats (partial hits/misses, budget evictions,
+	// footprint).
+	ReplayCacheEnabled   bool
+	ReplayCacheHits      int64
+	ReplayCacheMisses    int64
+	ReplayCacheEvictions int64
+	ReplayCacheBytes     int64
+	ReplayCacheEntries   int
+	ReplayCacheBudget    int64
 }
 
 // Stats returns a snapshot of the center's counters.
@@ -368,9 +361,7 @@ func (s *CenterServer) Stats() CenterStats {
 		st.ReplayCacheEnabled = true
 		st.ReplayCacheHits = int64(rs.Hits)
 		st.ReplayCacheMisses = int64(rs.Misses)
-		st.ReplayCacheWindowHits = int64(rs.WindowHits)
 		st.ReplayCacheEvictions = int64(rs.Evictions)
-		st.ReplayCacheInvalidations = int64(rs.Invalidations)
 		st.ReplayCacheBytes = rs.Bytes
 		st.ReplayCacheEntries = rs.Entries
 		st.ReplayCacheBudget = rs.Budget
@@ -539,11 +530,7 @@ func (s *CenterServer) appendStore(up Upload) {
 	point, epoch := up.Point, up.Epoch
 	blob, ok, err := s.eng.logCell(up)
 	if err == nil && ok {
-		err = s.appendLog(point, epoch, blob)
-		if err == nil {
-			// A cell landing for this epoch stales any cached partial or
-			// memoized window touching it (late uploads, backfill replays).
-			s.eng.invalidateReplayEpochs(epoch, epoch)
+		if err = s.appendLog(point, epoch, blob); err == nil {
 			s.bump(&s.cellAppends)
 		}
 	}

@@ -317,11 +317,9 @@ type centerEngine interface {
 	historyAt(f uint64, k int64, log *durable.Log) (float64, core.Coverage, error)
 	historyRange(f uint64, from, to int64, log *durable.Log) (float64, core.Coverage, error)
 	queryWindowLive(f uint64, k int64) (float64, core.Coverage, error)
-	// Replay-cache control (see core.ReplayCache): budget attach,
-	// epoch-span invalidation (compaction / late appends), cold reset for
-	// benchmarks, and counters for /readyz.
+	// Replay-cache control (see core.ReplayCache): budget attach, cold
+	// reset for benchmarks, and counters for /readyz.
 	enableReplayCache(budgetBytes int64)
-	invalidateReplayEpochs(min, max int64)
 	resetReplayCache()
 	replayCacheStats() (core.ReplayCacheStats, bool)
 	// replayReads counts cold replayed epochs by how the log answered
@@ -329,13 +327,12 @@ type centerEngine interface {
 	replayReads() (partial, cells int64)
 }
 
-// logSource adapts the durable epoch log to core.HistorySource: cells
-// come back as decoded sketches of their point's shape, absence is the
-// coverage signal. It also implements core.SpanSource and
-// core.EpochSource — the batched read path — decoding through a shared
-// scratch pool: the replay never retains the visited sketch, so one
-// recycled sketch per worker absorbs an entire pass. As a
-// core.PartialSource it serves a closed epoch from its partial cell.
+// logSource adapts the durable epoch log to core.HistorySource: the log's
+// span and index give the retained epochs and their held ids, a closed
+// epoch is served from its partial cell, and otherwise its cells come
+// back in one batched pass, decoded through a shared scratch pool: the
+// replay never retains the visited sketch, so one recycled sketch per
+// worker absorbs an entire pass.
 type logSource[S core.Sketch[S]] struct {
 	log  *durable.Log
 	pool *sketchPool[S]
@@ -386,30 +383,16 @@ func parsePartialCell(blob []byte) (ids []int, sk []byte, err error) {
 }
 
 // EpochPartial reads epoch's partial cell and, when its ids are exactly
-// the queried points whose cells the log holds, decodes it into a fresh
-// maximum-width sketch (core.PartialSource). A cell that landed after the
-// partial was logged, a failed cell append and an eviction each break
-// that equality, and the replay joins the cells instead. Coverage is
-// counted from the ids under the current weights, so a weight change
-// needs no tag either.
-func (ls logSource[S]) EpochPartial(epoch int64, points []int) (S, []int, bool, error) {
+// held, decodes it into a fresh maximum-width sketch. A cell that landed
+// after the partial was logged, a failed cell append and an eviction each
+// break that equality, and the replay joins the cells instead.
+func (ls logSource[S]) EpochPartial(epoch int64, held []int) (S, bool, error) {
 	var sk S
-	var ids []int
 	ok := false
 	err := ls.log.GetEpoch(epoch, partialPoints, func(_ int, blob []byte) error {
-		var body []byte
-		var err error
-		if ids, body, err = parsePartialCell(blob); err != nil {
+		ids, body, err := parsePartialCell(blob)
+		if err != nil || !slices.Equal(ids, held) {
 			return err
-		}
-		held := make([]int, 0, len(points))
-		for _, id := range points {
-			if ls.log.Has(id, epoch) {
-				held = append(held, id)
-			}
-		}
-		if !slices.Equal(ids, held) {
-			return nil
 		}
 		sk = ls.wide()
 		if err := sk.UnmarshalBinary(body); err != nil {
@@ -420,30 +403,22 @@ func (ls logSource[S]) EpochPartial(epoch int64, points []int) (S, []int, bool, 
 	})
 	switch {
 	case err != nil:
-		return sk, nil, false, err
+		return sk, false, err
 	case ok:
 		ls.reads.partial.Add(1)
 	default:
 		ls.reads.cells.Add(1)
 	}
-	return sk, ids, ok, nil
+	return sk, ok, nil
 }
 
-func (ls logSource[S]) Cell(point int, epoch int64) (S, bool, error) {
-	var zero S
-	b, ok, err := ls.log.Get(point, epoch)
-	if err != nil || !ok {
-		return zero, false, err
-	}
-	sk, err := decodeFor(ls.pool.fresh, point, b)
-	if err != nil {
-		return zero, false, err
-	}
-	return sk, true, nil
-}
-
-// Span bounds a replay to the epochs the log retains (core.SpanSource).
+// Span bounds a replay to the epochs the log retains.
 func (ls logSource[S]) Span() (first, last int64, ok bool) { return ls.log.Span() }
+
+// Held probes the log's index once for the whole span.
+func (ls logSource[S]) Held(first, last int64, points []int) [][]int {
+	return ls.log.Held(first, last, points)
+}
 
 // EpochCells streams one epoch's cells out of the log in a single
 // batched pass (durable.Log.GetEpoch): segment-grouped offset-ordered
@@ -621,10 +596,7 @@ func (e *engineCenter[S]) replayReads() (partial, cells int64) {
 }
 
 func (e *engineCenter[S]) enableReplayCache(budgetBytes int64) { e.ctr.EnableReplayCache(budgetBytes) }
-func (e *engineCenter[S]) invalidateReplayEpochs(min, max int64) {
-	e.ctr.InvalidateReplayEpochs(min, max)
-}
-func (e *engineCenter[S]) resetReplayCache() { e.ctr.ResetReplayCache() }
+func (e *engineCenter[S]) resetReplayCache()                   { e.ctr.ResetReplayCache() }
 func (e *engineCenter[S]) replayCacheStats() (core.ReplayCacheStats, bool) {
 	return e.ctr.ReplayCacheStats()
 }

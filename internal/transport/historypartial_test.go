@@ -16,12 +16,18 @@ import (
 )
 
 // cellsOnly is the partial path's referee: the same epoch log read cell
-// by cell, with the partial cells hidden (it implements no
-// core.PartialSource).
+// by cell, with the partial cells hidden (its EpochPartial never
+// answers).
 type cellsOnly[S core.Sketch[S]] struct{ ls logSource[S] }
 
-func (c cellsOnly[S]) Cell(point int, epoch int64) (S, bool, error) { return c.ls.Cell(point, epoch) }
-func (c cellsOnly[S]) Span() (first, last int64, ok bool)           { return c.ls.Span() }
+func (c cellsOnly[S]) Span() (first, last int64, ok bool) { return c.ls.Span() }
+func (c cellsOnly[S]) Held(first, last int64, points []int) [][]int {
+	return c.ls.Held(first, last, points)
+}
+func (c cellsOnly[S]) EpochPartial(int64, []int) (S, bool, error) {
+	var zero S
+	return zero, false, nil
+}
 func (c cellsOnly[S]) EpochCells(epoch int64, points []int, visit func(int, S) error) error {
 	return c.ls.EpochCells(epoch, points, visit)
 }
@@ -92,7 +98,7 @@ const (
 	partialW       = 32
 )
 
-func newPartialRig(t *testing.T, tc partialCase, seed uint64) *partialRig {
+func newPartialRig(t *testing.T, tc partialCase, seed uint64, tweaks ...func(*CenterConfig)) *partialRig {
 	leafW := []int{partialW, partialW, partialW}
 	if tc.mixed {
 		leafW = []int{partialW, 2 * partialW, 4 * partialW}
@@ -113,6 +119,9 @@ func newPartialRig(t *testing.T, tc partialCase, seed uint64) *partialRig {
 		DeltaUploads: tc.delta, StoreDir: t.TempDir(), StoreSegmentBytes: 1 << 10,
 		ReplayCacheBytes: -1, // every query is a cold replay through the log
 		HistoryAddr:      "127.0.0.1:0", Logf: quietLogf,
+	}
+	for _, tw := range tweaks {
+		tw(&r.cfg)
 	}
 	srv, err := ServeCenter(r.cfg)
 	if err != nil {
