@@ -17,15 +17,22 @@ build:
 	$(GO) build ./...
 
 # Static gate: go vet, a gofmt diff check (fails listing the unformatted
-# files), and a guard that encoding/gob stays retired: every hop and every
+# files), a guard that encoding/gob stays retired: every hop and every
 # checkpoint speaks the binary frame (internal/transport/frame.go), so the
-# gate fails listing any .go file, test or not, that imports gob.
+# gate fails listing any .go file, test or not, that imports gob; and a
+# guard that the transport's (Kind, Sketch) decision stays in one switch:
+# it fails listing any non-test internal/transport file other than
+# backend.go that calls a sketch constructor.
 lint: vet
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	@out="$$(grep -rlE --include='*.go' --exclude-dir=.bench_build \
 		'^[[:space:]]*(import[[:space:]]+)?([[:alnum:]_.]+[[:space:]]+)?"encoding/gob"[[:space:]]*(//.*)?$$' . || true)"; \
 		if [ -n "$$out" ]; then echo "encoding/gob is retired; imported by:"; echo "$$out"; exit 1; fi
+	@out="$$(grep -rlE --include='*.go' --exclude='*_test.go' --exclude=backend.go \
+		'(rskt|vhll|countmin)\.New\(' internal/transport || true)"; \
+		if [ -n "$$out" ]; then echo "sketch backends are built only in internal/transport/backend.go; constructors called in:"; \
+		echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -46,12 +53,14 @@ test-race:
 # arithmetic refuses a k that would wrap, that the epoch log runs a batched
 # read's visit unlocked, that a replay from logged partials answers exactly
 # what the point cells give, and that every stored partial, logged or
-# cached, answers exactly what a naive merge of the log's cells gives.
+# cached, answers exactly what a naive merge of the log's cells gives,
+# that a center and a relay refuse an upload epoch outside the epoch rule,
+# and that a center refuses to import the state of another sketch shape.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=1 -run '^(TestJoinIsLinearPerRound|TestEndEpochFoldsEachLaneOnce|TestReplayWindowMatchesMergeReference|TestEpochPartialDoesNotAliasCells|TestHistoryAggregateSpanEdges)$$' ./internal/core
+	$(GO) test -race -count=1 -run '^(TestJoinIsLinearPerRound|TestEndEpochFoldsEachLaneOnce|TestReplayWindowMatchesMergeReference|TestEpochPartialDoesNotAliasCells|TestHistoryAggregateSpanEdges|TestCheckEpochBounds|TestUploadEpochRule)$$' ./internal/core
 	$(GO) test -race -count=1 -run '^TestLogGetManyVisitRunsUnlocked$$' ./internal/durable
-	$(GO) test -race -count=1 -run '^(TestPersistedPartialMatchesCells|TestHistoryModelMatchesNaiveReplay)$$' ./internal/transport
+	$(GO) test -race -count=1 -run '^(TestPersistedPartialMatchesCells|TestHistoryModelMatchesNaiveReplay|TestCenterStateImportRejectsForeignShape)$$' ./internal/transport
 
 # The crash-restart matrix: process-death scenarios against the durable
 # checkpoint store, plus the store's own corruption/fallback tests, all
@@ -65,10 +74,11 @@ crash-test:
 # equality, the cluster-sim topology property tests, and the relay wire
 # goldens — the correctness gate for hierarchical deployments. The
 # handshake-rejection table and the mid-fan-out rejoin test run the
-# shared child-facing half under both of its users, center and relay.
+# shared child-facing half under both of its users, center and relay, and
+# the relay refuses a Hello whose state epoch would wrap its resync.
 tree-test:
 	$(GO) test -race -count=1 \
-		-run '^(TestFaultRelay|TestRelayTreeEqualsFlatLive|TestShardedEqualsFlat|TestFaultShardFailover|TestGoldenRelay|TestHelloMismatchDropsConnection|TestRedialDuringFanOutGetsCurrentRound)' \
+		-run '^(TestFaultRelay|TestRelayTreeEqualsFlatLive|TestShardedEqualsFlat|TestFaultShardFailover|TestGoldenRelay|TestHelloMismatchDropsConnection|TestRedialDuringFanOutGetsCurrentRound|TestRelayHelloEpochRule)' \
 		./internal/transport
 	$(GO) test -race -count=1 -run 'Tree|Topology' ./internal/cluster ./internal/core
 

@@ -14,12 +14,11 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/diag"
+	"repro/internal/topoflag"
 	"repro/internal/transport"
 )
 
@@ -69,11 +68,11 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	wts, err := parseWeights(*weights)
+	wts, err := topoflag.Pairs(*weights, "weight")
 	if err != nil {
 		return err
 	}
-	shardIdx, shardN, err := parseShard(*shard)
+	shardIdx, shardN, err := topoflag.Shard(*shard)
 	if err != nil {
 		return err
 	}
@@ -202,59 +201,5 @@ func parseWidths(s string) (map[int]int, error) {
 	if s == "" {
 		return nil, fmt.Errorf("missing -widths (e.g. 0:1638,1:1638,2:1638)")
 	}
-	return parsePairs(s, "width")
-}
-
-// parseWeights parses "100:4,1:1" into a weights map (nil for "").
-func parseWeights(s string) (map[int]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	return parsePairs(s, "weight")
-}
-
-func parsePairs(s, what string) (map[int]int, error) {
-	out := make(map[int]int)
-	for _, part := range strings.Split(s, ",") {
-		id, val, ok := strings.Cut(strings.TrimSpace(part), ":")
-		if !ok {
-			return nil, fmt.Errorf("bad -%ss entry %q", what, part)
-		}
-		pid, err := strconv.Atoi(id)
-		if err != nil {
-			return nil, fmt.Errorf("bad point id %q: %w", id, err)
-		}
-		v, err := strconv.Atoi(val)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad %s %q for point %d", what, val, pid)
-		}
-		if _, dup := out[pid]; dup {
-			return nil, fmt.Errorf("duplicate point id %d", pid)
-		}
-		out[pid] = v
-	}
-	return out, nil
-}
-
-// parseShard parses "i/n" into (index, count); "" means unsharded (0, 1).
-func parseShard(s string) (int, int, error) {
-	if s == "" {
-		return 0, 1, nil
-	}
-	is, ns, ok := strings.Cut(s, "/")
-	if !ok {
-		return 0, 0, fmt.Errorf(`bad -shard %q (want "i/n", e.g. 0/2)`, s)
-	}
-	i, err := strconv.Atoi(is)
-	if err != nil {
-		return 0, 0, fmt.Errorf("bad shard index %q: %w", is, err)
-	}
-	n, err := strconv.Atoi(ns)
-	if err != nil {
-		return 0, 0, fmt.Errorf("bad shard count %q: %w", ns, err)
-	}
-	if n < 1 || i < 0 || i >= n {
-		return 0, 0, fmt.Errorf("shard %d/%d out of range", i, n)
-	}
-	return i, n, nil
+	return topoflag.Pairs(s, "width")
 }

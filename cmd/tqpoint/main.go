@@ -21,14 +21,13 @@ import (
 	"math/rand"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/diag"
+	"repro/internal/topoflag"
 	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/window"
@@ -81,7 +80,7 @@ func run(args []string) error {
 		fmt.Printf("tqpoint %d: pprof on http://%s/debug/pprof/\n", *point, a)
 	}
 
-	shardIdx, shardN, err := parseShard(*shard)
+	shardIdx, shardN, err := topoflag.Shard(*shard)
 	if err != nil {
 		return err
 	}
@@ -347,27 +346,4 @@ func replayTrace(pc *transport.PointClient, path string, point int, epoch time.D
 	}
 	flush()
 	return endEpoch()
-}
-
-// parseShard parses "i/n" into (index, count); "" means unsharded (0, 1).
-func parseShard(s string) (int, int, error) {
-	if s == "" {
-		return 0, 1, nil
-	}
-	is, ns, ok := strings.Cut(s, "/")
-	if !ok {
-		return 0, 0, fmt.Errorf(`bad -shard %q (want "i/n", e.g. 0/2)`, s)
-	}
-	i, err := strconv.Atoi(is)
-	if err != nil {
-		return 0, 0, fmt.Errorf("bad shard index %q: %w", is, err)
-	}
-	n, err := strconv.Atoi(ns)
-	if err != nil {
-		return 0, 0, fmt.Errorf("bad shard count %q: %w", ns, err)
-	}
-	if n < 1 || i < 0 || i >= n {
-		return 0, 0, fmt.Errorf("shard %d/%d out of range", i, n)
-	}
-	return i, n, nil
 }

@@ -23,12 +23,11 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/diag"
+	"repro/internal/topoflag"
 	"repro/internal/transport"
 )
 
@@ -71,18 +70,18 @@ func run(args []string) error {
 		}
 		fmt.Printf("tqrelay %d: pprof on http://%s/debug/pprof/\n", *relayID, a)
 	}
-	topo, err := parseIDInts(*widths, "width")
+	topo, err := topoflag.Pairs(*widths, "width")
 	if err != nil {
 		return err
 	}
 	if topo == nil {
 		return fmt.Errorf("missing -widths (e.g. 0:1638,1:1638)")
 	}
-	wts, err := parseIDInts(*weights, "weight")
+	wts, err := topoflag.Pairs(*weights, "weight")
 	if err != nil {
 		return err
 	}
-	shardIdx, _, err := parseShard(*shard)
+	shardIdx, _, err := topoflag.Shard(*shard)
 	if err != nil {
 		return err
 	}
@@ -152,54 +151,4 @@ func run(args []string) error {
 	<-sig
 	fmt.Printf("tqrelay %d: shutting down\n", *relayID)
 	return nil
-}
-
-// parseIDInts parses "0:1638,1:3276" into an id→value map (nil for "").
-func parseIDInts(s, what string) (map[int]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	out := make(map[int]int)
-	for _, part := range strings.Split(s, ",") {
-		id, val, ok := strings.Cut(strings.TrimSpace(part), ":")
-		if !ok {
-			return nil, fmt.Errorf("bad -%ss entry %q", what, part)
-		}
-		cid, err := strconv.Atoi(id)
-		if err != nil {
-			return nil, fmt.Errorf("bad child id %q: %w", id, err)
-		}
-		v, err := strconv.Atoi(val)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad %s %q for child %d", what, val, cid)
-		}
-		if _, dup := out[cid]; dup {
-			return nil, fmt.Errorf("duplicate child id %d", cid)
-		}
-		out[cid] = v
-	}
-	return out, nil
-}
-
-// parseShard parses "i/n" into (index, count); "" means unsharded (0, 1).
-func parseShard(s string) (int, int, error) {
-	if s == "" {
-		return 0, 1, nil
-	}
-	is, ns, ok := strings.Cut(s, "/")
-	if !ok {
-		return 0, 0, fmt.Errorf(`bad -shard %q (want "i/n", e.g. 0/2)`, s)
-	}
-	i, err := strconv.Atoi(is)
-	if err != nil {
-		return 0, 0, fmt.Errorf("bad shard index %q: %w", is, err)
-	}
-	n, err := strconv.Atoi(ns)
-	if err != nil {
-		return 0, 0, fmt.Errorf("bad shard count %q: %w", ns, err)
-	}
-	if n < 1 || i < 0 || i >= n {
-		return 0, 0, fmt.Errorf("shard %d/%d out of range", i, n)
-	}
-	return i, n, nil
 }

@@ -87,40 +87,12 @@ type Center[S Sketch[S]] struct {
 // width must be a multiple of every width (power-of-two-ratio widths
 // satisfy this). ModeCumulative requires cfg.Sub.
 func NewCenter[S Sketch[S]](windowN int, protos map[int]S, cfg EngineConfig[S]) (*Center[S], error) {
-	if windowN < 3 {
-		return nil, fmt.Errorf("core: window n must be >= 3, got %d", windowN)
-	}
-	if len(protos) == 0 {
-		return nil, fmt.Errorf("core: no measurement points")
-	}
-	if err := cfg.validate(); err != nil {
+	wMax, err := checkNode(windowN, protos, cfg)
+	if err != nil {
 		return nil, err
 	}
 	if cfg.Mode == ModeCumulative && cfg.Sub == nil {
 		return nil, fmt.Errorf("core: cumulative mode requires a subtraction operator")
-	}
-	wMax := 0
-	var ref S
-	haveRef := false
-	for _, p := range protos {
-		if IsNil(p) {
-			return nil, fmt.Errorf("core: nil sketch prototype")
-		}
-		if p.Width() > wMax {
-			wMax = p.Width()
-		}
-		if !haveRef {
-			ref = p
-			haveRef = true
-		}
-	}
-	for id, p := range protos {
-		if !ref.Compatible(p) {
-			return nil, fmt.Errorf("core: point %d's sketch is incompatible with the cluster", id)
-		}
-		if wMax%p.Width() != 0 {
-			return nil, fmt.Errorf("core: width %d of point %d does not divide max width %d", p.Width(), id, wMax)
-		}
 	}
 	c := &Center[S]{
 		windowN:   windowN,
@@ -244,6 +216,13 @@ func (c *Center[S]) weightLocked(point int) int {
 	return 1
 }
 
+// Receive is ReceiveMeta for the healthy in-process path, where every
+// center push was applied (max-merge designs ignore the flags). Transports
+// that can lose pushes use ReceiveMeta.
+func (c *Center[S]) Receive(point int, epoch int64, upload S) error {
+	return c.ReceiveMeta(point, epoch, upload, UploadMeta{Epoch: epoch, AggApplied: true, EnhApplied: true})
+}
+
 // ReceiveMeta ingests point's upload for the given epoch and stores (for
 // an additive design: recovers) that epoch's measurement, subtracting only
 // the pushes the upload's lineage actually absorbed (meta; max-merge
@@ -265,9 +244,11 @@ func (c *Center[S]) ReceiveMeta(point int, epoch int64, upload S, meta UploadMet
 	if !ok {
 		return fmt.Errorf("core: unknown %s point %d", c.design, point)
 	}
-	proto := c.protos[point]
-	if IsNil(upload) || !proto.Compatible(upload) || proto.Width() != upload.Width() {
+	if !sameShape(c.protos[point], upload) {
 		return fmt.Errorf("core: upload from point %d does not match its declared sketch", point)
+	}
+	if err := CheckEpoch(epoch, 1); err != nil {
+		return fmt.Errorf("core: upload from point %d: %w", point, err)
 	}
 	if !c.additive {
 		if _, dup := per[epoch]; dup {
@@ -409,14 +390,7 @@ func (c *Center[S]) coverageLocked(k int64) Coverage {
 // NewSketch returns a zero sketch of point's declared shape: the target
 // the point's uploads decode into, so one naming other dimensions is
 // rejected before it allocates. ok is false for an unknown point.
-func (c *Center[S]) NewSketch(point int) (sk S, ok bool) {
-	// protos are fixed at construction; no lock needed.
-	proto, ok := c.protos[point]
-	if !ok {
-		return sk, false
-	}
-	return proto.Clone(), true
-}
+func (c *Center[S]) NewSketch(point int) (S, bool) { return cloneOf(c.protos, point) }
 
 // NewPartialSketch returns a zero sketch at the maximum width: the shape
 // of every merged partial, which a stored partial decodes into.

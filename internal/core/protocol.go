@@ -1,5 +1,24 @@
 package core
 
+import "fmt"
+
+// EpochLimit bounds every epoch a node accepts from a peer. An upload's
+// epoch lies in [1, EpochLimit) and a Hello's state epoch in
+// [0, EpochLimit) (a relay that has forwarded nothing announces 0), so
+// every e ± n ± 1 the window, trim and resync arithmetic forms stays
+// inside int64.
+const EpochLimit int64 = 1 << 62
+
+// CheckEpoch reports an error unless lowest <= epoch < EpochLimit: the one
+// epoch rule at every node's door (lowest is 1 for an upload, 0 for a
+// Hello's state epoch).
+func CheckEpoch(epoch, lowest int64) error {
+	if epoch < lowest || epoch >= EpochLimit {
+		return fmt.Errorf("epoch %d outside [%d, 2^62)", epoch, lowest)
+	}
+	return nil
+}
+
 // UploadMeta rides along with an epoch upload and tells the center which
 // center-sent sketches the upload's lineage actually absorbed. A healthy
 // deployment always merges every push, so the flags are always true there;

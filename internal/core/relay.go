@@ -44,9 +44,8 @@ import (
 type Relay[S Sketch[S]] struct {
 	mu sync.Mutex
 
-	design   string
-	windowN  int
-	additive bool
+	design  string
+	windowN int
 
 	protos  map[int]S   // zero-state prototype per child (width + shape)
 	weights map[int]int // leaf count under each child (>= 1)
@@ -79,45 +78,16 @@ type relayRound[S Sketch[S]] struct {
 // width, exactly as at a center. cfg.Mode must be ModeDelta: relays merge
 // per-epoch measurements, and cumulative uploads are not mergeable.
 func NewRelay[S Sketch[S]](windowN int, protos map[int]S, weights map[int]int, cfg EngineConfig[S]) (*Relay[S], error) {
-	if windowN < 3 {
-		return nil, fmt.Errorf("core: window n must be >= 3, got %d", windowN)
-	}
-	if len(protos) == 0 {
-		return nil, fmt.Errorf("core: relay has no children")
-	}
-	if err := cfg.validate(); err != nil {
+	width, err := checkNode(windowN, protos, cfg)
+	if err != nil {
 		return nil, err
 	}
 	if cfg.Mode != ModeDelta {
 		return nil, fmt.Errorf("core: relays require delta-mode uploads (cumulative sketches cannot be pre-merged)")
 	}
-	width := 0
-	var ref S
-	haveRef := false
-	for _, p := range protos {
-		if IsNil(p) {
-			return nil, fmt.Errorf("core: nil sketch prototype")
-		}
-		if p.Width() > width {
-			width = p.Width()
-		}
-		if !haveRef {
-			ref = p
-			haveRef = true
-		}
-	}
-	for id, p := range protos {
-		if !ref.Compatible(p) {
-			return nil, fmt.Errorf("core: child %d's sketch is incompatible with the relay", id)
-		}
-		if width%p.Width() != 0 {
-			return nil, fmt.Errorf("core: width %d of child %d does not divide relay width %d", p.Width(), id, width)
-		}
-	}
 	r := &Relay[S]{
 		design:    cfg.Design,
 		windowN:   windowN,
-		additive:  cfg.Additive,
 		protos:    make(map[int]S, len(protos)),
 		weights:   make(map[int]int, len(protos)),
 		width:     width,
@@ -150,14 +120,7 @@ func (r *Relay[S]) NewSketch() S { return r.wide.Clone() }
 // NewChildSketch returns a zero sketch of child's declared shape: the
 // target the child's uploads decode into. ok is false for an unknown
 // child.
-func (r *Relay[S]) NewChildSketch(child int) (sk S, ok bool) {
-	// protos are fixed at construction; no lock needed.
-	proto, ok := r.protos[child]
-	if !ok {
-		return sk, false
-	}
-	return proto.Clone(), true
-}
+func (r *Relay[S]) NewChildSketch(child int) (S, bool) { return cloneOf(r.protos, child) }
 
 // Weight is the relay's total subtree leaf count — what the upstream
 // center weights each combined upload by in its coverage accounting.
@@ -165,25 +128,6 @@ func (r *Relay[S]) Weight() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.weight
-}
-
-// ChildWeight returns the subtree leaf count under one child (0 for an
-// unknown child).
-func (r *Relay[S]) ChildWeight(child int) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.weights[child]
-}
-
-// Children returns the configured child ids (unordered).
-func (r *Relay[S]) Children() []int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	ids := make([]int, 0, len(r.protos))
-	for id := range r.protos {
-		ids = append(ids, id)
-	}
-	return ids
 }
 
 // Receive ingests one child's upload for an epoch: the sketch is expanded
@@ -199,11 +143,11 @@ func (r *Relay[S]) Receive(child int, epoch int64, up S) error {
 	if !ok {
 		return fmt.Errorf("core: unknown %s relay child %d", r.design, child)
 	}
-	if IsNil(up) || !proto.Compatible(up) || proto.Width() != up.Width() {
+	if !sameShape(proto, up) {
 		return fmt.Errorf("core: upload from child %d does not match its declared sketch", child)
 	}
-	if epoch < 1 {
-		return fmt.Errorf("core: child %d uploaded impossible epoch %d", child, epoch)
+	if err := CheckEpoch(epoch, 1); err != nil {
+		return fmt.Errorf("core: upload from child %d: %w", child, err)
 	}
 	if epoch > r.lastEpoch[child] {
 		r.lastEpoch[child] = epoch
@@ -432,7 +376,7 @@ func (r *Relay[S]) ImportState(st *RelayState) error {
 			if err := sk.UnmarshalBinary(rs.Merged); err != nil {
 				return fmt.Errorf("core: import relay round %d: %w", e, err)
 			}
-			if !r.wide.Compatible(sk) || sk.Width() != r.width {
+			if !sameShape(r.wide, sk) {
 				return fmt.Errorf("core: import relay round %d: sketch does not match the relay shape", e)
 			}
 			rr.merged = sk

@@ -76,11 +76,6 @@ func (p *SizePoint) Record(f uint64) { p.Point.Record(f, 0) }
 // acquisition.
 func (p *SizePoint) RecordBatch(fs []uint64) { p.Point.RecordBatchFlows(fs) }
 
-// RecordBatchPairs is RecordBatch over <flow, element> packets, recording
-// only the flow keys (the size design ignores elements). It lets mixed
-// transports batch without re-slicing.
-func (p *SizePoint) RecordBatchPairs(ps []SpreadPacket) { p.Point.RecordBatch(ps) }
-
 // Query answers the approximate real-time networkwide T-query for flow f
 // from the local C sketch plus the not-yet-folded ingest lanes. CountMin
 // counters are exact integers well below 2^53, so the generic engine's
@@ -100,46 +95,18 @@ func (p *SizePoint) QueryWithCoverage(f uint64) (int64, Coverage) {
 // uploads; in delta mode uploads already are deltas.
 type SizeCenter struct {
 	*Center[*countmin.Sketch]
-	params map[int]countmin.Params
 }
 
 // NewSizeCenter creates a center for a cluster whose points use the given
 // CountMin parameters (keyed by point id). All parameters must share D and
 // Seed; the maximum width must be a multiple of every width.
 func NewSizeCenter(windowN int, points map[int]countmin.Params, mode SizeMode) (*SizeCenter, error) {
-	if windowN < 3 {
-		return nil, fmt.Errorf("core: window n must be >= 3, got %d", windowN)
-	}
-	if len(points) == 0 {
-		return nil, fmt.Errorf("core: no measurement points")
-	}
-	if mode != SizeModeCumulative && mode != SizeModeDelta {
-		return nil, fmt.Errorf("core: invalid size mode %d", mode)
-	}
-	wMax := 0
-	var ref countmin.Params
-	for _, p := range points {
+	protos := make(map[int]*countmin.Sketch, len(points))
+	for id, p := range points {
 		if err := p.Validate(); err != nil {
 			return nil, err
 		}
-		if p.W > wMax {
-			wMax = p.W
-			ref = p
-		}
-	}
-	for id, p := range points {
-		if p.D != ref.D || p.Seed != ref.Seed {
-			return nil, fmt.Errorf("core: point %d does not share D/Seed with the cluster", id)
-		}
-		if wMax%p.W != 0 {
-			return nil, fmt.Errorf("core: width %d of point %d does not divide max width %d", p.W, id, wMax)
-		}
-	}
-	protos := make(map[int]*countmin.Sketch, len(points))
-	params := make(map[int]countmin.Params, len(points))
-	for id, p := range points {
 		protos[id] = countmin.New(p)
-		params[id] = p
 	}
 	ctr, err := NewCenter(windowN, protos, EngineConfig[*countmin.Sketch]{
 		Design:   "size",
@@ -150,30 +117,7 @@ func NewSizeCenter(windowN int, points map[int]countmin.Params, mode SizeMode) (
 	if err != nil {
 		return nil, err
 	}
-	return &SizeCenter{Center: ctr, params: params}, nil
-}
-
-// Receive ingests point's upload for the given epoch and recovers that
-// epoch's measurement, assuming every center push was applied (the healthy
-// in-process path). Transports that can lose pushes use ReceiveMeta.
-func (c *SizeCenter) Receive(point int, epoch int64, upload *countmin.Sketch) error {
-	return c.ReceiveMeta(point, epoch, upload, UploadMeta{Epoch: epoch, AggApplied: true, EnhApplied: true})
-}
-
-// ReceiveMeta ingests point's upload for the given epoch and recovers that
-// epoch's measurement, subtracting only the pushes the upload's lineage
-// actually absorbed (meta) — see Center.ReceiveMeta for the degraded-
-// sequence semantics (ErrDuplicateUpload, ErrUploadGap).
-func (c *SizeCenter) ReceiveMeta(point int, epoch int64, upload *countmin.Sketch, meta UploadMeta) error {
-	params, ok := c.params[point]
-	if !ok {
-		return fmt.Errorf("core: unknown size point %d", point)
-	}
-	if upload.Params() != params {
-		return fmt.Errorf("core: upload from point %d has parameters %+v, want %+v",
-			point, upload.Params(), params)
-	}
-	return c.Center.ReceiveMeta(point, epoch, upload, meta)
+	return &SizeCenter{Center: ctr}, nil
 }
 
 // Delta returns the recovered measurement of one epoch at one point (a
@@ -186,10 +130,4 @@ func (c *SizeCenter) Delta(point int, epoch int64) *countmin.Sketch {
 		return nil
 	}
 	return d.Clone()
-}
-
-// HasDelta reports whether the center holds point's recovered delta for
-// epoch (see Center.HasUpload).
-func (c *SizeCenter) HasDelta(point int, epoch int64) bool {
-	return c.HasUpload(point, epoch)
 }

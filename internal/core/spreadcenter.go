@@ -41,12 +41,3 @@ func NewSpreadCenter(windowN int, points map[int]rskt.Params) (*SpreadCenter[*rs
 	}
 	return NewSpreadCenterOf(windowN, protos)
 }
-
-// Receive stores the B sketch that point uploaded at the end of epoch.
-// Per-epoch spread uploads are independent, so degraded sequences are
-// tolerated rather than fatal: a duplicate epoch is dropped idempotently
-// (ErrDuplicateUpload), and a late upload that arrives out of order fills
-// its window hole and improves future joins' coverage.
-func (c *SpreadCenter[S]) Receive(point int, epoch int64, b S) error {
-	return c.ReceiveMeta(point, epoch, b, UploadMeta{Epoch: epoch})
-}

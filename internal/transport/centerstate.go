@@ -13,9 +13,10 @@ import (
 //
 //	topology header (checkpoint.go)
 //	i64  LastPush
-//	spread: LastEpoch map, Uploads sketch store
-//	size:   LastEpoch map, ChainBroken ids, Deltas, SentAgg and SentEnh
-//	        sketch stores
+//	LastEpoch map
+//	size only: ChainBroken ids
+//	Uploads sketch store
+//	size only: SentAgg and SentEnh sketch stores
 //
 // The topology header lets a restarted center reject a checkpoint written
 // under a different configuration instead of merging incompatible
@@ -24,25 +25,22 @@ type centerSection struct {
 	topo topology
 	// lastPush is the most recent round pushed before the checkpoint.
 	lastPush int64
-	// Exactly one of spread/size is set, matching topo.kind.
-	spread *core.SpreadCenterState
-	size   *core.SizeCenterState
+	state    *core.CenterState
 }
 
 func (c *centerSection) encode() []byte {
 	var a appender
 	a.topology(c.topo)
 	a.i64(c.lastPush)
-	switch c.topo.kind {
-	case KindSpread:
-		a.epochs(c.spread.LastEpoch)
-		a.sketches(c.spread.Uploads)
-	case KindSize:
-		a.epochs(c.size.LastEpoch)
-		a.ids(c.size.ChainBroken)
-		a.sketches(c.size.Deltas)
-		a.sketches(c.size.SentAgg)
-		a.sketches(c.size.SentEnh)
+	additive := c.topo.kind == KindSize
+	a.epochs(c.state.LastEpoch)
+	if additive {
+		a.ids(c.state.ChainBroken)
+	}
+	a.sketches(c.state.Uploads)
+	if additive {
+		a.sketches(c.state.SentAgg)
+		a.sketches(c.state.SentEnh)
 	}
 	return a.b
 }
@@ -50,13 +48,16 @@ func (c *centerSection) encode() []byte {
 func parseCenterSection(data []byte) (centerSection, error) {
 	r := reader{b: data}
 	c := centerSection{topo: r.topology(), lastPush: r.i64()}
-	switch c.topo.kind {
-	case KindSpread:
-		c.spread = &core.SpreadCenterState{LastEpoch: r.epochs(), Uploads: r.sketches()}
-	case KindSize:
-		c.size = &core.SizeCenterState{LastEpoch: r.epochs(), ChainBroken: r.ids(),
-			Deltas: r.sketches(), SentAgg: r.sketches(), SentEnh: r.sketches()}
+	additive := c.topo.kind == KindSize
+	st := &core.CenterState{LastEpoch: r.epochs()}
+	if additive {
+		st.ChainBroken = r.ids()
 	}
+	st.Uploads = r.sketches()
+	if additive {
+		st.SentAgg, st.SentEnh = r.sketches(), r.sketches()
+	}
+	c.state = st
 	if err := r.done(); err != nil {
 		return c, err
 	}

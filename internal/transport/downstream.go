@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/durable"
 )
 
@@ -257,13 +258,17 @@ func (d *downstream) acceptLoop() {
 }
 
 // admit validates a Hello against the topology: a known child, the
-// node's design, the child's declared width and weight, and this node's
+// node's design, the child's declared width and weight, this node's
 // shard — shards share sketch parameters, so a misrouted child would
-// otherwise corrupt one silently.
+// otherwise corrupt one silently — and a state epoch inside the epoch
+// rule (core.CheckEpoch), so the resync arithmetic cannot wrap.
 func (d *downstream) admit(h Hello) error {
 	wantW, ok := d.widths[h.Point]
 	if !ok || h.Kind != d.kind || h.W != wantW {
 		return fmt.Errorf("hello mismatch from child %d: %+v", h.Point, h)
+	}
+	if err := core.CheckEpoch(h.StateEpoch, 0); err != nil {
+		return fmt.Errorf("hello from child %d: state %w", h.Point, err)
 	}
 	if h.Shard != d.shard {
 		return fmt.Errorf("child %d dialed shard %d but this %s serves shard %d", h.Point, h.Shard, d.role, d.shard)

@@ -7,31 +7,21 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/countmin"
 	"repro/internal/durable"
-	"repro/internal/rskt"
-	"repro/internal/vhll"
 )
 
-// The transport speaks to exactly one point-side and one center-side
-// protocol engine, both thin instantiations of the generic epoch engine in
-// internal/core behind byte-level sketch payloads. The design
-// (size/spread) and the spread design's sketch backend (rSkt2 or vHLL) are
-// picked once at construction (newPointEngine / newCenterEngine); every
-// hot path after that is design-agnostic. Sketch selection is out-of-band configuration —
-// the wire messages carry opaque sketch blobs and never name the backend,
-// so both sides of a connection must be configured with the same Sketch
-// (a mismatch surfaces as a blob decode error, killing the connection).
-
-// Sketch backend names for PointConfig.Sketch and CenterConfig.Sketch.
-// The empty string means the design's default backend.
-const (
-	// SketchRskt is the paper's rSkt2(HLL) spread sketch (default).
-	SketchRskt = "rskt"
-	// SketchVhll is the register-sharing vHLL spread sketch, the
-	// core-sketch ablation's backend.
-	SketchVhll = "vhll"
-)
+// The transport drives three protocol engines — a point, a center and a
+// relay — each the single generic implementation of its role over the
+// core epoch engine (core.Point, core.Center, core.Relay) behind
+// byte-level sketch payloads. The design (size/spread) and the spread
+// design's sketch backend (rSkt2 or vHLL) are picked once at construction,
+// by the one backend switch in backend.go; every hot path after that is
+// design-agnostic, and what differs between the designs follows from the
+// design's core.EngineConfig (Additive, Mode). Sketch selection is
+// out-of-band configuration — the wire messages carry opaque sketch blobs
+// and never name the backend, so both sides of a connection must be
+// configured with the same Sketch (a mismatch surfaces as a blob decode
+// error, killing the connection).
 
 // decodeFor decodes data into fresh(point), a zero sketch of the shape
 // point declared (core.Point.NewSketch, core.Center.NewSketch,
@@ -57,10 +47,12 @@ func decodeFor[S core.Sketch[S]](fresh func(point int) (S, bool), point int, dat
 // receive at the size center, the batched history read). It keeps one
 // pool per point id, filled through fresh with that point's shape, so a
 // recycled sketch reuses its register arrays and the per-epoch decode
-// path stops allocating once warm. Paths that alias the decoded sketch
-// (the spread center's window store) must not use a pool.
+// path stops allocating once warm. A path that retains the decoded sketch
+// (a max-merge center's window store aliases it) sets keep, so put leaves
+// the sketch to its holder and every get decodes into a fresh one.
 type sketchPool[S core.Sketch[S]] struct {
 	fresh func(point int) (S, bool)
+	keep  bool
 	pools sync.Map // point id -> *sync.Pool
 }
 
@@ -87,7 +79,11 @@ func (p *sketchPool[S]) get(point int, data []byte) (S, error) {
 	return sk, nil
 }
 
-func (p *sketchPool[S]) put(point int, sk S) { p.poolFor(point).Put(sk) }
+func (p *sketchPool[S]) put(point int, sk S) {
+	if !p.keep {
+		p.poolFor(point).Put(sk)
+	}
+}
 
 // pointEngine is the design-erased measurement point the PointClient
 // drives. Sketch payloads cross this boundary as their compact binary
@@ -136,23 +132,12 @@ type IngestPipe interface {
 	Close()
 }
 
-// pointCodec is the design-specific part of a point engine: how the state
-// file is framed. Every blob is the sketch's one encoding
-// (core.Sketch.MarshalBinaryCompact).
-type pointCodec struct {
-	// stateKind is the TQST2 kind byte ('s' spread, 'z' size).
-	stateKind byte
-	// hasBByte marks the size framing, which writes a B-presence byte
-	// (cumulative mode keeps no B sketch); the spread framing always has
-	// all three sketches.
-	hasBByte bool
-}
-
 // enginePoint is the single point-engine implementation, generic over the
 // epoch sketch.
 type enginePoint[S core.Sketch[S]] struct {
-	pt    *core.Point[S]
-	codec pointCodec
+	pt *core.Point[S]
+	// additive selects the size design's state framing (see saveState).
+	additive bool
 	// scratch recycles decode buffers across pushes: every apply below
 	// merges the decoded sketch and drops it, so the same scratch sketch
 	// can absorb push after push without allocating.
@@ -160,8 +145,8 @@ type enginePoint[S core.Sketch[S]] struct {
 }
 
 // newEnginePoint wires the scratch pool to the point's sketch shape.
-func newEnginePoint[S core.Sketch[S]](pt *core.Point[S], codec pointCodec) *enginePoint[S] {
-	e := &enginePoint[S]{pt: pt, codec: codec}
+func newEnginePoint[S core.Sketch[S]](pt *core.Point[S], additive bool) *enginePoint[S] {
+	e := &enginePoint[S]{pt: pt, additive: additive}
 	e.scratch.fresh = func(int) (S, bool) { return pt.NewSketch(), true }
 	return e
 }
@@ -233,57 +218,6 @@ func (e *enginePoint[S]) applyBackfill(forEpoch int64, data []byte, merged int) 
 	err = e.pt.ApplyBackfillCovAt(forEpoch, sk, merged)
 	e.scratch.put(e.pt.ID(), sk)
 	return err
-}
-
-// newPointEngine builds the point engine selected by the configuration.
-func newPointEngine(cfg PointConfig) (pointEngine, error) {
-	switch cfg.Kind {
-	case KindSpread:
-		switch cfg.Sketch {
-		case "", SketchRskt:
-			pt, err := core.NewSpreadPoint(cfg.Point, rskt.Params{W: cfg.W, M: cfg.M, Seed: cfg.Seed})
-			if err != nil {
-				return nil, err
-			}
-			return newEnginePoint(pt.Point, pointCodec{stateKind: 's'}), nil
-		case SketchVhll:
-			params := vhll.Params{PhysicalRegisters: cfg.W, VirtualRegisters: cfg.M, Seed: cfg.Seed}
-			if _, err := vhll.New(params); err != nil {
-				return nil, err
-			}
-			pt, err := core.NewSpreadPointOf(cfg.Point, func() *vhll.Sketch {
-				sk, err := vhll.New(params)
-				if err != nil {
-					panic(err) // params validated above
-				}
-				return sk
-			})
-			if err != nil {
-				return nil, err
-			}
-			return newEnginePoint(pt.Point, pointCodec{stateKind: 's'}), nil
-		default:
-			return nil, fmt.Errorf("transport: unknown spread sketch %q", cfg.Sketch)
-		}
-	case KindSize:
-		if cfg.Sketch != "" && cfg.Sketch != SketchRskt {
-			return nil, fmt.Errorf("transport: the size design has no alternate sketch backend (got %q)", cfg.Sketch)
-		}
-		mode := core.SizeModeCumulative
-		if cfg.DeltaUploads {
-			// Per-epoch delta uploads: required behind an aggregation relay
-			// (cumulative sketches cannot be pre-merged), equal to the
-			// cumulative mode's recovered deltas on healthy traces.
-			mode = core.SizeModeDelta
-		}
-		pt, err := core.NewSizePoint(cfg.Point, countmin.Params{D: cfg.D, W: cfg.W, Seed: cfg.Seed}, mode)
-		if err != nil {
-			return nil, err
-		}
-		return newEnginePoint(pt.Point, pointCodec{stateKind: 'z', hasBByte: true}), nil
-	default:
-		return nil, fmt.Errorf("transport: unknown kind %q", cfg.Kind)
-	}
 }
 
 // centerEngine is the design-erased measurement center the CenterServer
@@ -438,32 +372,33 @@ func (ls logSource[S]) EpochCells(epoch int64, points []int, visit func(point in
 }
 
 // engineCenter is the single center-engine implementation, generic over
-// the epoch sketch. The three hooks carry what stays design-specific: the
-// upload validation path and the design's window-store state in the
-// checkpoint section.
+// the epoch sketch.
 type engineCenter[S core.Sketch[S]] struct {
 	ctr *core.Center[S]
-	// recv ingests one decoded upload (the design wrapper's ReceiveMeta,
-	// which for size also checks the sketch parameters).
-	recv func(point int, epoch int64, sk S, meta core.UploadMeta) error
 	// cumulative mirrors pointEngine.cumulative.
 	cum bool
-	// scratch, when non-nil, recycles upload decode buffers. Only the
-	// additive size design may pool: its receive path clones the upload
-	// into a recovered delta and drops it, while the spread window store
-	// aliases the decoded sketch outright (core.Center.ReceiveMeta stores
-	// it without cloning), so pooling there would corrupt the window.
+	// scratch decodes uploads. Only an additive design recycles them: its
+	// receive path clones the upload into a recovered delta and drops it,
+	// while a max-merge window store aliases the decoded sketch outright
+	// (core.Center.ReceiveMeta stores it without cloning), so recycling
+	// there would corrupt the window.
 	scratch *sketchPool[S]
-	// save/load move the window store into/out of the checkpoint
-	// section's design-specific field.
-	save func(sec *centerSection) error
-	load func(sec *centerSection) error
 	// hist is the shared decode-scratch pool for the history read path
 	// (logSource), and reads counts that path's cold epochs.
 	hist  *sketchPool[S]
 	reads replayReads
 	// pushEnc caches the newest round's encoded aggregates.
 	pushEnc encodeMemo
+}
+
+// newEngineCenter wraps a center built under cfg.
+func newEngineCenter[S core.Sketch[S]](ctr *core.Center[S], cfg core.EngineConfig[S]) *engineCenter[S] {
+	return &engineCenter[S]{
+		ctr:     ctr,
+		cum:     cfg.Mode == core.ModeCumulative,
+		hist:    &sketchPool[S]{fresh: ctr.NewSketch},
+		scratch: &sketchPool[S]{fresh: ctr.NewSketch, keep: !cfg.Additive},
+	}
 }
 
 // encodeMemo caches marshaled aggregates for the newest pushed epoch,
@@ -505,29 +440,25 @@ func (e *engineCenter[S]) maxEpoch() int64                      { return e.ctr.M
 func (e *engineCenter[S]) lastEpoch(point int) int64            { return e.ctr.LastEpoch(point) }
 func (e *engineCenter[S]) setWeight(point, weight int)          { e.ctr.SetWeight(point, weight) }
 func (e *engineCenter[S]) totalWeight() int                     { return e.ctr.TotalWeight() }
-func (e *engineCenter[S]) exportState(sec *centerSection) error { return e.save(sec) }
-func (e *engineCenter[S]) importState(sec *centerSection) error { return e.load(sec) }
+func (e *engineCenter[S]) importState(sec *centerSection) error { return e.ctr.ImportState(sec.state) }
+
+func (e *engineCenter[S]) exportState(sec *centerSection) (err error) {
+	sec.state, err = e.ctr.ExportState()
+	return err
+}
 
 func (e *engineCenter[S]) receive(up Upload) error {
-	var sk S
-	var err error
-	if e.scratch != nil {
-		sk, err = e.scratch.get(up.Point, up.Sketch)
-	} else {
-		sk, err = decodeFor(e.ctr.NewSketch, up.Point, up.Sketch)
-	}
+	sk, err := e.scratch.get(up.Point, up.Sketch)
 	if err != nil {
 		return fmt.Errorf("point %d epoch %d: %w", up.Point, up.Epoch, err)
 	}
-	err = e.recv(up.Point, up.Epoch, sk, core.UploadMeta{
+	err = e.ctr.ReceiveMeta(up.Point, up.Epoch, sk, core.UploadMeta{
 		Epoch:      up.Epoch,
 		AggApplied: up.AggApplied,
 		EnhApplied: up.EnhApplied,
 		Rebase:     up.Rebase,
 	})
-	if e.scratch != nil {
-		e.scratch.put(up.Point, sk)
-	}
+	e.scratch.put(up.Point, sk)
 	return err
 }
 
@@ -612,92 +543,4 @@ func (e *engineCenter[S]) reported(point int, epoch int64) bool {
 	// A gap-dropped cumulative upload leaves no delta but advances the
 	// point's sequence position; it still counted toward the round.
 	return e.cum && e.ctr.LastEpoch(point) >= epoch
-}
-
-// newCenterEngine builds the center engine selected by the configuration.
-func newCenterEngine(cfg CenterConfig) (centerEngine, error) {
-	switch cfg.Kind {
-	case KindSpread:
-		switch cfg.Sketch {
-		case "", SketchRskt:
-			params := make(map[int]rskt.Params, len(cfg.Widths))
-			for id, w := range cfg.Widths {
-				params[id] = rskt.Params{W: w, M: cfg.M, Seed: cfg.Seed}
-			}
-			ctr, err := core.NewSpreadCenter(cfg.WindowN, params)
-			if err != nil {
-				return nil, err
-			}
-			return newSpreadCenterEngine(ctr), nil
-		case SketchVhll:
-			protos := make(map[int]*vhll.Sketch, len(cfg.Widths))
-			for id, w := range cfg.Widths {
-				proto, err := vhll.New(vhll.Params{PhysicalRegisters: w, VirtualRegisters: cfg.M, Seed: cfg.Seed})
-				if err != nil {
-					return nil, err
-				}
-				protos[id] = proto
-			}
-			ctr, err := core.NewSpreadCenterOf(cfg.WindowN, protos)
-			if err != nil {
-				return nil, err
-			}
-			return newSpreadCenterEngine(ctr), nil
-		default:
-			return nil, fmt.Errorf("transport: unknown spread sketch %q", cfg.Sketch)
-		}
-	case KindSize:
-		if cfg.Sketch != "" && cfg.Sketch != SketchRskt {
-			return nil, fmt.Errorf("transport: the size design has no alternate sketch backend (got %q)", cfg.Sketch)
-		}
-		params := make(map[int]countmin.Params, len(cfg.Widths))
-		for id, w := range cfg.Widths {
-			params[id] = countmin.Params{D: cfg.D, W: w, Seed: cfg.Seed}
-		}
-		mode := core.SizeModeCumulative
-		if cfg.DeltaUploads {
-			mode = core.SizeModeDelta
-		}
-		ctr, err := core.NewSizeCenter(cfg.WindowN, params, mode)
-		if err != nil {
-			return nil, err
-		}
-		return &engineCenter[*countmin.Sketch]{
-			ctr:     ctr.Center,
-			recv:    ctr.ReceiveMeta,
-			cum:     mode == core.SizeModeCumulative,
-			scratch: &sketchPool[*countmin.Sketch]{fresh: ctr.NewSketch},
-			hist:    &sketchPool[*countmin.Sketch]{fresh: ctr.NewSketch},
-			save: func(sec *centerSection) error {
-				st, err := ctr.ExportState()
-				if err != nil {
-					return err
-				}
-				sec.size = st
-				return nil
-			},
-			load: func(sec *centerSection) error { return ctr.ImportState(sec.size) },
-		}, nil
-	default:
-		return nil, fmt.Errorf("transport: unknown kind %q", cfg.Kind)
-	}
-}
-
-// newSpreadCenterEngine wraps a spread center of either backend; its window
-// store travels in the checkpoint section's spread field.
-func newSpreadCenterEngine[S core.SpreadSketch[S]](ctr *core.SpreadCenter[S]) *engineCenter[S] {
-	return &engineCenter[S]{
-		ctr:  ctr.Center,
-		recv: ctr.ReceiveMeta,
-		hist: &sketchPool[S]{fresh: ctr.NewSketch},
-		save: func(sec *centerSection) error {
-			st, err := ctr.ExportState()
-			if err != nil {
-				return err
-			}
-			sec.spread = st
-			return nil
-		},
-		load: func(sec *centerSection) error { return ctr.ImportState(sec.spread) },
-	}
 }

@@ -338,9 +338,9 @@ func sectionSeeds(t interface{ Fatal(args ...any) }) [][]byte {
 		t.Fatal(err)
 	}
 	topo := topology{kind: KindSpread, windowN: 5, m: 4, seed: 5, widths: widths}
-	centerSpread := (&centerSection{topo: topo, lastPush: 2, spread: spreadSt}).encode()
+	centerSpread := (&centerSection{topo: topo, lastPush: 2, state: spreadSt}).encode()
 	topo.kind, topo.m, topo.d, topo.delta = KindSize, 0, 2, true
-	centerSize := (&centerSection{topo: topo, lastPush: 2, size: sizeSt}).encode()
+	centerSize := (&centerSection{topo: topo, lastPush: 2, state: sizeSt}).encode()
 
 	eng, err := newRelayEngine(RelayConfig{Kind: KindSize, WindowN: 5, Widths: map[int]int{0: 16, 1: 16}, D: 2, Seed: 5, Relay: 7})
 	if err != nil {

@@ -5,9 +5,6 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/countmin"
-	"repro/internal/rskt"
-	"repro/internal/vhll"
 )
 
 // relayEngine is the design-erased aggregation relay the RelayServer
@@ -106,77 +103,5 @@ func (e *engineRelay[S]) maxEpoch() int64             { return e.rel.MaxEpoch() 
 func (e *engineRelay[S]) forwarded() int64            { return e.rel.Forwarded() }
 func (e *engineRelay[S]) resyncForwarded(epoch int64) { e.rel.ResyncForwarded(epoch) }
 
-func (e *engineRelay[S]) exportState() (*core.RelayState, error) {
-	return e.rel.ExportState()
-}
-
-func (e *engineRelay[S]) importState(st *core.RelayState) error {
-	return e.rel.ImportState(st)
-}
-
-// newRelayEngine builds the relay engine selected by the configuration.
-// Size relays always run delta mode: cumulative uploads cannot be
-// pre-merged, so every point beneath a relay must run with DeltaUploads.
-func newRelayEngine(cfg RelayConfig) (relayEngine, error) {
-	weights := cfg.Weights
-	switch cfg.Kind {
-	case KindSpread:
-		switch cfg.Sketch {
-		case "", SketchRskt:
-			protos := make(map[int]*rskt.Sketch, len(cfg.Widths))
-			for id, w := range cfg.Widths {
-				p := rskt.Params{W: w, M: cfg.M, Seed: cfg.Seed}
-				if err := p.Validate(); err != nil {
-					return nil, err
-				}
-				protos[id] = rskt.New(p)
-			}
-			rel, err := core.NewRelay(cfg.WindowN, protos, weights, core.EngineConfig[*rskt.Sketch]{
-				Design: "spread", Mode: core.ModeDelta,
-			})
-			if err != nil {
-				return nil, err
-			}
-			return &engineRelay[*rskt.Sketch]{rel: rel}, nil
-		case SketchVhll:
-			protos := make(map[int]*vhll.Sketch, len(cfg.Widths))
-			for id, w := range cfg.Widths {
-				proto, err := vhll.New(vhll.Params{PhysicalRegisters: w, VirtualRegisters: cfg.M, Seed: cfg.Seed})
-				if err != nil {
-					return nil, err
-				}
-				protos[id] = proto
-			}
-			rel, err := core.NewRelay(cfg.WindowN, protos, weights, core.EngineConfig[*vhll.Sketch]{
-				Design: "spread", Mode: core.ModeDelta,
-			})
-			if err != nil {
-				return nil, err
-			}
-			return &engineRelay[*vhll.Sketch]{rel: rel}, nil
-		default:
-			return nil, fmt.Errorf("transport: unknown spread sketch %q", cfg.Sketch)
-		}
-	case KindSize:
-		if cfg.Sketch != "" && cfg.Sketch != SketchRskt {
-			return nil, fmt.Errorf("transport: the size design has no alternate sketch backend (got %q)", cfg.Sketch)
-		}
-		protos := make(map[int]*countmin.Sketch, len(cfg.Widths))
-		for id, w := range cfg.Widths {
-			p := countmin.Params{D: cfg.D, W: w, Seed: cfg.Seed}
-			if err := p.Validate(); err != nil {
-				return nil, err
-			}
-			protos[id] = countmin.New(p)
-		}
-		rel, err := core.NewRelay(cfg.WindowN, protos, weights, core.EngineConfig[*countmin.Sketch]{
-			Design: "size", Mode: core.ModeDelta, Additive: true,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &engineRelay[*countmin.Sketch]{rel: rel}, nil
-	default:
-		return nil, fmt.Errorf("transport: unknown kind %q", cfg.Kind)
-	}
-}
+func (e *engineRelay[S]) exportState() (*core.RelayState, error) { return e.rel.ExportState() }
+func (e *engineRelay[S]) importState(st *core.RelayState) error  { return e.rel.ImportState(st) }

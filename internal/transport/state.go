@@ -17,14 +17,24 @@ import (
 
 var stateMagic = []byte("TQST2")
 
+// stateKind is the TQST2 kind byte: 'z' for the additive (size) framing,
+// which writes a B-presence byte because cumulative mode keeps no B
+// sketch, 's' for the spread framing, which always has all three sketches.
+func (e *enginePoint[S]) stateKind() byte {
+	if e.additive {
+		return 'z'
+	}
+	return 's'
+}
+
 func (e *enginePoint[S]) saveState() ([]byte, error) {
 	var a appender
 	a.raw(stateMagic)
-	a.u8(e.codec.stateKind)
+	a.u8(e.stateKind())
 	epoch, b, cc, cp := e.pt.Snapshot()
 	a.i64(epoch)
 	sketches := []S{b, cc, cp}
-	if e.codec.hasBByte {
+	if e.additive {
 		hasB := !core.IsNil(b)
 		a.boolean(hasB)
 		if !hasB {
@@ -46,12 +56,12 @@ func (e *enginePoint[S]) loadState(data []byte) error {
 	if m := r.take(len(stateMagic)); r.err == nil && !bytes.Equal(m, stateMagic) {
 		return fmt.Errorf("transport: state magic %q, want %q", m, stateMagic)
 	}
-	if k := r.u8(); r.err == nil && k != e.codec.stateKind {
+	if k := r.u8(); r.err == nil && k != e.stateKind() {
 		return fmt.Errorf("transport: state kind %q does not match the point's design", k)
 	}
 	epoch := r.i64()
 	blobs := make([][]byte, 3)
-	if e.codec.hasBByte && !r.boolean() {
+	if e.additive && !r.boolean() {
 		blobs = blobs[1:]
 	}
 	for i := range blobs {
