@@ -49,7 +49,7 @@ func run(args []string) error {
 		storeDir   = fs.String("store-dir", "", "append every accepted upload to a time-indexed epoch log here, enabling retrospective T-queries (tqquery -at/-range via -history-addr)")
 		retain     = fs.Int("retain", 0, "epochs of history to keep in the store, 0 = unbounded (with -store-dir; eviction is whole-segment)")
 		storeMax   = fs.Int64("store-max-bytes", 0, "store size budget in bytes, 0 = unbounded (with -store-dir; oldest segments evicted first)")
-		replayCch  = fs.Int64("replay-cache-bytes", 0, "historical-replay cache budget in bytes (with -store-dir; 0 = 64 MiB default, negative disables); each cached epoch costs 64 B plus its sketch's paper-model footprint at the widest width")
+		replayCch  = fs.Int64("replay-cache-bytes", 0, "historical-replay cache budget in bytes (with -store-dir; 0 = 64 MiB default, negative disables); each cached epoch costs the bytes it holds: 64 B, 8 B per joined point and its partial cell or decoded sketch")
 		histAddr   = fs.String("history-addr", "", "serve the query RPC (live + historical forms) on this address, e.g. :7071")
 		pprofAddr  = fs.String("pprof", "", "serve net/http/pprof on this address, e.g. localhost:6060")
 		healthAddr = fs.String("health", "", "serve /healthz + /readyz on this address, e.g. localhost:8070")

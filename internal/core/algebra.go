@@ -51,8 +51,20 @@ type Sketch[S any] interface {
 	// sketch of the expected shape bounds what a payload can allocate.
 	MarshalBinaryCompact() ([]byte, error)
 	UnmarshalBinary([]byte) error
+	// Project returns the sketch's projection for flow f: a sketch of the
+	// same kind on which EstimateUnion(f, ...) over other projections of
+	// f answers bit for bit what it answers over the sketches they came
+	// from. rSkt2 and CountMin read W only to find the flow's column, so
+	// their projection is width 1: each row cut down to f's column. vHLL's
+	// estimator reads every register, so its projection is the sketch
+	// itself. The replay answers a stored window from its epochs'
+	// projections.
+	Project(f uint64) S
+	// HeapBytes is the bytes the sketch's state holds in memory; the
+	// replay cache charges a decoded partial by it.
+	HeapBytes() int
 	// MemoryBits is the sketch's footprint under the paper's memory model
-	// (5-bit registers, 32-bit counters); the replay cache charges by it.
+	// (5-bit registers, 32-bit counters).
 	MemoryBits() int
 }
 

@@ -328,6 +328,8 @@ func (s *countingSketch) Compatible(o *countingSketch) bool     { return s.sk.Co
 func (s *countingSketch) MarshalBinaryCompact() ([]byte, error) { return s.sk.MarshalBinaryCompact() }
 func (s *countingSketch) UnmarshalBinary(data []byte) error     { return s.sk.UnmarshalBinary(data) }
 func (s *countingSketch) MemoryBits() int                       { return s.sk.MemoryBits() }
+func (s *countingSketch) HeapBytes() int                        { return s.sk.HeapBytes() }
+func (s *countingSketch) Project(f uint64) *countingSketch      { return s.wrap(s.sk.Project(f)) }
 
 // TestJoinIsLinearPerRound guards the round's cost: a full push round —
 // every point's upload, then every point's aggregate and coverage — must

@@ -361,6 +361,10 @@ func (s *Sketch) MemoryBits() int {
 	return s.params.D * s.params.W * CounterBits
 }
 
+// HeapBytes returns the bytes the sketch's counters hold in memory: eight
+// per counter.
+func (s *Sketch) HeapBytes() int { return 8 * s.params.D * s.params.W }
+
 // Width returns the per-row counter count (the dimension that varies under
 // device diversity and that ExpandTo/CompressTo align).
 func (s *Sketch) Width() int { return s.params.W }

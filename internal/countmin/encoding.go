@@ -16,6 +16,30 @@ const wireMagic = 0xC4
 // headerLen is the encoding's fixed header: magic, D, W, Seed.
 const headerLen = 1 + 4 + 4 + 8
 
+// parseHeader reads and bounds an encoding's header: a hostile header must
+// not drive memory use or overflow the size arithmetic.
+func parseHeader(data []byte) (Params, error) {
+	if len(data) < headerLen {
+		return Params{}, fmt.Errorf("countmin: truncated sketch encoding")
+	}
+	if data[0] != wireMagic {
+		return Params{}, fmt.Errorf("countmin: bad magic byte %#x (want %#x)", data[0], wireMagic)
+	}
+	p := Params{
+		D:    int(binary.LittleEndian.Uint32(data[1:])),
+		W:    int(binary.LittleEndian.Uint32(data[5:])),
+		Seed: binary.LittleEndian.Uint64(data[9:]),
+	}
+	if err := p.Validate(); err != nil {
+		return p, fmt.Errorf("countmin: decode: %w", err)
+	}
+	const maxCells = 1 << 28
+	if p.D > maxCells || p.W > maxCells || p.D*p.W > maxCells {
+		return p, fmt.Errorf("countmin: decode: implausible dimensions %dx%d", p.D, p.W)
+	}
+	return p, nil
+}
+
 // encodeScratch holds MarshalBinaryCompact's scratch buffers. Each call
 // takes its own, so concurrent encodes of one sketch never share one.
 var encodeScratch = sync.Pool{New: func() any { return new([]byte) }}
@@ -125,27 +149,13 @@ func getShort(row []int64, body []byte) (n, k int) {
 // two-byte counters, nearly all of them in practice, decode inline; longer
 // ones and a counter in the payload's last byte go through binary.Varint.
 func (s *Sketch) UnmarshalBinary(data []byte) error {
-	if len(data) < headerLen {
-		return fmt.Errorf("countmin: truncated sketch encoding")
+	p, err := parseHeader(data)
+	if err != nil {
+		return err
 	}
-	if data[0] != wireMagic {
-		return fmt.Errorf("countmin: bad magic byte %#x (want %#x)", data[0], wireMagic)
-	}
-	d := int(binary.LittleEndian.Uint32(data[1:]))
-	w := int(binary.LittleEndian.Uint32(data[5:]))
-	seed := binary.LittleEndian.Uint64(data[9:])
-	p := Params{D: d, W: w, Seed: seed}
+	d, w := p.D, p.W
 	if s.params.W != 0 && (d != s.params.D || w != s.params.W) {
 		return fmt.Errorf("countmin: decode: encoding is %dx%d, want %dx%d", d, w, s.params.D, s.params.W)
-	}
-	if err := p.Validate(); err != nil {
-		return fmt.Errorf("countmin: decode: %w", err)
-	}
-	// Bound dimensions before trusting them for allocation: a hostile
-	// header must not drive memory use or overflow the size arithmetic.
-	const maxCells = 1 << 28
-	if d > maxCells || w > maxCells || d*w > maxCells {
-		return fmt.Errorf("countmin: decode: implausible dimensions %dx%d", d, w)
 	}
 	body := data[headerLen:]
 	// Every counter takes at least one varint byte.

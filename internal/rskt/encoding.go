@@ -17,6 +17,31 @@ const wireMagic = 0xA8
 // headerLen is the size of the encoding's fixed header.
 const headerLen = 1 + 4 + 4 + 8
 
+// parseHeader reads and bounds an encoding's header: the dimensions must
+// be valid and plausible before anything is allocated from them (see the
+// decoder fuzz tests).
+func parseHeader(data []byte) (Params, error) {
+	if len(data) < headerLen {
+		return Params{}, fmt.Errorf("rskt: truncated sketch encoding")
+	}
+	if data[0] != wireMagic {
+		return Params{}, fmt.Errorf("rskt: bad magic byte %#x (want %#x)", data[0], wireMagic)
+	}
+	p := Params{
+		W:    int(binary.LittleEndian.Uint32(data[1:])),
+		M:    int(binary.LittleEndian.Uint32(data[5:])),
+		Seed: binary.LittleEndian.Uint64(data[9:]),
+	}
+	if err := p.Validate(); err != nil {
+		return p, fmt.Errorf("rskt: decode: %w", err)
+	}
+	const maxRegisters = 1 << 28
+	if p.W > maxRegisters || p.M > maxRegisters || p.W*p.M > maxRegisters {
+		return p, fmt.Errorf("rskt: decode: implausible dimensions %dx%d", p.W, p.M)
+	}
+	return p, nil
+}
+
 // MarshalBinaryCompact encodes the sketch little-endian: magic, W, M, Seed,
 // then each row as an hll compact register array. hll.AppendCompact sizes
 // both rows before writing, so the header grows once, to the exact length.
@@ -39,32 +64,15 @@ func (s *Sketch) MarshalBinaryCompact() ([]byte, error) {
 // register contents are unspecified but the sketch stays structurally
 // valid.
 func (s *Sketch) UnmarshalBinary(data []byte) error {
-	if len(data) < headerLen {
-		return fmt.Errorf("rskt: truncated sketch encoding")
+	p, err := parseHeader(data)
+	if err != nil {
+		return err
 	}
-	if data[0] != wireMagic {
-		return fmt.Errorf("rskt: bad magic byte %#x (want %#x)", data[0], wireMagic)
-	}
-	off := 1
-	w := int(binary.LittleEndian.Uint32(data[off:]))
-	off += 4
-	m := int(binary.LittleEndian.Uint32(data[off:]))
-	off += 4
-	seed := binary.LittleEndian.Uint64(data[off:])
-	off += 8
-	p := Params{W: w, M: m, Seed: seed}
+	w, m := p.W, p.M
 	if s.params.W != 0 && (w != s.params.W || m != s.params.M) {
 		return fmt.Errorf("rskt: decode: encoding is %dx%d, want %dx%d", w, m, s.params.W, s.params.M)
 	}
-	if err := p.Validate(); err != nil {
-		return fmt.Errorf("rskt: decode: %w", err)
-	}
-	// Bound dimensions before trusting them for allocation (see the
-	// decoder fuzz tests).
-	const maxRegisters = 1 << 28
-	if w > maxRegisters || m > maxRegisters || w*m > maxRegisters {
-		return fmt.Errorf("rskt: decode: implausible dimensions %dx%d", w, m)
-	}
+	off := headerLen
 	n := w * m
 	rows := s.rows
 	for u := range rows {

@@ -230,7 +230,7 @@ func (s *Sketch) Estimate(f uint64) float64 {
 // concurrent callers.
 func (s *Sketch) EstimateUnion(f uint64, others []*Sketch) float64 {
 	p := &s.params
-	base := int(s.wDiv.Mod(xhash.Mix64((f^p.Seed)^preColumn))) * p.M
+	base := s.column(f) * p.M
 	// g(f, i) for all i shares the flow half of the pair hash; mix it once.
 	hf := xhash.Mix64((f ^ p.Seed) ^ prePairBit)
 
@@ -312,6 +312,10 @@ func (s *Sketch) Equal(o *Sketch) bool {
 func (s *Sketch) MemoryBits() int {
 	return s.rows[0].MemoryBits() + s.rows[1].MemoryBits()
 }
+
+// HeapBytes returns the bytes the sketch's registers hold in memory: one
+// per register.
+func (s *Sketch) HeapBytes() int { return len(s.rows[0]) + len(s.rows[1]) }
 
 // ExpandTo column-wise replicates the sketch to wBig estimator columns
 // (eq. (9)): expanded[u][i][j] = s[u][i mod w][j]. wBig must be a multiple

@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"io"
 	"math"
+	"net"
 	"testing"
 
 	"repro/internal/core"
@@ -44,4 +46,66 @@ func TestRelayHelloEpochRule(t *testing.T) {
 			c.checkFullRecovery(x, 5, "after refused hellos")
 		}
 	})
+}
+
+// TestPointWelcomeEpochRule has a parent answer a point's Hello with a
+// Welcome whose ResumeEpoch or PointEpoch lies outside the epoch rule
+// (core.CheckEpoch). The point must refuse it and fail the dial. Taken, a
+// ResumeEpoch of MaxInt64 fast-forwarded the point's clock there, and its
+// next EndEpoch formed an upload epoch that wrapped int64. An in-range
+// Welcome still fast-forwards the clock.
+func TestPointWelcomeEpochRule(t *testing.T) {
+	noLeak(t)
+	welcome := func(w Welcome) (*PointClient, error) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		served := make(chan struct{})
+		go func() {
+			defer close(served)
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			if _, err := readMessage(conn, frameHello, parseHello); err != nil {
+				return
+			}
+			if _, err := conn.Write(frameOf(w)); err != nil {
+				return
+			}
+			_, _ = io.Copy(io.Discard, conn) // until the point hangs up
+		}()
+		pc, err := DialPoint(PointConfig{
+			Addr: ln.Addr().String(), Point: 0, Kind: KindSize, W: 16, D: 2, Seed: 1, RedialAttempts: 1,
+		})
+		if err != nil {
+			<-served
+		}
+		return pc, err
+	}
+	for _, w := range []Welcome{
+		{ResumeEpoch: math.MaxInt64},
+		{ResumeEpoch: core.EpochLimit},
+		{ResumeEpoch: -1},
+		{ResumeEpoch: 3, PointEpoch: math.MinInt64},
+		{ResumeEpoch: 3, PointEpoch: core.EpochLimit},
+	} {
+		w.WindowN, w.Points = 4, 1
+		if pc, err := welcome(w); err == nil {
+			epoch := pc.Stats().Epoch
+			pc.Close()
+			t.Fatalf("welcome %+v accepted: the point's epoch is %d", w, epoch)
+		}
+	}
+	pc, err := welcome(Welcome{WindowN: 4, Points: 1, ResumeEpoch: core.EpochLimit - 1, PointEpoch: 2})
+	if err != nil {
+		t.Fatalf("in-range welcome refused: %v", err)
+	}
+	defer pc.Close()
+	if got := pc.Stats().Epoch; got != core.EpochLimit-1 {
+		t.Fatalf("point epoch %d after an in-range welcome, want %d", got, core.EpochLimit-1)
+	}
 }

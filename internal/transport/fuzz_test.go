@@ -262,6 +262,7 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 	write("FuzzPushApply", fuzzPushSeeds(t))
 	write("FuzzRelayConn", fuzzRelaySeeds(t))
 	write("FuzzCheckpointSection", fuzzSectionSeeds(t))
+	write("FuzzPartialCellIndex", fuzzPartialSeeds(t))
 }
 
 // probeHandshake runs a clean child handshake on conn and checks the

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/core"
 )
 
 // upstream is the parent-facing half of a node: one connection to the
@@ -130,6 +132,9 @@ func (u *upstream) connect() error {
 		return fmt.Errorf("transport: send hello: %w", err)
 	}
 	w, err := readMessage(conn, frameWelcome, parseWelcome)
+	if err == nil {
+		err = checkWelcome(w)
+	}
 	if err != nil {
 		conn.Close()
 		return fmt.Errorf("transport: receive welcome: %w", err)
@@ -162,6 +167,21 @@ func (u *upstream) connect() error {
 	if u.hbEvery > 0 {
 		u.wg.Add(1)
 		go u.heartbeat(conn, done)
+	}
+	return nil
+}
+
+// checkWelcome holds a Welcome's epochs to the epoch rule
+// (core.CheckEpoch): both lie in [0, 2^62). The point fast-forwards its
+// clock to ResumeEpoch and counts its retransmit buffer against
+// PointEpoch, so an epoch past the rule would push every later epoch the
+// node forms past the int64 arithmetic its peers bound.
+func checkWelcome(w Welcome) error {
+	if err := core.CheckEpoch(w.ResumeEpoch, 0); err != nil {
+		return fmt.Errorf("resume %w", err)
+	}
+	if err := core.CheckEpoch(w.PointEpoch, 0); err != nil {
+		return fmt.Errorf("point %w", err)
 	}
 	return nil
 }

@@ -71,3 +71,13 @@ func (s *Sketch) CompressTo(mSmall int) (*Sketch, error) {
 	}
 	return out, nil
 }
+
+// Project returns the sketch itself. Unlike rSkt2 and CountMin, a flow's
+// vHLL estimate reads every register (the noise term is the whole array's
+// estimate), so no smaller sketch answers for one flow, and the replay of
+// a stored vHLL window decodes each epoch whole.
+func (s *Sketch) Project(uint64) *Sketch { return s }
+
+// HeapBytes returns the bytes the sketch's registers hold in memory: one
+// per register.
+func (s *Sketch) HeapBytes() int { return len(s.regs) }
