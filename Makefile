@@ -58,13 +58,17 @@ test-race:
 # that a point refuses a Welcome outside it, that a center refuses to
 # import the state of another sketch shape, that a flow's projection read
 # through a partial cell's block index equals the full decode's, that a
-# cold epoch allocates no maximum-width sketch, and that cached cell
-# partials answer exactly and recycle their buffers.
+# cold epoch allocates no maximum-width sketch, that cached cell partials
+# answer exactly and recycle their buffers, and that the HLL estimators'
+# integer harmonic sum and the one-pass spread estimates give bit for bit
+# what the float per-register loops they replaced gave.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 -run '^(TestJoinIsLinearPerRound|TestEndEpochFoldsEachLaneOnce|TestReplayWindowMatchesMergeReference|TestEpochPartialDoesNotAliasCells|TestHistoryAggregateSpanEdges|TestCheckEpochBounds|TestUploadEpochRule|TestHistoryReplayCacheCells)$$' ./internal/core
 	$(GO) test -race -count=1 -run '^TestLogGetManyVisitRunsUnlocked$$' ./internal/durable
 	$(GO) test -race -count=1 -run '^(TestFlowProjectionMatchesDecode|TestProjectRejectsHostileIndex)$$' ./internal/rskt ./internal/countmin
+	$(GO) test -race -count=1 -run '^TestEstimateMatchesFloatReference$$' ./internal/hll
+	$(GO) test -race -count=1 -run '^TestEstimateUnionMatchesReference$$' ./internal/rskt ./internal/vhll
 	$(GO) test -race -count=1 -run '^(TestPersistedPartialMatchesCells|TestHistoryModelMatchesNaiveReplay|TestCenterStateImportRejectsForeignShape|TestPointWelcomeEpochRule|TestColdEpochAllocatesNoWideSketch|TestPreviousLayoutPartialFallsBackToCells|TestPreviousLayoutWidePartial)$$' ./internal/transport
 
 # The crash-restart matrix: process-death scenarios against the durable
@@ -126,8 +130,9 @@ store-test:
 # a true index must read what the full decode gives), the sketch and
 # trace binary decoders (each sketch has one encoding; an accepted input
 # must re-encode to the same bytes, and the hll compact target covers the
-# register layouts the wire and checkpoints carry), and the SWAR merge
-# against its scalar model.
+# register layouts the wire and checkpoints carry), the SWAR merge
+# against its scalar model, and the rSkt2 spread estimate on arbitrary
+# registers against its per-register reference.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzCenterConn$$' -fuzztime $(FUZZTIME) ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzPointConn$$' -fuzztime $(FUZZTIME) ./internal/transport
@@ -136,6 +141,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointSection$$' -fuzztime $(FUZZTIME) ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzPartialCellIndex$$' -fuzztime $(FUZZTIME) ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalBinary$$' -fuzztime $(FUZZTIME) ./internal/rskt
+	$(GO) test -run '^$$' -fuzz '^FuzzEstimateUnion$$' -fuzztime $(FUZZTIME) ./internal/rskt
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalBinary$$' -fuzztime $(FUZZTIME) ./internal/countmin
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalBinary$$' -fuzztime $(FUZZTIME) ./internal/vhll
 	$(GO) test -run '^$$' -fuzz '^FuzzMergeMax$$' -fuzztime $(FUZZTIME) ./internal/hll

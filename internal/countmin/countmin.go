@@ -386,9 +386,9 @@ func (s *Sketch) ExpandTo(wBig int) (*Sketch, error) {
 	q := s.params
 	q.W = wBig
 	out := New(q)
-	for i := range s.rows {
-		for j := 0; j < wBig; j++ {
-			out.rows[i][j] = s.rows[i][j%w]
+	for i, row := range s.rows {
+		for j := 0; j < wBig; j += w {
+			copy(out.rows[i][j:], row)
 		}
 	}
 	return out, nil
@@ -405,10 +405,13 @@ func (s *Sketch) CompressTo(wSmall int) (*Sketch, error) {
 	q := s.params
 	q.W = wSmall
 	out := New(q)
-	for i := range s.rows {
-		for j := 0; j < w; j++ {
-			if v := s.rows[i][j]; v > out.rows[i][j%wSmall] {
-				out.rows[i][j%wSmall] = v
+	for i, row := range s.rows {
+		dst := out.rows[i]
+		// Fold block by block; dst starts at zero, as the max always has.
+		for j := 0; j < w; j += wSmall {
+			src := row[j:][:len(dst)]
+			for k, v := range dst {
+				dst[k] = max(v, src[k])
 			}
 		}
 	}

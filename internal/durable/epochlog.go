@@ -905,6 +905,35 @@ func (l *Log) Span() (first, last int64, ok bool) {
 	return l.spanLocked()
 }
 
+// SpanOf returns the epoch range [first, last] from the oldest to the
+// newest retained epoch that holds a cell of any of points; ok is false
+// when none does. Span can open on an epoch whose only retained cells are
+// of other points: retention is whole-segment, so a cell appended late
+// into the next epoch's segment outlives its epoch's other cells. The
+// ends are walked an epoch at a time, so the walk is long only when such
+// an end is followed by a run of epochs the log holds nothing for.
+func (l *Log) SpanOf(points []int) (first, last int64, ok bool) {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	holds := func(epoch int64) bool {
+		for _, id := range points {
+			if _, ok := l.index[epoch].find(id); ok {
+				return true
+			}
+		}
+		return false
+	}
+	first, last, ok = l.spanLocked()
+	for ; ok && first <= last && !holds(first); first++ {
+	}
+	for ; ok && first <= last && !holds(last); last-- {
+	}
+	if !ok || first > last {
+		return 0, 0, false
+	}
+	return first, last, true
+}
+
 func (l *Log) spanLocked() (first, last int64, ok bool) {
 	for _, m := range l.segs {
 		if m.entries == 0 {

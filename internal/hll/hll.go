@@ -11,13 +11,19 @@
 //
 // Estimation uses the standard bias-corrected HLL formula with the
 // linear-counting small-range correction. With 64-bit hashing no
-// large-range correction is required.
+// large-range correction is required. The harmonic sum is taken as an
+// exact integer (Sum): each register adds 2^(31−v), and one multiply by
+// 2^−31 gives the float sum. Below 2^22 registers every partial float sum
+// of the terms 2^−v is a multiple of 2^−31 below 2^22, which 53 bits hold
+// exactly, so the estimate is bit-identical to the float loop.
 package hll
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 const (
@@ -101,71 +107,101 @@ func alpha(m int) float64 {
 	}
 }
 
-// exp2Neg[v] = 2^-v for register values, precomputed: the estimate is on
-// the query hot path (Table I).
-var exp2Neg = func() [MaxRegisterValue + 1]float64 {
-	var t [MaxRegisterValue + 1]float64
+// Sum is a running harmonic sum of HLL registers, held exactly as an
+// integer: register value v adds 2^(31−v), its term 2^−v scaled by 2^31,
+// and the zero registers are counted beside it. Every estimator makes one
+// pass over its registers into a Sum and ends in one Estimate.
+//
+// The estimate is bit-identical to summing the float terms 2^−v in
+// register order. Each partial float sum over fewer than 2^22 registers
+// is a multiple of 2^−31 below 2^22, so it fits a float64's 53-bit
+// significand: every float add is exact and equals the integer sum times
+// 2^−31. At 2^22 registers or more the integer sum gives the correctly
+// rounded value, which the float chain may miss by an ulp; it overflows
+// only past 2^33 registers.
+type Sum struct {
+	scaled uint64
+	zeros  int
+}
+
+// scaledTerm[v] = 2^(31−v): a load is cheaper than a shift by a variable
+// count on the query's hot loop.
+var scaledTerm = func() (t [MaxRegisterValue + 1]uint64) {
 	for v := range t {
-		t[v] = math.Exp2(-float64(v))
+		t[v] = 1 << (MaxRegisterValue - v)
 	}
 	return t
 }()
 
-// Estimate returns the HLL cardinality estimate over the register slice.
-// The slice is typically one logical estimator of m registers, but any
-// length >= 1 works (rSkt2 assembles virtual estimators from two rows).
-// Read-only and safe for concurrent callers.
-func Estimate(regs []uint8) float64 {
-	m := len(regs)
+// Add returns h with register value v added. Only v's low five bits
+// count, as registers never exceed MaxRegisterValue. The term's bit 31 is
+// set exactly when v is zero, which counts the zero without a branch.
+func (h Sum) Add(v uint8) Sum {
+	t := scaledTerm[v&MaxRegisterValue]
+	return Sum{h.scaled + t, h.zeros + int(t>>MaxRegisterValue)}
+}
+
+// addAll returns h with every register of regs added, eight registers a
+// step: their terms summed as a tree, their zeros counted by a byte-wise
+// test (a masked byte plus 0x7F carries into its high bit exactly when it
+// is nonzero, and never into the next byte).
+func (h Sum) addAll(regs []uint8) Sum {
+	const low5, high = 0x1F1F1F1F1F1F1F1F, 0x8080808080808080
+	i := 0
+	for ; i+8 <= len(regs); i += 8 {
+		w := binary.LittleEndian.Uint64(regs[i:]) & low5
+		h.scaled += scaledTerm[w&31] + scaledTerm[w>>8&31] + scaledTerm[w>>16&31] + scaledTerm[w>>24&31] +
+			scaledTerm[w>>32&31] + scaledTerm[w>>40&31] + scaledTerm[w>>48&31] + scaledTerm[w>>56&31]
+		h.zeros += 8 - bits.OnesCount64((w+^uint64(high))&high)
+	}
+	for _, v := range regs[i:] {
+		h = h.Add(v)
+	}
+	return h
+}
+
+// Estimate returns the bias-corrected estimate, with the linear-counting
+// small-range correction, of an estimator of m registers whose terms h
+// holds; 0 for m = 0.
+func (h Sum) Estimate(m int) float64 {
 	if m == 0 {
 		return 0
 	}
-	sum := 0.0
-	zeros := 0
-	for _, v := range regs {
-		sum += exp2Neg[v&MaxRegisterValue]
-		if v == 0 {
-			zeros++
-		}
-	}
-	return estimateFrom(m, sum, zeros)
-}
-
-// EstimateUnion returns the HLL estimate over the element-wise max of regs
-// and every slice in others (all equal length), without materializing the
-// union. The spread point uses it to answer queries across
-// not-yet-folded ingest lanes.
-func EstimateUnion(regs []uint8, others [][]uint8) float64 {
-	m := len(regs)
-	if m == 0 {
-		return 0
-	}
-	sum := 0.0
-	zeros := 0
-	for i, v := range regs {
-		for _, o := range others {
-			if o[i] > v {
-				v = o[i]
-			}
-		}
-		sum += exp2Neg[v&MaxRegisterValue]
-		if v == 0 {
-			zeros++
-		}
-	}
-	return estimateFrom(m, sum, zeros)
-}
-
-// estimateFrom finishes the bias-corrected estimate from the accumulated
-// harmonic sum and zero-register count.
-func estimateFrom(m int, sum float64, zeros int) float64 {
 	fm := float64(m)
-	e := alpha(m) * fm * fm / sum
-	if e <= 2.5*fm && zeros > 0 {
+	e := alpha(m) * fm * fm / (float64(h.scaled) * 0x1p-31)
+	if e <= 2.5*fm && h.zeros > 0 {
 		// Small-range correction: linear counting.
-		return fm * math.Log(fm/float64(zeros))
+		return fm * math.Log(fm/float64(h.zeros))
 	}
 	return e
+}
+
+// Estimate returns the HLL cardinality estimate over the register slice.
+// The slice is typically one logical estimator of m registers, but any
+// length works. Read-only and safe for concurrent callers.
+func Estimate(regs []uint8) float64 {
+	return Sum{}.addAll(regs).Estimate(len(regs))
+}
+
+// unionChunk is how many registers EstimateUnion folds at a time.
+const unionChunk = 256
+
+// EstimateUnion returns the HLL estimate over the element-wise max of regs
+// and row(o) for every o in others (each at least len(regs) long), without
+// materializing the union: it folds unionChunk registers at a time into a
+// stack buffer with MergeMaxBytes. Read-only and safe for concurrent
+// callers.
+func EstimateUnion[T any](regs []uint8, others []T, row func(T) []uint8) float64 {
+	var buf [unionChunk]uint8
+	var h Sum
+	for lo := 0; lo < len(regs); lo += unionChunk {
+		c := buf[:copy(buf[:], regs[lo:])]
+		for _, o := range others {
+			MergeMaxBytes(c, row(o)[lo:])
+		}
+		h = h.addAll(c)
+	}
+	return h.Estimate(len(regs))
 }
 
 // StandardError returns the theoretical relative standard error of an HLL

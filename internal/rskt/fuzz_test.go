@@ -3,6 +3,8 @@ package rskt
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/hll"
 )
 
 // FuzzUnmarshalBinary checks the decoder never panics and that any input
@@ -37,5 +39,37 @@ func FuzzUnmarshalBinary(f *testing.F) {
 		}
 		// And the sketch must be usable.
 		_ = sk.Estimate(42)
+	})
+}
+
+// FuzzEstimateUnion holds EstimateUnion to the per-register reference
+// loop on arbitrary registers: the first byte picks M (1..257), the second
+// how many others (0..8) and the third the flow; the rest fills the rows
+// of the sketch and its others cyclically, each byte masked to a register
+// value.
+func FuzzEstimateUnion(f *testing.F) {
+	f.Add([]byte{127, 0, 1, 5, 31, 0, 7})
+	f.Add([]byte{0, 8, 2, 31})
+	f.Add([]byte{255, 3, 9, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13})
+	f.Add(bytes.Repeat([]byte{0x1f}, 64))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		p := Params{W: 2, M: 1 + int(data[0]) + int(data[0]>>7), Seed: 9}
+		sks := make([]*Sketch, 1+int(data[1])%9)
+		fill, n := data[3:], 0
+		for j := range sks {
+			sks[j] = New(p)
+			for u := range sks[j].rows {
+				for i := range sks[j].rows[u] {
+					if len(fill) > 0 {
+						sks[j].rows[u][i] = fill[n%len(fill)] & hll.MaxRegisterValue
+						n++
+					}
+				}
+			}
+		}
+		checkEstimateUnion(t, sks[0], uint64(data[2]), sks[1:])
 	})
 }

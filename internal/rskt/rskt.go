@@ -209,7 +209,7 @@ func geoValue(h uint64) uint8 {
 	return rho
 }
 
-// estimatorScratchM is the largest M whose virtual-estimator buffers fit
+// estimatorScratchM is the largest M whose two folded register rows fit
 // on the caller's stack; the paper's recommended M is 128.
 const estimatorScratchM = 256
 
@@ -226,36 +226,44 @@ func (s *Sketch) Estimate(f uint64) float64 {
 // register-wise max of s and others, without mutating anything:
 // bit-identical to MergeMax-ing every other sketch into s first and
 // calling Estimate. All others must share s's parameters (the point's
-// ingest lanes do by construction). Read-only and safe for
-// concurrent callers.
+// ingest lanes, or a history window's width-1 projections). Read-only
+// and safe for concurrent callers.
+//
+// It is one pass over the flow's registers: the others fold into the
+// flow's column of each row eight registers a step (hll.MergeMaxBytes),
+// then the pair bit, widened to a byte mask, splits each register pair
+// into L_f and L̄_f without a branch, and both harmonic sums accumulate
+// as exact integers (hll.Sum).
 func (s *Sketch) EstimateUnion(f uint64, others []*Sketch) float64 {
 	p := &s.params
-	base := s.column(f) * p.M
+	m := p.M
+	base := s.column(f) * m
 	// g(f, i) for all i shares the flow half of the pair hash; mix it once.
 	hf := xhash.Mix64((f ^ p.Seed) ^ prePairBit)
 
 	var stack [2 * estimatorScratchM]uint8
-	var lf, lbar []uint8
-	if p.M <= estimatorScratchM {
-		lf, lbar = stack[:p.M], stack[estimatorScratchM:estimatorScratchM+p.M]
+	var r0, r1 []uint8
+	if m <= estimatorScratchM {
+		r0, r1 = stack[:m], stack[estimatorScratchM:estimatorScratchM+m]
 	} else {
-		buf := make([]uint8, 2*p.M)
-		lf, lbar = buf[:p.M], buf[p.M:]
+		buf := make([]uint8, 2*m)
+		r0, r1 = buf[:m], buf[m:]
 	}
-	for i := 0; i < p.M; i++ {
-		u := int(xhash.Mix64(hf^uint64(i)) & 1)
-		a, b := s.rows[u][base+i], s.rows[1-u][base+i]
-		for _, o := range others {
-			if v := o.rows[u][base+i]; v > a {
-				a = v
-			}
-			if v := o.rows[1-u][base+i]; v > b {
-				b = v
-			}
-		}
-		lf[i], lbar[i] = a, b
+	copy(r0, s.rows[0][base:])
+	copy(r1, s.rows[1][base:])
+	for _, o := range others {
+		hll.MergeMaxBytes(r0, o.rows[0][base:])
+		hll.MergeMaxBytes(r1, o.rows[1][base:])
 	}
-	return hll.Estimate(lf) - hll.Estimate(lbar)
+	r1 = r1[:len(r0)] // hoists r1's bounds check out of the loop
+	var lf, lbar hll.Sum
+	for i, a := range r0 {
+		b := r1[i]
+		// L_f takes row g(f, i)'s register: a when the bit is 0, b when 1.
+		x := (a ^ b) & -uint8(xhash.Mix64(hf^uint64(i))&1)
+		lf, lbar = lf.Add(a^x), lbar.Add(b^x)
+	}
+	return lf.Estimate(m) - lbar.Estimate(m)
 }
 
 // MergeMax folds o into s by register-wise max (the paper's U operator for

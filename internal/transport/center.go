@@ -353,8 +353,7 @@ func (s *CenterServer) Stats() CenterStats {
 		st.StoreBytes = ls.Bytes
 		st.StoreSegments = ls.Segments
 		st.StoreEntries = ls.Entries
-		st.StoreFirstEpoch = ls.FirstEpoch
-		st.StoreLastEpoch = ls.LastEpoch
+		st.StoreFirstEpoch, st.StoreLastEpoch = s.eng.storeSpan(s.store)
 		st.StoreCompactions = int64(ls.Compactions)
 		st.StoreCompactionErrors = int64(ls.CompactionErrors)
 		st.StoreLastCompaction = ls.LastCompaction

@@ -277,6 +277,9 @@ type centerEngine interface {
 	// replayReads counts cold replayed epochs by how the log answered
 	// them: from the epoch's partial cell, or from its point cells.
 	replayReads() (partial, cells int64)
+	// storeSpan is the epoch range the log holds point cells for (0, 0
+	// when none): the span a history query reads.
+	storeSpan(log *durable.Log) (first, last int64)
 }
 
 // logSource adapts the durable epoch log to core.HistorySource: the log's
@@ -286,8 +289,10 @@ type centerEngine interface {
 // replay never retains the visited sketch, so one recycled sketch per
 // worker absorbs an entire pass.
 type logSource[S core.Sketch[S]] struct {
-	log  *durable.Log
-	pool *sketchPool[S]
+	log *durable.Log
+	// points lists the center's children: the ids of the log's point cells.
+	points []int
+	pool   *sketchPool[S]
 	// wide returns a zero sketch of the partials' shape, of width wMax.
 	wide  func() S
 	wMax  int
@@ -418,8 +423,11 @@ func (ls logSource[S]) ProjectPartial(cell []byte, f uint64) (S, error) {
 	return ls.cells.project(enc, idx, ls.wMax, f)
 }
 
-// Span bounds a replay to the epochs the log retains.
-func (ls logSource[S]) Span() (first, last int64, ok bool) { return ls.log.Span() }
+// Span bounds a replay to the epochs the log retains a point cell for. An
+// epoch's partial cell is appended after its push, so it can land in the
+// next epoch's segment and outlive the epoch's point cells; such an epoch
+// answers nothing and is not part of the span.
+func (ls logSource[S]) Span() (first, last int64, ok bool) { return ls.log.SpanOf(ls.points) }
 
 // Held probes the log's index once for the whole span.
 func (ls logSource[S]) Held(first, last int64, points []int) [][]int {
@@ -447,6 +455,8 @@ func (ls logSource[S]) EpochCells(epoch int64, points []int, visit func(point in
 // the epoch sketch.
 type engineCenter[S core.Sketch[S]] struct {
 	ctr *core.Center[S]
+	// ids lists the children in ascending order.
+	ids []int
 	// cumulative mirrors pointEngine.cumulative.
 	cum bool
 	// scratch decodes uploads. Only an additive design recycles them: its
@@ -477,6 +487,7 @@ func newEngineCenter[S core.Sketch[S]](ctr *core.Center[S], cfg core.EngineConfi
 	}
 	return &engineCenter[S]{
 		ctr:     ctr,
+		ids:     sortedKeys(widths),
 		cum:     cfg.Mode == core.ModeCumulative,
 		hist:    &sketchPool[S]{fresh: ctr.NewSketch, widths: widths},
 		scratch: &sketchPool[S]{fresh: ctr.NewSketch, widths: widths, keep: !cfg.Additive},
@@ -602,7 +613,7 @@ func (e *engineCenter[S]) logPartial(epoch int64) ([]byte, bool, error) {
 }
 
 func (e *engineCenter[S]) source(log *durable.Log) logSource[S] {
-	return logSource[S]{log: log, pool: e.hist, wide: e.ctr.NewPartialSketch, wMax: e.wMax, cells: e.cells, reads: &e.reads}
+	return logSource[S]{log: log, points: e.ids, pool: e.hist, wide: e.ctr.NewPartialSketch, wMax: e.wMax, cells: e.cells, reads: &e.reads}
 }
 
 func (e *engineCenter[S]) historyAt(f uint64, k int64, log *durable.Log) (float64, core.Coverage, error) {
@@ -611,6 +622,11 @@ func (e *engineCenter[S]) historyAt(f uint64, k int64, log *durable.Log) (float6
 
 func (e *engineCenter[S]) historyRange(f uint64, from, to int64, log *durable.Log) (float64, core.Coverage, error) {
 	return e.ctr.QueryRangeFrom(f, from, to, e.source(log))
+}
+
+func (e *engineCenter[S]) storeSpan(log *durable.Log) (first, last int64) {
+	first, last, _ = e.source(log).Span()
+	return first, last
 }
 
 func (e *engineCenter[S]) replayReads() (partial, cells int64) {

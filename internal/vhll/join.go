@@ -47,8 +47,8 @@ func (s *Sketch) ExpandTo(mBig int) (*Sketch, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < mBig; i++ {
-		out.regs[i] = s.regs[i%m]
+	for i := 0; i < mBig; i += m {
+		copy(out.regs[i:], s.regs)
 	}
 	return out, nil
 }

@@ -154,10 +154,6 @@ func geoValue(h uint64) uint8 {
 	return rho
 }
 
-// estimatorScratchS is the largest virtual-estimator size whose query
-// buffer fits on the caller's stack; the default s is 128.
-const estimatorScratchS = 512
-
 // Estimate returns the spread estimate for flow f: the virtual estimator's
 // raw estimate minus the expected share of the whole array's cardinality
 // (the register-sharing noise term). Read-only and safe for concurrent
@@ -173,42 +169,24 @@ func (s *Sketch) Estimate(f uint64) float64 {
 // concurrent callers.
 func (s *Sketch) EstimateUnion(f uint64, others []*Sketch) float64 {
 	p := &s.params
-
-	var stack [estimatorScratchS]uint8
-	var virt []uint8
-	if p.VirtualRegisters <= estimatorScratchS {
-		virt = stack[:p.VirtualRegisters]
-	} else {
-		virt = make([]uint8, p.VirtualRegisters)
-	}
 	// The register-scatter hash shares its flow half across all i; mix it
 	// once outside the loop.
 	hf := xhash.Mix64(f ^ s.preRegSeed)
+	var virt hll.Sum
 	for i := 0; i < p.VirtualRegisters; i++ {
 		reg := s.pDiv.Mod(xhash.Mix64(hf ^ uint64(i)))
 		v := s.regs[reg]
 		for _, o := range others {
-			if w := o.regs[reg]; w > v {
-				v = w
-			}
+			v = max(v, o.regs[reg])
 		}
-		virt[i] = v
+		virt = virt.Add(v)
 	}
 	sv := float64(p.VirtualRegisters)
 	m := float64(p.PhysicalRegisters)
 	// n_f ≈ s/(1 - s/m) * (raw(virtual)/s - raw(whole)/m), the vHLL
 	// estimator rearranged; raw() is the plain HLL estimate.
-	nv := hll.Estimate(virt)
-	var nt float64
-	if len(others) == 0 {
-		nt = hll.Estimate(s.regs)
-	} else {
-		sets := make([][]uint8, len(others))
-		for i, o := range others {
-			sets[i] = o.regs
-		}
-		nt = hll.EstimateUnion(s.regs, sets)
-	}
+	nv := virt.Estimate(p.VirtualRegisters)
+	nt := hll.EstimateUnion(s.regs, others, func(o *Sketch) []uint8 { return o.regs })
 	est := sv / (1 - sv/m) * (nv/sv - nt/m)
 	if math.IsNaN(est) || est < 0 {
 		return 0
