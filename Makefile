@@ -50,7 +50,7 @@ test-race:
 # that an epoch boundary merges each dirty ingest lane once per kept sketch,
 # that a history window's union estimate stays bit-identical to merging its
 # partials, that a per-epoch partial owns its sketch, that the window
-# arithmetic refuses a k that would wrap, that the epoch log runs a batched
+# arithmetic refuses a k that would wrap, that the epoch log runs an epoch
 # read's visit unlocked, that a replay from logged partials answers exactly
 # what the point cells give, and that every stored partial, logged or
 # cached, answers exactly what a naive merge of the log's cells gives,
@@ -58,14 +58,14 @@ test-race:
 # that a point refuses a Welcome outside it, that a center refuses to
 # import the state of another sketch shape, that a flow's projection read
 # through a partial cell's block index equals the full decode's, that a
-# cold epoch allocates no maximum-width sketch, that cached cell partials
-# answer exactly and recycle their buffers, and that the HLL estimators'
+# cold epoch allocates no maximum-width sketch, that cached source partials
+# answer exactly, and that the HLL estimators'
 # integer harmonic sum and the one-pass spread estimates give bit for bit
 # what the float per-register loops they replaced gave.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 -run '^(TestJoinIsLinearPerRound|TestEndEpochFoldsEachLaneOnce|TestReplayWindowMatchesMergeReference|TestEpochPartialDoesNotAliasCells|TestHistoryAggregateSpanEdges|TestCheckEpochBounds|TestUploadEpochRule|TestHistoryReplayCacheCells)$$' ./internal/core
-	$(GO) test -race -count=1 -run '^TestLogGetManyVisitRunsUnlocked$$' ./internal/durable
+	$(GO) test -race -count=1 -run '^TestLogGetEpochVisitRunsUnlocked$$' ./internal/durable
 	$(GO) test -race -count=1 -run '^(TestFlowProjectionMatchesDecode|TestProjectRejectsHostileIndex)$$' ./internal/rskt ./internal/countmin
 	$(GO) test -race -count=1 -run '^TestEstimateMatchesFloatReference$$' ./internal/hll
 	$(GO) test -race -count=1 -run '^TestEstimateUnionMatchesReference$$' ./internal/rskt ./internal/vhll

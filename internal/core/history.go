@@ -21,14 +21,14 @@ import (
 // maximum width and spatially joined into one per-epoch partial, and the
 // window answer is the union estimate over the flow's projections of its
 // epochs' partials (Sketch.Project, EstimateUnion): only the flow's
-// registers or counters of each partial are read, read straight out of a
-// stored partial's encoding through its block index, and the window is
-// never materialized. ExpandTo is positional
-// replication and every backend's Merge is element-wise (register max /
-// integer counter add), so this regrouping is exactly the live answer's
-// register image — and it is what makes the partials cacheable
-// (ReplayCache) and the epochs independently computable
-// (replayWorkers-bounded parallelism for cold windows).
+// registers or counters of each partial are read (a StoredPartial may
+// read them straight out of its stored encoding), and the window is never
+// materialized. ExpandTo is positional replication and every backend's
+// Merge is element-wise (register max / integer counter add), so this
+// regrouping is exactly the live answer's register image — and it is
+// what makes the partials cacheable (ReplayCache) and the epochs
+// independently computable (replayWorkers-bounded parallelism for cold
+// windows).
 
 // HistorySource yields stored per-epoch measurements for replay: in
 // practice the transport's adapter over the durable epoch log. Sources
@@ -47,16 +47,9 @@ type HistorySource[S Sketch[S]] interface {
 	Held(first, last int64, points []int) [][]int
 	// EpochPartial reads epoch's stored partial — the spatial join at the
 	// maximum width of the cells of held — when the source keeps one that
-	// joined exactly held; ok=false sends the replay to the cells. The
-	// partial comes back one of two ways, owned by the caller: as its
-	// cell (cell), from which ProjectPartial reads one flow's projection
-	// without decoding the sketch; or, for a backend whose projection is
-	// the whole sketch, decoded (sk).
-	EpochPartial(epoch int64, held []int) (cell []byte, sk S, ok bool, err error)
-	// ProjectPartial reads flow f's projection (Sketch.Project) out of a
-	// partial's cell bytes; a cell whose sketch is not at the maximum
-	// width is an error.
-	ProjectPartial(cell []byte, f uint64) (S, error)
+	// joined exactly held and can read it; ok=false sends the replay to
+	// the cells. The partial is the caller's from then on.
+	EpochPartial(epoch int64, held []int) (p StoredPartial[S], ok bool, err error)
 	EpochSource[S]
 }
 
@@ -98,43 +91,46 @@ func (c *Center[S]) QueryRangeFrom(f uint64, from, to int64, src HistorySource[S
 	return c.queryEpochsFrom(f, from, to, src)
 }
 
+// StoredPartial is one epoch's partial as the replay keeps it: read from
+// the source (HistorySource.EpochPartial), or joined from the cells, and
+// then cached (ReplayCache). It is never written once made, so readers
+// share it.
+type StoredPartial[S Sketch[S]] interface {
+	// Project returns the partial's projection for flow f
+	// (Sketch.Project).
+	Project(f uint64) (S, error)
+	// HeapBytes is the bytes the partial holds in memory; the replay
+	// cache charges it.
+	HeapBytes() int
+}
+
+// DecodedPartial is the StoredPartial of a decoded sketch sk: a partial
+// joined from the cells, or one of a backend whose projection is the
+// whole sketch (vHLL). A sketch not at the window's maximum width w does
+// not project.
+func DecodedPartial[S Sketch[S]](sk S, w int) StoredPartial[S] { return decodedPartial[S]{sk, w} }
+
+type decodedPartial[S Sketch[S]] struct {
+	sk S
+	w  int
+}
+
+func (d decodedPartial[S]) Project(f uint64) (S, error) {
+	if d.sk.Width() != d.w {
+		var zero S
+		return zero, fmt.Errorf("partial of width %d does not join width %d", d.sk.Width(), d.w)
+	}
+	return d.sk.Project(f), nil
+}
+
+func (d decodedPartial[S]) HeapBytes() int { return d.sk.HeapBytes() }
+
 // epochPartial is one epoch's spatial join at the maximum width and the
-// sorted ids it joined, held decoded (sk) or as its cell's bytes (cell,
-// read through HistorySource.ProjectPartial). have is false for an epoch
-// with no cells.
+// sorted ids it joined. have is false for an epoch with no cells.
 type epochPartial[S Sketch[S]] struct {
 	sk   S
-	cell []byte
 	have bool
 	ids  []int
-}
-
-// partialEntryOverhead is the replay cache's fixed charge per partial.
-const partialEntryOverhead = 64
-
-// charge is what the replay cache charges for holding p: the fixed
-// overhead, its ids and its cell or its decoded sketch.
-func (p epochPartial[S]) charge() int64 {
-	b := partialEntryOverhead + 8*len(p.ids)
-	if p.cell != nil {
-		b += cap(p.cell)
-	} else {
-		b += p.sk.HeapBytes()
-	}
-	return int64(b)
-}
-
-// project returns p's projection for flow f; a decoded partial must be at
-// the window's width wMax.
-func (p epochPartial[S]) project(f uint64, wMax int, src HistorySource[S]) (S, error) {
-	if p.cell != nil {
-		return src.ProjectPartial(p.cell, f)
-	}
-	if p.sk.Width() != wMax {
-		var zero S
-		return zero, fmt.Errorf("partial of width %d does not join width %d", p.sk.Width(), wMax)
-	}
-	return p.sk.Project(f), nil
 }
 
 // computeEpochPartial joins every cell of epoch e across ids: cells merge
@@ -226,8 +222,7 @@ func (c *Center[S]) queryEpochsFrom(f uint64, first, last int64, src HistorySour
 		return 0, cov, nil
 	}
 	held := src.Held(vFirst, vLast, ids)
-	slots := make([]epochPartial[S], len(held))
-	projs := make([]S, len(held))
+	slots := make([]windowSlot[S], len(held))
 	var cold []int
 	for i, h := range held {
 		if len(h) == 0 {
@@ -235,11 +230,11 @@ func (c *Center[S]) queryEpochsFrom(f uint64, first, last int64, src HistorySour
 		}
 		if cache != nil {
 			if p, ok := cache.lookup(vFirst+int64(i), h); ok {
-				proj, err := p.project(f, wMax, src)
+				proj, err := p.Project(f)
 				if err != nil {
 					return 0, cov, fmt.Errorf("core: history window join epoch %d: %w", vFirst+int64(i), err)
 				}
-				slots[i], projs[i] = epochPartial[S]{have: true, ids: h}, proj
+				slots[i] = windowSlot[S]{ids: h, proj: proj}
 				continue
 			}
 		}
@@ -250,7 +245,7 @@ func (c *Center[S]) queryEpochsFrom(f uint64, first, last int64, src HistorySour
 	// partial from the source, or joins the cells, and the flow's
 	// projection of it.
 	err := forEach(cold, func(i int) (err error) {
-		slots[i], projs[i], err = coldEpoch(vFirst+int64(i), held[i], f, wMax, src)
+		slots[i], err = coldEpoch(vFirst+int64(i), held[i], f, wMax, src)
 		return err
 	})
 	if err != nil {
@@ -262,30 +257,25 @@ func (c *Center[S]) queryEpochsFrom(f uint64, first, last int64, src HistorySour
 	// partials, reading only the flow's cells of each. The shape check
 	// Merge would make stays.
 	parts := make([]S, 0, len(slots))
-	for i := range slots {
-		if !slots[i].have {
+	for i, s := range slots {
+		if len(s.ids) == 0 {
 			continue
 		}
-		for _, id := range slots[i].ids {
+		for _, id := range s.ids {
 			cov.EpochsMerged += weights[id]
 		}
-		proj := projs[i]
-		if len(parts) > 0 && (proj.Width() != parts[0].Width() || !parts[0].Compatible(proj)) {
+		if len(parts) > 0 && (s.proj.Width() != parts[0].Width() || !parts[0].Compatible(s.proj)) {
 			return 0, cov, fmt.Errorf("core: history window join epoch %d: partial does not join the window's other partials", vFirst+int64(i))
 		}
-		parts = append(parts, proj)
+		parts = append(parts, s.proj)
 	}
 
 	// Publish the cold partials, every one of which projected. Once
 	// inserted a partial is shared and only read.
 	if cache != nil {
 		for _, i := range cold {
-			switch p := slots[i]; {
-			case !p.have:
-			case p.cell != nil:
-				cache.insertCell(vFirst+int64(i), p, p.charge())
-			default:
-				cache.insertPartial(vFirst+int64(i), p.ids, p.sk, p.charge())
+			if s := slots[i]; s.part != nil {
+				cache.insert(vFirst+int64(i), s.ids, s.part)
 			}
 		}
 	}
@@ -336,27 +326,35 @@ func forEach(jobs []int, fn func(int) error) error {
 	return firstErr
 }
 
-// coldEpoch returns epoch e's partial over held, the sorted ids whose
-// cells src holds, and the partial's projection for f: from src's stored
-// partial when it joined exactly those ids, and otherwise from the cells.
-func coldEpoch[S Sketch[S]](e int64, held []int, f uint64, wMax int, src HistorySource[S]) (p epochPartial[S], proj S, err error) {
-	cell, sk, ok, err := src.EpochPartial(e, held)
-	switch {
-	case err != nil:
-		return p, proj, fmt.Errorf("core: history partial epoch %d: %w", e, err)
-	case ok && cell != nil:
-		p = epochPartial[S]{cell: cell, have: true, ids: held}
-	case ok:
-		p = epochPartial[S]{sk: sk, have: true, ids: held}
-	default:
-		if p, err = computeEpochPartial(e, held, wMax, src); err != nil || !p.have {
-			return p, proj, err
+// windowSlot is one epoch of a replayed window: its partial (kept only
+// for a cold epoch, to cache), the sorted ids the partial joined (none
+// for an epoch with no cells) and the partial's projection for the flow.
+type windowSlot[S Sketch[S]] struct {
+	part StoredPartial[S]
+	ids  []int
+	proj S
+}
+
+// coldEpoch returns epoch e's slot over held, the sorted ids whose cells
+// src holds: src's stored partial when it joined exactly those ids, and
+// otherwise the join of the cells.
+func coldEpoch[S Sketch[S]](e int64, held []int, f uint64, wMax int, src HistorySource[S]) (windowSlot[S], error) {
+	part, ok, err := src.EpochPartial(e, held)
+	if err != nil {
+		return windowSlot[S]{}, fmt.Errorf("core: history partial epoch %d: %w", e, err)
+	}
+	s := windowSlot[S]{part: part, ids: held}
+	if !ok {
+		p, err := computeEpochPartial(e, held, wMax, src)
+		if err != nil || !p.have {
+			return windowSlot[S]{}, err
 		}
+		s = windowSlot[S]{part: DecodedPartial(p.sk, wMax), ids: p.ids}
 	}
-	if proj, err = p.project(f, wMax, src); err != nil {
-		return p, proj, fmt.Errorf("core: history window join epoch %d: %w", e, err)
+	if s.proj, err = s.part.Project(f); err != nil {
+		return windowSlot[S]{}, fmt.Errorf("core: history window join epoch %d: %w", e, err)
 	}
-	return p, proj, nil
+	return s, nil
 }
 
 // QueryWindowLive answers the networkwide T-query for flow f as of epoch

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -46,16 +45,9 @@ func (m *mapHistSource[S]) Held(first, last int64, points []int) [][]int {
 	return held
 }
 
-// EpochPartial never answers: the source stores no partials, so it has
-// no cells to project either.
-func (m *mapHistSource[S]) EpochPartial(int64, []int) ([]byte, S, bool, error) {
-	var zero S
-	return nil, zero, false, nil
-}
-
-func (m *mapHistSource[S]) ProjectPartial([]byte, uint64) (S, error) {
-	var zero S
-	return zero, fmt.Errorf("mapHistSource stores no partial cells")
+// EpochPartial never answers: the source stores no partials.
+func (m *mapHistSource[S]) EpochPartial(int64, []int) (StoredPartial[S], bool, error) {
+	return nil, false, nil
 }
 
 func (m *mapHistSource[S]) EpochCells(epoch int64, points []int, visit func(int, S) error) error {

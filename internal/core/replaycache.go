@@ -1,19 +1,17 @@
 // The replay cache is the read-side complement of the epoch log: where
 // the log makes retrospective T-queries possible, the cache makes them
 // cheap. It holds per-epoch partials: the spatial join of one epoch's
-// cells at the maximum width, as the log's partial cell gave it — the
-// verified bytes of its sketch encoding and block index, from which a
-// query reads the flow's projection with one index jump — or decoded, for
-// a partial the replay built from the cells and for a backend that has no
-// projection smaller than the sketch (vHLL). Because ExpandTo is
-// positional replication and every backend's Merge is element-wise
-// (register max, counter add), expand-then-merge commutes with
-// merge-then-expand and merge order never changes a register bit, so a
-// window answer assembled from cached partials is bit-identical to the
-// from-scratch replay. A warm QueryAt reads only the flow's cells in each
-// cached partial (EstimateUnion over projections) and copies nothing
-// larger than the flow's column; a sliding QueryRange pays one cold epoch
-// per step.
+// cells at the maximum width, as a StoredPartial — the one the source
+// gave (the log's partial cell, from which a query reads the flow's
+// projection with one index jump) or the one the replay joined from the
+// cells. Because ExpandTo is positional replication and every backend's
+// Merge is element-wise (register max, counter add), expand-then-merge
+// commutes with merge-then-expand and merge order never changes a
+// register bit, so a window answer assembled from cached partials is
+// bit-identical to the from-scratch replay. A warm QueryAt reads only the
+// flow's cells in each cached partial (EstimateUnion over projections)
+// and copies nothing larger than the flow's column; a sliding QueryRange
+// pays one cold epoch per step.
 //
 // A cached partial checks itself, by the rule the log's own partial cell
 // follows: it records the sorted ids it joined, and it is served only
@@ -49,15 +47,15 @@ type ReplayCacheStats struct {
 
 type partialEntry[S Sketch[S]] struct {
 	epoch int64
-	p     epochPartial[S]
+	ids   []int
+	part  StoredPartial[S]
 	bytes int64
 	elem  *list.Element
 }
 
 // ReplayCache caches historical-replay partials for one Center. All
-// methods are safe for concurrent use. Cached partials — cell bytes and
-// decoded sketches alike — are shared read-only: lookup returns the
-// cached partial itself, which callers must never write.
+// methods are safe for concurrent use. Cached partials are shared
+// read-only: lookup returns the cached partial itself.
 type ReplayCache[S Sketch[S]] struct {
 	mu      sync.Mutex
 	budget  int64
@@ -70,9 +68,8 @@ type ReplayCache[S Sketch[S]] struct {
 
 // NewReplayCache creates a cache bounded to budgetBytes of partials. Each
 // partial is charged what it holds: 64 bytes of entry, 8 per joined id,
-// and its cell's capacity or its decoded sketch's HeapBytes, so a
-// budget of k times one partial's charge holds exactly k partials of that
-// size.
+// and its HeapBytes, so a budget of k times one partial's charge holds
+// exactly k partials of that size.
 func NewReplayCache[S Sketch[S]](budgetBytes int64) *ReplayCache[S] {
 	return &ReplayCache[S]{
 		budget:  budgetBytes,
@@ -82,43 +79,34 @@ func NewReplayCache[S Sketch[S]](budgetBytes int64) *ReplayCache[S] {
 }
 
 // lookup returns epoch's cached partial if it joined exactly held, the
-// sorted ids the source holds for the epoch now. The partial is shared —
-// read-only.
-func (rc *ReplayCache[S]) lookup(epoch int64, held []int) (epochPartial[S], bool) {
+// sorted ids the source holds for the epoch now.
+func (rc *ReplayCache[S]) lookup(epoch int64, held []int) (StoredPartial[S], bool) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	ent, ok := rc.entries[epoch]
-	if !ok || !slices.Equal(ent.p.ids, held) {
+	if !ok || !slices.Equal(ent.ids, held) {
 		rc.misses++
-		return epochPartial[S]{}, false
+		return nil, false
 	}
 	rc.hits++
 	rc.lru.MoveToFront(ent.elem)
-	return ent.p, true
+	return ent.part, true
 }
 
-// insertPartial publishes epoch's decoded partial sk over the sorted ids
-// it joined, charged bytes, replacing any entry the epoch had. Once
-// inserted the sketch is shared and must no longer be written by the
-// caller.
-func (rc *ReplayCache[S]) insertPartial(epoch int64, ids []int, sk S, bytes int64) {
-	rc.insert(epoch, epochPartial[S]{sk: sk, have: true, ids: slices.Clone(ids)}, bytes)
-}
+// partialEntryOverhead is the cache's fixed charge per partial.
+const partialEntryOverhead = 64
 
-// insertCell publishes epoch's partial p, held as its cell's bytes; the
-// cache now owns the cell. Otherwise it is insertPartial.
-func (rc *ReplayCache[S]) insertCell(epoch int64, p epochPartial[S], bytes int64) {
-	p.ids = slices.Clone(p.ids)
-	rc.insert(epoch, p, bytes)
-}
-
-func (rc *ReplayCache[S]) insert(epoch int64, p epochPartial[S], bytes int64) {
+// insert publishes epoch's partial over the sorted ids it joined,
+// replacing any entry the epoch had. Once inserted the partial is shared
+// and must no longer be written by the caller.
+func (rc *ReplayCache[S]) insert(epoch int64, ids []int, part StoredPartial[S]) {
+	bytes := int64(partialEntryOverhead + 8*len(ids) + part.HeapBytes())
+	ent := &partialEntry[S]{epoch: epoch, ids: slices.Clone(ids), part: part, bytes: bytes}
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	if old, ok := rc.entries[epoch]; ok {
 		rc.removeLocked(old)
 	}
-	ent := &partialEntry[S]{epoch: epoch, p: p, bytes: bytes}
 	ent.elem = rc.lru.PushFront(ent)
 	rc.entries[epoch] = ent
 	rc.bytes += bytes

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -282,7 +281,7 @@ func checkReplayCharge[S Sketch[S]](t *testing.T, ctr *Center[S], src HistorySou
 	rc.mu.Lock()
 	var want int64
 	for _, ent := range rc.entries {
-		want += 64 + 8*int64(len(ent.p.ids)) + int64(ent.p.sk.HeapBytes())
+		want += 64 + 8*int64(len(ent.ids)) + int64(ent.part.HeapBytes())
 	}
 	rc.mu.Unlock()
 	if st.Bytes != want {
@@ -295,18 +294,27 @@ func checkReplayCharge[S Sketch[S]](t *testing.T, ctr *Center[S], src HistorySou
 }
 
 // cellHistSource is a mapHistSource that also keeps every epoch's
-// partial as a cell — u32 length, the rSkt2 encoding, its block index —
-// and returns a copy the caller owns, as the epoch log adapter does.
+// partial, as the epoch log keeps its partial cell, and hands out a
+// sourcePartial the caller owns, as the log adapter does.
 type cellHistSource struct {
 	*mapHistSource[*rskt.Sketch]
-	cells map[int64][]byte
+	parts map[int64]sourcePartial
 	ids   map[int64][]int
-	w, m  int
 }
+
+// sourcePartial is a StoredPartial of the source's own kind: it projects
+// its sketch and is charged the bytes of its encoding.
+type sourcePartial struct {
+	sk   *rskt.Sketch
+	heap int
+}
+
+func (p sourcePartial) Project(f uint64) (*rskt.Sketch, error) { return p.sk.Project(f), nil }
+func (p sourcePartial) HeapBytes() int                         { return p.heap }
 
 func newCellHistSource(t *testing.T, ctr *Center[*rskt.Sketch], src *mapHistSource[*rskt.Sketch], epochs int64) cellHistSource {
 	t.Helper()
-	cs := cellHistSource{mapHistSource: src, cells: map[int64][]byte{}, ids: map[int64][]int{}, w: ctr.wMax, m: 16}
+	cs := cellHistSource{mapHistSource: src, parts: map[int64]sourcePartial{}, ids: map[int64][]int{}}
 	for e := int64(1); e <= epochs; e++ {
 		p, err := computeEpochPartial(e, ctr.ids, ctr.wMax, src)
 		if err != nil || !p.have {
@@ -316,33 +324,24 @@ func newCellHistSource(t *testing.T, ctr *Center[*rskt.Sketch], src *mapHistSour
 		if err != nil {
 			t.Fatal(err)
 		}
-		cell := binary.LittleEndian.AppendUint32(nil, uint32(len(enc)))
-		cell = append(cell, enc...)
-		if cell, err = rskt.AppendIndex(cell, enc); err != nil {
-			t.Fatal(err)
-		}
-		cs.cells[e], cs.ids[e] = cell, p.ids
+		cs.parts[e], cs.ids[e] = sourcePartial{sk: p.sk, heap: len(enc)}, p.ids
 	}
 	return cs
 }
 
-func (s cellHistSource) EpochPartial(e int64, held []int) ([]byte, *rskt.Sketch, bool, error) {
-	c, ok := s.cells[e]
+func (s cellHistSource) EpochPartial(e int64, held []int) (StoredPartial[*rskt.Sketch], bool, error) {
+	p, ok := s.parts[e]
 	if !ok || !slices.Equal(s.ids[e], held) {
-		return nil, nil, false, nil
+		return nil, false, nil
 	}
-	return slices.Clone(c), nil, true, nil
+	return sourcePartial{sk: p.sk.Clone(), heap: p.heap}, true, nil
 }
 
-func (s cellHistSource) ProjectPartial(cell []byte, f uint64) (*rskt.Sketch, error) {
-	n := int(binary.LittleEndian.Uint32(cell))
-	return rskt.ProjectEncoded(cell[4:4+n], cell[4+n:], s.w, s.m, f)
-}
-
-// Cached cell partials: answers read from cells, cold and warm, equal the
-// recorded live answers bit for bit; the cache charges each cell partial
-// the bytes it holds; and concurrent readers of a small cache, which
-// evicts cells while others project them, answer what a cold replay does.
+// Cached source partials: answers read from the source's partials, cold
+// and warm, equal the recorded live answers bit for bit; the cache keeps
+// the source's partial and charges it the bytes it holds; and concurrent
+// readers of a small cache, which evicts partials while others project
+// them, answer what a cold replay does.
 func TestHistoryReplayCacheCells(t *testing.T) {
 	const epochs = 10
 	ctr, src, recorded := replayFixture(t, epochs)
@@ -366,18 +365,18 @@ func TestHistoryReplayCacheCells(t *testing.T) {
 	var charged int64
 	rc.mu.Lock()
 	for _, ent := range rc.entries {
-		if ent.p.cell == nil {
-			t.Fatalf("epoch %d cached decoded, want its cell", ent.epoch)
+		if _, ok := ent.part.(sourcePartial); !ok {
+			t.Fatalf("epoch %d cached as %T, want the source's partial", ent.epoch, ent.part)
 		}
-		charged += 64 + 8*int64(len(ent.p.ids)) + int64(cap(ent.p.cell))
+		charged += 64 + 8*int64(len(ent.ids)) + int64(ent.part.HeapBytes())
 	}
 	rc.mu.Unlock()
 	if st, _ := ctr.ReplayCacheStats(); st.Bytes != charged || st.Entries != epochs {
-		t.Fatalf("cache charges %d bytes for %d entries, its cells sum to %d", st.Bytes, st.Entries, charged)
+		t.Fatalf("cache charges %d bytes for %d entries, its partials sum to %d", st.Bytes, st.Entries, charged)
 	}
 
-	// Concurrent readers over a cache of about three cell partials, with
-	// resets: cells are evicted and read again while other readers
+	// Concurrent readers over a cache of about three partials, with
+	// resets: partials are evicted and read again while other readers
 	// project cached ones, and every answer stays the cold one.
 	want := map[[2]int64]float64{}
 	ctr.EnableReplayCache(0)

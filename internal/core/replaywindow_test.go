@@ -210,7 +210,7 @@ func runReplayWindowReference[S Sketch[S]](t *testing.T, seed int64, b windowBac
 			t.Run(fmt.Sprintf("foreign-%s/epoch=%d", name, at), func(t *testing.T) {
 				ctr.EnableReplayCache(64 << 20)
 				rc := ctr.replay
-				rc.insertPartial(at, src.Held(at, at, ids)[0], foreign[name], partialCost)
+				rc.insert(at, src.Held(at, at, ids)[0], DecodedPartial(foreign[name], wMax))
 				_, _, err := ctr.QueryRangeFrom(1, 4, 8, src)
 				if err == nil || !strings.Contains(err.Error(), "history window join epoch") {
 					t.Fatalf("foreign %s partial at epoch %d: err = %v, want the window-join error", name, at, err)

@@ -14,21 +14,15 @@ import "sync"
 // estimate differs from the flat one even though its own flow's cells
 // are exact.
 
-// QueryUnion answers the T-query for flow f from the union of this
-// point's query state and every peer's — the flat-equivalent answer for
-// a sharded point set. All points must share one sketch shape and width
-// (they do by construction: shards are config clones). Locks are taken
-// in argument order, self first; concurrent callers must present peers
-// in one consistent order (e.g. always call on shard 0 with shards
-// 1..N-1 as peers).
-func (p *Point[S]) QueryUnion(f uint64, peers []*Point[S]) float64 {
-	est, _ := p.QueryUnionWithCoverage(f, peers)
-	return est
-}
-
-// QueryUnionWithCoverage is QueryUnion reporting the union's window
-// coverage: the point-epoch counts summed across all sub-points, read
-// under the same locks as the estimate so the pair is consistent.
+// QueryUnionWithCoverage answers the T-query for flow f from the union of
+// this point's query state and every peer's — the flat-equivalent answer
+// for a sharded point set — with the union's window coverage: the
+// point-epoch counts summed across all sub-points, read under the same
+// locks as the estimate so the pair is consistent. All points must share
+// one sketch shape and width (they do by construction: shards are config
+// clones). Locks are taken in argument order, self first; concurrent
+// callers must present peers in one consistent order (e.g. always call on
+// shard 0 with shards 1..N-1 as peers).
 func (p *Point[S]) QueryUnionWithCoverage(f uint64, peers []*Point[S]) (float64, Coverage) {
 	p.mu.Lock()
 	cov := p.covCur

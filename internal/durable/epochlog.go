@@ -30,6 +30,7 @@
 package durable
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -114,22 +115,11 @@ type segMeta struct {
 	entries  int
 	minEpoch int64
 	maxEpoch int64
-	minPoint int
-	maxPoint int
 	// keys lists every cell ever appended to this segment, so eviction
 	// scrubs exactly its own index entries instead of scanning the whole
 	// index (a cell re-appended into a later segment is skipped by the
 	// seq check in dropSegmentLocked).
 	keys []cellKey
-}
-
-// overlaps reports whether the segment could hold any cell in the
-// epoch × point query window — the segment-level prune that lets batched
-// reads skip index lookups for windows entirely outside retention.
-func (m *segMeta) overlaps(minEpoch, maxEpoch int64, minPoint, maxPoint int) bool {
-	return m.entries > 0 &&
-		m.minEpoch <= maxEpoch && minEpoch <= m.maxEpoch &&
-		m.minPoint <= maxPoint && minPoint <= m.maxPoint
 }
 
 // Log is the append-only (point, epoch) → sketch-blob store. All methods
@@ -328,12 +318,6 @@ func (l *Log) noteCell(meta *segMeta, point int, epoch int64) {
 	}
 	if meta.entries == 0 || epoch > meta.maxEpoch {
 		meta.maxEpoch = epoch
-	}
-	if meta.entries == 0 || point < meta.minPoint {
-		meta.minPoint = point
-	}
-	if meta.entries == 0 || point > meta.maxPoint {
-		meta.maxPoint = point
 	}
 	meta.entries++
 	meta.keys = append(meta.keys, cellKey{point, epoch})
@@ -700,29 +684,27 @@ func (l *Log) readEntry(point int, epoch int64) ([]byte, entryRef, bool, error) 
 	return b, ref, true, nil
 }
 
-// cellHit is one resolved cell in a batched read, ordered for a
+// cellHit is one resolved cell of a GetEpoch read, ordered for a
 // sequential pass: ascending (segment, offset). entry is its raw image
 // once read.
 type cellHit struct {
 	ref   entryRef
 	point int
-	epoch int64
 	entry []byte
 }
 
-// readChunkBytes caps how much of a segment one pooled batched read
-// pulls in; runs of cells whose combined span exceeds it are split into
-// multiple sequential reads.
+// readChunkBytes caps how much of a segment one pooled read pulls in;
+// runs of cells whose combined span exceeds it are split into multiple
+// sequential reads.
 const readChunkBytes = 256 << 10
 
-// GetMany reads every retained cell in epochs × points, calling visit
-// once per cell found. Cells are grouped by segment and read in offset
-// order — one coalesced sequential read per segment run through pooled
-// buffers — so a window replay pays O(segments) reads instead of one
-// syscall + allocation per cell. Segments whose epoch/point spans don't
-// intersect the request are pruned from the index probe entirely.
+// GetEpoch reads every retained cell of one epoch across points, calling
+// visit once per cell found. The epoch's cells are read in (segment,
+// offset) order — one coalesced sequential read per segment run through
+// pooled buffers — so a replay pays O(segments) reads instead of one
+// syscall + allocation per cell.
 //
-// Only the index probe and the reads hold the log's read lock. CRCs are
+// Only the index lookup and the reads hold the log's read lock. CRCs are
 // verified and visit runs after it is released, so appends and
 // compaction proceed while visit decodes; the bytes were read into
 // buffers private to this call, which a compaction dropping their
@@ -732,11 +714,8 @@ const readChunkBytes = 256 << 10
 // appended, or evicted) are skipped silently — that is the coverage
 // signal. A non-nil error from visit aborts the pass and is returned
 // verbatim.
-func (l *Log) GetMany(epochs []int64, points []int, visit func(point int, epoch int64, blob []byte) error) error {
-	if len(epochs) == 0 || len(points) == 0 {
-		return nil
-	}
-	hits, bufs, err := l.readMany(epochs, points)
+func (l *Log) GetEpoch(epoch int64, points []int, visit func(point int, blob []byte) error) error {
+	hits, bufs, err := l.readEpoch(epoch, points)
 	defer func() {
 		for _, rb := range bufs {
 			putReadBuf(rb)
@@ -746,9 +725,9 @@ func (l *Log) GetMany(epochs []int64, points []int, visit func(point int, epoch 
 		return err
 	}
 	for _, h := range hits {
-		blob, err := verifyEntry(h.entry, h.ref, h.point, h.epoch)
+		blob, err := verifyEntry(h.entry, h.ref, h.point, epoch)
 		if err == nil {
-			err = visit(h.point, h.epoch, blob)
+			err = visit(h.point, blob)
 		}
 		if err != nil {
 			return err
@@ -757,73 +736,43 @@ func (l *Log) GetMany(epochs []int64, points []int, visit func(point int, epoch 
 	return nil
 }
 
-// readMany is GetMany's locked phase: it resolves the request to entry
-// refs in (segment, offset) order and reads each hit's entry into pooled
-// buffers, returned even on error so the caller can recycle them.
-func (l *Log) readMany(epochs []int64, points []int) ([]cellHit, []*readBuf, error) {
+// readEpoch is GetEpoch's locked phase: it resolves the epoch's index
+// entry to refs in (segment, offset) order and reads each hit's entry
+// into pooled buffers, returned even on error so the caller can recycle
+// them.
+func (l *Log) readEpoch(epoch int64, points []int) ([]cellHit, []*readBuf, error) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	if l.closed {
 		return nil, nil, ErrLogClosed
 	}
-	minPt, maxPt := points[0], points[0]
-	for _, pt := range points[1:] {
-		if pt < minPt {
-			minPt = pt
-		}
-		if pt > maxPt {
-			maxPt = pt
+	cells := l.index[epoch]
+	hits := make([]cellHit, 0, len(points))
+	for _, pt := range points {
+		if i, ok := cells.find(pt); ok {
+			hits = append(hits, cellHit{ref: cells[i].ref, point: pt})
 		}
 	}
-	// Segment-level prune: an epoch probes the index only if some
-	// retained segment's spans admit it. With narrow retention and a wide
-	// query window this skips len(points) map lookups per dead epoch.
-	hits := make([]cellHit, 0, len(epochs)*len(points))
-	for _, e := range epochs {
-		admitted := false
-		for _, m := range l.segs {
-			if m.overlaps(e, e, minPt, maxPt) {
-				admitted = true
-				break
-			}
-		}
-		cells := l.index[e]
-		if !admitted || cells == nil {
-			continue
-		}
-		for _, pt := range points {
-			if i, ok := cells.find(pt); ok {
-				hits = append(hits, cellHit{ref: cells[i].ref, point: pt, epoch: e})
-			}
-		}
-	}
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].ref.seq != hits[j].ref.seq {
-			return hits[i].ref.seq < hits[j].ref.seq
-		}
-		return hits[i].ref.off < hits[j].ref.off
+	slices.SortFunc(hits, func(a, b cellHit) int {
+		return cmp.Or(cmp.Compare(a.ref.seq, b.ref.seq), cmp.Compare(a.ref.off, b.ref.off))
 	})
 	var bufs []*readBuf
 	for start := 0; start < len(hits); {
 		// One coalesced read: same segment, span under the chunk cap.
-		seq := hits[start].ref.seq
+		seq, base := hits[start].ref.seq, hits[start].ref.off
+		spanEnd := base + int64(hits[start].ref.n)
 		end := start + 1
-		spanEnd := hits[start].ref.off + int64(hits[start].ref.n)
-		for end < len(hits) && hits[end].ref.seq == seq {
+		for ; end < len(hits) && hits[end].ref.seq == seq; end++ {
 			next := hits[end].ref.off + int64(hits[end].ref.n)
-			if next-hits[start].ref.off > readChunkBytes {
+			if next-base > readChunkBytes {
 				break
 			}
-			if next > spanEnd {
-				spanEnd = next
-			}
-			end++
+			spanEnd = max(spanEnd, next)
 		}
 		f, err := l.reader(seq)
 		if err != nil {
 			return nil, bufs, err
 		}
-		base := hits[start].ref.off
 		rb := getReadBuf(int(spanEnd - base))
 		bufs = append(bufs, rb)
 		if _, err := f.ReadAt(rb.b, base); err != nil {
@@ -836,14 +785,6 @@ func (l *Log) readMany(epochs []int64, points []int) ([]cellHit, []*readBuf, err
 		start = end
 	}
 	return hits, bufs, nil
-}
-
-// GetEpoch reads every retained cell of one epoch across points; see
-// GetMany for the borrowing and ordering contract.
-func (l *Log) GetEpoch(epoch int64, points []int, visit func(point int, blob []byte) error) error {
-	return l.GetMany([]int64{epoch}, points, func(point int, _ int64, blob []byte) error {
-		return visit(point, blob)
-	})
 }
 
 // Has reports whether the cell (point, epoch) is retained, without

@@ -7,10 +7,10 @@ import (
 	"testing"
 )
 
-// The batched read path must return exactly what the per-cell path would:
-// every present (point, epoch) cell once, with its exact bytes, missing
-// cells silently skipped, across segment boundaries.
-func TestLogGetMany(t *testing.T) {
+// GetEpoch must return exactly what the per-cell path would: every
+// present cell of the epoch once, with its exact bytes, missing cells
+// silently skipped, across segment boundaries.
+func TestLogGetEpoch(t *testing.T) {
 	l, err := OpenLog(LogConfig{Dir: t.TempDir(), MaxSegmentBytes: 64})
 	if err != nil {
 		t.Fatal(err)
@@ -29,42 +29,13 @@ func TestLogGetMany(t *testing.T) {
 		t.Fatalf("want >=3 segments to cross boundaries, got %+v", st)
 	}
 
-	epochs := []int64{2, 3, 7, 11, 99} // 99 retained nowhere
-	ids := []int{0, 1, 2, 3, 9}        // 9 never uploaded
-	got := map[[2]int64][]byte{}
-	err = l.GetMany(epochs, ids, func(point int, epoch int64, blob []byte) error {
-		k := [2]int64{int64(point), epoch}
-		if _, dup := got[k]; dup {
-			t.Errorf("cell (%d,%d) visited twice", point, epoch)
-		}
-		// The blob is borrowed: copy before the visit returns.
-		got[k] = append([]byte(nil), blob...)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	ids := []int{0, 1, 2, 3, 9} // 9 never uploaded
+	visited := 0
+	for _, epoch := range []int64{2, 3, 7, 11, 99} { // 99 retained nowhere
+		visited += len(checkGetEpoch(t, l, epoch, ids))
 	}
-	want := 0
-	for _, epoch := range epochs {
-		for _, point := range ids {
-			b, ok, err := l.Get(point, epoch)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gb, visited := got[[2]int64{int64(point), epoch}]
-			if visited != ok {
-				t.Fatalf("cell (%d,%d): GetMany visited=%v, Get present=%v", point, epoch, visited, ok)
-			}
-			if ok {
-				want++
-				if !bytes.Equal(gb, b) {
-					t.Fatalf("cell (%d,%d): GetMany=%q, Get=%q", point, epoch, gb, b)
-				}
-			}
-		}
-	}
-	if len(got) != want || want == 0 {
-		t.Fatalf("GetMany visited %d cells, want %d (>0)", len(got), want)
+	if visited == 0 {
+		t.Fatal("GetEpoch visited no cell")
 	}
 
 	// A visit error aborts the pass and surfaces unchanged.
@@ -77,6 +48,84 @@ func TestLogGetMany(t *testing.T) {
 	}
 	if err := l.GetEpoch(2, []int{0}, func(int, []byte) error { return nil }); !errors.Is(err, ErrLogClosed) {
 		t.Fatalf("GetEpoch after Close: %v, want ErrLogClosed", err)
+	}
+}
+
+// checkGetEpoch asserts GetEpoch(epoch, ids) visits every cell of ids
+// that Get finds once, with Get's bytes, and nothing else, and returns
+// the points in the order it visited them.
+func checkGetEpoch(t *testing.T, l *Log, epoch int64, ids []int) []int {
+	t.Helper()
+	got := map[int][]byte{}
+	var order []int
+	err := l.GetEpoch(epoch, ids, func(point int, blob []byte) error {
+		if _, dup := got[point]; dup {
+			t.Errorf("cell (%d,%d) visited twice", point, epoch)
+		}
+		// The blob is borrowed: copy before the visit returns.
+		got[point] = bytes.Clone(blob)
+		order = append(order, point)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	for _, point := range ids {
+		b, ok, err := l.Get(point, epoch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gb, visited := got[point]
+		if visited != ok {
+			t.Fatalf("cell (%d,%d): GetEpoch visited=%v, Get present=%v", point, epoch, visited, ok)
+		}
+		if ok {
+			want++
+			if !bytes.Equal(gb, b) {
+				t.Fatalf("cell (%d,%d): GetEpoch=%q, Get=%q", point, epoch, gb, b)
+			}
+		}
+	}
+	if len(got) != want {
+		t.Fatalf("epoch %d: GetEpoch visited %d cells, want %d", epoch, len(got), want)
+	}
+	return order
+}
+
+// A cell re-appended with other bytes lands after its epoch's other
+// cells, in a newer segment: the epoch's cells then lie out of point
+// order across two segments. GetEpoch visits each held point once, in
+// (segment, offset) order, with the bytes Get returns — the newest.
+func TestLogGetEpochReappendedOutOfOrder(t *testing.T) {
+	l, err := OpenLog(LogConfig{Dir: t.TempDir(), MaxSegmentBytes: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	// 64-byte segments roll after two entries: points 0 and 1 fill the
+	// first, point 2 and point 0's re-append share the second.
+	for point := 0; point < 3; point++ {
+		mustAppend(t, l, point, 1)
+	}
+	if err := l.Append(0, 1, []byte("fresh-0-1")); err != nil {
+		t.Fatal(err)
+	}
+	segs := map[uint64]bool{}
+	l.mu.RLock()
+	for _, c := range l.index[1] {
+		segs[c.ref.seq] = true
+	}
+	l.mu.RUnlock()
+	if len(segs) != 2 {
+		t.Fatalf("the epoch's cells lie in %d segments, want 2", len(segs))
+	}
+	order := checkGetEpoch(t, l, 1, []int{0, 1, 2})
+	if fmt.Sprint(order) != "[1 2 0]" {
+		t.Fatalf("visited points %v, want [1 2 0]: (segment, offset) order", order)
+	}
+	if b, _, _ := l.Get(0, 1); string(b) != "fresh-0-1" {
+		t.Fatalf("Get(0,1) = %q, want the re-appended bytes", b)
 	}
 }
 
@@ -189,11 +238,9 @@ func TestLogGetAllocs(t *testing.T) {
 	}
 }
 
-// GetMany must prune segments by their epoch/point spans without losing
-// cells: a query spanning only the newest epochs still finds them when
-// old segments dominate the file list, and interleaved per-point holes
-// don't confuse the span metadata.
-func TestLogGetManyWideLog(t *testing.T) {
+// GetEpoch finds every cell of the newest epochs when old segments
+// dominate the file list.
+func TestLogGetEpochWideLog(t *testing.T) {
 	l, err := OpenLog(LogConfig{Dir: t.TempDir(), MaxSegmentBytes: 256})
 	if err != nil {
 		t.Fatal(err)
@@ -205,25 +252,23 @@ func TestLogGetManyWideLog(t *testing.T) {
 			mustAppend(t, l, point, epoch)
 		}
 	}
+	ids := make([]int, points)
+	for i := range ids {
+		ids[i] = i
+	}
 	for _, tail := range []int64{1, 5, epochs} {
-		ids := make([]int, points)
-		want := make([]int64, 0, tail)
-		for i := range ids {
-			ids[i] = i
-		}
-		for e := epochs - tail + 1; e <= epochs; e++ {
-			want = append(want, e)
-		}
 		seen := 0
-		err := l.GetMany(want, ids, func(point int, epoch int64, blob []byte) error {
-			if !bytes.Equal(blob, logBlob(point, epoch)) {
-				return fmt.Errorf("cell (%d,%d) bytes mismatch", point, epoch)
+		for epoch := epochs - tail + 1; epoch <= epochs; epoch++ {
+			err := l.GetEpoch(epoch, ids, func(point int, blob []byte) error {
+				if !bytes.Equal(blob, logBlob(point, epoch)) {
+					return fmt.Errorf("cell (%d,%d) bytes mismatch", point, epoch)
+				}
+				seen++
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			seen++
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
 		if seen != int(tail)*points {
 			t.Fatalf("tail=%d: visited %d cells, want %d", tail, seen, int(tail)*points)

@@ -352,76 +352,67 @@ func splitPartialBody(body []byte) (sk, idx []byte, err error) {
 	return sk, idx, nil
 }
 
-// EpochPartial reads epoch's partial cell and, when its ids are
-// exactly held, returns its body — the encoding and its block index, for
-// ProjectPartial — or, for a backend without an index, the sketch decoded
-// into a fresh maximum-width sketch. A cell that landed after the partial
-// was logged, a failed cell append and an eviction each break that
-// equality, and the replay joins the cells instead. So does a body that
-// is not this backend's current layout at the maximum width (bodyOK): a
-// partial cell logged before the cell carried its encoding's length and
-// block index is not read, and the cells, which the log keeps beside it,
-// answer.
-func (ls logSource[S]) EpochPartial(epoch int64, held []int) (cell []byte, sk S, ok bool, err error) {
+// EpochPartial reads epoch's partial cell and returns the stored partial
+// it holds (storedPartial) when its ids are exactly held. A cell that
+// landed after the partial was logged, a failed cell append and an
+// eviction each break that equality, and the replay joins the cells
+// instead. So does a cell the replay cannot read: ids that do not parse,
+// or a body that is not this backend's current layout at the maximum
+// width — a partial cell logged before the cell carried its encoding's
+// length and block index is not read, and the cells, which the log keeps
+// beside it, answer.
+func (ls logSource[S]) EpochPartial(epoch int64, held []int) (core.StoredPartial[S], bool, error) {
 	blob, found, err := ls.log.Get(partialCell, epoch)
 	if err != nil {
-		return nil, sk, false, err
+		return nil, false, err
 	}
-	var ids []int
 	if found {
-		if ids, cell, err = parsePartialCell(blob); err != nil {
-			return nil, sk, false, err
+		if ids, body, err := parsePartialCell(blob); err == nil && slices.Equal(ids, held) {
+			if p, ok := ls.storedPartial(body); ok {
+				ls.reads.partial.Add(1)
+				return p, true, nil
+			}
 		}
 	}
-	if !found || !slices.Equal(ids, held) {
-		ls.reads.cells.Add(1)
-		return nil, sk, false, nil
-	}
-	sk, ok = ls.bodyOK(cell)
-	if !ok {
-		ls.reads.cells.Add(1)
-		return nil, sk, false, nil
-	}
-	ls.reads.partial.Add(1)
-	if ls.cells.check != nil {
-		return cell, sk, true, nil
-	}
-	return nil, sk, true, nil
+	ls.reads.cells.Add(1)
+	return nil, false, nil
 }
 
-// bodyOK reports whether a partial cell's body is this backend's layout
-// at the maximum width: an encoding and the block index that spans it
-// (cellIndex.check), or, for a backend without an index, an encoding that
-// decodes, returned decoded, and no index.
-func (ls logSource[S]) bodyOK(body []byte) (S, bool) {
-	var zero S
+// storedPartial turns a partial cell's body into the partial it stores,
+// if the body is this backend's layout at the maximum width: an encoding
+// and the block index that spans it (cellIndex.check), read through the
+// index (indexedPartial), or, for a backend without an index, an
+// encoding that decodes, and no index.
+func (ls logSource[S]) storedPartial(body []byte) (core.StoredPartial[S], bool) {
 	enc, idx, err := splitPartialBody(body)
 	if err != nil {
-		return zero, false
+		return nil, false
 	}
 	if ls.cells.check != nil {
-		return zero, ls.cells.check(enc, idx, ls.wMax) == nil
+		if ls.cells.check(enc, idx, ls.wMax) != nil {
+			return nil, false
+		}
+		return indexedPartial[S]{body: body, enc: enc, idx: idx, w: ls.wMax, project: ls.cells.project}, true
 	}
 	sk := ls.wide()
 	if len(idx) != 0 || sk.UnmarshalBinary(enc) != nil {
-		return zero, false
+		return nil, false
 	}
-	return sk, true
+	return core.DecodedPartial(sk, ls.wMax), true
 }
 
-// ProjectPartial reads flow f's width-1 projection out of a partial
-// cell's body (EpochPartial) through its block index.
-func (ls logSource[S]) ProjectPartial(cell []byte, f uint64) (S, error) {
-	var zero S
-	if ls.cells.project == nil {
-		return zero, fmt.Errorf("transport: the backend's partial cells have no block index")
-	}
-	enc, idx, err := splitPartialBody(cell)
-	if err != nil {
-		return zero, err
-	}
-	return ls.cells.project(enc, idx, ls.wMax, f)
+// indexedPartial is a partial cell's body held as read: the encoding of
+// width w and its block index, from which Project reads flow f's width-1
+// projection (cellIndex.project) without decoding the sketch. It is
+// charged its body's bytes.
+type indexedPartial[S core.Sketch[S]] struct {
+	body, enc, idx []byte
+	w              int
+	project        func(enc, idx []byte, w int, f uint64) (S, error)
 }
+
+func (p indexedPartial[S]) Project(f uint64) (S, error) { return p.project(p.enc, p.idx, p.w, f) }
+func (p indexedPartial[S]) HeapBytes() int              { return cap(p.body) }
 
 // Span bounds a replay to the epochs the log retains a point cell for. An
 // epoch's partial cell is appended after its push, so it can land in the

@@ -24,12 +24,8 @@ func (c cellsOnly[S]) Span() (first, last int64, ok bool) { return c.ls.Span() }
 func (c cellsOnly[S]) Held(first, last int64, points []int) [][]int {
 	return c.ls.Held(first, last, points)
 }
-func (c cellsOnly[S]) EpochPartial(int64, []int) ([]byte, S, bool, error) {
-	var zero S
-	return nil, zero, false, nil
-}
-func (c cellsOnly[S]) ProjectPartial(cell []byte, f uint64) (S, error) {
-	return c.ls.ProjectPartial(cell, f)
+func (c cellsOnly[S]) EpochPartial(int64, []int) (core.StoredPartial[S], bool, error) {
+	return nil, false, nil
 }
 func (c cellsOnly[S]) EpochCells(epoch int64, points []int, visit func(int, S) error) error {
 	return c.ls.EpochCells(epoch, points, visit)
@@ -374,6 +370,76 @@ func TestPreviousLayoutPartialFallsBackToCells(t *testing.T) {
 				}
 			}
 			checkAgainstCells(t, r.srv, rand.New(rand.NewSource(int64(i))), epochs, "previous layout")
+		})
+	}
+}
+
+// TestUnparsablePartialCellFallsBackToCells: a CRC-valid partial cell
+// whose id list does not parse — no ids, or ids out of order, before a
+// readable body — is not read as a partial, as a body of another layout
+// is not: its epoch replays from its point cells and counts as a cells
+// read, and every answer equals the cells-only replay, bit for bit and at
+// full coverage.
+func TestUnparsablePartialCellFallsBackToCells(t *testing.T) {
+	noLeak(t)
+	cases := []partialCase{
+		{kind: KindSpread, sketch: SketchRskt},
+		{kind: KindSpread, sketch: SketchVhll},
+		{kind: KindSize, delta: true},
+	}
+	for i, tc := range cases {
+		t.Run(tc.String(), func(t *testing.T) {
+			const epochs = 6
+			r := newPartialRig(t, tc, uint64(i)*3+2)
+			for k := int64(1); k <= epochs; k++ {
+				r.round(k, 0)
+			}
+			for k := int64(1); k <= epochs; k++ {
+				blob, ok, err := r.srv.store.Get(partialCell, k)
+				if err != nil || !ok {
+					t.Fatalf("epoch %d partial cell: ok=%v err=%v", k, ok, err)
+				}
+				ids, body, err := parsePartialCell(blob)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bad := appender{}
+				if k%2 == 0 { // the ids, last first
+					bad.u32(len(ids))
+					for j := len(ids) - 1; j >= 0; j-- {
+						bad.u32(ids[j])
+					}
+				} else { // no ids
+					bad.u32(0)
+				}
+				bad.raw(body)
+				if err := r.srv.store.Append(partialCell, k, bad.b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for k := int64(1); k <= epochs; k++ {
+				if p, cells := replayReadDelta(t, r.srv, k); p != 0 || cells != 1 {
+					t.Fatalf("epoch %d replayed from partial=%d cells=%d, want the cells", k, p, cells)
+				}
+			}
+			for k := int64(3); k <= epochs+1; k++ {
+				for f := uint64(0); f < 4; f++ {
+					got, cov, err := r.srv.HistoryAt(f, k)
+					if err != nil {
+						t.Fatalf("HistoryAt(%d, %d): %v", f, k, err)
+					}
+					want, wantCov, err := referenceQuery(t, r.srv, f, true, k, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if math.Float64bits(got) != math.Float64bits(want) || cov != wantCov {
+						t.Fatalf("HistoryAt(%d, %d) = (%v, %+v), from the cells (%v, %+v)", f, k, got, cov, want, wantCov)
+					}
+					if cov.EpochsMerged != cov.EpochsExpected {
+						t.Fatalf("HistoryAt(%d, %d) coverage %+v, want full", f, k, cov)
+					}
+				}
+			}
 		})
 	}
 }

@@ -14,13 +14,13 @@ import (
 // FuzzPartialCellIndex feeds the indexed partial-cell reader hostile
 // cells: 8 bytes of flow id, then a partial cell (appendPartialCell) for
 // either indexed backend at the fuzz shapes (rSkt2 16×4, CountMin 2×16).
-// Reading a flow's projection must never panic and must allocate only a
-// bounded amount, whatever the index or the encoding claims; the reader's
-// own check turns a block that does not end where the next index entry
-// says into an error, and the layout check a replay makes before it uses
-// a cell must not panic either. When the index is the one the encoding
-// gives and the encoding decodes, the cell must pass the layout check and
-// the projection must equal the decoded sketch's.
+// Reading the cell's body as a stored partial (logSource.storedPartial)
+// and, when that accepts it, a flow's projection must never panic and
+// must allocate only a bounded amount, whatever the index or the
+// encoding claims; the projection's own check turns a block that does
+// not end where the next index entry says into an error. When the index
+// is the one the encoding gives and the encoding decodes, the body must
+// be accepted and the projection must equal the decoded sketch's.
 func FuzzPartialCellIndex(f *testing.F) {
 	for _, seed := range fuzzPartialSeeds(f) {
 		f.Add(seed)
@@ -51,9 +51,9 @@ func fuzzPartialEngine[S core.Sketch[S]](f *testing.F, kind Kind) *engineCenter[
 	return ce.(*engineCenter[S])
 }
 
-// maxPartialReadBytes bounds what one projection read may allocate: a
-// width-1 projection and a few index words, far below any size a hostile
-// header or index could name.
+// maxPartialReadBytes bounds what one stored partial read may allocate:
+// the partial, a width-1 projection and a few index words, far below any
+// size a hostile header or index could name.
 const maxPartialReadBytes = 16 << 10
 
 func checkPartialCellRead[S core.Sketch[S]](t *testing.T, e *engineCenter[S], flow uint64, blob []byte) {
@@ -61,15 +61,17 @@ func checkPartialCellRead[S core.Sketch[S]](t *testing.T, e *engineCenter[S], fl
 	if err != nil {
 		return
 	}
-	src := e.source(nil)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	proj, err := src.ProjectPartial(body, flow)
+	p, ok := e.source(nil).storedPartial(body)
+	var proj S
+	if ok {
+		proj, err = p.Project(flow)
+	}
 	runtime.ReadMemStats(&after)
 	if n := after.TotalAlloc - before.TotalAlloc; n > maxPartialReadBytes {
-		t.Fatalf("projection read allocated %d bytes", n)
+		t.Fatalf("stored partial read allocated %d bytes", n)
 	}
-	_, layoutOK := src.bodyOK(body)
 	enc, idx, splitErr := splitPartialBody(body)
 	if splitErr != nil {
 		return
@@ -79,8 +81,8 @@ func checkPartialCellRead[S core.Sketch[S]](t *testing.T, e *engineCenter[S], fl
 	if idxErr != nil || !bytes.Equal(want, idx) || full.UnmarshalBinary(enc) != nil {
 		return
 	}
-	if err != nil || !layoutOK {
-		t.Fatalf("true index refused: %v (layout check passed: %v)", err, layoutOK)
+	if !ok || err != nil {
+		t.Fatalf("true index refused: accepted %v, projection error %v", ok, err)
 	}
 	got, _ := proj.MarshalBinaryCompact()
 	ref, _ := full.Project(flow).MarshalBinaryCompact()
