@@ -50,7 +50,11 @@ test-race:
 # that an epoch boundary merges each dirty ingest lane once per kept sketch,
 # that a history window's union estimate stays bit-identical to merging its
 # partials, that a per-epoch partial owns its sketch, that the window
-# arithmetic refuses a k that would wrap, that the epoch log runs an epoch
+# arithmetic refuses a k that would wrap, that the center's receive-time
+# join (open, frozen and rebuilt partials, the window prefix) stays
+# byte-identical to joining the held cells from scratch, that a late upload
+# drops a frozen partial that MarshalPartial may be encoding outside the
+# lock instead of writing into it, that the epoch log runs an epoch
 # read's visit unlocked, that a replay from logged partials answers exactly
 # what the point cells give, and that every stored partial, logged or
 # cached, answers exactly what a naive merge of the log's cells gives,
@@ -64,7 +68,7 @@ test-race:
 # what the float per-register loops they replaced gave.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=1 -run '^(TestJoinIsLinearPerRound|TestEndEpochFoldsEachLaneOnce|TestReplayWindowMatchesMergeReference|TestEpochPartialDoesNotAliasCells|TestHistoryAggregateSpanEdges|TestCheckEpochBounds|TestUploadEpochRule|TestHistoryReplayCacheCells)$$' ./internal/core
+	$(GO) test -race -count=1 -run '^(TestJoinIsLinearPerRound|TestEndEpochFoldsEachLaneOnce|TestReplayWindowMatchesMergeReference|TestEpochPartialDoesNotAliasCells|TestReceiveJoinMatchesReference|TestMarshalPartialRacesLateUpload|TestHistoryAggregateSpanEdges|TestCheckEpochBounds|TestUploadEpochRule|TestHistoryReplayCacheCells)$$' ./internal/core
 	$(GO) test -race -count=1 -run '^TestLogGetEpochVisitRunsUnlocked$$' ./internal/durable
 	$(GO) test -race -count=1 -run '^(TestFlowProjectionMatchesDecode|TestProjectRejectsHostileIndex)$$' ./internal/rskt ./internal/countmin
 	$(GO) test -race -count=1 -run '^TestEstimateMatchesFloatReference$$' ./internal/hll

@@ -20,14 +20,15 @@ import (
 //     inverts each upload into a per-epoch delta by subtraction
 //     (Section V-B).
 //
-// The join is built once per round, not once per destination point. Each
-// epoch's cells are spatially joined at the maximum width into a per-epoch
-// partial (computeEpochPartial, the function the historical replay uses);
-// the window pushed during k is the merge of its n-2 partials, compressed
-// once per distinct point width. Consecutive windows share n-3 partials,
-// so a round costs O(p) expand-and-merges for the newest epoch plus O(n)
-// partial merges. An accepted upload drops its epoch's partial and every
-// round memo whose span contains it; trimming drops both with the uploads.
+// The join is built once per round, not once per destination point, and
+// mostly before the barrier: each accepted cell joins its epoch's partial
+// as it arrives (epochJoin, as the historical replay does over the log);
+// a read freezes the partial and a later cell drops it for a lazy
+// rebuild. Epoch k's first cell merges round k+1's older n-3 partials into
+// a prefix, so the barrier merges part[k] alone. Each window is compressed
+// once per point width (a max-merge design's wMax points share it). A
+// cell drops every round memo and prefix whose span holds it; trimming
+// drops all of it with the uploads.
 type Center[S Sketch[S]] struct {
 	mu sync.Mutex
 
@@ -47,9 +48,13 @@ type Center[S Sketch[S]] struct {
 	uploads map[int]map[int64]S
 	// ids lists the point ids in ascending order.
 	ids []int
-	// part[e] is epoch e's spatial join at wMax over the stored uploads,
-	// built lazily.
-	part map[int64]epochPartial[S]
+	// part[e] is epoch e's spatial join over the stored uploads: open while
+	// cells arrive, frozen once read, rebuilt lazily when dropped.
+	part map[int64]*epochJoin[S]
+	// pre joins round preRound's window but its newest epoch; nil once the
+	// round takes it, a cell inside its span drops it, or it is empty.
+	pre      S
+	preRound int64
 	// rounds[k] memoizes the window aggregate pushed during k.
 	rounds map[int64]*roundMemo[S]
 
@@ -257,7 +262,7 @@ func (c *Center[S]) ReceiveMeta(point int, epoch int64, upload S, meta UploadMet
 		// Stored without cloning: re-merging a max sketch is idempotent, so
 		// the center may alias the caller's (ownership-transferred) upload.
 		per[epoch] = upload
-		c.invalidateLocked(epoch)
+		c.acceptLocked(point, epoch, upload)
 		if epoch > c.lastEpoch[point] {
 			c.lastEpoch[point] = epoch
 		}
@@ -321,7 +326,7 @@ func (c *Center[S]) ReceiveMeta(point int, epoch int64, upload S, meta UploadMet
 		}
 	}
 	per[epoch] = delta
-	c.invalidateLocked(epoch)
+	c.acceptLocked(point, epoch, delta)
 	c.lastEpoch[point] = epoch
 	c.trimLocked(epoch)
 	return nil
@@ -435,6 +440,9 @@ func (c *Center[S]) trimLocked(latest int64) {
 			delete(c.rounds, k)
 		}
 	}
+	if first, _, ok := aggregateSpan(c.preRound, c.windowN); ok && first < floor {
+		c.pre = *new(S)
+	}
 }
 
 // liveSource serves the center's window store to computeEpochPartial.
@@ -466,60 +474,115 @@ type roundMemo[S Sketch[S]] struct {
 // backfill the one before it.
 const maxRoundMemos = 4
 
-// resetJoinLocked drops every per-epoch partial and round memo.
+// resetJoinLocked drops every per-epoch partial, the prefix and every
+// round memo.
 func (c *Center[S]) resetJoinLocked() {
-	c.part = make(map[int64]epochPartial[S])
+	c.part = make(map[int64]*epochJoin[S])
+	c.pre, c.preRound = *new(S), 0
 	c.rounds = make(map[int64]*roundMemo[S])
 }
 
-// invalidateLocked drops the state an accepted upload for epoch stales:
-// the epoch's partial and every round memo whose span contains it.
-func (c *Center[S]) invalidateLocked(epoch int64) {
-	delete(c.part, epoch)
+// acceptLocked joins point's accepted cell for epoch e and drops what the
+// cell stales: every round memo and the prefix whose span contains e. An
+// open partial takes the cell. A frozen one is shared, so it is dropped,
+// and a partial starts from the cell only when no other cell of e is
+// held, since it would miss them.
+func (c *Center[S]) acceptLocked(point int, e int64, cell S) {
 	for k := range c.rounds {
-		if first, last, ok := aggregateSpan(k, c.windowN); ok && first <= epoch && epoch <= last {
+		if first, last, ok := aggregateSpan(k, c.windowN); ok && first <= e && e <= last {
 			delete(c.rounds, k)
 		}
 	}
+	if first, last, _ := aggregateSpan(c.preRound, c.windowN); first <= e && e < last {
+		c.pre = *new(S)
+	}
+	if j, ok := c.part[e]; ok && !j.frozen {
+		if j.add(e, point, cell) != nil {
+			delete(c.part, e) // the lazy rebuild reports the error
+		}
+		return
+	}
+	delete(c.part, e)
+	for _, id := range c.ids {
+		if _, ok := c.uploads[id][e]; ok && id != point {
+			return
+		}
+	}
+	j := &epochJoin[S]{}
+	if j.add(e, point, cell) == nil {
+		c.part[e] = j
+	}
+	// The first cell of a new epoch e builds round e+1's prefix, from
+	// partials no longer taking cells: reading one that is would freeze it
+	// early and drop the prefix with it.
+	if e+1 <= c.preRound {
+		return
+	}
+	first, last, _ := aggregateSpan(e+1, c.windowN)
+	for older := first; older < last; older++ {
+		if j, ok := c.part[older]; ok && !j.frozen {
+			return
+		}
+	}
+	if sk, err := c.joinPartialsLocked(*new(S), first, last-1); err == nil {
+		c.pre, c.preRound = sk, e+1
+	}
 }
 
-// partialLocked returns epoch e's merged partial, building it on first use.
+// partialLocked returns epoch e's merged partial, frozen, building it on
+// first use.
 func (c *Center[S]) partialLocked(e int64) (epochPartial[S], error) {
-	if p, ok := c.part[e]; ok {
-		return p, nil
-	}
-	p, err := computeEpochPartial(e, c.ids, c.wMax, liveSource[S](c.uploads))
-	if err != nil {
+	j, ok := c.part[e]
+	if !ok {
+		p, err := computeEpochPartial(e, c.ids, c.wMax, liveSource[S](c.uploads))
+		if err == nil {
+			c.part[e] = &epochJoin[S]{epochPartial: p, frozen: true}
+		}
 		return p, err
 	}
-	c.part[e] = p
-	return p, nil
+	p, err := j.read(e, c.wMax)
+	if err != nil {
+		delete(c.part, e)
+	}
+	return p, err
+}
+
+// joinPartialsLocked merges the partials of epochs from .. to into acc,
+// which starts as a clone of the first one with data when nil.
+func (c *Center[S]) joinPartialsLocked(acc S, from, to int64) (S, error) {
+	for e := from; e <= to; e++ {
+		p, err := c.partialLocked(e)
+		if err != nil {
+			return acc, err
+		}
+		if !p.have {
+			continue
+		}
+		if IsNil(acc) {
+			acc = p.sk.Clone()
+		} else if err := acc.Merge(p.sk); err != nil {
+			return acc, fmt.Errorf("core: window join epoch %d: %w", e, err)
+		}
+	}
+	return acc, nil
 }
 
 // roundLocked returns the memoized window aggregate pushed during k (eq.
 // (5): epochs k-n+2 .. k-1), joining it from per-epoch partials on first
-// use.
+// use: the newest one into the round's prefix when it is live.
 func (c *Center[S]) roundLocked(k int64) (*roundMemo[S], error) {
 	if m, ok := c.rounds[k]; ok {
 		return m, nil
 	}
 	m := &roundMemo[S]{byWidth: make(map[int]S), cov: c.coverageLocked(k)}
 	if first, last, ok := aggregateSpan(k, c.windowN); ok {
-		for e := first; e <= last; e++ {
-			p, err := c.partialLocked(e)
-			if err != nil {
-				return nil, err
-			}
-			if !p.have {
-				continue
-			}
-			if IsNil(m.joined) {
-				m.joined = p.sk.Clone()
-				continue
-			}
-			if err := m.joined.Merge(p.sk); err != nil {
-				return nil, fmt.Errorf("core: window join epoch %d: %w", e, err)
-			}
+		if k == c.preRound && !IsNil(c.pre) {
+			// The memo takes the prefix's sketch.
+			m.joined, first, c.pre = c.pre, last, *new(S)
+		}
+		var err error
+		if m.joined, err = c.joinPartialsLocked(m.joined, first, last); err != nil {
+			return nil, err
 		}
 	}
 	if len(c.rounds) >= maxRoundMemos {
@@ -554,7 +617,11 @@ func (c *Center[S]) aggregateLocked(point int, k int64) (S, error) {
 	w := proto.Width()
 	out, ok := m.byWidth[w]
 	if !ok {
-		if out, err = m.joined.CompressTo(w); err != nil {
+		// A max fold onto the window's own width is the window itself. The
+		// additive design's fold clamps a negative counter, so it copies.
+		if w == c.wMax && !c.additive {
+			out = m.joined
+		} else if out, err = m.joined.CompressTo(w); err != nil {
 			return zero, err
 		}
 		m.byWidth[w] = out

@@ -133,53 +133,66 @@ type epochPartial[S Sketch[S]] struct {
 	ids  []int
 }
 
-// computeEpochPartial joins every cell of epoch e across ids: cells merge
-// at their native widths first, then each width group expands once to
-// wMax and spatially joins — fewer expansions, same register bits.
-func computeEpochPartial[S Sketch[S]](e int64, ids []int, wMax int, src EpochSource[S]) (epochPartial[S], error) {
-	var p epochPartial[S]
-	p.ids = make([]int, 0, len(ids))
-	var groups map[int]S
-	var order []int
-	add := func(id int, cell S) error {
-		p.ids = append(p.ids, id)
-		w := cell.Width()
-		if g, ok := groups[w]; ok {
+// epochJoin joins one epoch's cells as they come: each cell merges into
+// the group of its native width, and each group expands once to the
+// maximum width when the join is read — fewer expansions, same register
+// bits, in any cell order. The first read freezes the join: its partial
+// is shared from then on, so the join takes no further cell.
+type epochJoin[S Sketch[S]] struct {
+	epochPartial[S]
+	groups []S // one per width; every group is a clone
+	frozen bool
+}
+
+// add joins point id's cell into its width group. The cell stays the
+// caller's.
+func (j *epochJoin[S]) add(e int64, id int, cell S) error {
+	j.ids = append(j.ids, id)
+	for _, g := range j.groups {
+		if g.Width() == cell.Width() {
 			if err := g.Merge(cell); err != nil {
 				return fmt.Errorf("core: history temporal join point %d epoch %d: %w", id, e, err)
 			}
 			return nil
 		}
-		if groups == nil {
-			groups = make(map[int]S, 2)
-		}
-		groups[w] = cell.Clone()
-		order = append(order, w)
-		return nil
 	}
-	if err := src.EpochCells(e, ids, add); err != nil {
-		return p, fmt.Errorf("core: history epoch %d: %w", e, err)
+	j.groups = append(j.groups, cell.Clone())
+	return nil
+}
+
+// read freezes the join and returns its partial at wMax.
+func (j *epochJoin[S]) read(e int64, wMax int) (epochPartial[S], error) {
+	if j.frozen {
+		return j.epochPartial, nil
 	}
-	slices.Sort(p.ids)
-	for _, w := range order {
-		// Every group is a clone, so one already at wMax joins as it is.
-		ex := groups[w]
-		if w != wMax {
+	slices.Sort(j.ids)
+	for _, g := range j.groups {
+		// A group is a clone, so one already at wMax joins as it is.
+		ex := g
+		if w := g.Width(); w != wMax {
 			var err error
-			if ex, err = ex.ExpandTo(wMax); err != nil {
-				return p, fmt.Errorf("core: history expand epoch %d width %d: %w", e, w, err)
+			if ex, err = g.ExpandTo(wMax); err != nil {
+				return j.epochPartial, fmt.Errorf("core: history expand epoch %d width %d: %w", e, w, err)
 			}
 		}
-		if !p.have {
-			p.sk = ex
-			p.have = true
-			continue
-		}
-		if err := p.sk.Merge(ex); err != nil {
-			return p, fmt.Errorf("core: history spatial join epoch %d: %w", e, err)
+		if !j.have {
+			j.sk, j.have = ex, true
+		} else if err := j.sk.Merge(ex); err != nil {
+			return j.epochPartial, fmt.Errorf("core: history spatial join epoch %d: %w", e, err)
 		}
 	}
-	return p, nil
+	j.groups, j.frozen = nil, true
+	return j.epochPartial, nil
+}
+
+// computeEpochPartial joins every cell of epoch e across ids.
+func computeEpochPartial[S Sketch[S]](e int64, ids []int, wMax int, src EpochSource[S]) (epochPartial[S], error) {
+	j := &epochJoin[S]{epochPartial: epochPartial[S]{ids: make([]int, 0, len(ids))}}
+	add := func(id int, cell S) error { return j.add(e, id, cell) }
+	if err := src.EpochCells(e, ids, add); err != nil {
+		return j.epochPartial, fmt.Errorf("core: history epoch %d: %w", e, err)
+	}
+	return j.read(e, wMax)
 }
 
 // queryEpochsFrom is the shared replay: snapshot the cluster shape

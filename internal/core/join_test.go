@@ -334,15 +334,22 @@ func (s *countingSketch) Project(f uint64) *countingSketch      { return s.wrap(
 // TestJoinIsLinearPerRound guards the round's cost: a full push round —
 // every point's upload, then every point's aggregate and coverage — must
 // do O(p + n) expand-and-merges, not a join per destination point
-// (p²·(n-1) at p = 64 is about 16k).
+// (p²·(n-1) at p = 64 is about 16k). The barrier — the round's first
+// AggregateFor after its last upload — joins the newest epoch's width
+// groups and merges that partial into the round's prefix: one Merge, plus
+// one ExpandTo and the Merge that joins it per width group narrower than
+// the maximum.
 func TestJoinIsLinearPerRound(t *testing.T) {
 	const n, p, a, b = 5, 64, 2, 2
 	ops := &opCounter{}
 	params := func(x int) countmin.Params { return countmin.Params{D: 2, W: 8 << (x % 3), Seed: 9} }
 	protos := map[int]*countingSketch{}
+	widths := map[int]bool{}
 	for x := 0; x < p; x++ {
 		protos[x] = &countingSketch{sk: countmin.New(params(x)), n: ops}
+		widths[params(x).W] = true
 	}
+	narrow := len(widths) - 1
 	c, err := NewCenter(n, protos, EngineConfig[*countingSketch]{Design: "size", Mode: ModeDelta, Additive: true})
 	if err != nil {
 		t.Fatal(err)
@@ -356,9 +363,16 @@ func TestJoinIsLinearPerRound(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		atBarrier := *ops
 		for x := 0; x < p; x++ {
 			if _, err := c.AggregateFor(x, k+1); err != nil {
 				t.Fatal(err)
+			}
+			if x == 0 {
+				expand, merge := ops.expand-atBarrier.expand, ops.merge-atBarrier.merge
+				if k > n && (expand > narrow || merge > 1+narrow) {
+					t.Fatalf("round %d: the barrier did %d ExpandTo and %d Merge calls, want <= %d and <= %d", k, expand, merge, narrow, 1+narrow)
+				}
 			}
 			c.CoverageFor(k + 1)
 		}
