@@ -357,8 +357,9 @@ func (e *engine) audit(label string) error {
 
 // timeTravelCheck compares root r's HistoryAt replay against its live
 // window at the most recent pushed round. A cell append runs just after
-// its upload becomes visible to round accounting, so the probe retries
-// briefly (watchdog-bounded) before calling a mismatch a verdict.
+// its upload becomes visible to round accounting (after the push, for the
+// upload that completes a round), so the probe retries briefly
+// (watchdog-bounded) before calling a mismatch a verdict.
 func (e *engine) timeTravelCheck(r *rootNode) error {
 	k := r.srv.Stats().LastPushEpoch
 	if k < 2 {

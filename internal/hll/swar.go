@@ -19,13 +19,19 @@ func mergeMaxWord(x, y uint64) uint64 {
 	return (y & mask) | (x &^ mask)
 }
 
-// MergeMaxBytes folds src into dst by element-wise max, eight registers per
-// step with a scalar tail. The slices must have equal length and hold
-// register values (<= MaxRegisterValue). This is the shared inner loop of
-// every register merge: temporal/spatial/ST joins, C' <- push application,
-// and the column folds of CompressTo.
+// MergeMaxBytes folds src into dst by element-wise max: on amd64 one SSE2
+// PMAXUB loop, 64 registers an iteration (kernel_amd64.s). The slices must
+// have equal length and hold register values (<= MaxRegisterValue). This
+// is the shared inner loop of every register merge: temporal/spatial/ST
+// joins, C' <- push application, and the column folds of CompressTo.
 func MergeMaxBytes(dst, src []uint8) {
-	src = src[:len(dst)] // equal lengths, checked by callers; helps BCE
+	maxBytes(dst, src[:len(dst)]) // equal lengths, checked by callers
+}
+
+// maxBytesSWAR is the portable register merge: eight registers per 64-bit
+// step with a scalar tail.
+func maxBytesSWAR(dst, src []uint8) {
+	src = src[:len(dst)] // helps BCE
 	i := 0
 	for ; i+8 <= len(dst); i += 8 {
 		x := binary.LittleEndian.Uint64(dst[i:])
