@@ -529,6 +529,51 @@ func runPartialSequence(t *testing.T, tc partialCase, seed int64) {
 	}
 }
 
+// TestRestoreReappendsCheckpointedCells: the round's checkpoint is
+// written before the completing upload's cell is appended, so a crash
+// between the two leaves a checkpoint holding a cell the log lacks, and
+// the point's retransmit then drops as a duplicate. Failing every point
+// cell of the last epoch models the crash at its widest. A center
+// restarted on the same checkpoint and store must replay, bit for bit
+// and with equal coverage, the live answers the crashed center gave.
+func TestRestoreReappendsCheckpointedCells(t *testing.T) {
+	noLeak(t)
+	const last, flows = 6, 4
+	for i, tc := range []partialCase{
+		{kind: KindSpread, sketch: SketchRskt},
+		{kind: KindSize, delta: true},
+		{kind: KindSize},
+	} {
+		t.Run(tc.String(), func(t *testing.T) {
+			ckpt := t.TempDir()
+			r := newPartialRig(t, tc, uint64(i+1), func(c *CenterConfig) { c.CheckpointDir = ckpt })
+			for k := int64(1); k < last; k++ {
+				r.round(k, 0)
+			}
+			for _, id := range r.ids {
+				r.fail(id, last)
+			}
+			r.round(last, len(r.ids))
+			live := recordLive(t, r.srv, flows, last+1)
+			if _, cov, err := r.srv.HistoryAt(0, last+1); err != nil || cov == live[0].cov {
+				t.Fatalf("HistoryAt(0, %d) before the restart: coverage %+v, err %v; want less than the live %+v",
+					last+1, cov, err, live[0].cov)
+			}
+			r.close()
+
+			srv, err := ServeCenter(r.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			if st := srv.Stats(); st.RestoredGeneration == 0 || st.StoreAppends == 0 {
+				t.Fatalf("restart restored generation %d and appended %d cells", st.RestoredGeneration, st.StoreAppends)
+			}
+			checkReplay(t, srv.HistoryQueryAddr().String(), live)
+		})
+	}
+}
+
 // The partial cell's layout is bounded and canonical: a parse accepts
 // exactly what appendPartialCell builds — ids, then the sketch encoding
 // and its block index — and ServeCenter refuses a topology that would put
