@@ -71,13 +71,15 @@ test-race:
 # integer harmonic sum and the one-pass spread estimates give bit for bit
 # what the float per-register loops they replaced gave, and that the
 # center's trim per floor step holds exactly the cells a full walk on every
-# receive would. Race builds run internal/hll's portable register kernels,
+# receive would, and that the per-epoch merger a center and a relay share
+# holds at most n + 2 rounds of barrier state while a child stays silent.
+# Race builds run internal/hll's portable register kernels,
 # not the SSE2 assembly, whose writes the race detector cannot see: that is
 # what lets TestMarshalPartialRacesLateUpload report a late cell merged
 # into a frozen partial as a data race.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=1 -run '^(TestJoinIsLinearPerRound|TestEndEpochFoldsEachLaneOnce|TestReplayWindowMatchesMergeReference|TestEpochPartialDoesNotAliasCells|TestReceiveJoinMatchesReference|TestMarshalPartialRacesLateUpload|TestHistoryAggregateSpanEdges|TestCheckEpochBounds|TestUploadEpochRule|TestHistoryReplayCacheCells|TestTrimMatchesFullWalk)$$' ./internal/core
+	$(GO) test -race -count=1 -run '^(TestJoinIsLinearPerRound|TestEndEpochFoldsEachLaneOnce|TestReplayWindowMatchesMergeReference|TestEpochPartialDoesNotAliasCells|TestReceiveJoinMatchesReference|TestMarshalPartialRacesLateUpload|TestHistoryAggregateSpanEdges|TestCheckEpochBounds|TestUploadEpochRule|TestHistoryReplayCacheCells|TestTrimMatchesFullWalk|TestBarrierStateBounded)$$' ./internal/core
 	$(GO) test -race -count=1 -run '^TestLogGetEpochVisitRunsUnlocked$$' ./internal/durable
 	$(GO) test -race -count=1 -run '^(TestFlowProjectionMatchesDecode|TestProjectRejectsHostileIndex)$$' ./internal/rskt ./internal/countmin
 	$(GO) test -race -count=1 -run '^TestEstimateMatchesFloatReference$$' ./internal/hll
@@ -94,10 +96,13 @@ crash-test:
 # The aggregation-tree and shard matrices: relay crash/restart/partition
 # scenarios, shard failover, live tree-vs-flat and sharded-vs-flat
 # equality, the cluster-sim topology property tests, and the relay wire
-# goldens — the correctness gate for hierarchical deployments. The
-# handshake-rejection table and the mid-fan-out rejoin test run the
-# shared child-facing half under both of its users, center and relay, and
-# the relay refuses a Hello whose state epoch would wrap its resync.
+# and checkpoint goldens — the correctness gate for hierarchical
+# deployments. The handshake-rejection table and the mid-fan-out rejoin
+# test run the shared child-facing half under both of its users, center
+# and relay; the relay refuses a Hello whose state epoch would wrap its
+# resync and ignores one past its parent's clock; and, in internal/core,
+# TestRelayTreeMatchesReference holds the relay (the per-epoch merger plus
+# its in-order forwarder) to a naive per-epoch list of child cells.
 tree-test:
 	$(GO) test -race -count=1 \
 		-run '^(TestFaultRelay|TestRelayTreeEqualsFlatLive|TestShardedEqualsFlat|TestFaultShardFailover|TestGoldenRelay|TestHelloMismatchDropsConnection|TestRedialDuringFanOutGetsCurrentRound|TestRelayHelloEpochRule)' \

@@ -117,51 +117,6 @@ func (c EngineConfig[S]) validate() error {
 	return nil
 }
 
-// checkNode validates what a center and a relay share at construction: a
-// window of at least 3 epochs, a valid discipline, and per-child sketch
-// prototypes that are non-nil and mutually compatible, with the maximum
-// width a multiple of every width (power-of-two-ratio widths satisfy
-// this). It returns the maximum width.
-func checkNode[S Sketch[S]](windowN int, protos map[int]S, cfg EngineConfig[S]) (int, error) {
-	if windowN < 3 {
-		return 0, fmt.Errorf("core: window n must be >= 3, got %d", windowN)
-	}
-	if len(protos) == 0 {
-		return 0, fmt.Errorf("core: no measurement points")
-	}
-	if err := cfg.validate(); err != nil {
-		return 0, err
-	}
-	wMax := 0
-	var ref S
-	for _, p := range protos {
-		if IsNil(p) {
-			return 0, fmt.Errorf("core: nil sketch prototype")
-		}
-		wMax, ref = max(wMax, p.Width()), p
-	}
-	for id, p := range protos {
-		if !ref.Compatible(p) {
-			return 0, fmt.Errorf("core: the sketch of %d is incompatible with its peers", id)
-		}
-		if wMax%p.Width() != 0 {
-			return 0, fmt.Errorf("core: width %d of %d does not divide max width %d", p.Width(), id, wMax)
-		}
-	}
-	return wMax, nil
-}
-
-// cloneOf returns a zero sketch of id's declared shape (its prototype's
-// clone); ok is false for an unknown id. Prototypes are fixed at
-// construction, so callers need no lock.
-func cloneOf[S Sketch[S]](protos map[int]S, id int) (S, bool) {
-	proto, ok := protos[id]
-	if !ok {
-		return proto, false
-	}
-	return proto.Clone(), true
-}
-
 // sameShape is the one shape check every stored or merged sketch passes:
 // it joins proto's cluster (Compatible) at proto's width.
 func sameShape[S Sketch[S]](proto, sk S) bool {

@@ -1,10 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
-	"slices"
-	"sync"
 )
 
 // The generic measurement center: the single implementation of the
@@ -22,26 +21,23 @@ import (
 //     (Section V-B).
 //
 // The join is built once per round, not once per destination point, and
-// mostly before the barrier: each accepted cell joins its epoch's partial
-// as it arrives (epochJoin, as the historical replay does over the log);
-// a read freezes the partial and a later cell drops it for a lazy
-// rebuild. Epoch k's first cell merges round k+1's older n-3 partials into
-// a prefix, so the barrier merges part[k] alone. Each window is compressed
-// once per point width (a max-merge design's wMax points share it). A
-// cell drops every round memo and prefix whose span holds it; trimming
-// drops all of it with the uploads.
+// mostly before the barrier: each accepted cell joins its epoch's round
+// as it arrives (epochMerge, the merger a relay runs too); a read freezes
+// the round's partial and a later cell thaws it into a clone. Epoch k's
+// first cell merges round k+1's older n-3 partials into a prefix, so the
+// barrier merges part[k] alone. Each window is compressed once per point
+// width (a max-merge design's wMax points share it). A cell drops every
+// round memo and prefix whose span holds it; trimming drops all of it
+// with the uploads.
 type Center[S Sketch[S]] struct {
-	mu sync.Mutex
+	// epochMerge holds the children, their clocks and weights, the door,
+	// and part: part[e] is epoch e's round, the join of its stored cells
+	// — open while cells arrive, frozen once read — and its barrier.
+	epochMerge[S]
 
-	windowN  int
-	design   string
 	mode     Mode
 	additive bool
 	sub      func(dst, src S) error
-
-	protos map[int]S // zero-state prototype per point (width + shape)
-	wMax   int
-	wide   int // a point whose width is wMax
 
 	// uploads[point][epoch] is the single-epoch measurement: the uploaded
 	// B sketch for a delta-mode max design, the recovered delta for the
@@ -52,11 +48,6 @@ type Center[S Sketch[S]] struct {
 	// floor passes it, so a round's receives walk the maps once per floor
 	// step, not once each.
 	minHeld int64
-	// ids lists the point ids in ascending order.
-	ids []int
-	// part[e] is epoch e's spatial join over the stored uploads: open while
-	// cells arrive, frozen once read, rebuilt lazily when dropped.
-	part map[int64]*epochJoin[S]
 	// pre joins round preRound's window but its newest epoch; nil once the
 	// round takes it, a cell inside its span drops it, or it is empty.
 	pre      S
@@ -71,21 +62,11 @@ type Center[S Sketch[S]] struct {
 	sentAgg map[int]map[int64]S
 	// sentEnh[point][epoch] is the enhancement pushed during that epoch.
 	sentEnh map[int]map[int64]S
-	// lastEpoch[point] is the most recent epoch the point uploaded; the
-	// transport layer uses it to resynchronize reconnecting points.
-	// Additive designs also use it to enforce sequencing.
-	lastEpoch map[int]int64
 	// chainBroken[point] marks a cumulative-mode point whose recovery
 	// chain lost an epoch (upload gap): the inversion needs the previous
 	// epoch's delta, so post-gap uploads are unusable until the point
 	// sends a rebase upload (see UploadMeta.Rebase).
 	chainBroken map[int]bool
-	// weights[point] is the number of leaf measurement points one upload
-	// from this child represents: 1 for a direct point, the subtree's leaf
-	// count for a relay (see Relay.Weight). Coverage accounting multiplies
-	// by it so a tree-fed center reports the same merged/expected counts a
-	// flat center would. Every point has an entry (>= 1).
-	weights map[int]int
 
 	// replay, when non-nil, caches per-epoch partials for the historical
 	// replay path (see ReplayCache).
@@ -98,25 +79,18 @@ type Center[S Sketch[S]] struct {
 // width must be a multiple of every width (power-of-two-ratio widths
 // satisfy this). ModeCumulative requires cfg.Sub.
 func NewCenter[S Sketch[S]](windowN int, protos map[int]S, cfg EngineConfig[S]) (*Center[S], error) {
-	wMax, err := checkNode(windowN, protos, cfg)
-	if err != nil {
+	c := &Center[S]{
+		minHeld:  math.MaxInt64,
+		mode:     cfg.Mode,
+		additive: cfg.Additive,
+		sub:      cfg.Sub,
+		uploads:  make(map[int]map[int64]S, len(protos)),
+	}
+	if err := c.init(windowN, protos, nil, cfg); err != nil {
 		return nil, err
 	}
 	if cfg.Mode == ModeCumulative && cfg.Sub == nil {
 		return nil, fmt.Errorf("core: cumulative mode requires a subtraction operator")
-	}
-	c := &Center[S]{
-		minHeld:   math.MaxInt64,
-		windowN:   windowN,
-		design:    cfg.Design,
-		mode:      cfg.Mode,
-		additive:  cfg.Additive,
-		sub:       cfg.Sub,
-		protos:    make(map[int]S, len(protos)),
-		wMax:      wMax,
-		uploads:   make(map[int]map[int64]S, len(protos)),
-		lastEpoch: make(map[int]int64, len(protos)),
-		weights:   make(map[int]int, len(protos)),
 	}
 	c.resetJoinLocked()
 	if cfg.Additive {
@@ -124,21 +98,11 @@ func NewCenter[S Sketch[S]](windowN int, protos map[int]S, cfg EngineConfig[S]) 
 		c.sentEnh = make(map[int]map[int64]S, len(protos))
 		c.chainBroken = make(map[int]bool, len(protos))
 	}
-	for id, p := range protos {
-		c.protos[id] = p.Clone()
+	for _, id := range c.ids {
 		c.uploads[id] = make(map[int64]S)
-		c.weights[id] = 1
-		c.ids = append(c.ids, id)
 		if cfg.Additive {
 			c.sentAgg[id] = make(map[int64]S)
 			c.sentEnh[id] = make(map[int64]S)
-		}
-	}
-	slices.Sort(c.ids)
-	for _, id := range c.ids {
-		if c.protos[id].Width() == wMax {
-			c.wide = id
-			break
 		}
 	}
 	return c, nil
@@ -155,9 +119,7 @@ func (c *Center[S]) SetWeight(point, weight int) {
 	if _, ok := c.protos[point]; !ok {
 		return
 	}
-	if weight < 1 {
-		weight = 1
-	}
+	weight = max(weight, 1)
 	if c.weights[point] != weight {
 		// Memoized round coverage is weighted; partials are not.
 		clear(c.rounds)
@@ -201,33 +163,6 @@ func (c *Center[S]) ReplayCacheStats() (ReplayCacheStats, bool) {
 	return rc.Stats(), true
 }
 
-// Weight returns the leaf count one upload from the child represents
-// (>= 1; 1 unless SetWeight raised it).
-func (c *Center[S]) Weight(point int) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.weightLocked(point)
-}
-
-// TotalWeight is the number of leaf measurement points the whole cluster
-// represents — the sum of the direct children's weights.
-func (c *Center[S]) TotalWeight() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	total := 0
-	for _, w := range c.weights {
-		total += w
-	}
-	return total
-}
-
-func (c *Center[S]) weightLocked(point int) int {
-	if w, ok := c.weights[point]; ok {
-		return w
-	}
-	return 1
-}
-
 // Receive is ReceiveMeta for the healthy in-process path, where every
 // center push was applied (max-merge designs ignore the flags). Transports
 // that can lose pushes use ReceiveMeta.
@@ -250,33 +185,43 @@ func (c *Center[S]) Receive(point int, epoch int64, upload S) error {
 // rebase upload reseeds the chain; in delta mode uploads are independent
 // and gaps merely leave window holes, which CoverageFor reports.
 func (c *Center[S]) ReceiveMeta(point int, epoch int64, upload S, meta UploadMeta) error {
+	_, err := c.ReceiveRound(point, epoch, upload, meta)
+	return err
+}
+
+// ReceiveRound is ReceiveMeta that also reports whether the upload
+// completed its epoch's round: whether it made every child a reporter of
+// the epoch. A stored upload reports, and so does a gap-dropped one
+// (ErrUploadGap), whose epoch the point's chain has moved past; a
+// duplicate or a refused upload does not. One upload completes a round,
+// so a transport pushes each round once.
+func (c *Center[S]) ReceiveRound(point int, epoch int64, upload S, meta UploadMeta) (complete bool, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	per, ok := c.uploads[point]
-	if !ok {
-		return fmt.Errorf("core: unknown %s point %d", c.design, point)
+	err = c.receiveLocked(point, epoch, upload, meta)
+	if err != nil && !errors.Is(err, ErrUploadGap) {
+		return false, err
 	}
-	if !sameShape(c.protos[point], upload) {
-		return fmt.Errorf("core: upload from point %d does not match its declared sketch", point)
+	complete = c.completeLocked(epoch)
+	c.trimLocked(c.lastEpoch[point])
+	return complete, err
+}
+
+// receiveLocked is ReceiveMeta's body before the trim, under the lock.
+func (c *Center[S]) receiveLocked(point int, epoch int64, upload S, meta UploadMeta) error {
+	last, err := c.admit(point, epoch, upload)
+	if err != nil {
+		return err
 	}
-	if err := CheckEpoch(epoch, 1); err != nil {
-		return fmt.Errorf("core: upload from point %d: %w", point, err)
-	}
+	per := c.uploads[point]
 	if !c.additive {
 		if _, dup := per[epoch]; dup {
 			return ErrDuplicateUpload
 		}
 		// Stored without cloning: re-merging a max sketch is idempotent, so
 		// the center may alias the caller's (ownership-transferred) upload.
-		c.holdLocked(per, epoch, upload)
-		c.acceptLocked(point, epoch, upload)
-		if epoch > c.lastEpoch[point] {
-			c.lastEpoch[point] = epoch
-		}
-		c.trimLocked(c.lastEpoch[point])
-		return nil
+		return c.acceptLocked(point, epoch, upload)
 	}
-	last := c.lastEpoch[point]
 	if epoch <= last {
 		return ErrDuplicateUpload
 	}
@@ -305,10 +250,10 @@ func (c *Center[S]) ReceiveMeta(point int, epoch int64, upload S, meta UploadMet
 		case epoch != last+1 || c.chainBroken[point]:
 			// The chain lost an epoch: C contains the missing previous
 			// delta and nothing can subtract it. Drop the payload, keep
-			// the sequence position, wait for a rebase.
+			// the sequence position (admit moved it), wait for a rebase.
 			c.chainBroken[point] = true
-			c.lastEpoch[point] = epoch
-			c.trimLocked(epoch)
+			j := c.round(epoch)
+			j.bare = append(j.bare, point)
 			return ErrUploadGap
 		default:
 			// Invert the cumulative upload (Section V-B):
@@ -332,33 +277,7 @@ func (c *Center[S]) ReceiveMeta(point int, epoch int64, upload S, meta UploadMet
 			}
 		}
 	}
-	c.holdLocked(per, epoch, delta)
-	c.acceptLocked(point, epoch, delta)
-	c.lastEpoch[point] = epoch
-	c.trimLocked(epoch)
-	return nil
-}
-
-// LastEpoch returns the most recent epoch the point has uploaded (0 if
-// none).
-func (c *Center[S]) LastEpoch(point int) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lastEpoch[point]
-}
-
-// MaxEpoch returns the most recent epoch any point has uploaded (0 if
-// none) — the cluster's epoch clock as the center sees it.
-func (c *Center[S]) MaxEpoch() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var m int64
-	for _, e := range c.lastEpoch {
-		if e > m {
-			m = e
-		}
-	}
-	return m
+	return c.acceptLocked(point, epoch, delta)
 }
 
 // CoverageFor counts, for the aggregate pushed during epoch k, how many
@@ -399,26 +318,6 @@ func (c *Center[S]) coverageLocked(k int64) Coverage {
 	return cov
 }
 
-// NewSketch returns a zero sketch of point's declared shape: the target
-// the point's uploads decode into, so one naming other dimensions is
-// rejected before it allocates. ok is false for an unknown point.
-func (c *Center[S]) NewSketch(point int) (S, bool) { return cloneOf(c.protos, point) }
-
-// NewPartialSketch returns a zero sketch at the maximum width: the shape
-// of every merged partial, which a stored partial decodes into.
-func (c *Center[S]) NewPartialSketch() S { return c.protos[c.wide].Clone() }
-
-// HasUpload reports whether the center holds point's measurement for
-// epoch. The transport layer uses it after an ImportState to rebuild its
-// round-completion accounting for epochs the restored rounds had not yet
-// pushed.
-func (c *Center[S]) HasUpload(point int, epoch int64) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.uploads[point][epoch]
-	return ok
-}
-
 // trimLocked drops measurements (and, for additive designs, sent pushes)
 // too old to contribute to any future join.
 func (c *Center[S]) trimLocked(latest int64) {
@@ -442,11 +341,7 @@ func (c *Center[S]) trimLocked(latest int64) {
 			trim(c.sentEnh)
 		}
 	}
-	for e := range c.part {
-		if e < floor {
-			delete(c.part, e)
-		}
-	}
+	c.keepLocked(floor, math.MaxInt64)
 	for k := range c.rounds {
 		if first, _, _ := aggregateSpan(k, c.windowN); first < floor {
 			delete(c.rounds, k)
@@ -463,22 +358,6 @@ func (c *Center[S]) holdLocked(per map[int64]S, e int64, sk S) {
 	c.minHeld = min(c.minHeld, e)
 }
 
-// liveSource serves the center's window store to computeEpochPartial.
-// Cells are borrowed (the EpochSource contract): the partial clones what
-// it keeps, so no partial aliases a stored upload.
-type liveSource[S Sketch[S]] map[int]map[int64]S
-
-func (ls liveSource[S]) EpochCells(epoch int64, points []int, visit func(int, S) error) error {
-	for _, id := range points {
-		if sk, ok := ls[id][epoch]; ok {
-			if err := visit(id, sk); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // roundMemo is the window aggregate pushed during one epoch: the join at
 // wMax, its compression to each point width (built on first request), and
 // its coverage. Its sketches are shared by every caller and never mutated.
@@ -492,20 +371,17 @@ type roundMemo[S Sketch[S]] struct {
 // backfill the one before it.
 const maxRoundMemos = 4
 
-// resetJoinLocked drops every per-epoch partial, the prefix and every
-// round memo.
+// resetJoinLocked drops every round, the prefix and every round memo.
 func (c *Center[S]) resetJoinLocked() {
 	c.part = make(map[int64]*epochJoin[S])
 	c.pre, c.preRound = *new(S), 0
 	c.rounds = make(map[int64]*roundMemo[S])
 }
 
-// acceptLocked joins point's accepted cell for epoch e and drops what the
-// cell stales: every round memo and the prefix whose span contains e. An
-// open partial takes the cell. A frozen one is shared, so it is dropped,
-// and a partial starts from the cell only when no other cell of e is
-// held, since it would miss them.
-func (c *Center[S]) acceptLocked(point int, e int64, cell S) {
+// acceptLocked joins point's accepted cell into epoch e's round, stores
+// it, and drops what the cell stales: every round memo and the prefix
+// whose span contains e.
+func (c *Center[S]) acceptLocked(point int, e int64, cell S) error {
 	for k := range c.rounds {
 		if first, last, ok := aggregateSpan(k, c.windowN); ok && first <= e && e <= last {
 			delete(c.rounds, k)
@@ -514,55 +390,37 @@ func (c *Center[S]) acceptLocked(point int, e int64, cell S) {
 	if first, last, _ := aggregateSpan(c.preRound, c.windowN); first <= e && e < last {
 		c.pre = *new(S)
 	}
-	if j, ok := c.part[e]; ok && !j.frozen {
-		if j.add(e, point, cell) != nil {
-			delete(c.part, e) // the lazy rebuild reports the error
-		}
-		return
+	first, err := c.joinLocked(point, e, cell)
+	if err != nil {
+		return err
 	}
-	delete(c.part, e)
-	for _, id := range c.ids {
-		if _, ok := c.uploads[id][e]; ok && id != point {
-			return
-		}
-	}
-	j := &epochJoin[S]{}
-	if j.add(e, point, cell) == nil {
-		c.part[e] = j
-	}
+	c.holdLocked(c.uploads[point], e, cell)
 	// The first cell of a new epoch e builds round e+1's prefix, from
 	// partials no longer taking cells: reading one that is would freeze it
 	// early and drop the prefix with it.
-	if e+1 <= c.preRound {
-		return
+	if !first || e+1 <= c.preRound {
+		return nil
 	}
-	first, last, _ := aggregateSpan(e+1, c.windowN)
-	for older := first; older < last; older++ {
+	lo, hi, _ := aggregateSpan(e+1, c.windowN)
+	for older := lo; older < hi; older++ {
 		if j, ok := c.part[older]; ok && !j.frozen {
-			return
+			return nil
 		}
 	}
-	if sk, err := c.joinPartialsLocked(*new(S), first, last-1); err == nil {
+	if sk, err := c.joinPartialsLocked(*new(S), lo, hi-1); err == nil {
 		c.pre, c.preRound = sk, e+1
 	}
+	return nil
 }
 
-// partialLocked returns epoch e's merged partial, frozen, building it on
-// first use.
+// partialLocked returns epoch e's merged partial, frozen. An epoch with
+// no round holds no cell.
 func (c *Center[S]) partialLocked(e int64) (epochPartial[S], error) {
 	j, ok := c.part[e]
 	if !ok {
-		p, err := computeEpochPartial(e, c.ids, c.wMax, liveSource[S](c.uploads))
-		if err == nil {
-			c.part[e] = &epochJoin[S]{epochPartial: p, frozen: true}
-		}
-		return p, err
+		return epochPartial[S]{}, nil
 	}
-	p, err := j.read(e, c.wMax)
-	if err != nil {
-		delete(c.part, e)
-	}
-	return p, err
+	return j.read(e, c.wMax)
 }
 
 // joinPartialsLocked merges the partials of epochs from .. to into acc,
@@ -696,26 +554,18 @@ func (c *Center[S]) EnhancementFor(point int, k int64) (S, error) {
 			return sent.Clone(), nil
 		}
 	}
-	var joined S
-	for id, per := range c.uploads {
-		d, ok := per[k-1]
-		if id == point || !ok {
-			continue
-		}
-		e, err := d.ExpandTo(c.wMax)
-		if err != nil {
-			return zero, fmt.Errorf("core: expand point %d: %w", id, err)
-		}
-		if IsNil(joined) {
-			joined = e
-			continue
-		}
-		if err := joined.Merge(e); err != nil {
-			return zero, fmt.Errorf("core: spatial join point %d: %w", id, err)
+	// The peers' cells join like a round, each width group expanded once.
+	peers := &epochJoin[S]{}
+	for _, id := range c.ids {
+		if d, ok := c.uploads[id][k-1]; ok && id != point {
+			if err := peers.add(k-1, id, d); err != nil {
+				return zero, err
+			}
 		}
 	}
-	if IsNil(joined) {
-		return zero, nil
+	joined, ok, err := peers.join(k-1, c.wMax)
+	if err != nil || !ok {
+		return zero, err
 	}
 	out, err := joined.CompressTo(proto.Width())
 	if err != nil {

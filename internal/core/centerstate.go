@@ -60,17 +60,13 @@ func (c *Center[S]) importSketchMapsLocked(src map[int]map[int64][]byte) (map[in
 		out[id] = make(map[int64]S)
 	}
 	for id, per := range src {
-		proto, ok := c.protos[id]
-		if !ok {
-			return nil, fmt.Errorf("core: import: unknown %s point %d", c.design, id)
+		if err := c.knownLocked(id); err != nil {
+			return nil, err
 		}
 		for e, data := range per {
-			sk := proto.Clone()
-			if err := sk.UnmarshalBinary(data); err != nil {
+			sk, err := decodeAs(c.protos[id], data)
+			if err != nil {
 				return nil, fmt.Errorf("core: import point %d epoch %d: %w", id, e, err)
-			}
-			if !sameShape(proto, sk) {
-				return nil, fmt.Errorf("core: import point %d epoch %d: sketch does not match the declared shape", id, e)
 			}
 			out[id][e] = sk
 		}
@@ -120,44 +116,52 @@ func (c *Center[S]) ImportState(st *CenterState) error {
 	if !c.additive && (len(st.ChainBroken) > 0 || len(st.SentAgg) > 0 || len(st.SentEnh) > 0) {
 		return fmt.Errorf("core: import: the %s design keeps no push bookkeeping", c.design)
 	}
-	known := func(id int) error {
-		if _, ok := c.protos[id]; !ok {
-			return fmt.Errorf("core: import: unknown %s point %d", c.design, id)
-		}
-		return nil
+	last, err := c.importClockLocked(st.LastEpoch)
+	if err != nil {
+		return err
 	}
-	for id := range st.LastEpoch {
-		if err := known(id); err != nil {
+	if err := c.knownLocked(st.ChainBroken...); err != nil {
+		return err
+	}
+	var stores [3]map[int]map[int64]S // uploads, sentAgg, sentEnh
+	for i, src := range [3]map[int]map[int64][]byte{st.Uploads, st.SentAgg, st.SentEnh} {
+		if stores[i], err = c.importSketchMapsLocked(src); err != nil {
 			return err
 		}
 	}
-	for _, id := range st.ChainBroken {
-		if err := known(id); err != nil {
-			return err
-		}
-	}
-	uploads, err := c.importSketchMapsLocked(st.Uploads)
-	if err != nil {
-		return err
-	}
-	sentAgg, err := c.importSketchMapsLocked(st.SentAgg)
-	if err != nil {
-		return err
-	}
-	sentEnh, err := c.importSketchMapsLocked(st.SentEnh)
-	if err != nil {
-		return err
-	}
-	c.uploads, c.lastEpoch = uploads, make(map[int]int64, len(st.LastEpoch))
+	c.uploads, c.lastEpoch = stores[0], last
 	c.minHeld = math.MinInt64 // the next trim walks and recomputes it
-	maps.Copy(c.lastEpoch, st.LastEpoch)
 	if c.additive {
-		c.sentAgg, c.sentEnh = sentAgg, sentEnh
+		c.sentAgg, c.sentEnh = stores[1], stores[2]
 		c.chainBroken = make(map[int]bool, len(st.ChainBroken))
 		for _, id := range st.ChainBroken {
 			c.chainBroken[id] = true
 		}
 	}
 	c.resetJoinLocked()
+	return c.rejoinLocked()
+}
+
+// rejoinLocked rebuilds every round from the imported store: each held
+// cell joins its epoch and reports its point. In cumulative mode a point
+// also reports a window epoch it holds no cell of once its clock is past
+// it: its upload was gap-dropped, or its chain moved on.
+func (c *Center[S]) rejoinLocked() error {
+	for id, per := range c.uploads {
+		for e, cell := range per {
+			if _, err := c.joinLocked(id, e, cell); err != nil {
+				return err
+			}
+		}
+	}
+	hi := c.maxEpochLocked()
+	for e := max(1, hi-int64(c.windowN)-1); e <= hi && c.mode == ModeCumulative; e++ {
+		for _, id := range c.ids {
+			if _, held := c.uploads[id][e]; !held && c.lastEpoch[id] >= e {
+				j := c.round(e)
+				j.bare = append(j.bare, id)
+			}
+		}
+	}
 	return nil
 }

@@ -279,3 +279,19 @@ func TestEstimateFixtures(t *testing.T) {
 		})
 	}
 }
+
+// liveSource serves a center's window store to computeEpochPartial: the
+// from-scratch join the receive-time rounds are held to. Cells are
+// borrowed (the EpochSource contract).
+type liveSource[S Sketch[S]] map[int]map[int64]S
+
+func (ls liveSource[S]) EpochCells(epoch int64, points []int, visit func(int, S) error) error {
+	for _, id := range points {
+		if sk, ok := ls[id][epoch]; ok {
+			if err := visit(id, sk); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}

@@ -2,9 +2,9 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"runtime"
-	"slices"
 	"sync"
 )
 
@@ -57,8 +57,7 @@ type HistorySource[S Sketch[S]] interface {
 // source retains for epoch across the given points, in any order. The
 // sketch passed to visit is borrowed — valid only for the duration of the
 // call; the join clones or merges out of it immediately. The log adapter
-// reads an epoch in one batched pass (durable.Log.GetEpoch); the live
-// center serves its window store (liveSource).
+// reads an epoch in one batched pass (durable.Log.GetEpoch).
 type EpochSource[S Sketch[S]] interface {
 	EpochCells(epoch int64, points []int, visit func(point int, sk S) error) error
 }
@@ -125,66 +124,6 @@ func (d decodedPartial[S]) Project(f uint64) (S, error) {
 
 func (d decodedPartial[S]) HeapBytes() int { return d.sk.HeapBytes() }
 
-// epochPartial is one epoch's spatial join at the maximum width and the
-// sorted ids it joined. have is false for an epoch with no cells.
-type epochPartial[S Sketch[S]] struct {
-	sk   S
-	have bool
-	ids  []int
-}
-
-// epochJoin joins one epoch's cells as they come: each cell merges into
-// the group of its native width, and each group expands once to the
-// maximum width when the join is read — fewer expansions, same register
-// bits, in any cell order. The first read freezes the join: its partial
-// is shared from then on, so the join takes no further cell.
-type epochJoin[S Sketch[S]] struct {
-	epochPartial[S]
-	groups []S // one per width; every group is a clone
-	frozen bool
-}
-
-// add joins point id's cell into its width group. The cell stays the
-// caller's.
-func (j *epochJoin[S]) add(e int64, id int, cell S) error {
-	j.ids = append(j.ids, id)
-	for _, g := range j.groups {
-		if g.Width() == cell.Width() {
-			if err := g.Merge(cell); err != nil {
-				return fmt.Errorf("core: history temporal join point %d epoch %d: %w", id, e, err)
-			}
-			return nil
-		}
-	}
-	j.groups = append(j.groups, cell.Clone())
-	return nil
-}
-
-// read freezes the join and returns its partial at wMax.
-func (j *epochJoin[S]) read(e int64, wMax int) (epochPartial[S], error) {
-	if j.frozen {
-		return j.epochPartial, nil
-	}
-	slices.Sort(j.ids)
-	for _, g := range j.groups {
-		// A group is a clone, so one already at wMax joins as it is.
-		ex := g
-		if w := g.Width(); w != wMax {
-			var err error
-			if ex, err = g.ExpandTo(wMax); err != nil {
-				return j.epochPartial, fmt.Errorf("core: history expand epoch %d width %d: %w", e, w, err)
-			}
-		}
-		if !j.have {
-			j.sk, j.have = ex, true
-		} else if err := j.sk.Merge(ex); err != nil {
-			return j.epochPartial, fmt.Errorf("core: history spatial join epoch %d: %w", e, err)
-		}
-	}
-	j.groups, j.frozen = nil, true
-	return j.epochPartial, nil
-}
-
 // computeEpochPartial joins every cell of epoch e across ids.
 func computeEpochPartial[S Sketch[S]](e int64, ids []int, wMax int, src EpochSource[S]) (epochPartial[S], error) {
 	j := &epochJoin[S]{epochPartial: epochPartial[S]{ids: make([]int, 0, len(ids))}}
@@ -206,11 +145,8 @@ func computeEpochPartial[S Sketch[S]](e int64, ids []int, wMax int, src EpochSou
 // weights.
 func (c *Center[S]) queryEpochsFrom(f uint64, first, last int64, src HistorySource[S]) (float64, Coverage, error) {
 	c.mu.Lock()
-	ids := c.ids // sorted, fixed at construction
-	weights := make(map[int]int, len(ids))
-	for _, id := range ids {
-		weights[id] = c.weightLocked(id)
-	}
+	ids := c.ids                     // sorted, fixed at construction
+	weights := maps.Clone(c.weights) // every child's, each >= 1
 	wMax := c.wMax
 	cache := c.replay
 	c.mu.Unlock()

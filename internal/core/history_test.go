@@ -140,7 +140,7 @@ func TestHistoryReplayMatchesLiveSpread(t *testing.T) {
 
 	// The live window has long trimmed the early epochs; replay must not
 	// depend on them being in memory.
-	if ctr.HasUpload(0, 1) {
+	if _, held, _ := ctr.MarshalUpload(0, 1, (*rskt.Sketch).MarshalBinaryCompact); held {
 		t.Fatal("epoch 1 should have been trimmed from the live window")
 	}
 	for _, want := range recorded {

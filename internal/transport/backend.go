@@ -156,7 +156,7 @@ func enginesOf[S core.Sketch[S]](proto func(w int) (S, error), cfg core.EngineCo
 			if err != nil {
 				return nil, err
 			}
-			return &engineRelay[S]{rel: rel}, nil
+			return &engineRelay[S]{Relay: rel, pool: sketchPool[S]{fresh: rel.NewSketch, widths: widths}}, nil
 		},
 	}
 }

@@ -137,7 +137,6 @@ type CenterServer struct {
 	histSrv *QueryServer // nil unless HistoryAddr is set
 
 	// Guarded by mu.
-	received       map[int64]int // uploads seen per epoch
 	gaps           int64
 	cellAppends    int64 // point cells appended to the epoch log
 	partialAppends int64 // partial cells appended to the epoch log
@@ -170,9 +169,9 @@ func ServeCenter(cfg CenterConfig) (*CenterServer, error) {
 		if _, ok := cfg.Widths[id]; !ok {
 			return nil, fmt.Errorf("transport: weight for unknown point %d", id)
 		}
-		eng.setWeight(id, w)
+		eng.SetWeight(id, w)
 	}
-	s := &CenterServer{cfg: cfg, eng: eng, received: make(map[int64]int)}
+	s := &CenterServer{cfg: cfg, eng: eng}
 	s.downstream = downstream{
 		role: "center", kind: cfg.Kind, shard: cfg.Shard,
 		widths: cfg.Widths, weights: cfg.Weights,
@@ -193,8 +192,10 @@ func ServeCenter(cfg CenterConfig) (*CenterServer, error) {
 		if s.restoredGen > 0 {
 			// Rounds the restored state had completed but not pushed fire
 			// now, so the first reconnecting points find lastPush current.
-			for _, e := range s.recomputeReceived() {
-				s.pushRound(e+1, nil)
+			for e := max(s.lastPush, 1); e <= s.eng.MaxEpoch(); e++ {
+				if s.eng.Complete(e) {
+					s.pushRound(e+1, nil)
+				}
 			}
 		}
 	}
@@ -216,7 +217,7 @@ func ServeCenter(cfg CenterConfig) (*CenterServer, error) {
 			if budget == 0 {
 				budget = defaultReplayCacheBytes
 			}
-			s.eng.enableReplayCache(budget)
+			s.eng.EnableReplayCache(budget)
 		}
 	}
 	if cfg.HistoryAddr != "" {
@@ -361,7 +362,7 @@ func (s *CenterServer) Stats() CenterStats {
 		st.StoreCompactionErrors = int64(ls.CompactionErrors)
 		st.StoreLastCompaction = ls.LastCompaction
 	}
-	if rs, ok := s.eng.replayCacheStats(); ok {
+	if rs, ok := s.eng.ReplayCacheStats(); ok {
 		st.ReplayCacheEnabled = true
 		st.ReplayCacheHits = int64(rs.Hits)
 		st.ReplayCacheMisses = int64(rs.Misses)
@@ -400,7 +401,7 @@ func (s *CenterServer) HistoryRange(f uint64, from, to int64) (float64, core.Cov
 // of epoch k — the reference the historical replay's exactness contract
 // is defined against.
 func (s *CenterServer) QueryWindowLive(f uint64, k int64) (float64, core.Coverage, error) {
-	return s.eng.queryWindowLive(f, k)
+	return s.eng.QueryWindowLive(f, k)
 }
 
 // CompactStore forces a synchronous retention pass on the epoch-log
@@ -414,7 +415,7 @@ func (s *CenterServer) CompactStore() error {
 
 // ResetReplayCache drops all cached historical-replay state, forcing the
 // next queries down the cold path (benchmarks and tests).
-func (s *CenterServer) ResetReplayCache() { s.eng.resetReplayCache() }
+func (s *CenterServer) ResetReplayCache() { s.eng.ResetReplayCache() }
 
 // HistoryQueryAddr returns the bound address of the history query
 // server, or nil when HistoryAddr was not configured.
@@ -434,7 +435,7 @@ func (s *CenterServer) liveAnswer(f uint64) (float64, core.Coverage) {
 	if k == 0 {
 		return 0, core.Coverage{}
 	}
-	v, cov, err := s.eng.queryWindowLive(f, k)
+	v, cov, err := s.eng.QueryWindowLive(f, k)
 	if err != nil {
 		return math.NaN(), core.Coverage{}
 	}
@@ -468,9 +469,9 @@ func (s *CenterServer) Close() error {
 func (s *CenterServer) welcomeFor(h Hello) Welcome {
 	return Welcome{
 		WindowN:     s.cfg.WindowN,
-		Points:      s.eng.totalWeight(),
-		ResumeEpoch: s.eng.maxEpoch() + 1,
-		PointEpoch:  s.eng.lastEpoch(h.Point),
+		Points:      s.eng.TotalWeight(),
+		ResumeEpoch: s.eng.MaxEpoch() + 1,
+		PointEpoch:  s.eng.LastEpoch(h.Point),
 	}
 }
 
@@ -479,7 +480,7 @@ func (s *CenterServer) welcomeFor(h Hello) Welcome {
 // uploads (retransmits after a redial) and post-gap uploads awaiting a
 // rebase are counted and dropped without killing the connection.
 func (s *CenterServer) ingest(up Upload) error {
-	rcvErr := s.eng.receive(up)
+	complete, rcvErr := s.eng.receive(up)
 
 	s.mu.Lock()
 	switch {
@@ -499,11 +500,6 @@ func (s *CenterServer) ingest(up Upload) error {
 		return rcvErr
 	default:
 		s.uploads++
-	}
-	s.received[up.Epoch]++
-	complete := s.received[up.Epoch] >= len(s.cfg.Widths)
-	if complete {
-		delete(s.received, up.Epoch)
 	}
 	s.cond.Broadcast()
 	s.mu.Unlock()
@@ -547,14 +543,14 @@ func (s *CenterServer) appendStore(up Upload) {
 // replay would report less of the epoch than the live window does. The
 // checkpoint's cells are in the log's canonical encoding.
 func (s *CenterServer) appendRestored() {
-	var sec centerSection
-	if err := s.eng.exportState(&sec); err != nil {
+	st, err := s.eng.ExportState()
+	if err != nil {
 		s.cfg.Logf("transport: epoch-log re-append after restore: %v", err)
 		s.bump(&s.storeErrs)
 		return
 	}
-	for _, point := range sortedKeys(sec.state.Uploads) {
-		per := sec.state.Uploads[point]
+	for _, point := range sortedKeys(st.Uploads) {
+		per := st.Uploads[point]
 		for _, epoch := range sortedKeys(per) {
 			s.appendCell(point, epoch, per[epoch], true, nil)
 		}

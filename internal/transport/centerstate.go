@@ -79,7 +79,8 @@ func (s *CenterServer) snapshot() ([]byte, error) {
 	s.mu.Lock()
 	sec.lastPush = s.pushed
 	s.mu.Unlock()
-	if err := s.eng.exportState(&sec); err != nil {
+	var err error
+	if sec.state, err = s.eng.ExportState(); err != nil {
 		return nil, err
 	}
 	return sec.encode(), nil
@@ -96,43 +97,11 @@ func (s *CenterServer) restoreCheckpoint(data []byte) error {
 	if err := sec.topo.match(s.topology()); err != nil {
 		return err
 	}
-	if err := s.eng.importState(&sec); err != nil {
+	if err := s.eng.ImportState(sec.state); err != nil {
 		return err
 	}
 	s.mu.Lock()
 	s.lastPush, s.pushed = sec.lastPush, sec.lastPush
 	s.mu.Unlock()
 	return nil
-}
-
-// recomputeReceived rebuilds the per-epoch upload counters the crashed
-// process lost, for epochs the restored window holds but the restored
-// rounds had not pushed yet. It returns, in ascending order, the epochs
-// every point had already reported: their rounds never fired, so the
-// caller fires them before accepting connections.
-func (s *CenterServer) recomputeReceived() []int64 {
-	maxE := s.eng.maxEpoch()
-	var complete []int64
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	start := s.lastPush
-	if start < 1 {
-		start = 1
-	}
-	for e := start; e <= maxE; e++ {
-		n := 0
-		for id := range s.cfg.Widths {
-			if s.eng.reported(id, e) {
-				n++
-			}
-		}
-		switch {
-		case n == 0:
-		case n >= len(s.cfg.Widths):
-			complete = append(complete, e)
-		default:
-			s.received[e] = n
-		}
-	}
-	return complete
 }

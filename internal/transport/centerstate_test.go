@@ -42,11 +42,11 @@ func TestCenterStateImportRejectsForeignShape(t *testing.T) {
 
 			victim, twin := populatedCenter(t, base), populatedCenter(t, base)
 			for name, cfg := range foreign {
-				sec := centerSection{topo: topology{kind: cfg.Kind}}
-				if err := populatedCenter(t, cfg).exportState(&sec); err != nil {
+				st, err := populatedCenter(t, cfg).ExportState()
+				if err != nil {
 					t.Fatal(err)
 				}
-				if err := victim.importState(&sec); err == nil {
+				if err := victim.ImportState(st); err == nil {
 					t.Fatalf("imported the state of a center with another %s", name)
 				}
 				if !bytes.Equal(centerStateBytes(t, base.Kind, victim), centerStateBytes(t, base.Kind, twin)) {
@@ -98,7 +98,7 @@ func populatedCenter(t *testing.T, cfg CenterConfig) centerEngine {
 			}
 			up := Upload{Point: id, Epoch: epoch, Sketch: data,
 				AggApplied: meta.AggApplied, EnhApplied: meta.EnhApplied, Rebase: meta.Rebase}
-			if err := eng.receive(up); err != nil {
+			if _, err := eng.receive(up); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -115,9 +115,9 @@ func populatedCenter(t *testing.T, cfg CenterConfig) centerEngine {
 // checkpoint section does.
 func centerStateBytes(t *testing.T, kind Kind, eng centerEngine) []byte {
 	t.Helper()
-	sec := centerSection{topo: topology{kind: kind}}
-	if err := eng.exportState(&sec); err != nil {
+	st, err := eng.ExportState()
+	if err != nil {
 		t.Fatal(err)
 	}
-	return sec.encode()
+	return (&centerSection{topo: topology{kind: kind}, state: st}).encode()
 }

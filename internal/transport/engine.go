@@ -25,8 +25,8 @@ import (
 // error, killing the connection).
 
 // decodeFor decodes data into fresh(point), a zero sketch of the shape
-// point declared (core.Point.NewSketch, core.Center.NewSketch,
-// core.Relay.NewChildSketch). Every sketch payload decodes into its
+// point declared (core.Point.NewSketch, or the NewSketch of the merger a
+// center and a relay share). Every sketch payload decodes into its
 // sender's declared shape, here or through a sketchPool: a sketch with
 // dimensions rejects an encoding naming other dimensions from its header,
 // so a short hostile payload cannot make a node allocate a sketch of the
@@ -44,16 +44,17 @@ func decodeFor[S core.Sketch[S]](fresh func(point int) (S, bool), point int, dat
 }
 
 // sketchPool recycles decoded sketch scratch on paths that never retain
-// the decoded value (merge-only applies at the point, the additive
-// receive at the size center, the batched history read). It keeps one
+// the decoded value (merge-only applies at the point, a relay's receive
+// and the additive one at the size center, whose rounds clone what they
+// keep, and the batched history read). It keeps one
 // pool per declared width, filled through fresh with a point's shape:
 // every point of one node shares the backend's other dimensions, so a
 // recycled sketch of one width serves every point of that width, reuses
 // its register arrays, and the per-epoch decode path stops allocating once
 // warm. A node of p points over three widths keeps three pools. A path
 // that retains the decoded sketch (a max-merge center's window store
-// aliases it) sets keep, so put leaves the sketch to its holder and every
-// get decodes into a fresh one.
+// aliases it) sets keep, so use leaves the sketch to its holder and every
+// payload decodes into a fresh one.
 type sketchPool[S core.Sketch[S]] struct {
 	fresh func(point int) (S, bool)
 	// widths are the points' declared widths; a point not in it has no
@@ -76,29 +77,29 @@ func (p *sketchPool[S]) poolFor(point int) *sync.Pool {
 	return v.(*sync.Pool)
 }
 
-// get decodes point's payload into a recycled sketch of the point's
-// shape, or a fresh one when none is free. Sketches handed out must come
-// back via put after use.
-func (p *sketchPool[S]) get(point int, data []byte) (S, error) {
+// use decodes point's payload into a recycled sketch of the point's
+// shape, or a fresh one when none is free, and hands it to f, whose error
+// it returns; the sketch goes back to the pool after f.
+func (p *sketchPool[S]) use(point int, data []byte, f func(S) error) error {
 	pool := p.poolFor(point)
-	if pool == nil {
-		return decodeFor(p.fresh, point, data)
+	var sk S
+	if pool != nil {
+		sk, _ = pool.Get().(S)
 	}
-	sk, ok := pool.Get().(S)
-	if !ok {
-		return decodeFor(p.fresh, point, data)
+	var err error
+	if core.IsNil(sk) {
+		sk, err = decodeFor(p.fresh, point, data)
+	} else {
+		err = sk.UnmarshalBinary(data)
 	}
-	if err := sk.UnmarshalBinary(data); err != nil {
-		var zero S
-		return zero, err
+	if err != nil {
+		return fmt.Errorf("decode point %d: %w", point, err)
 	}
-	return sk, nil
-}
-
-func (p *sketchPool[S]) put(point int, sk S) {
-	if pool := p.poolFor(point); pool != nil && !p.keep {
+	err = f(sk)
+	if pool != nil && !p.keep {
 		pool.Put(sk)
 	}
+	return err
 }
 
 // pointEngine is the design-erased measurement point the PointClient
@@ -209,53 +210,46 @@ func (e *enginePoint[S]) endEpoch(rebase bool) (int64, []byte, core.UploadMeta, 
 }
 
 func (e *enginePoint[S]) applyAggregate(forEpoch int64, data []byte, merged int) error {
-	sk, err := e.scratch.get(e.pt.ID(), data)
-	if err != nil {
-		return err
-	}
-	err = e.pt.ApplyAggregateCovAt(forEpoch, sk, merged)
-	e.scratch.put(e.pt.ID(), sk)
-	return err
+	return e.scratch.use(e.pt.ID(), data, func(sk S) error { return e.pt.ApplyAggregateCovAt(forEpoch, sk, merged) })
 }
 
 func (e *enginePoint[S]) applyEnhancement(forEpoch int64, data []byte) error {
-	sk, err := e.scratch.get(e.pt.ID(), data)
-	if err != nil {
-		return err
-	}
-	err = e.pt.ApplyEnhancementAt(forEpoch, sk)
-	e.scratch.put(e.pt.ID(), sk)
-	return err
+	return e.scratch.use(e.pt.ID(), data, func(sk S) error { return e.pt.ApplyEnhancementAt(forEpoch, sk) })
 }
 
 func (e *enginePoint[S]) applyBackfill(forEpoch int64, data []byte, merged int) error {
-	sk, err := e.scratch.get(e.pt.ID(), data)
-	if err != nil {
-		return err
-	}
-	err = e.pt.ApplyBackfillCovAt(forEpoch, sk, merged)
-	e.scratch.put(e.pt.ID(), sk)
-	return err
+	return e.scratch.use(e.pt.ID(), data, func(sk S) error { return e.pt.ApplyBackfillCovAt(forEpoch, sk, merged) })
+}
+
+// centerNode is what the CenterServer asks core.Center as it is: the
+// methods whose signatures name no sketch. SetWeight declares how many
+// leaf points one upload from a child represents (relay subtrees), and
+// Complete answers the round barrier, which after a restore names the
+// restored rounds that may not have been pushed.
+type centerNode interface {
+	MaxEpoch() int64
+	LastEpoch(point int) int64
+	SetWeight(point, weight int)
+	TotalWeight() int
+	Complete(epoch int64) bool
+	QueryWindowLive(f uint64, k int64) (float64, core.Coverage, error)
+	EnableReplayCache(budgetBytes int64)
+	ResetReplayCache()
+	ReplayCacheStats() (core.ReplayCacheStats, bool)
+	ExportState() (*core.CenterState, error)
+	ImportState(st *core.CenterState) error
 }
 
 // centerEngine is the design-erased measurement center the CenterServer
 // drives. Like pointEngine, sketches cross as binary blobs.
 type centerEngine interface {
-	maxEpoch() int64
-	lastEpoch(point int) int64
-	// setWeight declares how many leaf points one upload from the child
-	// represents (relay subtrees); totalWeight sums the cluster's leaves.
-	setWeight(point, weight int)
-	totalWeight() int
-	receive(up Upload) error
+	centerNode
+	// receive ingests one upload and tells whether it completed its
+	// epoch's round (core.Center.ReceiveRound): a stored or gap-dropped
+	// upload counts, a duplicate does not.
+	receive(up Upload) (complete bool, err error)
 	// buildPush assembles one point's Push.
 	buildPush(point int, forEpoch int64, enhance bool) (Push, error)
-	// reported tells whether the point's upload for the epoch counted
-	// toward its round (stored, or — in cumulative mode — consumed by the
-	// sequence position even when gap-dropped).
-	reported(point int, epoch int64) bool
-	exportState(sec *centerSection) error
-	importState(sec *centerSection) error
 	// logCell returns the epoch log's bytes for an accepted upload: the
 	// single-epoch measurement the center stored, in its one encoding.
 	// ok=false when the center no longer holds the cell.
@@ -264,16 +258,10 @@ type centerEngine interface {
 	// (appendPartialCell); ok=false when the center holds no cell of it.
 	logPartial(epoch int64) ([]byte, bool, error)
 	// historyAt / historyRange replay the ST join over stored cells
-	// (retrospective T-queries); queryWindowLive answers from the live
+	// (retrospective T-queries); QueryWindowLive answers from the live
 	// window — the reference the replay's exactness contract is against.
 	historyAt(f uint64, k int64, log *durable.Log) (float64, core.Coverage, error)
 	historyRange(f uint64, from, to int64, log *durable.Log) (float64, core.Coverage, error)
-	queryWindowLive(f uint64, k int64) (float64, core.Coverage, error)
-	// Replay-cache control (see core.ReplayCache): budget attach, cold
-	// reset for benchmarks, and counters for /readyz.
-	enableReplayCache(budgetBytes int64)
-	resetReplayCache()
-	replayCacheStats() (core.ReplayCacheStats, bool)
 	// replayReads counts cold replayed epochs by how the log answered
 	// them: from the epoch's partial cell, or from its point cells.
 	replayReads() (partial, cells int64)
@@ -432,20 +420,15 @@ func (ls logSource[S]) Held(first, last int64, points []int) [][]int {
 // returns.
 func (ls logSource[S]) EpochCells(epoch int64, points []int, visit func(point int, sk S) error) error {
 	return ls.log.GetEpoch(epoch, points, func(point int, blob []byte) error {
-		sk, err := ls.pool.get(point, blob)
-		if err != nil {
-			return err
-		}
-		err = visit(point, sk)
-		ls.pool.put(point, sk)
-		return err
+		return ls.pool.use(point, blob, func(sk S) error { return visit(point, sk) })
 	})
 }
 
 // engineCenter is the single center-engine implementation, generic over
 // the epoch sketch.
 type engineCenter[S core.Sketch[S]] struct {
-	ctr *core.Center[S]
+	centerNode // ctr, asked as it is
+	ctr        *core.Center[S]
 	// ids lists the children in ascending order.
 	ids []int
 	// cumulative mirrors pointEngine.cumulative.
@@ -460,10 +443,8 @@ type engineCenter[S core.Sketch[S]] struct {
 	// (logSource), and reads counts that path's cold epochs.
 	hist  *sketchPool[S]
 	reads replayReads
-	// cells is the backend's partial-cell block index, and wMax the
-	// partials' width.
+	// cells is the backend's partial-cell block index.
 	cells cellIndex[S]
-	wMax  int
 	// pushEnc caches the newest round's encoded aggregates.
 	pushEnc encodeMemo
 }
@@ -472,18 +453,14 @@ type engineCenter[S core.Sketch[S]] struct {
 // given widths.
 func newEngineCenter[S core.Sketch[S]](ctr *core.Center[S], cfg core.EngineConfig[S], cells cellIndex[S], widths map[int]int) *engineCenter[S] {
 	widths = maps.Clone(widths)
-	wMax := 0
-	for _, w := range widths {
-		wMax = max(wMax, w)
-	}
 	return &engineCenter[S]{
-		ctr:     ctr,
-		ids:     sortedKeys(widths),
-		cum:     cfg.Mode == core.ModeCumulative,
-		hist:    &sketchPool[S]{fresh: ctr.NewSketch, widths: widths},
-		scratch: &sketchPool[S]{fresh: ctr.NewSketch, widths: widths, keep: !cfg.Additive},
-		cells:   cells,
-		wMax:    wMax,
+		centerNode: ctr,
+		ctr:        ctr,
+		ids:        sortedKeys(widths),
+		cum:        cfg.Mode == core.ModeCumulative,
+		hist:       &sketchPool[S]{fresh: ctr.NewSketch, widths: widths},
+		scratch:    &sketchPool[S]{fresh: ctr.NewSketch, widths: widths, keep: !cfg.Additive},
+		cells:      cells,
 	}
 }
 
@@ -522,30 +499,13 @@ func (m *encodeMemo) encode(forEpoch int64, sk any, marshal func() ([]byte, erro
 	return b, err
 }
 
-func (e *engineCenter[S]) maxEpoch() int64                      { return e.ctr.MaxEpoch() }
-func (e *engineCenter[S]) lastEpoch(point int) int64            { return e.ctr.LastEpoch(point) }
-func (e *engineCenter[S]) setWeight(point, weight int)          { e.ctr.SetWeight(point, weight) }
-func (e *engineCenter[S]) totalWeight() int                     { return e.ctr.TotalWeight() }
-func (e *engineCenter[S]) importState(sec *centerSection) error { return e.ctr.ImportState(sec.state) }
-
-func (e *engineCenter[S]) exportState(sec *centerSection) (err error) {
-	sec.state, err = e.ctr.ExportState()
-	return err
-}
-
-func (e *engineCenter[S]) receive(up Upload) error {
-	sk, err := e.scratch.get(up.Point, up.Sketch)
-	if err != nil {
-		return fmt.Errorf("point %d epoch %d: %w", up.Point, up.Epoch, err)
-	}
-	err = e.ctr.ReceiveMeta(up.Point, up.Epoch, sk, core.UploadMeta{
-		Epoch:      up.Epoch,
-		AggApplied: up.AggApplied,
-		EnhApplied: up.EnhApplied,
-		Rebase:     up.Rebase,
+func (e *engineCenter[S]) receive(up Upload) (complete bool, err error) {
+	meta := core.UploadMeta{Epoch: up.Epoch, AggApplied: up.AggApplied, EnhApplied: up.EnhApplied, Rebase: up.Rebase}
+	err = e.scratch.use(up.Point, up.Sketch, func(sk S) (err error) {
+		complete, err = e.ctr.ReceiveRound(up.Point, up.Epoch, sk, meta)
+		return err
 	})
-	e.scratch.put(up.Point, sk)
-	return err
+	return complete, err
 }
 
 func (e *engineCenter[S]) buildPush(point int, forEpoch int64, enhance bool) (Push, error) {
@@ -581,10 +541,11 @@ func (e *engineCenter[S]) buildPush(point int, forEpoch int64, enhance bool) (Pu
 // the re-encode under the center lock. Cumulative mode stores a recovered
 // delta, which is encoded from the center.
 func (e *engineCenter[S]) logCell(up Upload) ([]byte, bool, error) {
+	enc := S.MarshalBinaryCompact
 	if !e.cum {
-		return up.Sketch, e.ctr.HasUpload(up.Point, up.Epoch), nil
+		enc = func(S) ([]byte, error) { return up.Sketch, nil }
 	}
-	return e.ctr.MarshalUpload(up.Point, up.Epoch, S.MarshalBinaryCompact)
+	return e.ctr.MarshalUpload(up.Point, up.Epoch, enc)
 }
 
 // logPartial encodes a closed epoch's merged partial as its log cell,
@@ -604,7 +565,7 @@ func (e *engineCenter[S]) logPartial(epoch int64) ([]byte, bool, error) {
 }
 
 func (e *engineCenter[S]) source(log *durable.Log) logSource[S] {
-	return logSource[S]{log: log, points: e.ids, pool: e.hist, wide: e.ctr.NewPartialSketch, wMax: e.wMax, cells: e.cells, reads: &e.reads}
+	return logSource[S]{log: log, points: e.ids, pool: e.hist, wide: e.ctr.NewPartialSketch, wMax: e.ctr.Width(), cells: e.cells, reads: &e.reads}
 }
 
 func (e *engineCenter[S]) historyAt(f uint64, k int64, log *durable.Log) (float64, core.Coverage, error) {
@@ -622,23 +583,4 @@ func (e *engineCenter[S]) storeSpan(log *durable.Log) (first, last int64) {
 
 func (e *engineCenter[S]) replayReads() (partial, cells int64) {
 	return e.reads.partial.Load(), e.reads.cells.Load()
-}
-
-func (e *engineCenter[S]) enableReplayCache(budgetBytes int64) { e.ctr.EnableReplayCache(budgetBytes) }
-func (e *engineCenter[S]) resetReplayCache()                   { e.ctr.ResetReplayCache() }
-func (e *engineCenter[S]) replayCacheStats() (core.ReplayCacheStats, bool) {
-	return e.ctr.ReplayCacheStats()
-}
-
-func (e *engineCenter[S]) queryWindowLive(f uint64, k int64) (float64, core.Coverage, error) {
-	return e.ctr.QueryWindowLive(f, k)
-}
-
-func (e *engineCenter[S]) reported(point int, epoch int64) bool {
-	if e.ctr.HasUpload(point, epoch) {
-		return true
-	}
-	// A gap-dropped cumulative upload leaves no delta but advances the
-	// point's sequence position; it still counted toward the round.
-	return e.cum && e.ctr.LastEpoch(point) >= epoch
 }

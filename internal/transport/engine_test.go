@@ -49,14 +49,15 @@ func checkPoolPerWidth[S core.Sketch[S]](t *testing.T, e *engineCenter[S], width
 			if err != nil {
 				t.Fatal(err)
 			}
-			sk, err := e.hist.get(x, data)
+			err = e.hist.use(x, data, func(sk S) error {
+				if sk.Width() != w {
+					t.Fatalf("point %d decoded at width %d, want %d", x, sk.Width(), w)
+				}
+				return nil
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if sk.Width() != w {
-				t.Fatalf("point %d decoded at width %d, want %d", x, sk.Width(), w)
-			}
-			e.hist.put(x, sk)
 		}
 	}
 	pools := 0
@@ -64,7 +65,7 @@ func checkPoolPerWidth[S core.Sketch[S]](t *testing.T, e *engineCenter[S], width
 	if pools != 3 {
 		t.Fatalf("%d decode pools for 16 points over 3 widths, want 3", pools)
 	}
-	if _, err := e.hist.get(99, nil); err == nil {
+	if err := e.hist.use(99, nil, func(S) error { return nil }); err == nil {
 		t.Fatal("a payload from an unknown point decoded")
 	}
 }
@@ -127,7 +128,7 @@ func wideStore(t *testing.T, kind Kind) (centerEngine, *durable.Log) {
 				t.Fatal(err)
 			}
 			up := Upload{Point: x, Epoch: epoch, Sketch: data, AggApplied: meta.AggApplied, EnhApplied: meta.EnhApplied, Rebase: meta.Rebase}
-			if err := ce.receive(up); err != nil {
+			if _, err := ce.receive(up); err != nil {
 				t.Fatal(err)
 			}
 			cell, ok, err := ce.logCell(up)

@@ -14,8 +14,9 @@ import (
 // the Welcome. Admitted, a state epoch of MinInt64 wrapped childWelcome's
 // StateEpoch - n - 1 to near MaxInt64: the relay's forwarding position
 // jumped there and every later upload from any child was dropped as a
-// duplicate, wedging the subtree. After the refusals the tree must still
-// run a healthy round to the oracle.
+// duplicate, wedging the subtree. An in-range state epoch far past the
+// parent's clock is admitted but leaves the position alone. After both
+// the tree must still run a healthy round to the oracle.
 func TestRelayHelloEpochRule(t *testing.T) {
 	noLeak(t)
 	forBothKinds(t, func(t *testing.T, kind Kind) {
@@ -38,8 +39,38 @@ func TestRelayHelloEpochRule(t *testing.T) {
 			}
 			conn.Close()
 		}
-		if got := c.relay.eng.forwarded(); got != 3 {
+		if got := c.relay.eng.Forwarded(); got != 3 {
 			t.Fatalf("relay forwarding position %d after the refused hellos, want 3", got)
+		}
+		// An in-range state epoch far past the parent's clock is admitted,
+		// but it must not move the forwarding position: taken, it sealed
+		// every round below it, and the real point 0's redial then
+		// fast-forwarded its clock past the barrier's reach.
+		conn, err := c.fnet.DialerTo("relay")("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(frameOf(Hello{Point: 0, Kind: kind, W: fmW, StateEpoch: core.EpochLimit - 1})); err != nil {
+			t.Fatal(err)
+		}
+		w, err := readMessage(conn, frameWelcome, parseWelcome)
+		if err != nil {
+			t.Fatalf("in-range hello refused: %v", err)
+		}
+		conn.Close()
+		if w.ResumeEpoch > 4 {
+			t.Fatalf("welcome to a far-ahead hello resumes at epoch %d, want <= 4", w.ResumeEpoch)
+		}
+		if got := c.relay.eng.Forwarded(); got != 3 {
+			t.Fatalf("relay forwarding position %d after a far-ahead hello, want 3", got)
+		}
+		// The hello took over point 0's registration; the real point
+		// redials and must resume in epoch 4.
+		if err := c.pts[0].Redial(); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.pts[0].Stats().Epoch; got != 4 {
+			t.Fatalf("point 0 resumed in epoch %d after the far-ahead hello, want 4", got)
 		}
 		c.healthyEpoch(4, pushWant)
 		for x := range c.pts {

@@ -349,7 +349,7 @@ func sectionSeeds(t interface{ Fatal(args ...any) }) [][]byte {
 	if err := eng.receiveChild(Upload{Point: 0, Epoch: 2, Sketch: fuzzSizeSketchBytes(t)}); err != nil {
 		t.Fatal(err)
 	}
-	st, err := eng.exportState()
+	st, err := eng.ExportState()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -109,7 +109,7 @@ func (m *historyModel) eng() modelEngine { return m.srv.eng.(modelEngine) }
 
 // attachCache gives the running center a replay cache of three partials.
 func (m *historyModel) attachCache() {
-	m.srv.eng.enableReplayCache(3 * m.eng().modelPartialCharge())
+	m.srv.eng.EnableReplayCache(3 * m.eng().modelPartialCharge())
 }
 
 // compact runs the retention pass an append may have started in the
@@ -242,7 +242,7 @@ func (m *historyModel) check(at bool, a, b int64) {
 }
 
 func (m *historyModel) setWeight() {
-	m.srv.eng.setWeight(m.r.ids[m.rng.Intn(len(m.r.ids))], 1+m.rng.Intn(3))
+	m.srv.eng.SetWeight(m.r.ids[m.rng.Intn(len(m.r.ids))], 1+m.rng.Intn(3))
 }
 
 func runHistoryModel(t *testing.T, tc partialCase, seed int64) {

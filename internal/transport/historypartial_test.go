@@ -484,7 +484,7 @@ func runPartialSequence(t *testing.T, tc partialCase, seed int64) {
 			r.round(k, 0)
 		}
 		if k == weightAt {
-			r.srv.eng.setWeight(r.ids[rng.Intn(len(r.ids))], 1+rng.Intn(3))
+			r.srv.eng.SetWeight(r.ids[rng.Intn(len(r.ids))], 1+rng.Intn(3))
 		}
 		if k == epochs/2 {
 			checkAgainstCells(t, r.srv, rng, k, fmt.Sprintf("after epoch %d", k))
@@ -514,7 +514,7 @@ func runPartialSequence(t *testing.T, tc partialCase, seed int64) {
 	}
 	defer srv.Close()
 	checkAgainstCells(t, srv, rng, epochs, "restarted")
-	srv.eng.setWeight(r.ids[rng.Intn(len(r.ids))], 2+rng.Intn(2))
+	srv.eng.SetWeight(r.ids[rng.Intn(len(r.ids))], 2+rng.Intn(2))
 	checkAgainstCells(t, srv, rng, epochs, "restarted, weight set")
 	if err := srv.CompactStore(); err != nil {
 		t.Fatal(err)

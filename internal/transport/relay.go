@@ -164,7 +164,10 @@ type RelayServer struct {
 	// fan-out and resync alike. An upstream IntoCurrent backfill is
 	// absorbed here — never forwarded — because a healthy additive child
 	// would double-merge it.
-	cache    map[int64]*relayPush
+	cache map[int64]*relayPush
+	// upResume is the newest upstream Welcome's ResumeEpoch: with
+	// lastPush, the parent's clock, which bounds a child's resync.
+	upResume int64
 	forwards int64
 	absorbed int64
 	updials  int64
@@ -198,7 +201,7 @@ func ServeRelay(cfg RelayConfig) (*RelayServer, error) {
 		backoff: cfg.RedialBackoff, backoffMax: cfg.RedialBackoffMax, sleep: time.Sleep,
 		hello:          s.upstreamHello,
 		welcomed:       s.upstreamWelcomed,
-		heartbeatEpoch: s.eng.forwarded,
+		heartbeatEpoch: s.eng.Forwarded,
 		push:           s.handleUpstreamPush,
 		changed:        s.cond.Broadcast,
 		lost:           s.redialUpstream,
@@ -316,8 +319,8 @@ func (s *RelayServer) upstreamHello() Hello {
 	stateEpoch := s.lastPush
 	s.mu.Unlock()
 	return Hello{
-		Point: s.cfg.Relay, Kind: s.cfg.Kind, W: s.eng.relayWidth(),
-		StateEpoch: stateEpoch, Weight: s.eng.weight(), Shard: s.cfg.Shard,
+		Point: s.cfg.Relay, Kind: s.cfg.Kind, W: s.eng.Width(),
+		StateEpoch: stateEpoch, Weight: s.eng.TotalWeight(), Shard: s.cfg.Shard,
 	}
 }
 
@@ -328,7 +331,8 @@ func (s *RelayServer) upstreamHello() Hello {
 // this keeps the relay from holding dead rounds). Sent epochs after it
 // were lost with the parent's state, and upstream has requeued them.
 func (s *RelayServer) upstreamWelcomed(w Welcome) {
-	s.eng.resyncForwarded(w.PointEpoch)
+	s.eng.ResyncForwarded(w.PointEpoch)
+	s.upResume = w.ResumeEpoch
 	s.updials++
 }
 
@@ -447,22 +451,25 @@ func (s *RelayServer) cachedPush(c *childConn, forEpoch int64) (Push, bool, erro
 // (core.Relay.Receive) reaches the same floor passively, but only after
 // every child has streamed a full window of fresh epochs; resyncing at
 // the handshake recovers within one epoch instead.
+//
+// A state epoch is one child's claim: it moves the position at most one
+// window past the parent's clock, the newer of the upstream Welcome's
+// ResumeEpoch and the newest push. A claim past that is ignored, and the
+// dead-round rule reaches the floor from the uploads themselves; taken,
+// one Hello near the epoch limit sealed every round below it.
 func (s *RelayServer) childWelcome(h Hello) Welcome {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	windowN := s.up.windowN
-	if floor := h.StateEpoch - int64(windowN) - 1; floor > s.eng.forwarded() {
-		s.eng.resyncForwarded(floor)
-	}
-	resume := s.eng.forwarded() + 1
-	if s.lastPush > resume {
-		resume = s.lastPush
+	windowN := int64(s.up.windowN)
+	parent := max(s.upResume, s.lastPush)
+	if floor := h.StateEpoch - windowN - 1; floor > s.eng.Forwarded() && floor-parent <= windowN {
+		s.eng.ResyncForwarded(floor)
 	}
 	return Welcome{
-		WindowN:     windowN,
+		WindowN:     s.up.windowN,
 		Points:      s.up.points,
-		ResumeEpoch: resume,
-		PointEpoch:  s.eng.lastEpoch(h.Point),
+		ResumeEpoch: max(s.eng.Forwarded()+1, s.lastPush),
+		PointEpoch:  s.eng.LastEpoch(h.Point),
 	}
 }
 

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/core"
@@ -28,32 +27,36 @@ type relayEngine interface {
 	// width gets data itself, which canonical encodings make bit-identical
 	// to re-encoding it.
 	reencoder(data []byte) func(childW int) ([]byte, error)
-	relayWidth() int
-	weight() int
-	lastEpoch(child int) int64
-	maxEpoch() int64
-	forwarded() int64
-	resyncForwarded(epoch int64)
-	exportState() (*core.RelayState, error)
-	importState(st *core.RelayState) error
+	relayNode
+}
+
+// relayNode is what the RelayServer asks core.Relay as it is: the
+// methods whose signatures name no sketch.
+type relayNode interface {
+	Width() int
+	TotalWeight() int
+	LastEpoch(child int) int64
+	Forwarded() int64
+	ResyncForwarded(epoch int64)
+	ExportState() (*core.RelayState, error)
+	ImportState(st *core.RelayState) error
 }
 
 // engineRelay is the single relay-engine implementation, generic over the
 // epoch sketch.
 type engineRelay[S core.Sketch[S]] struct {
-	rel *core.Relay[S]
+	*core.Relay[S]
+	// pool recycles decoded child uploads: a round clones what it keeps,
+	// so one scratch sketch per width absorbs upload after upload.
+	pool sketchPool[S]
 }
 
 func (e *engineRelay[S]) receiveChild(up Upload) error {
-	sk, err := decodeFor(e.rel.NewChildSketch, up.Point, up.Sketch)
-	if err != nil {
-		return fmt.Errorf("child %d epoch %d: %w", up.Point, up.Epoch, err)
-	}
-	return e.rel.Receive(up.Point, up.Epoch, sk)
+	return e.pool.use(up.Point, up.Sketch, func(sk S) error { return e.Receive(up.Point, up.Epoch, sk) })
 }
 
 func (e *engineRelay[S]) nextReady() (int64, []byte, bool, error) {
-	epoch, combined, ok := e.rel.Next()
+	epoch, combined, ok := e.Next()
 	if !ok {
 		return 0, nil, false, nil
 	}
@@ -69,7 +72,7 @@ func (e *engineRelay[S]) reencoder(data []byte) func(childW int) ([]byte, error)
 		built  = make(map[int][]byte)
 	)
 	return func(childW int) ([]byte, error) {
-		if childW == e.rel.Width() {
+		if childW == e.Width() {
 			return data, nil
 		}
 		mu.Lock()
@@ -78,7 +81,7 @@ func (e *engineRelay[S]) reencoder(data []byte) func(childW int) ([]byte, error)
 			return b, nil
 		}
 		if core.IsNil(sk) {
-			sk = e.rel.NewSketch()
+			sk = e.NewPartialSketch()
 			decErr = sk.UnmarshalBinary(data)
 		}
 		if decErr != nil {
@@ -95,13 +98,3 @@ func (e *engineRelay[S]) reencoder(data []byte) func(childW int) ([]byte, error)
 		return b, err
 	}
 }
-
-func (e *engineRelay[S]) relayWidth() int             { return e.rel.Width() }
-func (e *engineRelay[S]) weight() int                 { return e.rel.Weight() }
-func (e *engineRelay[S]) lastEpoch(child int) int64   { return e.rel.LastEpoch(child) }
-func (e *engineRelay[S]) maxEpoch() int64             { return e.rel.MaxEpoch() }
-func (e *engineRelay[S]) forwarded() int64            { return e.rel.Forwarded() }
-func (e *engineRelay[S]) resyncForwarded(epoch int64) { e.rel.ResyncForwarded(epoch) }
-
-func (e *engineRelay[S]) exportState() (*core.RelayState, error) { return e.rel.ExportState() }
-func (e *engineRelay[S]) importState(st *core.RelayState) error  { return e.rel.ImportState(st) }

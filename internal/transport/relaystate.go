@@ -92,7 +92,7 @@ func (s *RelayServer) topology() topology {
 func (s *RelayServer) snapshot() ([]byte, error) {
 	sec := relaySection{topo: s.topology()}
 	s.mu.Lock()
-	st, err := s.eng.exportState()
+	st, err := s.eng.ExportState()
 	if err != nil {
 		s.mu.Unlock()
 		return nil, err
@@ -120,7 +120,7 @@ func (s *RelayServer) restoreCheckpoint(data []byte) error {
 	if err := sec.topo.match(s.topology()); err != nil {
 		return err
 	}
-	if err := s.eng.importState(&sec.state); err != nil {
+	if err := s.eng.ImportState(&sec.state); err != nil {
 		return err
 	}
 	s.mu.Lock()

@@ -58,7 +58,7 @@ func TestForeignShapePayloadRejectedBeforeAllocating(t *testing.T) {
 			name string
 			call func() error
 		}{
-			{"center upload", func() error { return ctr.receive(up) }},
+			{"center upload", func() error { _, err := ctr.receive(up); return err }},
 			{"relay upload", func() error { return rel.receiveChild(up) }},
 			{"relay push", func() error { _, err := rel.reencoder(payload)(16); return err }},
 			{"point push", func() error { return pt.applyAggregate(1, payload, 1) }},
