@@ -22,10 +22,13 @@ build:
 # (fails listing the unformatted files), a guard that encoding/gob stays
 # retired: every hop and every checkpoint speaks the binary frame
 # (internal/transport/frame.go), so the gate fails listing any .go file,
-# test or not, that imports gob; and a guard that the transport's (Kind,
-# Sketch) decision stays in one switch: it fails listing any non-test
+# test or not, that imports gob; a guard that the transport's Kind
+# decision stays in one switch: it fails listing any non-test
 # internal/transport file other than backend.go that calls a sketch
-# constructor.
+# constructor; and a guard that every deployed node runs one spread
+# sketch, rSkt2: it fails listing any non-test .go file under
+# internal/transport, internal/chaos or cmd/ that imports internal/vhll,
+# which only the estimator ablations and the cluster simulator run.
 lint: vet
 	GOARCH=arm64 $(GO) vet ./...
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -34,8 +37,13 @@ lint: vet
 		'^[[:space:]]*(import[[:space:]]+)?([[:alnum:]_.]+[[:space:]]+)?"encoding/gob"[[:space:]]*(//.*)?$$' . || true)"; \
 		if [ -n "$$out" ]; then echo "encoding/gob is retired; imported by:"; echo "$$out"; exit 1; fi
 	@out="$$(grep -rlE --include='*.go' --exclude='*_test.go' --exclude=backend.go \
-		'(rskt|vhll|countmin)\.New\(' internal/transport || true)"; \
+		'(rskt|countmin)\.New\(' internal/transport || true)"; \
 		if [ -n "$$out" ]; then echo "sketch backends are built only in internal/transport/backend.go; constructors called in:"; \
+		echo "$$out"; exit 1; fi
+	@out="$$(grep -rlE --include='*.go' --exclude='*_test.go' \
+		'^[[:space:]]*(import[[:space:]]+)?([[:alnum:]_.]+[[:space:]]+)?"repro/internal/vhll"[[:space:]]*(//.*)?$$' \
+		internal/transport internal/chaos cmd || true)"; \
+		if [ -n "$$out" ]; then echo "deployed nodes run rSkt2 only; internal/vhll imported by:"; \
 		echo "$$out"; exit 1; fi
 
 vet:
@@ -129,8 +137,8 @@ chaos-soak:
 # The epoch-log store and retrospective-query gate: the log's own
 # format/retention/torn-tail/concurrency tests, the core replay engine,
 # the end-to-end oracle matrix (-at/-range bit-identical to recorded
-# live answers across flat/tree/sharded topologies, both designs, both
-# spread backends, and a restart that rebuilds the index from disk), and
+# live answers across flat/tree/sharded topologies, both designs, and a
+# restart that rebuilds the index from disk), and
 # the model-based referee TestHistoryModelMatchesNaiveReplay (random
 # appends, faults, weight changes, cache resets, restarts and
 # compactions against a small replay cache, every answer held to a naive

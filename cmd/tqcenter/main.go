@@ -34,7 +34,6 @@ func run(args []string) error {
 	var (
 		addr       = fs.String("addr", "127.0.0.1:7070", "listen address")
 		kind       = fs.String("kind", "size", `design: "size" or "spread"`)
-		sketch     = fs.String("sketch", "rskt", `spread sketch backend: "rskt" or "vhll" (must match the points' -sketch)`)
 		n          = fs.Int("n", 10, "epochs per window (the paper's n)")
 		widths     = fs.String("widths", "", "topology as id:width pairs, e.g. 0:1638,1:3276,2:6552")
 		m          = fs.Int("m", 128, "HLL registers per estimator (spread)")
@@ -79,7 +78,6 @@ func run(args []string) error {
 	srv, err := transport.ServeCenter(transport.CenterConfig{
 		Addr:             *addr,
 		Kind:             transport.Kind(*kind),
-		Sketch:           *sketch,
 		WindowN:          *n,
 		Widths:           topo,
 		Weights:          wts,

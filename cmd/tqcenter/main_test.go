@@ -1,9 +1,6 @@
 package main
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestParseWidths(t *testing.T) {
 	tests := []struct {
@@ -47,14 +44,5 @@ func TestParseWidths(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestRunRejectsUnknownSketch checks the -sketch flag reaches the center
-// config: ServeCenter fails on the backend name before listening starts.
-func TestRunRejectsUnknownSketch(t *testing.T) {
-	err := run([]string{"-addr", "127.0.0.1:0", "-kind", "spread", "-sketch", "bogus", "-widths", "0:32"})
-	if err == nil || !strings.Contains(err.Error(), "unknown spread sketch") {
-		t.Fatalf("err = %v, want unknown spread sketch", err)
 	}
 }

@@ -20,7 +20,7 @@
 //	tqchaos -seed 42                      # one pass over the matrix
 //	tqchaos -seed 1 -epochs 5000          # soak until 5000 cluster epochs
 //	tqchaos -seed 1 -duration 30m         # soak for half an hour
-//	tqchaos -class tree -kind spread -sketch vhll -v
+//	tqchaos -class tree -kind spread -v
 package main
 
 import (
@@ -48,7 +48,6 @@ func run(args []string) error {
 		duration = fs.Duration("duration", 0, "stop after this much wall time (0 = no time budget)")
 		class    = fs.String("class", "all", `topology class: "flat", "tree", "shard", "treeshard", or "all"`)
 		kind     = fs.String("kind", "all", `design: "size", "spread", or "all"`)
-		sketch   = fs.String("sketch", "rskt", `spread sketch backend: "rskt" or "vhll"`)
 		phases   = fs.Int("phases", 0, "minimum fault phases per run (0 = engine default)")
 		verbose  = fs.Bool("v", false, "narrate fault injection to stderr")
 	)
@@ -72,14 +71,6 @@ func run(args []string) error {
 		kinds = []transport.Kind{transport.KindSpread}
 	default:
 		return fmt.Errorf("unknown -kind %q", *kind)
-	}
-	sk := ""
-	switch *sketch {
-	case "rskt", "":
-	case "vhll":
-		sk = transport.SketchVhll
-	default:
-		return fmt.Errorf("unknown -sketch %q", *sketch)
 	}
 	logf := func(string, ...any) {}
 	if *verbose {
@@ -107,24 +98,18 @@ func run(args []string) error {
 	for pass := 0; ; pass++ {
 		for _, cl := range classes {
 			for _, kd := range kinds {
-				tag := string(kd)
-				cfgSketch := ""
-				if kd == transport.KindSpread && sk != "" {
-					cfgSketch = sk
-					tag += "-" + *sketch
-				}
 				start := time.Now()
 				res, err := chaos.Run(chaos.Config{
-					Seed: s, Kind: kd, Sketch: cfgSketch, Class: cl,
+					Seed: s, Kind: kd, Class: cl,
 					Phases: *phases, Logf: logf,
 				})
 				if err != nil {
 					return fmt.Errorf("seed %d, class %s, kind %s: %w (replay: tqchaos -seed %d -class %s -kind %s)",
-						s, cl, tag, err, s, cl, kd)
+						s, cl, kd, err, s, cl, kd)
 				}
 				elapsed := time.Since(start)
 				fmt.Printf("BenchmarkChaosSoak/class=%s/kind=%s/seed=%d \t%8d\t%12d ns/op\t%12d epochs_survived\t%8d faults\n",
-					cl, tag, s, 1, elapsed.Nanoseconds(), res.Epochs, res.Faults)
+					cl, kd, s, 1, elapsed.Nanoseconds(), res.Epochs, res.Faults)
 				total += res.Epochs
 				faults += int64(res.Faults)
 				runs++

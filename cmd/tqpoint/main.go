@@ -51,7 +51,6 @@ func run(args []string) error {
 		addr       = fs.String("addr", "127.0.0.1:7070", "center address")
 		point      = fs.Int("point", 0, "this point's id")
 		kind       = fs.String("kind", "size", `design: "size" or "spread"`)
-		sketch     = fs.String("sketch", "rskt", `spread sketch backend: "rskt" or "vhll" (must match the center's -sketch)`)
 		w          = fs.Int("w", 16384, "sketch width (must match the center's topology)")
 		m          = fs.Int("m", 128, "HLL registers per estimator (spread)")
 		d          = fs.Int("d", 4, "CountMin rows (size)")
@@ -93,7 +92,7 @@ func run(args []string) error {
 
 	pc, err := transport.DialPoint(transport.PointConfig{
 		Addr: *addr, Point: *point, Kind: transport.Kind(*kind),
-		Sketch: *sketch, W: *w, M: *m, D: *d, Seed: *seed,
+		W: *w, M: *m, D: *d, Seed: *seed,
 		Shard: shardIdx, DeltaUploads: *delta,
 		CheckpointDir: *ckptDir,
 	})

@@ -45,7 +45,6 @@ func run(args []string) error {
 		upstream   = fs.String("upstream", "127.0.0.1:7070", "upstream address (center or higher relay)")
 		relayID    = fs.Int("relay", 100, "this relay's id in the upstream topology")
 		kind       = fs.String("kind", "size", `design: "size" or "spread"`)
-		sketch     = fs.String("sketch", "rskt", `spread sketch backend: "rskt" or "vhll" (must match the tree's -sketch)`)
 		n          = fs.Int("n", 10, "epochs per window (the paper's n)")
 		widths     = fs.String("widths", "", "children as id:width pairs, e.g. 0:1638,1:3276")
 		weights    = fs.String("weights", "", "children as id:weight pairs (subtree leaf counts; default 1 each)")
@@ -91,7 +90,6 @@ func run(args []string) error {
 		UpstreamAddr:        *upstream,
 		Relay:               *relayID,
 		Kind:                transport.Kind(*kind),
-		Sketch:              *sketch,
 		WindowN:             *n,
 		Widths:              topo,
 		Weights:             wts,

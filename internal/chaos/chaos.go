@@ -36,7 +36,6 @@ import (
 	"repro/internal/faultnet"
 	"repro/internal/rskt"
 	"repro/internal/transport"
-	"repro/internal/vhll"
 	"repro/internal/xhash"
 )
 
@@ -69,9 +68,6 @@ type Config struct {
 	Seed int64
 	// Kind selects the size or spread design (default spread).
 	Kind transport.Kind
-	// Sketch selects the spread backend (transport.SketchRskt or
-	// transport.SketchVhll); ignored for size.
-	Sketch string
 	// Class selects the topology (default ClassFlat).
 	Class Class
 	// Phases is the minimum number of fault phases (default 8). The run
@@ -423,19 +419,7 @@ func (e *engine) oracleCheck(x int, lf leaf, K int) error {
 		}
 		return nil
 	}
-	var ideal interface {
-		Record(f, e uint64)
-		Estimate(f uint64) float64
-	}
-	if e.cfg.Sketch == transport.SketchVhll {
-		v, err := vhll.New(vhll.Params{PhysicalRegisters: chaosW, VirtualRegisters: chaosM, Seed: uint64(e.cfg.Seed)})
-		if err != nil {
-			return fmt.Errorf("oracle vhll: %w", err)
-		}
-		ideal = v
-	} else {
-		ideal = rskt.New(rskt.Params{W: chaosW, M: chaosM, Seed: uint64(e.cfg.Seed)})
-	}
+	ideal := rskt.New(rskt.Params{W: chaosW, M: chaosM, Seed: uint64(e.cfg.Seed)})
 	e.feedWindow(x, K, ideal.Record)
 	for f := uint64(0); f < chaosFlows; f++ {
 		got, err := lf.QuerySpread(f)

@@ -170,7 +170,7 @@ func (d *deployment) restartRelay(i int) error {
 // under the servers' read deadline, and bounded writes.
 func (d *deployment) leafPointConfig(x int, addr string, dial func(string) (net.Conn, error)) transport.PointConfig {
 	return transport.PointConfig{
-		Addr: addr, Point: x, Kind: d.cfg.Kind, Sketch: d.cfg.Sketch,
+		Addr: addr, Point: x, Kind: d.cfg.Kind,
 		W: chaosW, M: chaosM, D: chaosD, Seed: uint64(d.cfg.Seed),
 		Dial:           dial,
 		RedialAttempts: 8, RedialBackoff: time.Millisecond,
@@ -188,7 +188,7 @@ func buildFlat(d *deployment) error {
 		widths[x] = chaosW
 	}
 	root := &rootNode{name: faultnet.DefaultNode, cfg: transport.CenterConfig{
-		Kind: d.cfg.Kind, Sketch: d.cfg.Sketch, WindowN: chaosWindowN,
+		Kind: d.cfg.Kind, WindowN: chaosWindowN,
 		Widths: widths, M: chaosM, D: chaosD, Seed: uint64(d.cfg.Seed),
 		CheckpointDir: d.ckptDir("center"), CheckpointEvery: 1,
 		StoreDir:    d.ckptDir("center"),
@@ -270,7 +270,7 @@ func buildTree(d *deployment, topo cluster.Topology) error {
 		}
 	}
 	root := &rootNode{name: faultnet.DefaultNode, cfg: transport.CenterConfig{
-		Kind: d.cfg.Kind, Sketch: d.cfg.Sketch, WindowN: chaosWindowN,
+		Kind: d.cfg.Kind, WindowN: chaosWindowN,
 		Widths: topWidths, Weights: topWeights,
 		M: chaosM, D: chaosD, Seed: uint64(d.cfg.Seed),
 		DeltaUploads:  d.cfg.Kind == transport.KindSize,
@@ -304,7 +304,7 @@ func buildTree(d *deployment, topo cluster.Topology) error {
 		up := d.fnet.LinkTo(parentName(r))
 		rn := &relayNode{name: nodeName(r), id: r, upLink: up, cfg: transport.RelayConfig{
 			UpstreamAddr: "faultnet:" + parentName(r), UpstreamDial: up.Dial,
-			Relay: r, Kind: d.cfg.Kind, Sketch: d.cfg.Sketch, WindowN: chaosWindowN,
+			Relay: r, Kind: d.cfg.Kind, WindowN: chaosWindowN,
 			Widths: widths, Weights: weights,
 			M: chaosM, D: chaosD, Seed: uint64(d.cfg.Seed),
 			RedialBackoff: time.Millisecond, RedialBackoffMax: 4 * time.Millisecond,
@@ -343,7 +343,7 @@ func buildShard(d *deployment, withRelays bool) error {
 	for i := 0; i < chaosShards; i++ {
 		name := fmt.Sprintf("shard%d", i)
 		cfg := transport.CenterConfig{
-			Kind: d.cfg.Kind, Sketch: d.cfg.Sketch, WindowN: chaosWindowN,
+			Kind: d.cfg.Kind, WindowN: chaosWindowN,
 			M: chaosM, D: chaosD, Seed: uint64(d.cfg.Seed), Shard: i,
 			DeltaUploads:  delta,
 			CheckpointDir: d.ckptDir(name), CheckpointEvery: 1,
@@ -372,7 +372,7 @@ func buildShard(d *deployment, withRelays bool) error {
 			up := d.fnet.LinkTo(fmt.Sprintf("shard%d", i))
 			rn := &relayNode{name: name, id: relayID, upLink: up, cfg: transport.RelayConfig{
 				UpstreamAddr: fmt.Sprintf("faultnet:shard%d", i), UpstreamDial: up.Dial,
-				Relay: relayID, Kind: d.cfg.Kind, Sketch: d.cfg.Sketch, WindowN: chaosWindowN,
+				Relay: relayID, Kind: d.cfg.Kind, WindowN: chaosWindowN,
 				Widths: widths,
 				M:      chaosM, D: chaosD, Seed: uint64(d.cfg.Seed), Shard: i,
 				RedialBackoff: time.Millisecond, RedialBackoffMax: 4 * time.Millisecond,
@@ -398,7 +398,7 @@ func buildShard(d *deployment, withRelays bool) error {
 			links[i] = d.fnet.LinkTo(leafNodes[i])
 		}
 		sc, err := transport.DialShardedPoint(transport.ShardedPointConfig{
-			Addrs: addrs, Point: x, Kind: d.cfg.Kind, Sketch: d.cfg.Sketch,
+			Addrs: addrs, Point: x, Kind: d.cfg.Kind,
 			W: chaosW, M: chaosM, D: chaosD, Seed: uint64(d.cfg.Seed),
 			Dial: func(addr string) (net.Conn, error) {
 				for i := range addrs {

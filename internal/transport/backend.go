@@ -6,26 +6,15 @@ import (
 	"repro/internal/core"
 	"repro/internal/countmin"
 	"repro/internal/rskt"
-	"repro/internal/vhll"
 )
 
-// The one place a (Kind, Sketch) configuration becomes code: backendFor
-// maps the design, the spread design's sketch backend and the shared
-// sketch parameters to a width→prototype function plus the design's
-// core.EngineConfig, and enginesOf turns that pair into the point, center
-// and relay constructors. Every engine of every role is built here, so
-// the choice cannot fork; `make lint` fails if a sketch constructor
-// appears in any other non-test transport file.
-
-// Sketch backend names for PointConfig.Sketch, CenterConfig.Sketch and
-// RelayConfig.Sketch. The empty string means the design's default backend.
-const (
-	// SketchRskt is the paper's rSkt2(HLL) spread sketch (default).
-	SketchRskt = "rskt"
-	// SketchVhll is the register-sharing vHLL spread sketch, the
-	// core-sketch ablation's backend.
-	SketchVhll = "vhll"
-)
+// The one place a Kind becomes code: backendFor maps the design and the
+// shared sketch parameters to a width→prototype function plus the
+// design's core.EngineConfig, and enginesOf turns that pair into the
+// point, center and relay constructors. The size design runs CountMin and
+// the spread design the paper's rSkt2(HLL). Every engine of every role is
+// built here, so the choice cannot fork; `make lint` fails if a sketch
+// constructor appears in any other non-test transport file.
 
 // engines builds one backend's protocol engines.
 type engines struct {
@@ -37,36 +26,25 @@ type engines struct {
 // backendFor selects the backend of a configuration. delta picks the size
 // design's per-epoch delta uploads over the paper's cumulative ones; the
 // spread design always uploads deltas.
-func backendFor(kind Kind, sketch string, m, d int, seed uint64, delta bool) (engines, error) {
+func backendFor(kind Kind, m, d int, seed uint64, delta bool) (engines, error) {
 	switch kind {
 	case KindSpread:
-		switch sketch {
-		case "", SketchRskt:
-			return enginesOf(func(w int) (*rskt.Sketch, error) {
-				p := rskt.Params{W: w, M: m, Seed: seed}
-				if err := p.Validate(); err != nil {
-					return nil, err
-				}
-				return rskt.New(p), nil
-			}, core.EngineConfig[*rskt.Sketch]{Design: "spread", Mode: core.ModeDelta}, cellIndex[*rskt.Sketch]{
-				index: rskt.AppendIndex,
-				check: func(enc, idx []byte, w int) error {
-					return rskt.CheckEncoded(enc, idx, w, m)
-				},
-				project: func(enc, idx []byte, w int, f uint64) (*rskt.Sketch, error) {
-					return rskt.ProjectEncoded(enc, idx, w, m, f)
-				},
-			}), nil
-		case SketchVhll:
-			return enginesOf(func(w int) (*vhll.Sketch, error) {
-				return vhll.New(vhll.Params{PhysicalRegisters: w, VirtualRegisters: m, Seed: seed})
-			}, core.EngineConfig[*vhll.Sketch]{Design: "spread", Mode: core.ModeDelta}, cellIndex[*vhll.Sketch]{}), nil
-		}
-		return engines{}, fmt.Errorf("transport: unknown spread sketch %q", sketch)
+		return enginesOf(func(w int) (*rskt.Sketch, error) {
+			p := rskt.Params{W: w, M: m, Seed: seed}
+			if err := p.Validate(); err != nil {
+				return nil, err
+			}
+			return rskt.New(p), nil
+		}, core.EngineConfig[*rskt.Sketch]{Design: "spread", Mode: core.ModeDelta}, cellIndex[*rskt.Sketch]{
+			index: rskt.AppendIndex,
+			check: func(enc, idx []byte, w int) error {
+				return rskt.CheckEncoded(enc, idx, w, m)
+			},
+			project: func(enc, idx []byte, w int, f uint64) (*rskt.Sketch, error) {
+				return rskt.ProjectEncoded(enc, idx, w, m, f)
+			},
+		}), nil
 	case KindSize:
-		if sketch != "" && sketch != SketchRskt {
-			return engines{}, fmt.Errorf("transport: the size design has no alternate sketch backend (got %q)", sketch)
-		}
 		mode := core.ModeCumulative
 		if delta {
 			mode = core.ModeDelta
@@ -97,8 +75,7 @@ func backendFor(kind Kind, sketch string, m, d int, seed uint64, delta bool) (en
 // check tells whether an encoding and index are of this backend at width
 // w and the index spans the encoding, and project reads flow f's width-1
 // projection (core.Sketch.Project) out of an encoding of width w through
-// the index, walking only the blocks that hold the flow's column. vHLL has none: its estimator reads every register,
-// so its partials are decoded whole.
+// the index, walking only the blocks that hold the flow's column.
 type cellIndex[S core.Sketch[S]] struct {
 	index   func(dst, enc []byte) ([]byte, error)
 	check   func(enc, idx []byte, w int) error
@@ -163,7 +140,7 @@ func enginesOf[S core.Sketch[S]](proto func(w int) (S, error), cfg core.EngineCo
 
 // newPointEngine builds the point engine selected by the configuration.
 func newPointEngine(cfg PointConfig) (pointEngine, error) {
-	b, err := backendFor(cfg.Kind, cfg.Sketch, cfg.M, cfg.D, cfg.Seed, cfg.DeltaUploads)
+	b, err := backendFor(cfg.Kind, cfg.M, cfg.D, cfg.Seed, cfg.DeltaUploads)
 	if err != nil {
 		return nil, err
 	}
@@ -172,7 +149,7 @@ func newPointEngine(cfg PointConfig) (pointEngine, error) {
 
 // newCenterEngine builds the center engine selected by the configuration.
 func newCenterEngine(cfg CenterConfig) (centerEngine, error) {
-	b, err := backendFor(cfg.Kind, cfg.Sketch, cfg.M, cfg.D, cfg.Seed, cfg.DeltaUploads)
+	b, err := backendFor(cfg.Kind, cfg.M, cfg.D, cfg.Seed, cfg.DeltaUploads)
 	if err != nil {
 		return nil, err
 	}
@@ -183,7 +160,7 @@ func newCenterEngine(cfg CenterConfig) (centerEngine, error) {
 // Size relays always run delta mode: cumulative uploads cannot be
 // pre-merged, so every point beneath a relay must run with DeltaUploads.
 func newRelayEngine(cfg RelayConfig) (relayEngine, error) {
-	b, err := backendFor(cfg.Kind, cfg.Sketch, cfg.M, cfg.D, cfg.Seed, true)
+	b, err := backendFor(cfg.Kind, cfg.M, cfg.D, cfg.Seed, true)
 	if err != nil {
 		return nil, err
 	}

@@ -24,13 +24,9 @@ type CenterConfig struct {
 	Listener net.Listener
 	// Kind selects the size or spread design.
 	Kind Kind
-	// Sketch selects the spread design's sketch backend: SketchRskt (the
-	// default, also "") or SketchVhll. Out-of-band configuration — points
-	// must be dialed with the same backend.
-	Sketch string
 	// WindowN is the paper's n.
 	WindowN int
-	// Widths maps point id to sketch width (vHLL: physical registers).
+	// Widths maps point id to sketch width.
 	// In a tree deployment the ids are the center's DIRECT children —
 	// leaf points and aggregation relays alike.
 	Widths map[int]int
@@ -51,7 +47,7 @@ type CenterConfig struct {
 	// Points must be dialed with the matching PointConfig.DeltaUploads.
 	DeltaUploads bool
 	// M is the HLL register count (spread; 0 = hll default handled by
-	// caller). For the vHLL backend it is the virtual estimator size.
+	// caller).
 	M int
 	// D is the CountMin depth (size).
 	D int

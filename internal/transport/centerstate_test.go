@@ -19,8 +19,7 @@ func TestCenterStateImportRejectsForeignShape(t *testing.T) {
 		name string
 		cfg  CenterConfig
 	}{
-		{"rskt", CenterConfig{Kind: KindSpread, Sketch: SketchRskt, M: 8, Seed: 3}},
-		{"vhll", CenterConfig{Kind: KindSpread, Sketch: SketchVhll, M: 8, Seed: 3}},
+		{"rskt", CenterConfig{Kind: KindSpread, M: 8, Seed: 3}},
 		{"countmin_cumulative", CenterConfig{Kind: KindSize, D: 2, Seed: 3}},
 		{"countmin_delta", CenterConfig{Kind: KindSize, D: 2, Seed: 3, DeltaUploads: true}},
 	} {
@@ -81,7 +80,7 @@ func populatedCenter(t *testing.T, cfg CenterConfig) centerEngine {
 	}
 	pts := map[int]pointEngine{}
 	for id, w := range cfg.Widths {
-		pts[id], err = newPointEngine(PointConfig{Point: id, Kind: cfg.Kind, Sketch: cfg.Sketch,
+		pts[id], err = newPointEngine(PointConfig{Point: id, Kind: cfg.Kind,
 			W: w, M: cfg.M, D: cfg.D, Seed: cfg.Seed, DeltaUploads: cfg.DeltaUploads})
 		if err != nil {
 			t.Fatal(err)
@@ -90,7 +89,7 @@ func populatedCenter(t *testing.T, cfg CenterConfig) centerEngine {
 	for e := int64(1); e <= 3; e++ {
 		for id := range cfg.Widths {
 			for f := uint64(0); f < 20; f++ {
-				pts[id].record(f, f*uint64(e)+uint64(id))
+				pts[id].Record(f, f*uint64(e)+uint64(id))
 			}
 			epoch, data, meta, err := pts[id].endEpoch(false)
 			if err != nil {

@@ -216,7 +216,7 @@ func (c *PointClient) checkpointSectionsLocked() ([]durable.Section, error) {
 	if err != nil {
 		return nil, err
 	}
-	meta := c.eng.meta()
+	meta := c.eng.Meta()
 	var m appender
 	m.u8(pointMetaVersion)
 	m.u32(c.up.points)
@@ -330,7 +330,7 @@ func (c *PointClient) restoreCheckpoint(sections []durable.Section) error {
 	if err := c.eng.loadState(state); err != nil {
 		return err
 	}
-	c.eng.restoreMeta(meta)
+	c.eng.RestoreMeta(meta)
 	c.mu.Lock()
 	c.up.points = points
 	c.up.windowN = windowN

@@ -14,15 +14,10 @@ import (
 // The transport drives three protocol engines — a point, a center and a
 // relay — each the single generic implementation of its role over the
 // core epoch engine (core.Point, core.Center, core.Relay) behind
-// byte-level sketch payloads. The design (size/spread) and the spread
-// design's sketch backend (rSkt2 or vHLL) are picked once at construction,
-// by the one backend switch in backend.go; every hot path after that is
-// design-agnostic, and what differs between the designs follows from the
-// design's core.EngineConfig (Additive, Mode). Sketch selection is
-// out-of-band configuration — the wire messages carry opaque sketch blobs
-// and never name the backend, so both sides of a connection must be
-// configured with the same Sketch (a mismatch surfaces as a blob decode
-// error, killing the connection).
+// byte-level sketch payloads. The design (size/spread) is picked once at
+// construction, by the one backend switch in backend.go; every hot path
+// after that is design-agnostic, and what differs between the designs
+// follows from the design's core.EngineConfig (Additive, Mode).
 
 // decodeFor decodes data into fresh(point), a zero sketch of the shape
 // point declared (core.Point.NewSketch, or the NewSketch of the merger a
@@ -102,28 +97,34 @@ func (p *sketchPool[S]) use(point int, data []byte, f func(S) error) error {
 	return err
 }
 
+// pointNode is what the PointClient asks core.Point as it is: the
+// methods whose signatures name no sketch.
+type pointNode interface {
+	SetTopology(points, windowN int)
+	AdvanceTo(epoch int64)
+	ResetWindow()
+	Epoch() int64
+	Coverage() core.Coverage
+	Record(f, e uint64)
+	RecordBatch(ps []core.SpreadPacket)
+	Query(f uint64) float64
+	QueryWithCoverage(f uint64) (float64, core.Coverage)
+	Meta() core.PointMeta
+	RestoreMeta(m core.PointMeta)
+}
+
 // pointEngine is the design-erased measurement point the PointClient
 // drives. Sketch payloads cross this boundary as their compact binary
 // encodings (the wire and checkpoint representation).
 type pointEngine interface {
-	setTopology(points, n int)
-	advanceTo(epoch int64)
-	resetWindow()
-	epoch() int64
-	coverage() core.Coverage
-	record(f, e uint64)
-	recordBatch(ps []core.SpreadPacket)
+	pointNode
 	newPipe() IngestPipe
-	query(f uint64) float64
-	queryCov(f uint64) (float64, core.Coverage)
 	// endEpoch rolls the epoch and returns the finished epoch's number,
 	// marshaled upload and protocol metadata.
 	endEpoch(rebase bool) (int64, []byte, core.UploadMeta, error)
 	applyAggregate(forEpoch int64, data []byte, merged int) error
 	applyEnhancement(forEpoch int64, data []byte) error
 	applyBackfill(forEpoch int64, data []byte, merged int) error
-	meta() core.PointMeta
-	restoreMeta(m core.PointMeta)
 	// cumulative reports whether uploads form a recovery chain at the
 	// center (the cumulative size design), which is what makes rebase
 	// sequencing and gap tracking meaningful.
@@ -152,7 +153,8 @@ type IngestPipe interface {
 // enginePoint is the single point-engine implementation, generic over the
 // epoch sketch.
 type enginePoint[S core.Sketch[S]] struct {
-	pt *core.Point[S]
+	pointNode // pt, asked as it is
+	pt        *core.Point[S]
 	// additive selects the size design's state framing (see saveState).
 	additive bool
 	// scratch recycles decode buffers across pushes: every apply below
@@ -164,27 +166,14 @@ type enginePoint[S core.Sketch[S]] struct {
 // newEnginePoint wires the scratch pool to the point's sketch shape, of
 // width w.
 func newEnginePoint[S core.Sketch[S]](pt *core.Point[S], w int, additive bool) *enginePoint[S] {
-	e := &enginePoint[S]{pt: pt, additive: additive}
+	e := &enginePoint[S]{pointNode: pt, pt: pt, additive: additive}
 	e.scratch.fresh = func(int) (S, bool) { return pt.NewSketch(), true }
 	e.scratch.widths = map[int]int{pt.ID(): w}
 	return e
 }
 
-func (e *enginePoint[S]) setTopology(points, n int)          { e.pt.SetTopology(points, n) }
-func (e *enginePoint[S]) advanceTo(epoch int64)              { e.pt.AdvanceTo(epoch) }
-func (e *enginePoint[S]) resetWindow()                       { e.pt.ResetWindow() }
-func (e *enginePoint[S]) epoch() int64                       { return e.pt.Epoch() }
-func (e *enginePoint[S]) coverage() core.Coverage            { return e.pt.Coverage() }
-func (e *enginePoint[S]) record(f, el uint64)                { e.pt.Record(f, el) }
-func (e *enginePoint[S]) recordBatch(ps []core.SpreadPacket) { e.pt.RecordBatch(ps) }
-func (e *enginePoint[S]) newPipe() IngestPipe                { return e.pt.NewRecorder() }
-func (e *enginePoint[S]) query(f uint64) float64             { return e.pt.Query(f) }
-func (e *enginePoint[S]) queryCov(f uint64) (float64, core.Coverage) {
-	return e.pt.QueryWithCoverage(f)
-}
-func (e *enginePoint[S]) meta() core.PointMeta         { return e.pt.Meta() }
-func (e *enginePoint[S]) restoreMeta(m core.PointMeta) { e.pt.RestoreMeta(m) }
-func (e *enginePoint[S]) cumulative() bool             { return e.pt.Mode() == core.ModeCumulative }
+func (e *enginePoint[S]) newPipe() IngestPipe { return e.pt.NewRecorder() }
+func (e *enginePoint[S]) cumulative() bool    { return e.pt.Mode() == core.ModeCumulative }
 
 func (e *enginePoint[S]) queryUnionCov(f uint64, peers []pointEngine) (float64, core.Coverage, error) {
 	pts := make([]*core.Point[S], 0, len(peers))
@@ -281,11 +270,9 @@ type logSource[S core.Sketch[S]] struct {
 	// points lists the center's children: the ids of the log's point cells.
 	points []int
 	pool   *sketchPool[S]
-	// wide returns a zero sketch of the partials' shape, of width wMax.
-	wide  func() S
-	wMax  int
-	cells cellIndex[S]
-	reads *replayReads
+	wMax   int
+	cells  cellIndex[S]
+	reads  *replayReads
 }
 
 // replayReads counts cold replayed epochs by the path that answered them.
@@ -294,7 +281,7 @@ type replayReads struct{ partial, cells atomic.Int64 }
 // appendPartialCell builds an epoch's partial cell: u32 count, that many
 // u32 point ids in ascending order (the cells the partial joined), u32 the
 // length of the maximum-width sketch's one encoding, the encoding, and
-// its block index (cellIndex; empty for a backend without one).
+// its block index (cellIndex).
 func appendPartialCell(ids []int, sk, idx []byte) []byte {
 	a := appender{b: make([]byte, 0, 8+4*len(ids)+len(sk)+len(idx))}
 	a.u32(len(ids))
@@ -367,26 +354,15 @@ func (ls logSource[S]) EpochPartial(epoch int64, held []int) (core.StoredPartial
 }
 
 // storedPartial turns a partial cell's body into the partial it stores,
-// if the body is this backend's layout at the maximum width: an encoding
-// and the block index that spans it (cellIndex.check), read through the
-// index (indexedPartial), or, for a backend without an index, an
-// encoding that decodes, and no index.
+// read through its block index (indexedPartial), if the body is this
+// backend's layout at the maximum width: an encoding and the block index
+// that spans it (cellIndex.check).
 func (ls logSource[S]) storedPartial(body []byte) (core.StoredPartial[S], bool) {
 	enc, idx, err := splitPartialBody(body)
-	if err != nil {
+	if err != nil || ls.cells.check(enc, idx, ls.wMax) != nil {
 		return nil, false
 	}
-	if ls.cells.check != nil {
-		if ls.cells.check(enc, idx, ls.wMax) != nil {
-			return nil, false
-		}
-		return indexedPartial[S]{body: body, enc: enc, idx: idx, w: ls.wMax, project: ls.cells.project}, true
-	}
-	sk := ls.wide()
-	if len(idx) != 0 || sk.UnmarshalBinary(enc) != nil {
-		return nil, false
-	}
-	return core.DecodedPartial(sk, ls.wMax), true
+	return indexedPartial[S]{body: body, enc: enc, idx: idx, w: ls.wMax, project: ls.cells.project}, true
 }
 
 // indexedPartial is a partial cell's body held as read: the encoding of
@@ -555,17 +531,15 @@ func (e *engineCenter[S]) logPartial(epoch int64) ([]byte, bool, error) {
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	var idx []byte
-	if e.cells.index != nil {
-		if idx, err = e.cells.index(nil, sk); err != nil {
-			return nil, false, fmt.Errorf("transport: index partial epoch %d: %w", epoch, err)
-		}
+	idx, err := e.cells.index(nil, sk)
+	if err != nil {
+		return nil, false, fmt.Errorf("transport: index partial epoch %d: %w", epoch, err)
 	}
 	return appendPartialCell(ids, sk, idx), true, nil
 }
 
 func (e *engineCenter[S]) source(log *durable.Log) logSource[S] {
-	return logSource[S]{log: log, points: e.ids, pool: e.hist, wide: e.ctr.NewPartialSketch, wMax: e.ctr.Width(), cells: e.cells, reads: &e.reads}
+	return logSource[S]{log: log, points: e.ids, pool: e.hist, wMax: e.ctr.Width(), cells: e.cells, reads: &e.reads}
 }
 
 func (e *engineCenter[S]) historyAt(f uint64, k int64, log *durable.Log) (float64, core.Coverage, error) {

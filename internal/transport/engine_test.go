@@ -21,7 +21,7 @@ func TestSketchPoolPerWidth(t *testing.T) {
 		widths[x] = 32 << (x % 3)
 	}
 	for _, kind := range []Kind{KindSize, KindSpread} {
-		b, err := backendFor(kind, "", 16, 2, 1, true)
+		b, err := backendFor(kind, 16, 2, 1, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ const wideStoreEpochs = 3
 func wideStore(t *testing.T, kind Kind) (centerEngine, *durable.Log) {
 	t.Helper()
 	widths := map[int]int{0: 1024, 1: 2048, 2: 4096}
-	b, err := backendFor(kind, "", 64, 4, 1, true)
+	b, err := backendFor(kind, 64, 4, 1, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,10 +118,10 @@ func wideStore(t *testing.T, kind Kind) (centerEngine, *durable.Log) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pe.setTopology(len(widths), 4)
+		pe.SetTopology(len(widths), 4)
 		for k := 1; k <= wideStoreEpochs; k++ {
 			for i := 0; i < 5000; i++ {
-				pe.record(uint64(i%700), uint64(i*k))
+				pe.Record(uint64(i%700), uint64(i*k))
 			}
 			epoch, data, meta, err := pe.endEpoch(false)
 			if err != nil {

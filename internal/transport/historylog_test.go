@@ -8,26 +8,23 @@ import (
 	"repro/internal/countmin"
 	"repro/internal/durable"
 	"repro/internal/rskt"
-	"repro/internal/vhll"
 )
 
 // TestHistoryLogHoldsReceivedBytes pins the epoch log's contents to the
 // center's stored single-epoch cells, byte for byte. Delta-mode centers
-// (both spread backends, delta size) log the upload as received, which
+// (spread, delta size) log the upload as received, which
 // must equal re-encoding the stored cell; the cumulative size center logs
 // the recovered delta, not the cumulative upload.
 func TestHistoryLogHoldsReceivedBytes(t *testing.T) {
 	noLeak(t)
 	for _, tc := range []struct {
-		name   string
-		kind   Kind
-		sketch string
-		delta  bool
+		name  string
+		kind  Kind
+		delta bool
 	}{
-		{"spread-rskt", KindSpread, SketchRskt, false},
-		{"spread-vhll", KindSpread, SketchVhll, false},
-		{"size-delta", KindSize, "", true},
-		{"size-cumulative", KindSize, "", false},
+		{"spread-rskt", KindSpread, false},
+		{"size-delta", KindSize, true},
+		{"size-cumulative", KindSize, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const (
@@ -36,7 +33,7 @@ func TestHistoryLogHoldsReceivedBytes(t *testing.T) {
 				seed    = 9
 			)
 			srv, err := ServeCenter(CenterConfig{
-				Addr: "127.0.0.1:0", Kind: tc.kind, Sketch: tc.sketch, WindowN: n,
+				Addr: "127.0.0.1:0", Kind: tc.kind, WindowN: n,
 				Widths: map[int]int{0: w, 1: w / 2, 2: w}, M: 16, D: 4, Seed: seed,
 				DeltaUploads: tc.delta, StoreDir: t.TempDir(), Logf: quietLogf,
 			})
@@ -51,7 +48,7 @@ func TestHistoryLogHoldsReceivedBytes(t *testing.T) {
 					pw = w / 2
 				}
 				pc, err := DialPoint(PointConfig{
-					Addr: srv.Addr().String(), Point: x, Kind: tc.kind, Sketch: tc.sketch,
+					Addr: srv.Addr().String(), Point: x, Kind: tc.kind,
 					W: pw, M: 16, D: 4, Seed: seed, DeltaUploads: tc.delta,
 				})
 				if err != nil {
@@ -96,8 +93,6 @@ func storedCell(t *testing.T, eng centerEngine, point int, epoch int64) []byte {
 	t.Helper()
 	switch e := eng.(type) {
 	case *engineCenter[*rskt.Sketch]:
-		return marshalStored(t, e, point, epoch)
-	case *engineCenter[*vhll.Sketch]:
 		return marshalStored(t, e, point, epoch)
 	case *engineCenter[*countmin.Sketch]:
 		return marshalStored(t, e, point, epoch)

@@ -12,7 +12,6 @@ import (
 	"repro/internal/countmin"
 	"repro/internal/durable"
 	"repro/internal/rskt"
-	"repro/internal/vhll"
 )
 
 // cellsOnly is the partial path's referee: the same epoch log read cell
@@ -46,8 +45,6 @@ func referenceQuery(t *testing.T, srv *CenterServer, f uint64, at bool, a, b int
 	switch e := srv.eng.(type) {
 	case *engineCenter[*rskt.Sketch]:
 		return cellsOnlyQuery(e, srv.store, f, at, a, b)
-	case *engineCenter[*vhll.Sketch]:
-		return cellsOnlyQuery(e, srv.store, f, at, a, b)
 	case *engineCenter[*countmin.Sketch]:
 		return cellsOnlyQuery(e, srv.store, f, at, a, b)
 	}
@@ -57,20 +54,16 @@ func referenceQuery(t *testing.T, srv *CenterServer, f uint64, at bool, a, b int
 
 // partialCase is one center shape the partial referee runs.
 type partialCase struct {
-	kind   Kind
-	sketch string
-	delta  bool // size design: per-epoch delta uploads
-	mixed  bool // point widths w/2w/4w instead of uniform
-	relay  bool // leaves 0 and 1 reach the center through one relay
+	kind  Kind
+	delta bool // size design: per-epoch delta uploads
+	mixed bool // point widths w/2w/4w instead of uniform
+	relay bool // leaves 0 and 1 reach the center through one relay
 }
 
 func (c partialCase) String() string {
-	s := string(c.kind)
-	if c.sketch != "" {
-		s += "-" + c.sketch
-	}
+	s := string(c.kind) + "-rskt"
 	if c.kind == KindSize {
-		s += map[bool]string{false: "-cumulative", true: "-delta"}[c.delta]
+		s = string(c.kind) + map[bool]string{false: "-cumulative", true: "-delta"}[c.delta]
 	}
 	s += map[bool]string{false: "-uniform", true: "-mixed"}[c.mixed]
 	return s + map[bool]string{false: "-flat", true: "-relay"}[c.relay]
@@ -113,7 +106,7 @@ func newPartialRig(t *testing.T, tc partialCase, seed uint64, tweaks ...func(*Ce
 		r.ids = append(r.ids, id)
 	}
 	r.cfg = CenterConfig{
-		Addr: "127.0.0.1:0", Kind: tc.kind, Sketch: tc.sketch, WindowN: 4,
+		Addr: "127.0.0.1:0", Kind: tc.kind, WindowN: 4,
 		Widths: widths, Weights: weights, M: 16, D: 4, Seed: seed,
 		DeltaUploads: tc.delta, StoreDir: t.TempDir(), StoreSegmentBytes: 1 << 10,
 		ReplayCacheBytes: -1, // every query is a cold replay through the log
@@ -138,7 +131,7 @@ func newPartialRig(t *testing.T, tc partialCase, seed uint64, tweaks ...func(*Ce
 	if tc.relay {
 		relay, err := ServeRelay(RelayConfig{
 			Addr: "127.0.0.1:0", UpstreamAddr: srv.Addr().String(), Relay: partialRelayID,
-			Kind: tc.kind, Sketch: tc.sketch, WindowN: 4,
+			Kind: tc.kind, WindowN: 4,
 			Widths: map[int]int{0: leafW[0], 1: leafW[1]},
 			M:      16, D: 4, Seed: seed, Logf: quietLogf,
 		})
@@ -150,7 +143,7 @@ func newPartialRig(t *testing.T, tc partialCase, seed uint64, tweaks ...func(*Ce
 	}
 	for x := 0; x < 3; x++ {
 		pc, err := DialPoint(PointConfig{
-			Addr: upstream[x], Point: x, Kind: tc.kind, Sketch: tc.sketch,
+			Addr: upstream[x], Point: x, Kind: tc.kind,
 			W: leafW[x], M: 16, D: 4, Seed: seed, DeltaUploads: tc.delta,
 		})
 		if err != nil {
@@ -295,28 +288,32 @@ func replayReadDelta(t *testing.T, srv *CenterServer, e int64) (partial, cells i
 // over real TCP, every historical answer a center gives with partial
 // cells in its log must equal — Float64bits and coverage — the replay of
 // the same query from the point cells alone. Seeded sequences over both
-// designs, both spread backends, cumulative and delta size uploads,
+// designs, cumulative and delta size uploads,
 // uniform and w/2w/4w widths, and flat and relay-fed centers each run
 // normal rounds, a cell landing after its epoch's partial was logged, a
 // failed point-cell append, SetWeight, a restart from the store and a
 // retention compaction.
 func TestPersistedPartialMatchesCells(t *testing.T) {
 	noLeak(t)
-	var cases []partialCase
-	for _, relay := range []bool{false, true} {
-		for _, mixed := range []bool{false, true} {
-			cases = append(cases,
-				partialCase{kind: KindSpread, sketch: SketchRskt, mixed: mixed, relay: relay},
-				partialCase{kind: KindSpread, sketch: SketchVhll, mixed: mixed, relay: relay},
-				partialCase{kind: KindSize, delta: true, mixed: mixed, relay: relay})
-			if !relay { // cumulative uploads cannot be pre-merged by a relay
-				cases = append(cases, partialCase{kind: KindSize, mixed: mixed})
-			}
-		}
-	}
-	for i, tc := range cases {
-		t.Run(tc.String(), func(t *testing.T) {
-			runPartialSequence(t, tc, int64(i+1))
+	// Cumulative uploads cannot be pre-merged by a relay, so only the
+	// flat centers run them.
+	for _, c := range []struct {
+		tc   partialCase
+		seed int64
+	}{
+		{partialCase{kind: KindSpread}, 1},
+		{partialCase{kind: KindSize, delta: true}, 3},
+		{partialCase{kind: KindSize}, 4},
+		{partialCase{kind: KindSpread, mixed: true}, 5},
+		{partialCase{kind: KindSize, delta: true, mixed: true}, 7},
+		{partialCase{kind: KindSize, mixed: true}, 8},
+		{partialCase{kind: KindSpread, relay: true}, 9},
+		{partialCase{kind: KindSize, delta: true, relay: true}, 11},
+		{partialCase{kind: KindSpread, mixed: true, relay: true}, 12},
+		{partialCase{kind: KindSize, delta: true, mixed: true, relay: true}, 14},
+	} {
+		t.Run(c.tc.String(), func(t *testing.T) {
+			runPartialSequence(t, c.tc, c.seed)
 		})
 	}
 }
@@ -328,16 +325,17 @@ func TestPersistedPartialMatchesCells(t *testing.T) {
 // answer equals, bit for bit and in coverage, the cells-only replay.
 func TestPreviousLayoutPartialFallsBackToCells(t *testing.T) {
 	noLeak(t)
-	cases := []partialCase{
-		{kind: KindSpread, sketch: SketchRskt},
-		{kind: KindSpread, sketch: SketchVhll},
-		{kind: KindSize, delta: true},
-		{kind: KindSize, mixed: true},
-	}
-	for i, tc := range cases {
-		t.Run(tc.String(), func(t *testing.T) {
+	for _, c := range []struct {
+		tc   partialCase
+		seed int64
+	}{
+		{partialCase{kind: KindSpread}, 0},
+		{partialCase{kind: KindSize, delta: true}, 2},
+		{partialCase{kind: KindSize, mixed: true}, 3},
+	} {
+		t.Run(c.tc.String(), func(t *testing.T) {
 			const epochs = 6
-			r := newPartialRig(t, tc, uint64(i)*5+3)
+			r := newPartialRig(t, c.tc, uint64(c.seed)*5+3)
 			for k := int64(1); k <= epochs; k++ {
 				r.round(k, 0)
 			}
@@ -369,7 +367,7 @@ func TestPreviousLayoutPartialFallsBackToCells(t *testing.T) {
 					t.Fatalf("epoch %d replayed from partial=%d cells=%d, want the cells", k, p, cells)
 				}
 			}
-			checkAgainstCells(t, r.srv, rand.New(rand.NewSource(int64(i))), epochs, "previous layout")
+			checkAgainstCells(t, r.srv, rand.New(rand.NewSource(c.seed)), epochs, "previous layout")
 		})
 	}
 }
@@ -382,15 +380,16 @@ func TestPreviousLayoutPartialFallsBackToCells(t *testing.T) {
 // full coverage.
 func TestUnparsablePartialCellFallsBackToCells(t *testing.T) {
 	noLeak(t)
-	cases := []partialCase{
-		{kind: KindSpread, sketch: SketchRskt},
-		{kind: KindSpread, sketch: SketchVhll},
-		{kind: KindSize, delta: true},
-	}
-	for i, tc := range cases {
-		t.Run(tc.String(), func(t *testing.T) {
+	for _, c := range []struct {
+		tc   partialCase
+		seed int64
+	}{
+		{partialCase{kind: KindSpread}, 0},
+		{partialCase{kind: KindSize, delta: true}, 2},
+	} {
+		t.Run(c.tc.String(), func(t *testing.T) {
 			const epochs = 6
-			r := newPartialRig(t, tc, uint64(i)*3+2)
+			r := newPartialRig(t, c.tc, uint64(c.seed)*3+2)
 			for k := int64(1); k <= epochs; k++ {
 				r.round(k, 0)
 			}
@@ -540,7 +539,7 @@ func TestRestoreReappendsCheckpointedCells(t *testing.T) {
 	noLeak(t)
 	const last, flows = 6, 4
 	for i, tc := range []partialCase{
-		{kind: KindSpread, sketch: SketchRskt},
+		{kind: KindSpread},
 		{kind: KindSize, delta: true},
 		{kind: KindSize},
 	} {

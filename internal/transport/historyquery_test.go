@@ -72,7 +72,7 @@ func waitStoreAppends(t *testing.T, srv *CenterServer, n int64) {
 	})
 }
 
-func testHistoryFlatOracle(t *testing.T, kind Kind, sketch string) {
+func testHistoryFlatOracle(t *testing.T, kind Kind) {
 	const (
 		n, p, w = 4, 3, 32
 		epochs  = 10
@@ -81,7 +81,7 @@ func testHistoryFlatOracle(t *testing.T, kind Kind, sketch string) {
 	)
 	dir := t.TempDir()
 	cfg := CenterConfig{
-		Addr: "127.0.0.1:0", Kind: kind, Sketch: sketch, WindowN: n,
+		Addr: "127.0.0.1:0", Kind: kind, WindowN: n,
 		Widths: map[int]int{0: w, 1: w, 2: w}, M: 16, D: 4, Seed: seed,
 		StoreDir: dir, HistoryAddr: "127.0.0.1:0", Logf: quietLogf,
 	}
@@ -92,7 +92,7 @@ func testHistoryFlatOracle(t *testing.T, kind Kind, sketch string) {
 	points := make([]*PointClient, p)
 	for x := 0; x < p; x++ {
 		pc, err := DialPoint(PointConfig{
-			Addr: srv.Addr().String(), Point: x, Kind: kind, Sketch: sketch,
+			Addr: srv.Addr().String(), Point: x, Kind: kind,
 			W: w, M: 16, D: 4, Seed: seed,
 		})
 		if err != nil {
@@ -165,17 +165,12 @@ func testHistoryFlatOracle(t *testing.T, kind Kind, sketch string) {
 
 func TestHistoryFlatOracleSpread(t *testing.T) {
 	noLeak(t)
-	testHistoryFlatOracle(t, KindSpread, SketchRskt)
-}
-
-func TestHistoryFlatOracleSpreadVhll(t *testing.T) {
-	noLeak(t)
-	testHistoryFlatOracle(t, KindSpread, SketchVhll)
+	testHistoryFlatOracle(t, KindSpread)
 }
 
 func TestHistoryFlatOracleSize(t *testing.T) {
 	noLeak(t)
-	testHistoryFlatOracle(t, KindSize, "")
+	testHistoryFlatOracle(t, KindSize)
 }
 
 // A two-level tree: the center's store holds the relay's pre-merged

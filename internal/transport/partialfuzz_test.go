@@ -40,7 +40,7 @@ func FuzzPartialCellIndex(f *testing.F) {
 // fuzzPartialEngine builds a center engine of the fuzz shapes: one child
 // at width 16, rSkt2 with m = 4 or CountMin with d = 2, seed 5.
 func fuzzPartialEngine[S core.Sketch[S]](f *testing.F, kind Kind) *engineCenter[S] {
-	b, err := backendFor(kind, "", 4, 2, 5, true)
+	b, err := backendFor(kind, 4, 2, 5, true)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -20,13 +20,7 @@ type PointConfig struct {
 	Point int
 	// Kind selects the size or spread design.
 	Kind Kind
-	// Sketch selects the spread design's sketch backend: SketchRskt (the
-	// default, also "") or SketchVhll. The choice never travels on the
-	// wire — the center must be configured with the same backend.
-	Sketch string
-	// W, M, D, Seed are the sketch parameters (matching the center). For
-	// the vHLL backend W is the physical register count and M the virtual
-	// (per-flow) estimator size.
+	// W, M, D, Seed are the sketch parameters (matching the center).
 	W, M, D int
 	Seed    uint64
 	// Dial, if set, replaces net.Dial for reaching the center. Fault
@@ -216,13 +210,13 @@ func DialPoint(cfg PointConfig) (*PointClient, error) {
 // upload. Runs with c.mu held, as part of the handshake.
 func (c *PointClient) applyWelcomeLocked(w Welcome) {
 	advanced := false
-	c.eng.setTopology(w.Points, w.WindowN)
-	if w.ResumeEpoch > c.eng.epoch() {
-		c.eng.advanceTo(w.ResumeEpoch)
+	c.eng.SetTopology(w.Points, w.WindowN)
+	if w.ResumeEpoch > c.eng.Epoch() {
+		c.eng.AdvanceTo(w.ResumeEpoch)
 		// The window the point held belongs to epochs the cluster has
 		// moved past; merging it under the new epoch would double-count
 		// against the backfill aggregate the center is about to send.
-		c.eng.resetWindow()
+		c.eng.ResetWindow()
 		advanced = true
 	}
 	if !c.eng.cumulative() {
@@ -233,7 +227,7 @@ func (c *PointClient) applyWelcomeLocked(w Welcome) {
 	// local C never held the chain the center has; an unsent buffer whose
 	// oldest entry is past PointEpoch+1 means epochs were lost.
 	next := w.PointEpoch + 1
-	oldest := c.eng.epoch() // next upload's epoch when nothing is buffered
+	oldest := c.eng.Epoch() // next upload's epoch when nothing is buffered
 	for _, p := range c.up.pending {
 		if !p.sent {
 			oldest = p.up.Epoch
@@ -267,11 +261,11 @@ func (c *PointClient) Redial() error {
 }
 
 // Record inserts a packet. For the size design the element is ignored.
-func (c *PointClient) Record(f, e uint64) { c.eng.record(f, e) }
+func (c *PointClient) Record(f, e uint64) { c.eng.Record(f, e) }
 
 // RecordBatch inserts a batch of packets under one lock acquisition. For
 // the size design each packet's element is ignored.
-func (c *PointClient) RecordBatch(ps []core.SpreadPacket) { c.eng.recordBatch(ps) }
+func (c *PointClient) RecordBatch(ps []core.SpreadPacket) { c.eng.RecordBatch(ps) }
 
 // NewIngestPipe returns a private ingest lane for one worker goroutine, so
 // concurrent workers never contend on a record-path lock. Create one pipe
@@ -283,7 +277,7 @@ func (c *PointClient) QuerySpread(f uint64) (float64, error) {
 	if c.cfg.Kind != KindSpread {
 		return 0, errors.New("transport: point runs the size design")
 	}
-	return c.eng.query(f), nil
+	return c.eng.Query(f), nil
 }
 
 // QuerySize answers a networkwide T-query (size design only). CountMin
@@ -293,7 +287,7 @@ func (c *PointClient) QuerySize(f uint64) (int64, error) {
 	if c.cfg.Kind != KindSize {
 		return 0, errors.New("transport: point runs the spread design")
 	}
-	return int64(c.eng.query(f)), nil
+	return int64(c.eng.Query(f)), nil
 }
 
 // QuerySpreadWithCoverage answers a networkwide spread T-query together
@@ -303,7 +297,7 @@ func (c *PointClient) QuerySpreadWithCoverage(f uint64) (float64, core.Coverage,
 	if c.cfg.Kind != KindSpread {
 		return 0, core.Coverage{}, errors.New("transport: point runs the size design")
 	}
-	v, cov := c.eng.queryCov(f)
+	v, cov := c.eng.QueryWithCoverage(f)
 	return v, cov, nil
 }
 
@@ -314,16 +308,16 @@ func (c *PointClient) QuerySizeWithCoverage(f uint64) (int64, core.Coverage, err
 	if c.cfg.Kind != KindSize {
 		return 0, core.Coverage{}, errors.New("transport: point runs the spread design")
 	}
-	v, cov := c.eng.queryCov(f)
+	v, cov := c.eng.QueryWithCoverage(f)
 	return int64(v), cov, nil
 }
 
 // Coverage reports the window coverage backing the point's current query
 // answers (epochs merged into C versus a healthy window's worth).
-func (c *PointClient) Coverage() core.Coverage { return c.eng.coverage() }
+func (c *PointClient) Coverage() core.Coverage { return c.eng.Coverage() }
 
 // Epoch returns the point's current epoch.
-func (c *PointClient) Epoch() int64 { return c.eng.epoch() }
+func (c *PointClient) Epoch() int64 { return c.eng.Epoch() }
 
 // EndEpoch rolls the point into the next epoch and uploads the completed
 // epoch's measurement to the center. The local epoch always advances —
@@ -376,7 +370,7 @@ func (c *PointClient) Stats() PointStats {
 	lastPush := c.lastPushFor
 	c.pushMu.Unlock()
 	return PointStats{
-		Epoch:              c.eng.epoch(),
+		Epoch:              c.eng.Epoch(),
 		LastPushEpoch:      lastPush,
 		PushesApplied:      c.pushesApplied.Load(),
 		PushesLate:         c.pushesLate.Load(),

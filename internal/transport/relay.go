@@ -28,9 +28,8 @@ type RelayConfig struct {
 	UpstreamDial func(addr string) (net.Conn, error)
 	// Relay is this relay's id in the upstream topology.
 	Relay int
-	// Kind and Sketch mirror CenterConfig; the whole tree must agree.
-	Kind   Kind
-	Sketch string
+	// Kind mirrors CenterConfig; the whole tree must agree.
+	Kind Kind
 	// WindowN is the paper's n (bounds relay buffering; must match the
 	// cluster's).
 	WindowN int

@@ -5,33 +5,16 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/vhll"
 )
 
 // The relay's upstream frames are wire format exactly like the point
 // messages: the combined Upload a relay emits for a completed round — the
 // merged child sketches, compact-encoded — must stay byte-stable. These
 // goldens drive the real merge engine with fixed child uploads and pin the
-// resulting frames for every backend, plus the relay-shaped Hello with its
+// resulting frames for both designs, plus the relay-shaped Hello with its
 // Weight and Shard fields.
 
-func fuzzVhllSketchBytes(t interface{ Fatal(args ...any) }) []byte {
-	sk, err := vhll.New(vhll.Params{PhysicalRegisters: 16, VirtualRegisters: 4, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for e := 0; e < 30; e++ {
-		sk.Record(7, uint64(e))
-	}
-	b, err := sk.MarshalBinaryCompact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
-// relayGoldenFrames builds one combined upload per backend by merging two
+// relayGoldenFrames builds one combined upload per design by merging two
 // fixed child epochs through a real relay engine, and the relay Hello.
 func relayGoldenFrames(t *testing.T) map[string]any {
 	t.Helper()
@@ -42,17 +25,15 @@ func relayGoldenFrames(t *testing.T) map[string]any {
 		},
 	}
 	for _, tc := range []struct {
-		name   string
-		kind   Kind
-		sketch string
-		child  func(t interface{ Fatal(args ...any) }) []byte
+		name  string
+		kind  Kind
+		child func(t interface{ Fatal(args ...any) }) []byte
 	}{
-		{"relay_upload_spread_packed", KindSpread, SketchRskt, fuzzSpreadSketchBytes},
-		{"relay_upload_vhll_packed", KindSpread, SketchVhll, fuzzVhllSketchBytes},
-		{"relay_upload_size_packed", KindSize, "", fuzzSizeSketchBytes},
+		{"relay_upload_spread_packed", KindSpread, fuzzSpreadSketchBytes},
+		{"relay_upload_size_packed", KindSize, fuzzSizeSketchBytes},
 	} {
 		eng, err := newRelayEngine(RelayConfig{
-			Kind: tc.kind, Sketch: tc.sketch, WindowN: 5,
+			Kind: tc.kind, WindowN: 5,
 			Widths: map[int]int{0: 16, 1: 16}, M: 4, D: 2, Seed: 5, Relay: 7,
 		})
 		if err != nil {

@@ -10,7 +10,6 @@ import (
 	"repro/internal/countmin"
 	"repro/internal/durable"
 	"repro/internal/rskt"
-	"repro/internal/vhll"
 )
 
 // freshPoint builds an unconnected point of the golden cluster's shape
@@ -81,11 +80,11 @@ func TestRestoreCheckpointRejectsMalformedSections(t *testing.T) {
 				secs = append(secs, durable.Section{Name: s.name, Data: data})
 			}
 			c := freshPoint(t, KindSize)
-			epoch, answer := c.Epoch(), c.eng.query(3)
+			epoch, answer := c.Epoch(), c.eng.Query(3)
 			if err := c.restoreCheckpoint(secs); err == nil {
 				t.Fatal("malformed checkpoint restored")
 			}
-			if c.Epoch() != epoch || c.eng.query(3) != answer || len(c.up.pending) != 0 {
+			if c.Epoch() != epoch || c.eng.Query(3) != answer || len(c.up.pending) != 0 {
 				t.Fatalf("failed restore changed the point: epoch %d→%d, pending %d",
 					epoch, c.Epoch(), len(c.up.pending))
 			}
@@ -108,7 +107,7 @@ func TestRestoreCheckpointRejectsMalformedSections(t *testing.T) {
 }
 
 // TestLegacyInputsRejected runs what the retired fixed encoding wrote —
-// one sketch payload per backend, exactly as the old encoders emitted
+// one sketch payload per deployed backend, exactly as the old encoders emitted
 // them, and a TQST1 point-state header — through today's decoders. Each
 // must fail with an error naming the old magic, and leave the target
 // untouched.
@@ -140,23 +139,12 @@ func TestLegacyInputsRejected(t *testing.T) {
 			err := sk.UnmarshalBinary(legacy("a70200000004000000050000000000000001000000000050c600000000010000000000000030000000"))
 			return err, sk.Equal(before)
 		}},
-		{"vhll", "0xb3", func() (error, bool) {
-			sk, err := vhll.New(vhll.Params{PhysicalRegisters: 16, VirtualRegisters: 4, Seed: 5})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sk.Record(1, 2)
-			want, _ := sk.MarshalBinaryCompact()
-			err = sk.UnmarshalBinary(legacy("b310000000040000000500000000000000020000000500004801c000000000000000000000"))
-			got, _ := sk.MarshalBinaryCompact()
-			return err, bytes.Equal(got, want)
-		}},
 		{"TQST1 state", "TQST1", func() (error, bool) {
 			// A state file that loads under TQST2, relabeled TQST1: only
 			// the header can reject it.
 			src := freshPoint(t, KindSpread)
 			for e := uint64(0); e < 40; e++ {
-				src.eng.record(7, e)
+				src.eng.Record(7, e)
 			}
 			state, err := src.eng.saveState()
 			if err != nil {
@@ -168,9 +156,9 @@ func TestLegacyInputsRejected(t *testing.T) {
 			old := bytes.Clone(state)
 			copy(old, "TQST1")
 			c := freshPoint(t, KindSpread)
-			epoch, answer := c.Epoch(), c.eng.query(7)
+			epoch, answer := c.Epoch(), c.eng.Query(7)
 			err = c.eng.loadState(old)
-			return err, c.Epoch() == epoch && c.eng.query(7) == answer
+			return err, c.Epoch() == epoch && c.eng.Query(7) == answer
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

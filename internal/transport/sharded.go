@@ -21,14 +21,13 @@ type ShardedPointConfig struct {
 	Addrs []string
 	// Point is this point's id, identical on every shard.
 	Point int
-	// Kind, Sketch, W, M, D, Seed mirror PointConfig. Seed doubles as the
+	// Kind, W, M, D, Seed mirror PointConfig. Seed doubles as the
 	// flow-partition key (tag-mixed, so the partition hash is independent
 	// of the sketch hashes).
-	Kind   Kind
-	Sketch string
-	W, M   int
-	D      int
-	Seed   uint64
+	Kind Kind
+	W, M int
+	D    int
+	Seed uint64
 	// Dial, DialTimeout and the Redial* knobs apply to every sub-point.
 	Dial             func(addr string) (net.Conn, error)
 	DialTimeout      time.Duration
@@ -74,7 +73,7 @@ func DialShardedPoint(cfg ShardedPointConfig) (*ShardedPointClient, error) {
 	}
 	for i, addr := range cfg.Addrs {
 		sub := PointConfig{
-			Addr: addr, Point: cfg.Point, Kind: cfg.Kind, Sketch: cfg.Sketch,
+			Addr: addr, Point: cfg.Point, Kind: cfg.Kind,
 			W: cfg.W, M: cfg.M, D: cfg.D, Seed: cfg.Seed,
 			Dial: cfg.Dial, DialTimeout: cfg.DialTimeout,
 			RedialAttempts: cfg.RedialAttempts, RedialBackoff: cfg.RedialBackoff,

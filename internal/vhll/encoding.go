@@ -10,10 +10,9 @@ import (
 // wireMagic opens the binary encoding of a vHLL sketch: the header (magic,
 // physical and virtual register counts, seed) followed by the shared
 // register array as an hll compact register array. Deliberately distinct
-// from the rskt magic (0xA8): a transport or checkpoint restored under the
-// wrong -sketch backend fails loudly at decode instead of misreading
-// registers. It is the only encoding; a payload under any other magic is
-// rejected.
+// from the rskt magic (0xA8): an rSkt2 payload fed to a vHLL decoder, or
+// the reverse, fails loudly at decode instead of misreading registers. It
+// is the only encoding; a payload under any other magic is rejected.
 const wireMagic = 0xB4
 
 // headerLen is the size of the encoding's fixed header.

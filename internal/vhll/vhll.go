@@ -8,9 +8,10 @@
 //
 // rSkt2 (the sketch the paper builds on) improves on vHLL by cancelling
 // noise per flow with its two-row construction rather than subtracting a
-// global average; this package exists as the comparison substrate (see the
-// ablation-vhll experiment) and as an alternative epoch sketch for
-// single-point deployments.
+// global average; this package exists as the comparison substrate: the
+// estimator and core-sketch ablations (tqbench -exp ablation-estimator,
+// ablation-core-sketch) and the cluster simulator run it. No deployed
+// node does: the transport's spread design always runs rSkt2.
 package vhll
 
 import (
