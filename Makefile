@@ -95,10 +95,12 @@ race:
 	$(GO) test -race -count=1 -run '^(TestPersistedPartialMatchesCells|TestHistoryModelMatchesNaiveReplay|TestCenterStateImportRejectsForeignShape|TestPointWelcomeEpochRule|TestColdEpochAllocatesNoWideSketch|TestPreviousLayoutPartialFallsBackToCells|TestPreviousLayoutWidePartial)$$' ./internal/transport
 
 # The crash-restart matrix: process-death scenarios against the durable
-# checkpoint store, plus the store's own corruption/fallback tests, all
-# under the race detector.
+# checkpoint store, the point checkpoint's pinned bytes (one core.PointState
+# written as the state and meta sections, plus the uploads buffer) and its
+# refusal of a damaged section without touching the point, plus the
+# store's own corruption/fallback tests, all under the race detector.
 crash-test:
-	$(GO) test -race -run '^TestFaultCrash' -count=1 ./internal/transport
+	$(GO) test -race -run '^(TestFaultCrash|TestGoldenPointCheckpoint$$|TestRestoreCheckpointRejectsMalformedSections$$)' -count=1 ./internal/transport
 	$(GO) test -race ./internal/durable
 
 # The aggregation-tree and shard matrices: relay crash/restart/partition

@@ -96,6 +96,7 @@ func (s *simCore[S]) advanceTo(epoch int64) error {
 		if s.baseAdvance != nil {
 			s.baseAdvance()
 		}
+		merged, _ := s.ctr.CoverageFor(k + 1)
 		for x, pt := range s.engines {
 			top := x
 			if s.topOf != nil {
@@ -110,7 +111,7 @@ func (s *simCore[S]) advanceTo(epoch int64) error {
 					return err
 				}
 			}
-			if err := pt.ApplyAggregate(agg); err != nil {
+			if err := pt.ApplyAggregateCovAt(k+1, agg, merged); err != nil {
 				return err
 			}
 			if s.enhance {
@@ -118,7 +119,7 @@ func (s *simCore[S]) advanceTo(epoch int64) error {
 				if err != nil {
 					return err
 				}
-				if err := pt.ApplyEnhancement(enh); err != nil {
+				if err := pt.ApplyEnhancementAt(k+1, enh); err != nil {
 					return err
 				}
 			}

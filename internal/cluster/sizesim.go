@@ -98,9 +98,7 @@ func NewSizeSim(cfg SizeSimConfig) (*SizeSim, error) {
 		for x := range leafProtos {
 			leafProtos[x] = countmin.New(params[x])
 		}
-		tree, err = buildTree(cfg.Topology, leafProtos, cfg.Window.N, core.EngineConfig[*countmin.Sketch]{
-			Design: "size", Mode: core.ModeDelta, Additive: true,
-		})
+		tree, err = buildTree(cfg.Topology, leafProtos, cfg.Window.N, core.SizeEngine(core.ModeDelta))
 		if err != nil {
 			return nil, err
 		}

@@ -160,9 +160,7 @@ func newSpreadTreeSim[S core.SpreadSketch[S]](cfg SpreadSimConfig, points []*cor
 	if cfg.Enhance {
 		return nil, fmt.Errorf("cluster: the enhancement exchange is point-addressed and cannot cross relays; disable Enhance with Topology")
 	}
-	tree, err := buildTree(cfg.Topology, leafProtos, cfg.Window.N, core.EngineConfig[S]{
-		Design: "spread", Mode: core.ModeDelta,
-	})
+	tree, err := buildTree(cfg.Topology, leafProtos, cfg.Window.N, core.SpreadEngine[S]())
 	if err != nil {
 		return nil, err
 	}

@@ -114,6 +114,9 @@ func (c EngineConfig[S]) validate() error {
 	if c.Mode != ModeCumulative && c.Mode != ModeDelta {
 		return fmt.Errorf("core: invalid mode %d", c.Mode)
 	}
+	if c.Mode == ModeCumulative && !c.Additive {
+		return fmt.Errorf("core: %s: cumulative uploads need an additive merge", c.Design)
+	}
 	return nil
 }
 

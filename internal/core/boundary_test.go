@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -16,7 +17,7 @@ import (
 // The epoch boundary folds each dirty ingest lane once per sketch it
 // keeps: into B (then B into C' once) in delta mode, into C and C' in
 // cumulative mode. These tests pin that cost, check that the calls which
-// touch the sketch set mid-epoch (Snapshot, RestoreSnapshot,
+// touch the sketch set mid-epoch (ExportState, ImportState,
 // Recorder.Close) leave every boundary byte-identical, and check that a
 // recycled upload is never still in use.
 
@@ -69,7 +70,7 @@ func TestEndEpochFoldsEachLaneOnce(t *testing.T) {
 						r.Record(uint64(k), 0)
 					}
 				}
-				if err := pt.ApplyAggregateAt(k, agg); err != nil {
+				if err := pt.ApplyAggregateCovAt(k, agg, 1); err != nil {
 					t.Fatal(err)
 				}
 				dirty := dirtyLanes(pt)
@@ -203,9 +204,10 @@ func checkSameBoundary[S Sketch[S]](t *testing.T, k int64, want, got *Point[S], 
 }
 
 // checkMidEpochCalls runs two points through the same traffic and pushes.
-// One of them also takes a checkpoint (Snapshot, then RestoreSnapshot and
-// RestoreMeta) and closes a recorder holding records, in the middle of
-// the epoch; every boundary must match the plain run byte for byte.
+// One of them also takes a checkpoint (ExportState, then ImportState) and
+// closes a recorder holding records, in the middle of the epoch; every
+// boundary must match the plain run byte for byte. The imported lineage
+// answers a re-push of the epoch's aggregate as the exported one does.
 func checkMidEpochCalls[S Sketch[S]](t *testing.T, mk func() *Point[S], agg S) {
 	ref, sub := mk(), mk()
 	refRec, subRec := ref.NewRecorder(), sub.NewRecorder()
@@ -219,15 +221,24 @@ func checkMidEpochCalls[S Sketch[S]](t *testing.T, mk func() *Point[S], agg S) {
 		feedMixed(ref, refRec, ps[:half])
 		feedMixed(sub, subRec, ps[:half])
 		// k%3: 0 = no calls; 1 = checkpoint and restore, then close;
-		// 2 = snapshot only, then close.
+		// 2 = export only, then close.
 		if k%3 != 0 {
-			meta := sub.Meta()
-			e, b, c, cp := sub.Snapshot()
+			st := sub.ExportState()
 			if k%3 == 1 {
-				if err := sub.RestoreSnapshot(e, b, c, cp); err != nil {
+				if k > 1 {
+					checkRepush(t, k, "exported point", sub, agg)
+				}
+				if err := sub.ImportState(st); err != nil {
 					t.Fatal(err)
 				}
-				sub.RestoreMeta(meta)
+				if k > 1 {
+					checkRepush(t, k, "imported point", sub, agg)
+				}
+				twin := mk()
+				if err := twin.ImportState(st); err != nil {
+					t.Fatal(err)
+				}
+				checkRepush(t, k, "fresh importer", twin, agg)
 			}
 			late := ps[half : half+20]
 			refRec.RecordBatch(late)
@@ -244,7 +255,21 @@ func checkMidEpochCalls[S Sketch[S]](t *testing.T, mk func() *Point[S], agg S) {
 	}
 }
 
-// TestMidEpochStateCallsKeepBoundary: Snapshot, RestoreSnapshot and
+// checkRepush re-pushes epoch k's aggregate to p, whose lineage is the
+// checkpointed point's: merged during k > 1, so p must refuse it as a
+// duplicate; not yet pushed at k = 1, so p must take it.
+func checkRepush[S Sketch[S]](t *testing.T, k int64, name string, p *Point[S], agg S) {
+	t.Helper()
+	err := p.ApplyAggregateCovAt(k, agg, 1)
+	switch {
+	case k == 1 && err != nil:
+		t.Fatalf("epoch 1: %s refused an aggregate never merged: %v", name, err)
+	case k > 1 && !errors.Is(err, ErrDuplicatePush):
+		t.Fatalf("epoch %d: %s re-push of a merged aggregate returned %v, want ErrDuplicatePush", k, name, err)
+	}
+}
+
+// TestMidEpochStateCallsKeepBoundary: ExportState, ImportState and
 // Recorder.Close in the middle of an epoch change no upload and no C or
 // C'. A restored B already sits in C', so in the additive delta design a
 // boundary that merged it into C' again would double its counts.
@@ -373,7 +398,7 @@ func TestRecycleConcurrentWithIngest(t *testing.T) {
 			default:
 			}
 			_ = pt.Query(flow)
-			_, _, _, _ = pt.Snapshot()
+			_ = pt.ExportState()
 		}
 	}()
 	go func() {

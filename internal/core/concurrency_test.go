@@ -18,8 +18,9 @@ import (
 
 // hammerPoint runs every writer and every fold point of one point at once:
 // shared-lane singles and batches, a private recorder that closes, queries,
-// epoch rolls, center pushes and a snapshot/restore loop.
-func hammerPoint[S Sketch[S]](t *testing.T, pt *Point[S], agg S) {
+// epoch rolls, center pushes, an export/import loop, and extra, when
+// set, in a loop for as long as epochs roll.
+func hammerPoint[S Sketch[S]](t *testing.T, pt *Point[S], agg S, extra func()) {
 	var wg sync.WaitGroup
 	run := func(n int, step func(i int)) {
 		wg.Add(1)
@@ -51,19 +52,38 @@ func hammerPoint[S Sketch[S]](t *testing.T, pt *Point[S], agg S) {
 		}
 	})
 	run(2000, func(i int) { _ = pt.Query(uint64(i % 50)) })
-	run(50, func(int) { _ = pt.EndEpoch() })
+	rolled := make(chan struct{})
+	run(50, func(i int) {
+		_ = pt.EndEpoch()
+		if i == 49 {
+			close(rolled)
+		}
+	})
+	if extra != nil {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-rolled:
+					return
+				default:
+					extra()
+				}
+			}
+		}()
+	}
 	run(20, func(int) {
 		// A checkpoint restore racing live ingest: the restore resets
 		// every lane a writer may be inside.
-		epoch, b, c, cp := pt.Snapshot()
-		if err := pt.RestoreSnapshot(epoch, b, c, cp); err != nil {
+		if err := pt.ImportState(pt.ExportState()); err != nil {
 			t.Errorf("restore: %v", err)
 		}
 	})
 	run(200, func(i int) {
 		// Target a bogus epoch about half the time; stale pushes must
 		// be rejected, not merged.
-		err := pt.ApplyAggregateAt(int64(i%100), agg)
+		err := pt.ApplyAggregateCovAt(int64(i%100), agg, 1)
 		if err == nil {
 			err = pt.ApplyEnhancementAt(int64(i%100), agg)
 		}
@@ -85,7 +105,12 @@ func TestPointConcurrentAccess(t *testing.T) {
 		for e := uint64(0); e < 100; e++ {
 			agg.Record(5, e)
 		}
-		hammerPoint(t, pt.Point, agg)
+		// Params must not read the sketch set an epoch roll swaps.
+		hammerPoint(t, pt.Point, agg, func() {
+			if pt.Params() != params {
+				t.Errorf("Params() = %+v, want %+v", pt.Params(), params)
+			}
+		})
 	})
 	t.Run("size", func(t *testing.T) {
 		params := countmin.Params{D: 4, W: 128, Seed: 1}
@@ -95,7 +120,7 @@ func TestPointConcurrentAccess(t *testing.T) {
 		}
 		agg := countmin.New(params)
 		agg.Add(3, 10)
-		hammerPoint(t, pt.Point, agg)
+		hammerPoint(t, pt.Point, agg, nil)
 	})
 }
 
@@ -239,13 +264,13 @@ func checkIngestPath[S Sketch[S]](t *testing.T, fresh func() S, cfg EngineConfig
 	mustMerge(got2, deltaOf(pt.EndEpoch()))
 	same("union of mid-batch boundary uploads", got2, ref2)
 
-	// ResetWindow must drop unfolded records from every lane, private ones
+	// Rejoin must drop unfolded records from every lane, private ones
 	// included.
 	rec := pt.NewRecorder()
 	rec.Record(1, 1)
 	pt.Record(2, 2)
-	pt.ResetWindow()
-	sameAnswers("after ResetWindow", fresh())
+	pt.Rejoin(pt.Epoch() + 1)
+	sameAnswers("after Rejoin", fresh())
 }
 
 // ingestDesign binds one design's sketch constructor and engine discipline
@@ -271,7 +296,7 @@ func TestIngestPathsMatchReference(t *testing.T) {
 		name string
 		run  func(t *testing.T, lanes int, path string, zeroElems bool)
 	}{
-		{"size-cumulative", ingestDesign(freshCM, EngineConfig[*countmin.Sketch]{Design: "size", Mode: ModeCumulative, Additive: true, Sub: subCountMin})},
+		{"size-cumulative", ingestDesign(freshCM, SizeEngine(ModeCumulative))},
 		{"size-delta", ingestDesign(freshCM, EngineConfig[*countmin.Sketch]{Design: "size", Mode: ModeDelta, Additive: true})},
 		{"spread-rskt", ingestDesign(freshRskt, EngineConfig[*rskt.Sketch]{Design: "spread", Mode: ModeDelta})},
 		{"spread-vhll", ingestDesign(freshVhll, EngineConfig[*vhll.Sketch]{Design: "spread", Mode: ModeDelta})},

@@ -31,12 +31,13 @@
 //     first call of the round joins the window from the per-epoch
 //     partials, and every call compresses it at most once per distinct
 //     width (later callers of that width share the result)
-//  4. point: ApplyAggregate(agg)    (merged into C')
+//  4. point: ApplyAggregateCovAt(k+1, agg, merged)  (merged into C';
+//     merged is the center's CoverageFor(k+1) count)
 //
 // and optionally (Section IV-D enhancement):
 //
 //  5. center: enh := EnhancementFor(point, k+1)
-//  6. point: ApplyEnhancement(enh)  (merged straight into C)
+//  6. point: ApplyEnhancementAt(k+1, enh)  (merged straight into C)
 //
 // Queries at any time read only the local C sketch.
 package core

@@ -72,7 +72,7 @@ func TestVhllProtocolMatchesIdealUniform(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := pt.ApplyAggregate(agg); err != nil {
+			if err := pt.ApplyAggregateCovAt(int64(k)+1, agg, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -132,7 +132,7 @@ func TestVhllProtocolDiversityAccuracy(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := pt.ApplyAggregate(agg); err != nil {
+			if err := pt.ApplyAggregateCovAt(int64(k)+1, agg, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -185,5 +185,8 @@ func TestGenericConstructorValidation(t *testing.T) {
 	}
 	if _, err := NewSpreadCenterOf(5, map[int]*vhll.Sketch{0: a, 1: c}); err == nil {
 		t.Fatal("expected non-dividing width error")
+	}
+	if _, err := NewPoint(0, a.Clone, EngineConfig[*vhll.Sketch]{Design: "spread", Mode: ModeCumulative}); err == nil {
+		t.Fatal("expected error for cumulative uploads under a non-additive merge")
 	}
 }

@@ -24,12 +24,12 @@ import (
 //     it keeps: in delta mode B is built in the memory of the C the
 //     boundary discards — a copy of the first dirty lane, the others
 //     merged into it — and merges into C' once, so B is not a standing
-//     sketch; in cumulative mode each lane merges into C and C'. After a
-//     RestoreSnapshot the point holds the restored B, which already sits
-//     in C', and that epoch's boundary merges each lane into B and C'
+//     sketch; in cumulative mode each lane merges into C and C'. After an
+//     ImportState the point holds the restored B, which already sits in
+//     C', and that epoch's boundary merges each lane into B and C'
 //     separately instead;
-//   - Snapshot folds the lanes into its copies and leaves the point as it
-//     was, so persisted state is lane-free;
+//   - ExportState folds the lanes into its copies and leaves the point as
+//     it was, so persisted state is lane-free;
 //   - Recorder.Close hands its lane's delta to a shared lane;
 //   - Query folds on the fly (the algebra's union along the queried row
 //     positions only) and mutates nothing.

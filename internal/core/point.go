@@ -33,8 +33,8 @@ type Point[S Sketch[S]] struct {
 	// b is the per-epoch measurement B (delta mode only). Between
 	// boundaries B lives in the lanes, and the boundary builds it in the
 	// memory of the C it discards, so b stays nil — except after
-	// RestoreSnapshot, when it holds the restored B, whose records C'
-	// already has. The next boundary then folds each lane into B and C'
+	// ImportState, when it holds the restored B, whose records C' already
+	// has. The next boundary then folds each lane into B and C'
 	// separately: merging such a B into C' whole would count its records
 	// twice in an additive design.
 	b S
@@ -47,8 +47,9 @@ type Point[S Sketch[S]] struct {
 	// topoPoints/topoN describe the cluster (0 = standalone, coverage
 	// always reports full); aggApplied/enhApplied guard against duplicate
 	// center pushes within one epoch; covMerged is the point-epoch count of
-	// the aggregate staged in C' (-1 = applied without coverage info,
-	// assume full); covCur is the coverage of the current query target C.
+	// the aggregate staged in C' (it arrives from the wire and from disk,
+	// so the boundary reads a count outside [0, expected] as a whole
+	// window); covCur is the coverage of the current query target C.
 	// aggAppliedPrev (additive designs only) remembers whether the
 	// aggregate was merged during the previous epoch: the cumulative
 	// upload C_e carries the aggregate applied during e-1, so its
@@ -126,22 +127,6 @@ func (p *Point[S]) SetTopology(points, windowN int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.topoPoints, p.topoN = points, windowN
-}
-
-// AdvanceTo fast-forwards the point's epoch clock without touching sketch
-// state. A point that restarts without persisted state rejoins its cluster
-// at the cluster's current epoch; everything before it is gone, so the
-// current window's coverage is reset to empty.
-func (p *Point[S]) AdvanceTo(epoch int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if epoch <= p.epoch {
-		return
-	}
-	p.epoch = epoch
-	p.covCur = Coverage{EpochsExpected: expectedPointEpochs(p.topoPoints, p.topoN, epoch-1)}
-	p.covMerged = 0
-	p.aggApplied, p.aggAppliedPrev, p.enhApplied, p.backfilled = false, false, false, false
 }
 
 // Coverage returns the eq. (1)/(2) window coverage of the current query
@@ -392,9 +377,7 @@ func (p *Point[S]) rollCoverageLocked() {
 	exp := expectedPointEpochs(p.topoPoints, p.topoN, p.epoch)
 	m := p.covMerged
 	if m < 0 || m > exp {
-		// Aggregate applied through the coverage-oblivious path: trust it
-		// to be whole.
-		m = exp
+		m = exp // out of range (corrupt input): read as a whole window
 	}
 	p.covCur = Coverage{EpochsMerged: m, EpochsExpected: exp}
 	p.covMerged = 0
@@ -405,60 +388,18 @@ func (p *Point[S]) rollCoverageLocked() {
 	p.aggApplied, p.enhApplied, p.backfilled = false, false, false
 }
 
-// ApplyAggregate merges the center's ST-join result (the networkwide join
-// of the window's completed epochs, customized to this point's width) into
-// C' (Task 3). A nil aggregate is a no-op.
-func (p *Point[S]) ApplyAggregate(agg S) error {
-	if IsNil(agg) {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err := p.cp.Merge(agg); err != nil {
-		return fmt.Errorf("%s point %d: apply aggregate: %w", p.design, p.id, err)
-	}
-	p.aggApplied = true
-	p.covMerged = -1
-	return nil
-}
-
-// ApplyEnhancement merges the peers' last-completed-epoch join directly
-// into C (the Section IV-D enhancement), tightening the current epoch's
-// answers toward the exact networkwide T-query. In cumulative mode the
-// center compensates for this at recovery time.
-func (p *Point[S]) ApplyEnhancement(enh S) error {
-	if IsNil(enh) {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err := p.c.Merge(enh); err != nil {
-		return fmt.Errorf("%s point %d: apply enhancement: %w", p.design, p.id, err)
-	}
-	p.enhApplied = true
-	return nil
-}
-
-// ApplyAggregateAt is ApplyAggregate guarded by an epoch check performed
-// under the point's lock: the merge happens only if the point is still in
-// epoch k. Returns ErrStaleEpoch otherwise (the push missed the round-trip
-// bound and must be dropped, not merged into the wrong window), and
-// ErrDuplicatePush if this epoch's aggregate was already merged (a
-// reconnect re-push — in an additive design merging twice would double the
-// counters).
-func (p *Point[S]) ApplyAggregateAt(k int64, agg S) error {
-	return p.applyAggregateAt(k, agg, -1)
-}
-
-// ApplyAggregateCovAt is ApplyAggregateAt carrying the aggregate's
-// coverage: how many point-epoch uploads the center actually joined into
-// it. Queries answered from the window this aggregate lands in report that
-// coverage (QueryWithCoverage).
+// ApplyAggregateCovAt merges the center's ST-join result (the networkwide
+// join of the window's completed epochs, customized to this point's width)
+// into C' (Task 3), with the aggregate's coverage: how many point-epoch
+// uploads the center actually joined into it. Queries answered from the
+// window this aggregate lands in report that coverage (QueryWithCoverage).
+// The merge happens under the point's lock only if the point is still in
+// epoch k: it returns ErrStaleEpoch otherwise (the push missed the
+// round-trip bound and must be dropped, not merged into the wrong window),
+// and ErrDuplicatePush if this epoch's aggregate was already merged (a
+// reconnect re-push — in an additive design merging twice would double
+// the counters). A nil aggregate is a no-op.
 func (p *Point[S]) ApplyAggregateCovAt(k int64, agg S, merged int) error {
-	return p.applyAggregateAt(k, agg, merged)
-}
-
-func (p *Point[S]) applyAggregateAt(k int64, agg S, merged int) error {
 	if IsNil(agg) {
 		return nil
 	}
@@ -478,9 +419,12 @@ func (p *Point[S]) applyAggregateAt(k int64, agg S, merged int) error {
 	return nil
 }
 
-// ApplyEnhancementAt is ApplyEnhancement guarded by an epoch check under
-// the point's lock, with the same duplicate-push guard as
-// ApplyAggregateAt.
+// ApplyEnhancementAt merges the peers' last-completed-epoch join directly
+// into C (the Section IV-D enhancement), tightening the current epoch's
+// answers toward the exact networkwide T-query; in cumulative mode the
+// center compensates for this at recovery time. Guarded like
+// ApplyAggregateCovAt: ErrStaleEpoch unless the point is in epoch k,
+// ErrDuplicatePush if this epoch's enhancement was already merged.
 func (p *Point[S]) ApplyEnhancementAt(k int64, enh S) error {
 	if IsNil(enh) {
 		return nil

@@ -116,7 +116,7 @@ func TestSizeProtocolMatchesIdealRandomized(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := pt.ApplyAggregate(agg); err != nil {
+				if err := pt.ApplyAggregateCovAt(int64(k)+1, agg, 0); err != nil {
 					t.Fatal(err)
 				}
 				if enhance {
@@ -124,7 +124,7 @@ func TestSizeProtocolMatchesIdealRandomized(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if err := pt.ApplyEnhancement(enh); err != nil {
+					if err := pt.ApplyEnhancementAt(int64(k)+1, enh); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/countmin"
 )
 
@@ -28,9 +26,13 @@ const (
 	SizeModeDelta = ModeDelta
 )
 
-// subCountMin is the size design's inversion operator (dst -= src), needed
-// by the center's cumulative recovery.
-func subCountMin(dst, src *countmin.Sketch) error { return dst.SubSketch(src) }
+// SizeEngine is the size design's engine discipline in the given upload
+// mode: the additive CountMin merge, with counter-wise subtraction for the
+// center's cumulative recovery. Every size point, center and relay is
+// built with it.
+func SizeEngine(mode Mode) EngineConfig[*countmin.Sketch] {
+	return EngineConfig[*countmin.Sketch]{Design: "size", Mode: mode, Additive: true, Sub: (*countmin.Sketch).SubSketch}
+}
 
 // SizePoint is one measurement point running the flow-size design. Safe
 // for concurrent use (see Point).
@@ -50,16 +52,9 @@ func newSizePoint(id int, p countmin.Params, mode SizeMode, shards int) (*SizePo
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if mode != SizeModeCumulative && mode != SizeModeDelta {
-		return nil, fmt.Errorf("core: invalid size mode %d", mode)
-	}
-	pt, err := NewPoint[*countmin.Sketch](id, func() *countmin.Sketch { return countmin.New(p) },
-		EngineConfig[*countmin.Sketch]{
-			Design:   "size",
-			Mode:     mode,
-			Additive: true,
-			Shards:   shards,
-		})
+	cfg := SizeEngine(mode)
+	cfg.Shards = shards
+	pt, err := NewPoint(id, func() *countmin.Sketch { return countmin.New(p) }, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -108,12 +103,7 @@ func NewSizeCenter(windowN int, points map[int]countmin.Params, mode SizeMode) (
 		}
 		protos[id] = countmin.New(p)
 	}
-	ctr, err := NewCenter(windowN, protos, EngineConfig[*countmin.Sketch]{
-		Design:   "size",
-		Mode:     mode,
-		Additive: true,
-		Sub:      subCountMin,
-	})
+	ctr, err := NewCenter(windowN, protos, SizeEngine(mode))
 	if err != nil {
 		return nil, err
 	}

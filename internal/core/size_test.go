@@ -76,7 +76,7 @@ func (c *sizeCluster) runEpoch(t *testing.T, k int64, packets [][]uint64) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := pt.ApplyAggregate(agg); err != nil {
+		if err := pt.ApplyAggregateCovAt(k+1, agg, 0); err != nil {
 			t.Fatal(err)
 		}
 		if c.enhance {
@@ -84,7 +84,7 @@ func (c *sizeCluster) runEpoch(t *testing.T, k int64, packets [][]uint64) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := pt.ApplyEnhancement(enh); err != nil {
+			if err := pt.ApplyEnhancementAt(k+1, enh); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -346,7 +346,7 @@ func TestSizePointValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pt.ApplyAggregate(nil); err != nil {
+	if err := pt.ApplyAggregateCovAt(1, nil, 0); err != nil {
 		t.Fatal("nil aggregate must be a no-op")
 	}
 	if pt.Mode() != SizeModeCumulative || pt.ID() != 0 {

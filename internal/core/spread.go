@@ -27,6 +27,7 @@ type SpreadSketch[S any] interface {
 // merge discipline. Safe for concurrent use (see Point).
 type SpreadPoint[S SpreadSketch[S]] struct {
 	*Point[S]
+	params rskt.Params
 }
 
 // NewSpreadPointOf creates a measurement point whose sketches are built by
@@ -39,15 +40,20 @@ func NewSpreadPointOf[S SpreadSketch[S]](id int, fresh func() S) (*SpreadPoint[S
 // newSpreadPointOf is NewSpreadPointOf with an explicit
 // EngineConfig.Shards.
 func newSpreadPointOf[S SpreadSketch[S]](id int, fresh func() S, shards int) (*SpreadPoint[S], error) {
-	pt, err := NewPoint[S](id, fresh, EngineConfig[S]{
-		Design: "spread",
-		Mode:   ModeDelta,
-		Shards: shards,
-	})
+	cfg := SpreadEngine[S]()
+	cfg.Shards = shards
+	pt, err := NewPoint(id, fresh, cfg)
 	if err != nil {
 		return nil, err
 	}
 	return &SpreadPoint[S]{Point: pt}, nil
+}
+
+// SpreadEngine is the spread design's engine discipline: delta uploads
+// under the non-additive (register-max) merge. Every spread point, center
+// and relay is built with it.
+func SpreadEngine[S SpreadSketch[S]]() EngineConfig[S] {
+	return EngineConfig[S]{Design: "spread", Mode: ModeDelta}
 }
 
 // NewSpreadPoint creates the paper's rSkt2(HLL)-backed measurement point.
@@ -57,14 +63,15 @@ func NewSpreadPoint(id int, p rskt.Params) (*SpreadPoint[*rskt.Sketch], error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return NewSpreadPointOf(id, func() *rskt.Sketch { return rskt.New(p) })
+	pt, err := NewSpreadPointOf(id, func() *rskt.Sketch { return rskt.New(p) })
+	if err != nil {
+		return nil, err
+	}
+	pt.params = p
+	return pt, nil
 }
 
-// Params returns the point's sketch parameters (rSkt2-backed points only;
-// generic callers use Sketch().Width()/Compatible()).
-func (p *SpreadPoint[S]) Params() rskt.Params {
-	if sk, ok := any(p.c).(*rskt.Sketch); ok {
-		return sk.Params()
-	}
-	return rskt.Params{}
-}
+// Params returns the parameters NewSpreadPoint was given (the zero value
+// for a point built by NewSpreadPointOf; generic callers use
+// NewSketch().Width()/Compatible()).
+func (p *SpreadPoint[S]) Params() rskt.Params { return p.params }

@@ -92,7 +92,7 @@ func (c *spreadCluster) runEpoch(t *testing.T, k int64, packets [][]pkt) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := pt.ApplyAggregate(agg); err != nil {
+		if err := pt.ApplyAggregateCovAt(k+1, agg, 0); err != nil {
 			t.Fatal(err)
 		}
 		if c.enhance {
@@ -100,7 +100,7 @@ func (c *spreadCluster) runEpoch(t *testing.T, k int64, packets [][]pkt) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := pt.ApplyEnhancement(enh); err != nil {
+			if err := pt.ApplyEnhancementAt(k+1, enh); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -331,10 +331,10 @@ func TestSpreadAggregateNilAtStartup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pt.ApplyAggregate(nil); err != nil {
+	if err := pt.ApplyAggregateCovAt(1, nil, 0); err != nil {
 		t.Fatal("nil aggregate must be a no-op")
 	}
-	if err := pt.ApplyEnhancement(nil); err != nil {
+	if err := pt.ApplyEnhancementAt(1, nil); err != nil {
 		t.Fatal("nil enhancement must be a no-op")
 	}
 }

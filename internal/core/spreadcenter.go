@@ -19,10 +19,7 @@ type SpreadCenter[S SpreadSketch[S]] struct {
 // mutually compatible, and the maximum width must be a multiple of every
 // width (power-of-two-ratio widths satisfy this).
 func NewSpreadCenterOf[S SpreadSketch[S]](windowN int, protos map[int]S) (*SpreadCenter[S], error) {
-	ctr, err := NewCenter(windowN, protos, EngineConfig[S]{
-		Design: "spread",
-		Mode:   ModeDelta,
-	})
+	ctr, err := NewCenter(windowN, protos, SpreadEngine[S]())
 	if err != nil {
 		return nil, err
 	}

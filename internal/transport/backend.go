@@ -10,11 +10,12 @@ import (
 
 // The one place a Kind becomes code: backendFor maps the design and the
 // shared sketch parameters to a width→prototype function plus the
-// design's core.EngineConfig, and enginesOf turns that pair into the
-// point, center and relay constructors. The size design runs CountMin and
-// the spread design the paper's rSkt2(HLL). Every engine of every role is
-// built here, so the choice cannot fork; `make lint` fails if a sketch
-// constructor appears in any other non-test transport file.
+// design's core.EngineConfig (core.SizeEngine, core.SpreadEngine), and
+// enginesOf turns that pair into the point, center and relay
+// constructors. The size design runs CountMin and the spread design the
+// paper's rSkt2(HLL). Every engine of every role is built here, so the
+// choice cannot fork; `make lint` fails if a sketch constructor appears
+// in any other non-test transport file.
 
 // engines builds one backend's protocol engines.
 type engines struct {
@@ -35,7 +36,7 @@ func backendFor(kind Kind, m, d int, seed uint64, delta bool) (engines, error) {
 				return nil, err
 			}
 			return rskt.New(p), nil
-		}, core.EngineConfig[*rskt.Sketch]{Design: "spread", Mode: core.ModeDelta}, cellIndex[*rskt.Sketch]{
+		}, core.SpreadEngine[*rskt.Sketch](), cellIndex[*rskt.Sketch]{
 			index: rskt.AppendIndex,
 			check: func(enc, idx []byte, w int) error {
 				return rskt.CheckEncoded(enc, idx, w, m)
@@ -55,9 +56,7 @@ func backendFor(kind Kind, m, d int, seed uint64, delta bool) (engines, error) {
 				return nil, err
 			}
 			return countmin.New(p), nil
-		}, core.EngineConfig[*countmin.Sketch]{
-			Design: "size", Mode: mode, Additive: true, Sub: (*countmin.Sketch).SubSketch,
-		}, cellIndex[*countmin.Sketch]{
+		}, core.SizeEngine(mode), cellIndex[*countmin.Sketch]{
 			index: countmin.AppendIndex,
 			check: func(enc, idx []byte, w int) error {
 				return countmin.CheckEncoded(enc, idx, d, w)

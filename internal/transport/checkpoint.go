@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/core"
 	"repro/internal/durable"
 )
 
@@ -18,24 +17,20 @@ import (
 //
 // A point writes three sections at each epoch boundary:
 //
-//	"state"   — the TQST2 snapshot (epoch + B/C/C' sketches, state.go)
-//	"meta"    — the degradation accounting RestoreSnapshot cannot carry:
-//	            push-lineage flags, staged/current coverage, topology,
-//	            and the rebase marker
+//	"state"   — the TQST2 epoch and B/C/C' sketches (state.go)
+//	"meta"    — the push-lineage flags, staged and current coverage,
+//	            topology, and the rebase marker (state.go)
 //	"uploads" — the retransmit buffer, sent history included, so a
 //	            restarted point can replay epochs a restarted center lost
 //
-// The state section alone restores sketches but assumes a healthy lineage;
-// meta makes the restore honest — a re-pushed aggregate is applied or
-// rejected exactly as the pre-crash process would have, and queries report
-// the coverage the window really has. A center writes one "center" section
-// (centerstate.go) and a relay one "relay" section (relaystate.go); both
-// open with the topology header below.
+// state and meta are one core.PointState, written from one ExportState
+// and restored by one ImportState: a re-pushed aggregate is applied or
+// rejected exactly as the pre-crash process would have, and queries
+// report the coverage the window really has. A center writes one
+// "center" section (centerstate.go) and a relay one "relay" section
+// (relaystate.go); both open with the topology header below.
 
-const (
-	pointMetaVersion    = 1
-	pointUploadsVersion = 1
-)
+const pointUploadsVersion = 1
 
 // ckptMagic opens every center and relay section.
 var ckptMagic = []byte("TQCK1")
@@ -212,24 +207,15 @@ func (c *PointClient) saveCheckpointLocked() {
 }
 
 func (c *PointClient) checkpointSectionsLocked() ([]durable.Section, error) {
-	state, err := c.eng.saveState()
+	state, meta, err := c.eng.saveState(c.needRebase)
 	if err != nil {
 		return nil, err
 	}
-	meta := c.eng.Meta()
-	var m appender
-	m.u8(pointMetaVersion)
-	m.u32(c.up.points)
-	m.u32(c.up.windowN)
-	m.flags(meta.AggApplied, meta.AggAppliedPrev, meta.EnhApplied, meta.Backfilled, c.needRebase)
-	m.i64(int64(meta.CovMerged))
-	m.i64(int64(meta.Cov.EpochsMerged))
-	m.i64(int64(meta.Cov.EpochsExpected))
 	var u appender
 	u.uploads(c.up.pending)
 	return []durable.Section{
 		{Name: "state", Data: state},
-		{Name: "meta", Data: m.b},
+		{Name: "meta", Data: meta},
 		{Name: "uploads", Data: u.b},
 	}, nil
 }
@@ -274,67 +260,33 @@ func (r *reader) uploads(id int) []pendingUpload {
 	return pending
 }
 
-// restoreCheckpoint rebuilds the point from a loaded checkpoint: sketches
-// and epoch first (loadState), then the honest accounting (RestoreMeta
-// overriding loadState's healthy-lineage assumption), then the retransmit
-// buffer. Every section is parsed before anything is restored, so a
-// malformed checkpoint fails DialPoint without touching the point. Called
-// from DialPoint before the first connect.
+// restoreCheckpoint rebuilds the point from a loaded checkpoint: the
+// retransmit buffer is parsed first, then the state and meta sections are
+// parsed and installed in one step (loadState), then the buffer and the
+// rebase marker are installed. A malformed checkpoint fails DialPoint
+// without touching the point. Called from DialPoint before the first
+// connect.
 func (c *PointClient) restoreCheckpoint(sections []durable.Section) error {
 	bySection := make(map[string][]byte, len(sections))
 	for _, sec := range sections {
 		bySection[sec.Name] = sec.Data
 	}
-	state, ok := bySection["state"]
-	if !ok {
-		return fmt.Errorf("checkpoint has no state section")
+	for _, name := range []string{"state", "meta", "uploads"} {
+		if _, ok := bySection[name]; !ok {
+			return fmt.Errorf("checkpoint has no %s section", name)
+		}
 	}
-
-	mbuf, ok := bySection["meta"]
-	if !ok {
-		return fmt.Errorf("checkpoint has no meta section")
-	}
-	m := reader{b: mbuf}
-	if v := m.u8(); m.err == nil && v != pointMetaVersion {
-		return fmt.Errorf("meta section version %d, want %d", v, pointMetaVersion)
-	}
-	points, windowN := m.u32(), m.u32()
-	flags := m.flags(5)
-	meta := core.PointMeta{
-		TopoPoints:     points,
-		TopoN:          windowN,
-		AggApplied:     flags&(1<<0) != 0,
-		AggAppliedPrev: flags&(1<<1) != 0,
-		EnhApplied:     flags&(1<<2) != 0,
-		Backfilled:     flags&(1<<3) != 0,
-		CovMerged:      int(m.i64()),
-		Cov: core.Coverage{
-			EpochsMerged:   int(m.i64()),
-			EpochsExpected: int(m.i64()),
-		},
-	}
-	if err := m.done(); err != nil {
-		return fmt.Errorf("malformed meta section: %w", err)
-	}
-
-	ubuf, ok := bySection["uploads"]
-	if !ok {
-		return fmt.Errorf("checkpoint has no uploads section")
-	}
-	u := reader{b: ubuf}
+	u := reader{b: bySection["uploads"]}
 	pending := u.uploads(c.cfg.Point)
 	if err := u.done(); err != nil {
 		return fmt.Errorf("malformed uploads section: %w", err)
 	}
-
-	if err := c.eng.loadState(state); err != nil {
+	rebase, err := c.eng.loadState(bySection["state"], bySection["meta"])
+	if err != nil {
 		return err
 	}
-	c.eng.RestoreMeta(meta)
 	c.mu.Lock()
-	c.up.points = points
-	c.up.windowN = windowN
-	c.needRebase = flags&(1<<4) != 0
+	c.needRebase = rebase
 	c.up.pending = pending
 	c.mu.Unlock()
 	return nil

@@ -101,16 +101,13 @@ func (p *sketchPool[S]) use(point int, data []byte, f func(S) error) error {
 // methods whose signatures name no sketch.
 type pointNode interface {
 	SetTopology(points, windowN int)
-	AdvanceTo(epoch int64)
-	ResetWindow()
+	Rejoin(epoch int64) bool
 	Epoch() int64
 	Coverage() core.Coverage
 	Record(f, e uint64)
 	RecordBatch(ps []core.SpreadPacket)
 	Query(f uint64) float64
 	QueryWithCoverage(f uint64) (float64, core.Coverage)
-	Meta() core.PointMeta
-	RestoreMeta(m core.PointMeta)
 }
 
 // pointEngine is the design-erased measurement point the PointClient
@@ -134,8 +131,11 @@ type pointEngine interface {
 	// flow-sharded point set. Peers must be engines of the same design and
 	// backend (sharded sub-points are config clones, so they always are).
 	queryUnionCov(f uint64, peers []pointEngine) (float64, core.Coverage, error)
-	saveState() ([]byte, error)
-	loadState(data []byte) error
+	// saveState encodes the point's state as the checkpoint's state and
+	// meta sections, with the client's rebase marker in meta; loadState
+	// parses both and installs them, rebase marker returned, in one step.
+	saveState(rebase bool) (state, meta []byte, err error)
+	loadState(state, meta []byte) (rebase bool, err error)
 }
 
 // IngestPipe is one worker's private ingest lane into the point

@@ -209,16 +209,11 @@ func DialPoint(cfg PointConfig) (*PointClient, error) {
 // buffer (already requeued past Welcome.PointEpoch) or needs a rebase
 // upload. Runs with c.mu held, as part of the handshake.
 func (c *PointClient) applyWelcomeLocked(w Welcome) {
-	advanced := false
 	c.eng.SetTopology(w.Points, w.WindowN)
-	if w.ResumeEpoch > c.eng.Epoch() {
-		c.eng.AdvanceTo(w.ResumeEpoch)
-		// The window the point held belongs to epochs the cluster has
-		// moved past; merging it under the new epoch would double-count
-		// against the backfill aggregate the center is about to send.
-		c.eng.ResetWindow()
-		advanced = true
-	}
+	// A point behind the cluster clock drops the window it held: merging
+	// it under the new epoch would double-count against the backfill
+	// aggregate the center is about to send.
+	advanced := c.eng.Rejoin(w.ResumeEpoch)
 	if !c.eng.cumulative() {
 		return
 	}
@@ -424,7 +419,7 @@ func (c *PointClient) Close() error {
 
 // apply merges one push. Pushes that miss their epoch are dropped: merging
 // a stale aggregate into the wrong epoch's C' would corrupt the window.
-// The epoch check happens under the point's lock (ApplyAggregateAt), so a
+// The epoch check happens under the point's lock (ApplyAggregateCovAt), so a
 // concurrent EndEpoch cannot slip between check and merge. Backfill pushes
 // (IntoCurrent) go straight into the query target C, rebuilding the window
 // a restart lost.

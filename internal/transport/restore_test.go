@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/countmin"
 	"repro/internal/durable"
 	"repro/internal/rskt"
@@ -51,6 +52,10 @@ func TestRestoreCheckpointRejectsMalformedSections(t *testing.T) {
 	binary.LittleEndian.PutUint32(overCount[1:5], binary.LittleEndian.Uint32(uploads[1:5])+1)
 	wrongVersion := bytes.Clone(section("meta"))
 	wrongVersion[0] = pointMetaVersion + 1
+	// The epoch follows the TQST2 magic and the kind byte.
+	epochOff := len(stateMagic) + 1
+	wrappingEpoch := bytes.Clone(section("state"))
+	binary.LittleEndian.PutUint64(wrappingEpoch[epochOff:], uint64(core.EpochLimit))
 
 	for _, tc := range []struct {
 		name    string
@@ -59,6 +64,7 @@ func TestRestoreCheckpointRejectsMalformedSections(t *testing.T) {
 		{"missing state", map[string][]byte{"state": nil}},
 		{"missing meta", map[string][]byte{"meta": nil}},
 		{"missing uploads", map[string][]byte{"uploads": nil}},
+		{"epoch outside the epoch rule", map[string][]byte{"state": wrappingEpoch}},
 		{"empty meta", map[string][]byte{"meta": {}}},
 		{"short meta", map[string][]byte{"meta": section("meta")[:len(section("meta"))-1]}},
 		{"wrong-version meta", map[string][]byte{"meta": wrongVersion}},
@@ -146,18 +152,18 @@ func TestLegacyInputsRejected(t *testing.T) {
 			for e := uint64(0); e < 40; e++ {
 				src.eng.Record(7, e)
 			}
-			state, err := src.eng.saveState()
+			state, meta, err := src.eng.saveState(false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := freshPoint(t, KindSpread).eng.loadState(state); err != nil {
+			if _, err := freshPoint(t, KindSpread).eng.loadState(state, meta); err != nil {
 				t.Fatalf("control: TQST2 state does not load: %v", err)
 			}
 			old := bytes.Clone(state)
 			copy(old, "TQST1")
 			c := freshPoint(t, KindSpread)
 			epoch, answer := c.Epoch(), c.eng.Query(7)
-			err = c.eng.loadState(old)
+			_, err = c.eng.loadState(old, meta)
 			return err, c.Epoch() == epoch && c.eng.Query(7) == answer
 		}},
 	} {

@@ -43,7 +43,7 @@ func TestSpreadStateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	state, err := pc.eng.saveState()
+	state, meta, err := pc.eng.saveState(false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestSpreadStateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pc2.Close()
-	if err := pc2.eng.loadState(state); err != nil {
+	if _, err := pc2.eng.loadState(state, meta); err != nil {
 		t.Fatal(err)
 	}
 	if pc2.Epoch() != pc.Epoch() {
@@ -78,7 +78,7 @@ func TestSizeStateRoundTrip(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		pc.Record(3, 0)
 	}
-	state, err := pc.eng.saveState()
+	state, meta, err := pc.eng.saveState(false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestSizeStateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pc2.Close()
-	if err := pc2.eng.loadState(state); err != nil {
+	if _, err := pc2.eng.loadState(state, meta); err != nil {
 		t.Fatal(err)
 	}
 	got, err := pc2.QuerySize(3)
@@ -105,7 +105,7 @@ func TestLoadStateRejectsMismatch(t *testing.T) {
 	srvA, pcA := newStatePair(t, KindSpread)
 	defer srvA.Close()
 	defer pcA.Close()
-	state, err := pcA.eng.saveState()
+	state, meta, err := pcA.eng.saveState(false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,13 +113,13 @@ func TestLoadStateRejectsMismatch(t *testing.T) {
 	srvB, pcB := newStatePair(t, KindSize)
 	defer srvB.Close()
 	defer pcB.Close()
-	if err := pcB.eng.loadState(state); err == nil {
+	if _, err := pcB.eng.loadState(state, meta); err == nil {
 		t.Fatal("expected kind-mismatch error")
 	}
-	if err := pcB.eng.loadState([]byte("garbage!")); err == nil {
+	if _, err := pcB.eng.loadState([]byte("garbage!"), meta); err == nil {
 		t.Fatal("expected magic error")
 	}
-	if err := pcB.eng.loadState(nil); err == nil {
+	if _, err := pcB.eng.loadState(nil, meta); err == nil {
 		t.Fatal("expected truncation error")
 	}
 }
