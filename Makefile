@@ -80,16 +80,23 @@ test-race:
 # what the float per-register loops they replaced gave, and that the
 # center's trim per floor step holds exactly the cells a full walk on every
 # receive would, and that the per-epoch merger a center and a relay share
-# holds at most n + 2 rounds of barrier state while a child stays silent.
+# holds at most n + 2 rounds of barrier state while a child stays silent,
+# that the epoch log's feed encodes a held cumulative-size cell outside
+# the center lock while receives and trims run, and the 32-bit CountMin
+# counters' edges: cumulative recovery stays exact across a wrap of the
+# point's C and of one sketch's counters, a window past 2^31 packets per
+# counter reads what DESIGN.md §4 says, CompressTo folds negative counters
+# to zero, and a counter varint past the 32-bit range is refused.
 # Race builds run internal/hll's portable register kernels,
 # not the SSE2 assembly, whose writes the race detector cannot see: that is
 # what lets TestMarshalPartialRacesLateUpload report a late cell merged
 # into a frozen partial as a data race.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=1 -run '^(TestJoinIsLinearPerRound|TestEndEpochFoldsEachLaneOnce|TestReplayWindowMatchesMergeReference|TestEpochPartialDoesNotAliasCells|TestReceiveJoinMatchesReference|TestMarshalPartialRacesLateUpload|TestHistoryAggregateSpanEdges|TestCheckEpochBounds|TestUploadEpochRule|TestHistoryReplayCacheCells|TestTrimMatchesFullWalk|TestBarrierStateBounded)$$' ./internal/core
+	$(GO) test -race -count=1 -run '^(TestJoinIsLinearPerRound|TestEndEpochFoldsEachLaneOnce|TestReplayWindowMatchesMergeReference|TestEpochPartialDoesNotAliasCells|TestReceiveJoinMatchesReference|TestMarshalPartialRacesLateUpload|TestHistoryAggregateSpanEdges|TestCheckEpochBounds|TestUploadEpochRule|TestHistoryReplayCacheCells|TestTrimMatchesFullWalk|TestBarrierStateBounded|TestMarshalUploadRacesReceive|TestSizeRecoveryExactAcrossCounterWrap|TestSizeWindowPastCounterBound)$$' ./internal/core
 	$(GO) test -race -count=1 -run '^TestLogGetEpochVisitRunsUnlocked$$' ./internal/durable
 	$(GO) test -race -count=1 -run '^(TestFlowProjectionMatchesDecode|TestProjectRejectsHostileIndex)$$' ./internal/rskt ./internal/countmin
+	$(GO) test -race -count=1 -run '^(TestSubSketchExactAcrossWrap|TestCompressToFoldsNegativeToZero|TestEstimatePastCounterBound|TestProjectRefusesCounterPastRange)$$' ./internal/countmin
 	$(GO) test -race -count=1 -run '^TestEstimateMatchesFloatReference$$' ./internal/hll
 	$(GO) test -race -count=1 -run '^TestEstimateUnionMatchesReference$$' ./internal/rskt ./internal/vhll
 	$(GO) test -race -count=1 -run '^(TestPersistedPartialMatchesCells|TestHistoryModelMatchesNaiveReplay|TestCenterStateImportRejectsForeignShape|TestPointWelcomeEpochRule|TestColdEpochAllocatesNoWideSketch|TestPreviousLayoutPartialFallsBackToCells|TestPreviousLayoutWidePartial)$$' ./internal/transport
@@ -157,8 +164,10 @@ store-test:
 # (a hostile index or cell must not panic or allocate beyond a bound, and
 # a true index must read what the full decode gives), the sketch and
 # trace binary decoders (each sketch has one encoding; an accepted input
-# must re-encode to the same bytes, and the hll compact target covers the
-# register layouts the wire and checkpoints carry), the SWAR merge
+# must re-encode to the same bytes, the hll compact target covers the
+# register layouts the wire and checkpoints carry, and the CountMin and
+# partial-cell corpora seed counter varints just past the 32-bit range,
+# which both decoders and the projection refuse), the SWAR merge
 # against its scalar model, and the rSkt2 spread estimate on arbitrary
 # registers against its per-register reference.
 fuzz-short:

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -18,16 +19,30 @@ import (
 
 // hammerPoint runs every writer and every fold point of one point at once:
 // shared-lane singles and batches, a private recorder that closes, queries,
-// epoch rolls, center pushes, an export/import loop, and extra, when
-// set, in a loop for as long as epochs roll.
+// center pushes, an export/import loop, and extra, when set, each in a
+// loop for as long as the epoch rolls run. The rolls start once every
+// loop has run a step, and no loop stops before they end, so no step can
+// finish before the rolls begin and hide a race.
 func hammerPoint[S Sketch[S]](t *testing.T, pt *Point[S], agg S, extra func()) {
-	var wg sync.WaitGroup
-	run := func(n int, step func(i int)) {
+	const rolls = 50
+	var wg, started sync.WaitGroup
+	rolled := make(chan struct{})
+	run := func(step func(i int)) {
 		wg.Add(1)
+		started.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < n; i++ {
+			for i := 0; ; i++ {
 				step(i)
+				if i == 0 {
+					started.Done()
+				}
+				select {
+				case <-rolled:
+					return
+				default:
+					runtime.Gosched() // let the rolls in
+				}
 			}
 		}()
 	}
@@ -38,49 +53,34 @@ func hammerPoint[S Sketch[S]](t *testing.T, pt *Point[S], agg S, extra func()) {
 		}
 		return ps
 	}
+	run(func(i int) { pt.Record(uint64(i%50), uint64(i)) })
+	run(func(i int) { pt.RecordBatch(batch(i)) })
+	run(func(i int) { pt.RecordBatchFlows([]uint64{uint64(i), uint64(i + 1)}) })
+	// A private recorder that closes while the rolls run, then a fresh
+	// one, so both its writes and its close race the fold points.
 	rec := pt.NewRecorder()
-	run(2000, func(i int) { pt.Record(uint64(i%50), uint64(i)) })
-	run(30, func(i int) { pt.RecordBatch(batch(i)) })
-	run(30, func(i int) { pt.RecordBatchFlows([]uint64{uint64(i), uint64(i + 1)}) })
-	run(2000, func(i int) {
+	run(func(i int) {
 		rec.Record(uint64(i%50), uint64(i))
 		if i%100 == 0 {
 			rec.RecordBatch(batch(i))
 		}
-		if i == 1999 {
+		if i%50 == 49 {
 			rec.Close()
+			rec = pt.NewRecorder()
 		}
 	})
-	run(2000, func(i int) { _ = pt.Query(uint64(i % 50)) })
-	rolled := make(chan struct{})
-	run(50, func(i int) {
-		_ = pt.EndEpoch()
-		if i == 49 {
-			close(rolled)
-		}
-	})
+	run(func(i int) { _ = pt.Query(uint64(i % 50)) })
 	if extra != nil {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-rolled:
-					return
-				default:
-					extra()
-				}
-			}
-		}()
+		run(func(int) { extra() })
 	}
-	run(20, func(int) {
+	run(func(int) {
 		// A checkpoint restore racing live ingest: the restore resets
 		// every lane a writer may be inside.
 		if err := pt.ImportState(pt.ExportState()); err != nil {
 			t.Errorf("restore: %v", err)
 		}
 	})
-	run(200, func(i int) {
+	run(func(i int) {
 		// Target a bogus epoch about half the time; stale pushes must
 		// be rejected, not merged.
 		err := pt.ApplyAggregateCovAt(int64(i%100), agg, 1)
@@ -91,7 +91,13 @@ func hammerPoint[S Sketch[S]](t *testing.T, pt *Point[S], agg S, extra func()) {
 			t.Errorf("unexpected apply error: %v", err)
 		}
 	})
+	started.Wait()
+	for i := 0; i < rolls; i++ {
+		_ = pt.EndEpoch()
+	}
+	close(rolled)
 	wg.Wait()
+	rec.Close()
 }
 
 func TestPointConcurrentAccess(t *testing.T) {

@@ -329,14 +329,16 @@ func (c *Center[S]) QueryWindowLive(f uint64, k int64) (float64, Coverage, error
 
 // MarshalUpload encodes the stored single-epoch measurement for (point,
 // epoch) — the uploaded sketch for max-merge designs, the recovered
-// delta for additive ones — under the center lock. ok is false when the
-// center holds no such cell (not yet uploaded, or already trimmed).
+// delta for additive ones. ok is false when the center holds no such cell
+// (not yet uploaded, or already trimmed). A held cell is never mutated
+// (a round clones what it merges into, recovery only reads the previous
+// cell, a trim only unlinks it), so only the lookup holds the center lock.
 // This is the epoch log's feed: enc must be the canonical encoder so the
 // logged bytes are deterministic.
 func (c *Center[S]) MarshalUpload(point int, epoch int64, enc func(S) ([]byte, error)) ([]byte, bool, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	sk, ok := c.uploads[point][epoch]
+	c.mu.Unlock()
 	if !ok {
 		return nil, false, nil
 	}

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/countmin"
@@ -423,6 +425,77 @@ func TestMarshalPartialRacesLateUpload(t *testing.T) {
 	}
 	if !bytes.Equal(b, compactBytes(t, want.sk)) {
 		t.Fatal("the partial after the late uploads differs from the join of every held cell")
+	}
+}
+
+// TestMarshalUploadRacesReceive encodes held cells of the cumulative size
+// design outside the center lock while the rounds that hold, read and
+// trim them run: receives that recover each epoch from the previous cell,
+// pushes, and the trim of every cell that leaves the window. Every cell
+// the center hands out must encode to the canonical bytes of its epoch's
+// packets (run under -race: a write into a cell being encoded is a race).
+func TestMarshalUploadRacesReceive(t *testing.T) {
+	const (
+		n, p, w, d = 3, 4, 64, 4
+		epochs     = 40
+	)
+	packets := genEpochSizePackets(p, epochs, 30, 13)
+	c := newSizeCluster(t, n, []int{w, w, w, w}, d, 5, SizeModeCumulative, false)
+	want := make([][][]byte, epochs+1)
+	for k := 1; k <= epochs; k++ {
+		for x := 0; x < p; x++ {
+			cell := countmin.New(c.points[x].Params())
+			for _, f := range packets[k-1][x] {
+				cell.Record(f, 0)
+			}
+			want[k] = append(want[k], compactBytes(t, cell))
+		}
+	}
+	// cur is the last epoch run; passes counts the encoder's sweeps, so
+	// every round waits for one sweep that may overlap the next.
+	var cur, passes, encoded atomic.Int64
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			k := cur.Load()
+			for e := max(1, k-n-2); e <= k+1 && e <= epochs; e++ {
+				for x := 0; x < p; x++ {
+					b, ok, err := c.center.MarshalUpload(x, e, (*countmin.Sketch).MarshalBinaryCompact)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if ok && !bytes.Equal(b, want[e][x]) {
+						t.Errorf("cell (%d, %d): the encoding is not the epoch's packets", x, e)
+						return
+					}
+					if ok {
+						encoded.Add(1)
+					}
+				}
+			}
+			passes.Add(1)
+		}
+	}()
+	for k := 1; k <= epochs; k++ {
+		c.runEpoch(t, int64(k), packets[k-1])
+		cur.Store(int64(k))
+		for p0 := passes.Load(); passes.Load() < p0+2 && !t.Failed(); {
+			runtime.Gosched()
+		}
+	}
+	close(done)
+	wg.Wait()
+	if encoded.Load() == 0 {
+		t.Fatal("no held cell was encoded while the rounds ran")
 	}
 }
 

@@ -260,10 +260,10 @@ func TestHistoryReplayCacheBudgetEviction(t *testing.T) {
 	// per joined id, and its decoded sketch's heap at wMax — so a budget of
 	// k charges holds exactly k partials. Spread: 2 rows × 64 columns ×
 	// 16 one-byte registers over three points; size: 4 rows × 64
-	// eight-byte counters over two.
+	// four-byte counters over two.
 	checkReplayCharge(t, ctr.Center, src, epochs, 64+3*8+2*64*16)
 	sizeCtr, sizeSrc, _ := sizeReplayFixture(t, epochs)
-	checkReplayCharge(t, sizeCtr.Center, sizeSrc, epochs, 64+2*8+4*64*8)
+	checkReplayCharge(t, sizeCtr.Center, sizeSrc, epochs, 64+2*8+4*64*4)
 }
 
 // checkReplayCharge replays every epoch of src under a budget of three

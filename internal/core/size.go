@@ -7,9 +7,10 @@ import (
 // The flow-size design as a thin instantiation of the generic epoch
 // engine: CountMin sketches under the additive (counter-add) merge
 // discipline, with the paper's cumulative-upload mode or the ablation's
-// delta mode. SizePoint and SizeCenter keep the historical int64-valued
-// query surface and parameter-keyed construction; the epoch choreography,
-// coverage accounting and durable state live in Point/Center.
+// delta mode. SizePoint and SizeCenter add an integer query surface (a
+// count as int64, read from 32-bit counters) and parameter-keyed
+// construction; the epoch choreography, coverage accounting and durable
+// state live in Point/Center.
 
 // SizeMode selects how a size measurement point uploads its per-epoch
 // data. It is the generic engine's Mode under its historical name.
@@ -72,9 +73,9 @@ func (p *SizePoint) Record(f uint64) { p.Point.Record(f, 0) }
 func (p *SizePoint) RecordBatch(fs []uint64) { p.Point.RecordBatchFlows(fs) }
 
 // Query answers the approximate real-time networkwide T-query for flow f
-// from the local C sketch plus the not-yet-folded ingest lanes. CountMin
-// counters are exact integers well below 2^53, so the generic engine's
-// float-valued fold converts back to int64 losslessly.
+// from the local C sketch plus the not-yet-folded ingest lanes. A CountMin
+// estimate is a 32-bit counter clamped at zero, so the generic engine's
+// float-valued answer converts back to int64 exactly.
 func (p *SizePoint) Query(f uint64) int64 { return int64(p.Point.Query(f)) }
 
 // QueryWithCoverage answers Query(f) together with the coverage of the

@@ -12,10 +12,19 @@
 // (the U operator for size, eq. (12)), subtraction (epoch recovery from
 // cumulative uploads, Section V-B), and the expand/compress column
 // operations of the nonuniform spatial join (Section V-C).
+//
+// A counter is a 32-bit two's-complement integer, the width the paper's
+// memory accounting charges (CounterBits), so a sketch holds exactly its
+// memory label. Every counter operation is exact modulo 2^32: each value
+// in [-2^31, 2^31) reads as itself, so a counter counts up to 2^31 - 1
+// packets per window, and the center's recovery by subtraction stays
+// exact across a wrap of the cumulative counters it subtracts, as long as
+// one epoch adds fewer than 2^31 packets to a counter.
 package countmin
 
 import (
 	"fmt"
+	"math"
 	"unsafe"
 
 	"repro/internal/prefetch"
@@ -66,11 +75,11 @@ func WidthForMemory(memBits, d int) int {
 // Sketch is a CountMin instance. Not safe for concurrent use.
 type Sketch struct {
 	params Params
-	// rows[i] has W counters. Signed counters: the center's recovery
-	// subtracts sketches, and estimator noise makes tiny negative
-	// intermediate values possible in adversarial use; clamping happens at
-	// query time.
-	rows [][]int64
+	// rows[i] has W 32-bit counters, added and subtracted modulo 2^32.
+	// Signed counters: the center's recovery subtracts sketches, so a
+	// hostile or inconsistent upload can leave a negative counter;
+	// clamping happens at query time.
+	rows [][]int32
 	// Derived per-packet constants, set by initDerived wherever params are
 	// assigned: the precomputed per-row hash seeds (Hash64's inner
 	// Mix64(seed) for row seeds 1..D) and the multiply-based width modulus.
@@ -102,9 +111,9 @@ func New(p Params) *Sketch {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	rows := make([][]int64, p.D)
+	rows := make([][]int32, p.D)
 	for i := range rows {
-		rows[i] = make([]int64, p.W)
+		rows[i] = make([]int32, p.W)
 	}
 	s := &Sketch{params: p, rows: rows}
 	s.initDerived()
@@ -115,21 +124,22 @@ func New(p Params) *Sketch {
 func (s *Sketch) Params() Params { return s.params }
 
 // Row exposes row i's raw counters for joins and wire encoding.
-func (s *Sketch) Row(i int) []int64 { return s.rows[i] }
+func (s *Sketch) Row(i int) []int32 { return s.rows[i] }
 
 // Record adds one occurrence of flow f. The element argument exists for
 // the sketch algebra's shared signature (core.Sketch); per-flow size
 // ignores which element arrived.
 func (s *Sketch) Record(f, _ uint64) { s.Add(f, 1) }
 
-// Add adds delta occurrences of flow f. The per-row indices are
-// xhash.Index(f^Seed, i+1, W) with the row-seed mix and the division
-// precomputed (bit-identical).
+// Add adds delta occurrences of flow f, modulo 2^32 like every counter
+// operation. The per-row indices are xhash.Index(f^Seed, i+1, W) with the
+// row-seed mix and the division precomputed (bit-identical).
 func (s *Sketch) Add(f uint64, delta int64) {
 	fs := f ^ s.params.Seed
+	d := int32(delta)
 	for i, pre := range s.rowPre {
 		j := s.wDiv.Mod(xhash.Mix64(fs ^ pre))
-		s.rows[i][j] += delta
+		s.rows[i][j] += d
 	}
 }
 
@@ -145,10 +155,11 @@ func (s *Sketch) Slots(f uint64, idx []int) {
 }
 
 // AddSlots adds delta at a previously computed index set (one counter per
-// row, as filled by Slots on a same-parameter sketch).
+// row, as filled by Slots on a same-parameter sketch), modulo 2^32.
 func (s *Sketch) AddSlots(idx []int, delta int64) {
+	d := int32(delta)
 	for i, row := range s.rows {
-		row[idx[i]] += delta
+		row[idx[i]] += d
 	}
 }
 
@@ -193,27 +204,25 @@ func (s *Sketch) RecordAll(fs []uint64, _ []uint64) {
 // the d rows, clamped at zero.
 func (s *Sketch) Estimate(f uint64) int64 {
 	fs := f ^ s.params.Seed
-	est := int64(1<<62 - 1)
+	est := int32(math.MaxInt32)
 	for i, pre := range s.rowPre {
 		j := s.wDiv.Mod(xhash.Mix64(fs ^ pre))
 		if c := s.rows[i][j]; c < est {
 			est = c
 		}
 	}
-	if est < 0 {
-		return 0
-	}
-	return est
+	return max(int64(est), 0)
 }
 
 // EstimateSummed returns the size estimate for flow f over the
 // counter-wise sum of s and extras, without mutating anything:
 // bit-identical to AddSketch-ing every extra into s first and calling
-// Estimate. All extras must share s's parameters (the point's ingest lanes
-// do by construction; behaviour is undefined otherwise).
+// Estimate: the sum is taken modulo 2^32 too. All extras must share s's
+// parameters (the point's ingest lanes do by construction; behaviour is
+// undefined otherwise).
 func (s *Sketch) EstimateSummed(f uint64, extras []*Sketch) int64 {
 	fs := f ^ s.params.Seed
-	est := int64(1<<62 - 1)
+	est := int32(math.MaxInt32)
 	for i, pre := range s.rowPre {
 		j := s.wDiv.Mod(xhash.Mix64(fs ^ pre))
 		c := s.rows[i][j]
@@ -224,16 +233,13 @@ func (s *Sketch) EstimateSummed(f uint64, extras []*Sketch) int64 {
 			est = c
 		}
 	}
-	if est < 0 {
-		return 0
-	}
-	return est
+	return max(int64(est), 0)
 }
 
 // EstimateUnion returns the size estimate for flow f over the counter-wise
 // sum of s and others, as the sketch algebra's float-valued estimator.
-// CountMin counters are exact integers well below 2^53, so the conversion
-// is lossless; EstimateSummed is the integer-typed form.
+// An estimate is below 2^31, so the conversion is exact; EstimateSummed
+// is the integer-typed form.
 func (s *Sketch) EstimateUnion(f uint64, others []*Sketch) float64 {
 	return float64(s.EstimateSummed(f, others))
 }
@@ -269,8 +275,8 @@ func (s *Sketch) SubSketch(o *Sketch) error {
 // addRows/subRows are the word-wise inner loops of the sketch algebra,
 // unrolled four counters per step (with a scalar tail) so the epoch
 // boundary's merge/recover pass streams rows instead of bounds-checking
-// every element.
-func addRows(dst, src []int64) {
+// every element. Both wrap modulo 2^32.
+func addRows(dst, src []int32) {
 	src = src[:len(dst)] // equal lengths by params; helps BCE
 	j := 0
 	for ; j+4 <= len(dst); j += 4 {
@@ -284,7 +290,7 @@ func addRows(dst, src []int64) {
 	}
 }
 
-func subRows(dst, src []int64) {
+func subRows(dst, src []int32) {
 	src = src[:len(dst)]
 	j := 0
 	for ; j+4 <= len(dst); j += 4 {
@@ -361,9 +367,9 @@ func (s *Sketch) MemoryBits() int {
 	return s.params.D * s.params.W * CounterBits
 }
 
-// HeapBytes returns the bytes the sketch's counters hold in memory: eight
-// per counter.
-func (s *Sketch) HeapBytes() int { return 8 * s.params.D * s.params.W }
+// HeapBytes returns the bytes the sketch's counters hold in memory: four
+// per counter, MemoryBits / 8.
+func (s *Sketch) HeapBytes() int { return 4 * s.params.D * s.params.W }
 
 // Width returns the per-row counter count (the dimension that varies under
 // device diversity and that ExpandTo/CompressTo align).

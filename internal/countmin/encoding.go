@@ -3,6 +3,7 @@ package countmin
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -10,8 +11,11 @@ import (
 // (magic, D, W, Seed) followed by the D*W counters row-major as zigzag
 // varints, since a fresh epoch's counters are mostly zero or small (one
 // byte each). It is the only encoding; a payload under any other magic is
-// rejected.
+// rejected, and so is a counter varint outside the 32-bit range.
 const wireMagic = 0xC4
+
+// inCounterRange reports whether a decoded varint fits a 32-bit counter.
+func inCounterRange(v int64) bool { return v >= math.MinInt32 && v <= math.MaxInt32 }
 
 // headerLen is the encoding's fixed header: magic, D, W, Seed.
 const headerLen = 1 + 4 + 4 + 8
@@ -70,12 +74,12 @@ func (s *Sketch) MarshalBinaryCompact() ([]byte, error) {
 				break
 			}
 			// row[j] takes three or more bytes.
-			if need := k + binary.MaxVarintLen64 + 2*((p.D-i)*p.W-j-1); need > len(buf) {
+			if need := k + binary.MaxVarintLen32 + 2*((p.D-i)*p.W-j-1); need > len(buf) {
 				grown := make([]byte, need+len(buf)/4)
 				copy(grown, buf[:k])
 				buf = grown
 			}
-			k += binary.PutVarint(buf[k:], row[j])
+			k += binary.PutVarint(buf[k:], int64(row[j]))
 		}
 	}
 	out := make([]byte, k)
@@ -89,10 +93,10 @@ func (s *Sketch) MarshalBinaryCompact() ([]byte, error) {
 // [-8192, 8192), one or two varint bytes each, into buf, which has two
 // bytes of room for each counter, and returns how many counters it encoded
 // and how many bytes they took.
-func putShort(buf []byte, row []int64) (n, k int) {
+func putShort(buf []byte, row []int32) (n, k int) {
 	for n < len(row) {
 		v := row[n]
-		u := uint64(v<<1) ^ uint64(v>>63) // zigzag
+		u := uint32(v<<1) ^ uint32(v>>31) // zigzag
 		if u >= 1<<14 {
 			break
 		}
@@ -114,11 +118,11 @@ func putShort(buf []byte, row []int64) (n, k int) {
 // byte, and returns how many counters it decoded and how many bytes they
 // took. It stops before anything else, which the caller's binary.Varint
 // path decodes or rejects.
-func getShort(row []int64, body []byte) (n, k int) {
+func getShort(row []int32, body []byte) (n, k int) {
 	for n < len(row) && k+1 < len(body) {
 		b0 := body[k]
 		if b0 < 0x80 {
-			row[n] = int64(b0>>1) ^ -int64(b0&1)
+			row[n] = int32(b0>>1) ^ -int32(b0&1)
 			k++
 			n++
 			continue
@@ -128,8 +132,8 @@ func getShort(row []int64, body []byte) (n, k int) {
 		if b1 >= 0x80 || b1 == 0 {
 			break
 		}
-		u := uint64(b0&0x7f) | uint64(b1)<<7
-		row[n] = int64(u>>1) ^ -int64(u&1)
+		u := uint32(b0&0x7f) | uint32(b1)<<7
+		row[n] = int32(u>>1) ^ -int32(u&1)
 		k += 2
 		n++
 	}
@@ -145,9 +149,10 @@ func getShort(row []int64, body []byte) (n, k int) {
 // contents are unspecified but the sketch stays structurally valid.
 //
 // Only canonical encodings are accepted: a non-minimal varint, a truncated
-// or overflowing one, and trailing bytes are all rejected. One- and
-// two-byte counters, nearly all of them in practice, decode inline; longer
-// ones and a counter in the payload's last byte go through binary.Varint.
+// or overflowing one, one outside the 32-bit counter range, and trailing
+// bytes are all rejected. One- and two-byte counters, nearly all of them
+// in practice, decode inline; longer ones and a counter in the payload's
+// last byte go through binary.Varint.
 func (s *Sketch) UnmarshalBinary(data []byte) error {
 	p, err := parseHeader(data)
 	if err != nil {
@@ -164,11 +169,11 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	}
 	rows := s.rows
 	if len(rows) != d {
-		rows = make([][]int64, d)
+		rows = make([][]int32, d)
 	}
 	for i := range rows {
 		if len(rows[i]) != w {
-			rows[i] = make([]int64, w)
+			rows[i] = make([]int32, w)
 		}
 	}
 	k := 0
@@ -188,7 +193,10 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 			if n > 1 && body[k+n-1] == 0 {
 				return fmt.Errorf("countmin: non-minimal counter varint (row %d, col %d)", i, j)
 			}
-			row[j] = v
+			if !inCounterRange(v) {
+				return fmt.Errorf("countmin: counter %d outside the 32-bit range (row %d, col %d)", v, i, j)
+			}
+			row[j] = int32(v)
 			k += n
 		}
 	}

@@ -110,44 +110,49 @@ func TestDecodeRejectsOtherDimensions(t *testing.T) {
 // codecMix draws one counter value for a TestCodecMatchesReference sketch.
 type codecMix struct {
 	name string
-	draw func(rng *rand.Rand) int64
+	draw func(rng *rand.Rand) int32
 }
 
 // varintBoundaries lists, for every zigzag varint length, the values on
 // both sides of where it grows by a byte (63/64, -64/-65, 8191/8192, ...),
-// up to math.MinInt64 and math.MaxInt64.
-var varintBoundaries = func() []int64 {
-	vals := []int64{0, 1, -1, math.MinInt64, math.MaxInt64, math.MinInt64 + 1, math.MaxInt64 - 1}
-	for k := 1; k <= 9; k++ {
-		lim := int64(1) << (7*k - 1) // zigzag values below 2^(7k) are [-lim, lim)
+// up to math.MinInt32 and math.MaxInt32.
+var varintBoundaries = func() []int32 {
+	vals := []int32{0, 1, -1, math.MinInt32, math.MaxInt32, math.MinInt32 + 1, math.MaxInt32 - 1}
+	for k := 1; k <= 4; k++ {
+		lim := int32(1) << (7*k - 1) // zigzag values below 2^(7k) are [-lim, lim)
 		vals = append(vals, lim-1, lim, -lim, -lim-1)
 	}
 	return vals
 }()
 
+// outOfRange are counter values just past the 32-bit range, and the
+// 64-bit extremes: their varints are well formed, and every decoder must
+// refuse them.
+var outOfRange = []int64{math.MaxInt32 + 1, math.MinInt32 - 1, math.MaxInt32 + 2, math.MinInt32 - 2, math.MaxInt64, math.MinInt64}
+
 var codecMixes = []codecMix{
-	{"one-byte", func(rng *rand.Rand) int64 { return rng.Int63n(128) - 64 }},
-	{"one-two", func(rng *rand.Rand) int64 {
+	{"one-byte", func(rng *rand.Rand) int32 { return rng.Int31n(128) - 64 }},
+	{"one-two", func(rng *rand.Rand) int32 {
 		if rng.Intn(2) == 0 {
-			return rng.Int63n(128) - 64
+			return rng.Int31n(128) - 64
 		}
-		v := 64 + rng.Int63n(8192-64) // a two-byte magnitude
+		v := 64 + rng.Int31n(8192-64) // a two-byte magnitude
 		if rng.Intn(2) == 0 {
 			v = -v - 1
 		}
 		return v
 	}},
-	{"three-byte-tail", func(rng *rand.Rand) int64 {
+	{"three-byte-tail", func(rng *rand.Rand) int32 {
 		switch r := rng.Intn(100); {
 		case r < 90:
-			return rng.Int63n(128) - 64
+			return rng.Int31n(128) - 64
 		case r < 97:
-			return 64 + rng.Int63n(8192-64)
+			return 64 + rng.Int31n(8192-64)
 		default:
-			return 8192 + rng.Int63n(1<<20-8192)
+			return 8192 + rng.Int31n(1<<20-8192)
 		}
 	}},
-	{"boundaries", func(rng *rand.Rand) int64 { return varintBoundaries[rng.Intn(len(varintBoundaries))] }},
+	{"boundaries", func(rng *rand.Rand) int32 { return varintBoundaries[rng.Intn(len(varintBoundaries))] }},
 }
 
 // TestCodecMatchesReference pins the inline one- and two-byte kernels to
@@ -155,12 +160,13 @@ var codecMixes = []codecMix{
 // counters, and the same verdict (and, when accepted, the same counters)
 // on every encoding read one byte short and one byte long, and on every
 // single-bit corruption. Each shape and counter mix is also run with the
-// last counter forced to one-, two-, three- and ten-byte values: the
-// inline decoder's end-of-payload edge.
+// last counter forced to one-, two-, three- and five-byte values: the
+// inline decoder's end-of-payload edge. Each shape's encoding with a
+// counter varint past the 32-bit range, first or last, is refused by both.
 func TestCodecMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	shapes := []Params{{D: 1, W: 1}, {D: 1, W: 2}, {D: 2, W: 3}, {D: 3, W: 7}, {D: 4, W: 16}, {D: 2, W: 40}}
-	lastValues := []int64{0, 63, 64, -8193, 1 << 20, math.MinInt64}
+	lastValues := []int32{0, 63, 64, -8193, 1 << 20, math.MinInt32}
 	for _, p := range shapes {
 		p.Seed = rng.Uint64()
 		for _, mix := range codecMixes {
@@ -202,7 +208,31 @@ func TestCodecMatchesReference(t *testing.T) {
 				}
 			}
 		}
+		for _, v := range outOfRange {
+			for _, at := range []int{0, p.D*p.W - 1} {
+				vals := make([]int64, p.D*p.W)
+				vals[at] = v
+				name := fmt.Sprintf("%dx%d/counter %d=%d", p.D, p.W, at, v)
+				enc := encodeCounters(p, vals)
+				checkCodecAgrees(t, name, enc)
+				if err := New(p).UnmarshalBinary(enc); err == nil {
+					t.Fatalf("%s: a counter past the 32-bit range was accepted", name)
+				}
+			}
+		}
 	}
+}
+
+// encodeCounters encodes a sketch of p whose counters are vals, row-major,
+// which may lie outside the 32-bit range no Sketch holds.
+func encodeCounters(p Params, vals []int64) []byte {
+	out := binary.LittleEndian.AppendUint32([]byte{wireMagic}, uint32(p.D))
+	out = binary.LittleEndian.AppendUint32(out, uint32(p.W))
+	out = binary.LittleEndian.AppendUint64(out, p.Seed)
+	for _, v := range vals {
+		out = binary.AppendVarint(out, v)
+	}
+	return out
 }
 
 // checkCodecAgrees decodes data with the kernel and the reference, into
@@ -333,14 +363,15 @@ func refMarshal(s *Sketch) []byte {
 	out = binary.LittleEndian.AppendUint64(out, p.Seed)
 	for _, row := range s.rows {
 		for _, v := range row {
-			out = binary.AppendVarint(out, v)
+			out = binary.AppendVarint(out, int64(v))
 		}
 	}
 	return out
 }
 
 // refUnmarshal decodes an encoding made by refMarshal into s, with the
-// same dimension rule and rejections as UnmarshalBinary.
+// same dimension rule and rejections as UnmarshalBinary, the 32-bit
+// counter range among them.
 func refUnmarshal(s *Sketch, data []byte) error {
 	if len(data) < 1+4+4+8 {
 		return fmt.Errorf("countmin: truncated sketch encoding")
@@ -374,11 +405,11 @@ func refUnmarshal(s *Sketch, data []byte) error {
 	}
 	rows := s.rows
 	if len(rows) != d {
-		rows = make([][]int64, d)
+		rows = make([][]int32, d)
 	}
 	for i := range rows {
 		if len(rows[i]) != w {
-			rows[i] = make([]int64, w)
+			rows[i] = make([]int32, w)
 		}
 	}
 	for i := range rows {
@@ -392,7 +423,10 @@ func refUnmarshal(s *Sketch, data []byte) error {
 			if n > 1 && data[off+n-1] == 0 {
 				return fmt.Errorf("countmin: non-minimal counter varint (row %d, col %d)", i, j)
 			}
-			rows[i][j] = v
+			if v < math.MinInt32 || v > math.MaxInt32 {
+				return fmt.Errorf("countmin: counter %d outside the 32-bit range (row %d, col %d)", v, i, j)
+			}
+			rows[i][j] = int32(v)
 			off += n
 		}
 	}

@@ -43,8 +43,9 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 		seeds = append(seeds, legacy, compact, empty, compact[:len(compact)/2])
 	}
 	// Edges of the inline one- and two-byte decode: an overlong two-byte
-	// value, a ten-byte math.MinInt64, an eleven-byte varint (overflow),
-	// and a payload whose last counter takes two bytes.
+	// value, a ten-byte math.MinInt64 (past the 32-bit range), an
+	// eleven-byte varint (overflow), and a payload whose last counter
+	// takes two bytes.
 	header := func(d, w int) []byte {
 		h := binary.LittleEndian.AppendUint32([]byte{wireMagic}, uint32(d))
 		h = binary.LittleEndian.AppendUint32(h, uint32(w))
@@ -57,15 +58,23 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 		}
 		return b
 	}
-	minInt := New(Params{D: 1, W: 2, Seed: 9})
-	minInt.rows[0][0] = math.MinInt64
 	lastTwo := New(Params{D: 2, W: 4, Seed: 9})
 	lastTwo.rows[1][3] = 100
 	seeds = append(seeds,
 		append(header(1, 2), 0x80, 0x00, 0x02),
-		encode(minInt),
+		append(binary.AppendVarint(header(1, 2), math.MinInt64), 0x00),
 		append(append(header(1, 1), bytes.Repeat([]byte{0xff}, 10)...), 0x01),
 		encode(lastTwo))
+	// The 32-bit counter range: math.MinInt32 is accepted; a varint just
+	// past either end, first in the payload or in its last byte, is
+	// refused.
+	minInt := New(Params{D: 1, W: 2, Seed: 9})
+	minInt.rows[0][0] = math.MinInt32
+	seeds = append(seeds,
+		encode(minInt),
+		append(binary.AppendVarint(header(1, 2), math.MinInt32-1), 0x00),
+		binary.AppendVarint(append(header(1, 2), 0x00), math.MaxInt32+1),
+		append(binary.AppendVarint(header(2, 4), math.MaxInt32+1), 0, 0, 0, 0, 0, 0, 0))
 	writeSeedCorpus(t, "FuzzUnmarshalBinary", seeds)
 }
 

@@ -12,7 +12,7 @@ func addReference(s *Sketch, f uint64, delta int64) {
 	p := s.Params()
 	for i := 0; i < p.D; i++ {
 		j := xhash.Index(f^p.Seed, uint64(i)+1, p.W)
-		s.rows[i][j] += delta
+		s.rows[i][j] += int32(delta)
 	}
 }
 

@@ -131,10 +131,10 @@ func ProjectEncoded(enc, idx []byte, d, w int, f uint64) (*Sketch, error) {
 			return nil, fmt.Errorf("countmin: project: block %d does not end where the index says", b)
 		}
 		v, m := binary.Varint(blk[skipVarints(blk, c-b*k):])
-		if m <= 0 {
+		if m <= 0 || !inCounterRange(v) {
 			return nil, fmt.Errorf("countmin: project: malformed counter varint %d", c)
 		}
-		out.rows[i][0] = v
+		out.rows[i][0] = int32(v)
 	}
 	return out, nil
 }

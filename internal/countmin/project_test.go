@@ -42,14 +42,14 @@ func TestFlowProjectionMatchesDecode(t *testing.T) {
 		"wide": func(s *Sketch) { // multi-byte and negative varints
 			for _, row := range s.rows {
 				for j := range row {
-					row[j] = rng.Int63n(1<<40) - 1<<39
+					row[j] = int32(rng.Int63n(1<<32) - 1<<31)
 				}
 			}
 		},
 		"extremes": func(s *Sketch) {
 			for _, row := range s.rows {
 				for j := range row {
-					row[j] = []int64{math.MinInt64, math.MaxInt64, -1, 0, 1 << 14, -(1 << 13)}[rng.Intn(6)]
+					row[j] = []int32{math.MinInt32, math.MaxInt32, -1, 0, 1 << 14, -(1 << 13)}[rng.Intn(6)]
 				}
 			}
 		},

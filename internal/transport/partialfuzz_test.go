@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"runtime"
 	"testing"
 
@@ -93,7 +94,9 @@ func checkPartialCellRead[S core.Sketch[S]](t *testing.T, e *engineCenter[S], fl
 
 // fuzzPartialSeeds are the committed inputs for FuzzPartialCellIndex:
 // real cells of both backends, then truncated, index-shifted and
-// block-resized variants.
+// block-resized variants, then a CountMin cell under its true index whose
+// counter varints lie just past the 32-bit range, which the projection
+// refuses.
 func fuzzPartialSeeds(t interface{ Fatal(args ...any) }) [][]byte {
 	cell := func(enc []byte, index func([]byte, []byte) ([]byte, error)) []byte {
 		idx, err := index(nil, enc)
@@ -118,5 +121,10 @@ func fuzzPartialSeeds(t interface{ Fatal(args ...any) }) [][]byte {
 			append(bytes.Clone(flow), shifted...),
 			append(bytes.Clone(flow), resized...))
 	}
-	return seeds
+	size := fuzzSizeSketchBytes(t)
+	past := bytes.Clone(size[:17]) // the header: magic, D = 2, W = 16, seed
+	for i := 0; i < 2*16; i++ {
+		past = binary.AppendVarint(past, []int64{math.MaxInt32 + 1, math.MinInt32 - 1}[i%2])
+	}
+	return append(seeds, append(bytes.Clone(flow), cell(past, countmin.AppendIndex)...))
 }
